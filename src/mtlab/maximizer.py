@@ -12,18 +12,24 @@ The discrete field is piecewise linear in t = log r, for which the
 Dirichlet energy has the exact per-segment form 2 pi (du)^2 / dt and the
 functional is integrated by fixed-order Gauss quadrature per segment plus
 a closed inner cap on [0, r_min].
+
+What depends only on the grid (Gauss points, weights, e^{2t}, stiffnesses
+2 pi / dt, cap area) is a per-grid plan shared by copies of the field, and
+the Riesz solve in flux form is two cumulative sums: a step is loop-free.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.special import jn_zeros, roots_legendre
 
 from .perturbations import PerturbationSpec, trivial
+from .radial_ode import IntegrationError
 
 __all__ = [
     "RadialField",
@@ -66,70 +72,77 @@ class RadialField:
         values[-1] = 0.0
         self.t_nodes = t_nodes
         self.values = values
-
-    @classmethod
-    def on_log_grid(cls, values, r_min: float = 1e-8, n_nodes: int = 4096):
-        t = np.linspace(np.log(r_min), 0.0, n_nodes)
-        return cls(t, np.broadcast_to(values, t.shape))
-
-    @property
-    def r_nodes(self) -> np.ndarray:
-        return np.exp(self.t_nodes)
+        self._plans: Dict[int, "_GridPlan"] = {}
 
     def energy(self) -> float:
         """Exact Dirichlet energy of the piecewise-linear-in-log field."""
         du = np.diff(self.values)
-        dt = np.diff(self.t_nodes)
-        return float(2.0 * np.pi * np.sum(du * du / dt))
+        return float(2.0 * np.pi * np.sum(du * du / np.diff(self.t_nodes)))
+
+    def plan(self, order: int = 5) -> "_GridPlan":
+        """The grid-constant quadrature and stiffness data, built on first use."""
+        if order not in self._plans:
+            self._plans[order] = _grid_plan(self.t_nodes, order)
+        return self._plans[order]
 
     def copy(self) -> "RadialField":
-        return RadialField(self.t_nodes, self.values)
+        """Copy of the values; the grid and its plans are shared, not re-checked."""
+        twin = copy.copy(self)
+        twin.values = self.values.copy()
+        return twin
 
 
-def _gauss_segments(t_nodes: np.ndarray, order: int = 5):
-    """Gauss-Legendre nodes/weights mapped into each grid segment."""
+class _GridPlan(NamedTuple):
+    frac: np.ndarray      # barycentric weight of the left node at each Gauss point
+    wq: np.ndarray        # Gauss weights mapped into each segment
+    e2t: np.ndarray       # e^{2t} at each Gauss point (the area element r^2)
+    cap: float            # pi r_min^2, the area of the inner cap
+    w: np.ndarray         # segment stiffnesses 2 pi / dt
+
+
+def _grid_plan(t_nodes: np.ndarray, order: int) -> _GridPlan:
+    """Gauss-Legendre points/weights of every segment plus the stiffnesses."""
     x, w = roots_legendre(order)
     t0, t1 = t_nodes[:-1], t_nodes[1:]
     mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
     tq = mid[:, None] + half[:, None] * x[None, :]
     wq = half[:, None] * w[None, :]
-    # barycentric weight of the left node at each quadrature point
     frac = (t1[:, None] - tq) / (t1 - t0)[:, None]
-    return tq, wq, frac
+    return _GridPlan(frac=frac, wq=wq, e2t=np.exp(2.0 * tq),
+                     cap=np.pi * np.exp(t_nodes[0]) ** 2,
+                     w=2.0 * np.pi / np.diff(t_nodes))
 
 
 def functional_value(field: RadialField, spec: PerturbationSpec,
                      order: int = 5) -> float:
     """F = int (1+g(u)) e^{u^2} dx, per-segment Gauss plus the inner cap."""
     g = spec.g if spec.g is not None else (lambda t: np.zeros_like(t))
-    tq, wq, frac = _gauss_segments(field.t_nodes, order)
+    plan = field.plan(order)
+    frac = plan.frac
     uq = frac * field.values[:-1, None] + (1.0 - frac) * field.values[1:, None]
-    integrand = (1.0 + g(np.abs(uq))) * np.exp(uq * uq) * np.exp(2.0 * tq)
-    val = 2.0 * np.pi * float(np.sum(integrand * wq))
+    integrand = (1.0 + g(np.abs(uq))) * np.exp(uq * uq) * plan.e2t
+    val = 2.0 * np.pi * float(np.sum(integrand * plan.wq))
     u0 = field.values[0]
-    r_min = np.exp(field.t_nodes[0])
     g0 = float(g(np.asarray(abs(u0))))
-    return val + np.pi * r_min ** 2 * (1.0 + g0) * np.exp(u0 * u0)
+    return val + plan.cap * (1.0 + g0) * np.exp(u0 * u0)
 
 
 def _functional_gradient(field: RadialField, spec: PerturbationSpec,
                          order: int = 5) -> np.ndarray:
     """Nodal gradient of F; dF/du = 2 u (1 + h(u)) e^{u^2} pointwise."""
     h = spec.h
-    tq, wq, frac = _gauss_segments(field.t_nodes, order)
+    plan = field.plan(order)
+    frac, wq = plan.frac, plan.wq
     uq = frac * field.values[:-1, None] + (1.0 - frac) * field.values[1:, None]
     hu = h(np.maximum(np.abs(uq), 1e-12))
-    fprime = 2.0 * uq * (1.0 + hu) * np.exp(uq * uq) * np.exp(2.0 * tq)
+    fprime = 2.0 * uq * (1.0 + hu) * np.exp(uq * uq) * plan.e2t
     grad = np.zeros_like(field.values)
-    seg_left = np.sum(fprime * frac * wq, axis=1)
-    seg_right = np.sum(fprime * (1.0 - frac) * wq, axis=1)
-    np.add.at(grad, np.arange(len(grad) - 1), seg_left)
-    np.add.at(grad, np.arange(1, len(grad)), seg_right)
+    grad[:-1] += np.sum(fprime * frac * wq, axis=1)
+    grad[1:] += np.sum(fprime * (1.0 - frac) * wq, axis=1)
     grad *= 2.0 * np.pi
     u0 = field.values[0]
-    r_min = np.exp(field.t_nodes[0])
     h0 = float(h(np.asarray(max(abs(u0), 1e-12))))
-    grad[0] += np.pi * r_min ** 2 * 2.0 * u0 * (1.0 + h0) * np.exp(u0 * u0)
+    grad[0] += plan.cap * 2.0 * u0 * (1.0 + h0) * np.exp(u0 * u0)
     return grad
 
 
@@ -138,30 +151,12 @@ def _h1_riesz(field: RadialField, rhs: np.ndarray) -> np.ndarray:
 
     A is the stiffness matrix of the energy quadratic form
     2 pi sum (du_i)^2/dt_i, tridiagonal in the nodal values with a natural
-    (free) condition at the innermost node.
+    (free) condition at the innermost node.  Row i is the flux balance
+    S_i - S_{i-1} = rhs_i with S_i = w_i (d_i - d_{i+1}) and S_{-1} = 0.
     """
-    dt = np.diff(field.t_nodes)
-    w = 2.0 * np.pi / dt
-    n = len(field.values) - 1  # unknowns: nodes 0 .. n-1 (last pinned to 0)
-    diag = np.zeros(n)
-    diag[0] = w[0]
-    diag[1:] = w[:n - 1] + w[1:n]
-    lower = -w[:n - 1]
-    # Thomas solve of the symmetric tridiagonal system
-    b = rhs[:n].astype(float).copy()
-    c = np.empty(n - 1)
-    d = diag.copy()
-    for i in range(1, n):
-        m = lower[i - 1] / d[i - 1]
-        d[i] -= m * lower[i - 1]
-        b[i] -= m * b[i - 1]
-        c[i - 1] = m
-    x = np.empty(n)
-    x[-1] = b[-1] / d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (b[i] - lower[i] * x[i + 1]) / d[i]
+    flux = np.cumsum(rhs[:-1])  # the last node is pinned to 0
     out = np.zeros_like(field.values)
-    out[:n] = x
+    out[:-1] = np.cumsum((flux / field.plan().w)[::-1])[::-1]
     return out
 
 
@@ -204,27 +199,35 @@ class MaximizerResult:
     start_name: str
 
 
+def _require_finite(x, what: str, it: int) -> None:
+    if not np.all(np.isfinite(x)):
+        raise IntegrationError(f"non-finite {what} at ascent iteration {it}")
+
+
 def _ascend(field: RadialField, alpha: float, spec: PerturbationSpec,
             tol: float, max_iter: int) -> Tuple[RadialField, float, int, bool]:
+    """Projected ascent from ``field``; raises IntegrationError on NaN/inf."""
     _project(field, alpha)
     value = functional_value(field, spec)
+    _require_finite(value, "functional value", 0)
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
         grad = _functional_gradient(field, spec)
+        _require_finite(grad, "gradient", it)
         direction = _h1_riesz(field, grad)
+        _require_finite(direction, "ascent direction", it)
         step = 1.0
-        improved = False
         while step > 1e-12:
             trial = field.copy()
             trial.values += step * direction
             _project(trial, alpha)
             trial_value = functional_value(trial, spec)
+            _require_finite(trial_value, "functional value", it)
             if trial_value > value:
-                improved = True
                 break
             step *= 0.5
-        if not improved:
+        else:  # no step size improves F
             converged = True
             break
         gain = (trial_value - value) / max(abs(value), 1.0)
@@ -245,15 +248,12 @@ def maximize_subcritical(alpha: float, spec: Optional[PerturbationSpec] = None,
     """
     if not (0.0 < alpha < FOUR_PI):
         raise ValueError("alpha must lie in (0, 4 pi)")
-    if spec is None:
-        spec = trivial()
-    best = None
-    for name, start in (("moser", moser_start(alpha, r_min, n_nodes)),
-                        ("parabolic", parabolic_start(alpha, r_min, n_nodes))):
-        field, value, its, conv = _ascend(start, alpha, spec, tol, max_iter)
-        if best is None or value > best[1]:
-            best = (field, value, its, conv, name)
-    field, value, its, conv, name = best
+    spec = spec or trivial()
+    starts = (("moser", moser_start(alpha, r_min, n_nodes)),
+              ("parabolic", parabolic_start(alpha, r_min, n_nodes)))
+    runs = [_ascend(start, alpha, spec, tol, max_iter) + (name,)
+            for name, start in starts]
+    field, value, its, conv, name = max(runs, key=lambda run: run[1])
     lam, _ = multiplier_estimate_field(field, spec)
     return MaximizerResult(field=field, alpha=alpha, value=value,
                            lambda_hat=lam, iterations=its, converged=conv,
@@ -273,11 +273,9 @@ def pointwise_moser_bound(result: MaximizerResult,
     f = result.field
     bound = (result.alpha / (2.0 * np.pi)) * (-f.t_nodes) + eps
     excess = f.values ** 2 - bound
-    bad = np.where(excess > 0.0)[0]
-    if len(bad):
-        return MoserBoundReport(False, float(np.max(excess)),
-                                float(np.exp(f.t_nodes[bad[0]])))
-    return MoserBoundReport(True, float(np.max(excess)), None)
+    bad = np.flatnonzero(excess > 0.0)
+    first = float(np.exp(f.t_nodes[bad[0]])) if len(bad) else None
+    return MoserBoundReport(not len(bad), float(np.max(excess)), first)
 
 
 def multiplier_estimate_field(field: RadialField, spec: PerturbationSpec,
@@ -287,10 +285,13 @@ def multiplier_estimate_field(field: RadialField, spec: PerturbationSpec,
     The fit is done in the log coordinate, where the equation reads
     -u_tt = lambda e^{2t} (1+h(u)) u e^{u^2}; this avoids multiplying
     the second-difference noise of the innermost nodes by e^{-2t}.
+    Needs a uniform grid: spacings that vary by over 1e-9 relative raise.
     Returns (lambda_hat, relative residual of the least-squares fit).
     """
     t, u = field.t_nodes, field.values
     dt = t[1] - t[0]
+    if np.ptp(np.diff(t)) > 1e-9 * dt:
+        raise ValueError("multiplier estimate needs a uniform t grid")
     u_tt = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dt * dt)
     uu = u[1:-1]
     h = spec.h(np.maximum(np.abs(uu), 1e-12))
@@ -306,9 +307,7 @@ def multiplier_estimate_field(field: RadialField, spec: PerturbationSpec,
 
 def multiplier_estimate(result: MaximizerResult,
                         spec: Optional[PerturbationSpec] = None) -> Tuple[float, float]:
-    if spec is None:
-        spec = trivial()
-    return multiplier_estimate_field(result.field, spec)
+    return multiplier_estimate_field(result.field, spec or trivial())
 
 
 def result_to_json(result: MaximizerResult, max_nodes: int = 512) -> str:

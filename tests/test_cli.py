@@ -1,12 +1,19 @@
 """Command-line interface: outputs, determinism and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mtlab
+from mtlab import cli
 from mtlab.cli import (EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                        main)
+from mtlab.perturbations import PerturbationSpec
 
 
 def run(args):
@@ -94,6 +101,31 @@ def test_numerical_failure_exit_code(capsys):
     # the scan records a failed mu and the command reports it
     assert run(["scan", "--mu-from", "6", "--mu-to", "30",
                 "--steps", "2"]) == EXIT_NUMERICAL
+
+
+def test_maximize_nan_functional_exit_code(monkeypatch, tmp_path, capsys):
+    nan_g = PerturbationSpec(h=np.zeros_like, g=lambda t: np.full_like(t, np.nan))
+    monkeypatch.setattr(cli, "_family", lambda args: nan_g)
+    out = tmp_path / "m.json"
+    assert run(["maximize", "--alpha", "6.0", "--n-nodes", "256",
+                "--output", str(out)]) == EXIT_NUMERICAL
+    assert "non-finite functional value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_python_m_mtlab(tmp_path):
+    out = tmp_path / "t.csv"
+    src = str(Path(mtlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "mtlab", "tables",
+                           "--output", str(out)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    ref = tmp_path / "ref.csv"
+    assert run(["tables", "--output", str(ref)]) == EXIT_OK
+    assert out.read_text() == ref.read_text()
 
 
 def test_exit_codes_are_distinct():

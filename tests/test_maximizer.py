@@ -4,12 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mtlab.maximizer import (RadialField, lambda1_disk, maximize_subcritical,
-                             moser_start, multiplier_estimate,
+from mtlab.maximizer import (RadialField, _h1_riesz, lambda1_disk,
+                             maximize_subcritical, moser_start,
+                             multiplier_estimate, multiplier_estimate_field,
                              parabolic_start, pointwise_moser_bound,
                              result_to_json, functional_value)
-from mtlab.perturbations import log_power_family, trivial
+from mtlab.perturbations import PerturbationSpec, log_power_family, trivial
+from mtlab.radial_ode import IntegrationError
 
 FOUR_PI = 4.0 * np.pi
 
@@ -92,3 +96,43 @@ def test_result_json():
     payload = json.loads(result_to_json(res))
     assert payload["alpha"] == pytest.approx(0.5 * FOUR_PI)
     assert len(payload["field_t"]) == len(payload["field_u"]) == 512
+
+
+def test_ascent_fails_loudly_on_nan_g():
+    # a NaN functional value used to end the line search as "converged"
+    spec = PerturbationSpec(h=np.zeros_like, g=lambda t: np.full_like(t, np.nan))
+    with pytest.raises(IntegrationError, match="non-finite functional value"):
+        maximize_subcritical(0.5 * FOUR_PI, spec, n_nodes=256)
+
+
+def test_multiplier_estimate_rejects_nonuniform_grid():
+    t = np.linspace(np.log(1e-8), 0.0, 1024)
+    lam, _ = multiplier_estimate_field(RadialField(t, 1.0 - np.exp(2.0 * t)),
+                                       trivial())
+    assert 4.0 < lam < 5.0
+    # two uniform pieces with different spacings: the single-spacing second
+    # difference would return a meaningless estimate here (about 0)
+    t2 = np.concatenate([np.linspace(np.log(1e-8), -2.0, 500, endpoint=False),
+                         np.linspace(-2.0, 0.0, 524)])
+    with pytest.raises(ValueError, match="uniform"):
+        multiplier_estimate_field(RadialField(t2, 1.0 - np.exp(2.0 * t2)),
+                                  trivial())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_seg=st.integers(1, 80))
+def test_h1_riesz_solves_the_stiffness_system(data, n_seg):
+    dt = np.array(data.draw(st.lists(st.floats(1e-2, 1.0), min_size=n_seg,
+                                     max_size=n_seg)))
+    rhs = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n_seg + 1,
+                                      max_size=n_seg + 1)))
+    t = np.append(-np.cumsum(dt[::-1])[::-1], 0.0)
+    d = _h1_riesz(RadialField(t, np.zeros(n_seg + 1)), rhs)
+    # stiffness of 2 pi sum (du_i)^2 / dt_i, free at the inner node,
+    # Dirichlet at the outer one
+    w = 2.0 * np.pi / np.diff(t)
+    A = np.diag(w) + np.diag(np.append(0.0, w[:-1]))
+    A -= np.diag(w[:-1], 1) + np.diag(w[:-1], -1)
+    ref = np.linalg.solve(A, rhs[:-1])
+    assert d[-1] == 0.0
+    assert np.max(np.abs(d[:-1] - ref)) <= 1e-10 * max(np.max(np.abs(ref)), 1e-300)
