@@ -28,6 +28,7 @@ import numpy as np
 from . import profiles as pf
 from .linearized import solve_linearized, source_z0
 from .perturbations import PerturbationSpec, delta_k, trivial
+from .radial_ode import IntegrationError
 from .shooting import (EventNotReachedError, ShotSolution, pde_residual,
                        plain_mass_value, shoot)
 
@@ -61,6 +62,9 @@ SLACK = {
     "branch_root_tol": 1e-6,
     "residual_bound": 1e-7,
 }
+# bisection cap of the branch roots: a grid bracket shrinks to adjacent
+# floats long before 100 halvings
+MAX_HALVINGS = 100
 
 
 @dataclass
@@ -339,7 +343,7 @@ def branch_scan(mu_grid: Sequence[float], spec: Optional[PerturbationSpec] = Non
             if diffs[i] * diffs[i + 1] < 0:
                 a, b = float(mu_ok[i]), float(mu_ok[i + 1])
                 fa = diffs[i]
-                while True:
+                for _ in range(MAX_HALVINGS):
                     mid = 0.5 * (a + b)
                     fm = E(mid) - lam
                     if abs(fm) <= root_tol:
@@ -349,6 +353,11 @@ def branch_scan(mu_grid: Sequence[float], spec: Optional[PerturbationSpec] = Non
                         b = mid
                     else:
                         a, fa = mid, fm
+                else:
+                    raise IntegrationError(
+                        f"root of E(mu) = {lam!r} not resolved to {root_tol} in "
+                        f"{MAX_HALVINGS} halvings: last mu={mid!r}, "
+                        f"E - Lambda = {fm!r}, bracket [{a!r}, {b!r}]")
         pairs[lam] = sorted(roots)
     return BranchScan(points=pts, lambda_star=float(lambda_star),
                       mu_star=float(mu_star), pairs=pairs, notes=notes,

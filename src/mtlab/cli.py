@@ -6,7 +6,9 @@ Numbers are rendered with 17 significant digits.
 
 Exit codes: 0 success, 2 configuration error (bad flags or parameters),
 3 numerical failure (integration, quadrature or root finding did not
-converge), 4 assertion failure (a computed value missed its target).
+converge), 4 assertion failure (a computed value missed its target).  A
+reader that closes standard output early (``mtlab shoot --mu 6 | head``)
+ends the command quietly with exit code 0.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
+import os
 import sys
 
 import numpy as np
 
 from . import analysis, linearized, maximizer, perturbations, profiles, quadrature
+from .analysis import _fmt
 from .perturbations import family_by_name
 from .radial_ode import IntegrationError, NoCrossingError
 from .shooting import EventNotReachedError, shoot, to_json as shot_to_json
@@ -34,10 +37,6 @@ EXIT_ASSERTION = 4
 
 class AssertionFailure(RuntimeError):
     """A computed value missed its documented target."""
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _write(args, text: str) -> None:
@@ -267,7 +266,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`): nothing is left to report.
+        # Point stdout at devnull so the flush at interpreter exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (ValueError, KeyError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

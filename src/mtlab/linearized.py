@@ -83,12 +83,13 @@ def solve_linearized(source: Callable, r_max: float = 1e6,
     if r_max > 1e8:
         raise ValueError("r_max must be <= 1e8")
 
-    def rhs(r, w):
+    def state(t, y):
+        r = np.exp(t)
         one = 1.0 + r * r
-        return 4.0 / (one * one) * (source(r) + 2.0 * w)
+        return np.array([y[1], -r * r * (4.0 / (one * one) * (source(r) + 2.0 * y[0]))])
 
-    spec = IvpSpec(rhs=rhs, u0=0.0, t_end=np.log(r_max),
-                   rel_tol=tol, abs_tol=tol)
+    spec = IvpSpec(fun=state, lap0=-4.0 * float(source(0.0)), u0=0.0,
+                   t_end=np.log(r_max), rel_tol=tol, abs_tol=tol)
     return integrate(spec)
 
 

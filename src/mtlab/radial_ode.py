@@ -3,18 +3,20 @@
 A radial equation Delta u = u'' + u'/r on the plane becomes, in the
 coordinate t = log r with v = r u'(r),
 
-    du/dt = v,      dv/dt = -e^{2t} * rhs(e^t, u),
+    du/dt = v,      dv/dt = e^{2t} Delta u.
 
-where ``rhs(r, u)`` returns -Delta u.  Integration starts from a small
-radius ``r_start`` with second-order Taylor data at the origin, and uses an
-embedded 5(4) pair (scipy's RK45) with dense output.  Auxiliary quadrature
-states (e.g. running energy integrals) are appended to the ODE state and
-share the same error control.
+The caller supplies one state function of t for the whole state
+(u, v, aux...), so each right-hand-side evaluation shares its work
+between the equation and the auxiliary quadrature states (e.g. running
+energy integrals), which share the same error control.  Integration
+starts from a small radius ``r_start`` with second-order Taylor data at
+the origin, and uses an embedded Runge-Kutta pair (scipy's RK45 by
+default) with dense output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -53,31 +55,26 @@ class LogRadialGrid:
             raise ValueError("t_nodes must be strictly increasing")
         object.__setattr__(self, "t_nodes", t)
 
-    @property
-    def r_nodes(self) -> np.ndarray:
-        return np.exp(self.t_nodes)
-
 
 @dataclass
 class IvpSpec:
-    """Cauchy problem for a radial equation.
+    """Cauchy problem for a radial equation in t = log r.
 
-    rhs(r, u) returns -Delta u.  ``aux`` maps names to integrand rules
-    g(r, u, v); each accumulates the integral of g along the solution,
-    d(aux)/dt = g(e^t, u, v).
+    ``fun(t, y)`` returns dy/dt for the state y = (u, v, aux...):
+    (v, e^{2t} Delta u, rates of the auxiliary states).  ``aux`` names the
+    states after (u, v); each starts at 0 and accumulates its rate.
+    ``lap0`` is Delta u at the origin, which sets the series start.
     """
 
-    rhs: Callable[[float, float], float]
+    fun: Callable
+    lap0: float
     u0: float = 0.0
     t_end: float = np.log(1e6)
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
     r_start: float = 1e-6
-    aux: dict = field(default_factory=dict)
+    aux: Sequence[str] = ()
     method: str = "RK45"
-    # optional combined rule returning e^{2t} * rhs(e^t, u) with the e^{2t}
-    # factor folded into the exponent; needed when e^{2t} alone overflows
-    scaled_rhs: Optional[Callable] = None
     max_step: float = np.inf
 
     def __post_init__(self):
@@ -91,11 +88,11 @@ class RadialSolution:
     """Samples of a radial function u and of v = r u'(r) on a log grid.
 
     ``eval`` interpolates between nodes with the integrator's continuous
-    extension (quartic dense output of the 5(4) pair).
+    extension (the dense output of the Runge-Kutta pair).
     """
 
-    def __init__(self, grid: LogRadialGrid, values, r_derivs, aux=None,
-                 dense=None, t_event: Optional[float] = None):
+    def __init__(self, grid: LogRadialGrid, values, r_derivs, dense,
+                 aux=None, t_event: Optional[float] = None):
         self.grid = grid
         self.values = np.asarray(values, dtype=float)
         self.r_derivs = np.asarray(r_derivs, dtype=float)
@@ -115,12 +112,7 @@ class RadialSolution:
 
     def eval_t(self, t):
         """Dense evaluation at t = log r; returns (u, r*u')."""
-        t = np.asarray(t, dtype=float)
-        if self._dense is None:
-            u = np.interp(t, self.grid.t_nodes, self.values)
-            v = np.interp(t, self.grid.t_nodes, self.r_derivs)
-            return u, v
-        y = self._dense(t)
+        y = self._dense(np.asarray(t, dtype=float))
         return y[0], y[1]
 
     def eval(self, r):
@@ -130,8 +122,6 @@ class RadialSolution:
 
     def eval_aux_t(self, name: str, t):
         """Accumulated auxiliary integral at t = log r."""
-        if self._dense is None:
-            raise ValueError("no dense output available")
         idx = 2 + list(self.aux_names).index(name)
         return self._dense(np.asarray(t, dtype=float))[idx]
 
@@ -143,30 +133,10 @@ class RadialSolution:
 def series_start(spec: IvpSpec):
     """Taylor data (u, r u') at r_start from the origin expansion.
 
-    For smooth radial data, u(r) = u(0) + Delta u(0) r^2 / 4 + O(r^4)
-    with Delta u(0) = -rhs(0, u(0)).
+    For smooth radial data, u(r) = u(0) + Delta u(0) r^2 / 4 + O(r^4).
     """
-    lap0 = -spec.rhs(0.0, spec.u0)
     r = spec.r_start
-    return spec.u0 + 0.25 * lap0 * r * r, 0.5 * lap0 * r * r
-
-
-def _make_odefun(spec: IvpSpec):
-    aux_rules = list(spec.aux.values())
-    rhs = spec.rhs
-    scaled = spec.scaled_rhs
-
-    def fun(t, y):
-        r = np.exp(t)
-        u, v = y[0], y[1]
-        out = np.empty_like(y)
-        out[0] = v
-        out[1] = -scaled(t, u) if scaled is not None else -r * r * rhs(r, u)
-        for i, g in enumerate(aux_rules):
-            out[2 + i] = g(r, u, v)
-        return out
-
-    return fun
+    return spec.u0 + 0.25 * spec.lap0 * r * r, 0.5 * spec.lap0 * r * r
 
 
 def _solve(spec: IvpSpec, events=None):
@@ -174,7 +144,7 @@ def _solve(spec: IvpSpec, events=None):
     y0 = np.array([u_s, v_s] + [0.0] * len(spec.aux))
     t0 = np.log(spec.r_start)
     res = solve_ivp(
-        _make_odefun(spec), (t0, spec.t_end), y0, method=spec.method,
+        spec.fun, (t0, spec.t_end), y0, method=spec.method,
         rtol=spec.rel_tol, atol=spec.abs_tol, dense_output=True,
         events=events, max_step=spec.max_step,
     )
@@ -188,7 +158,7 @@ def _solve(spec: IvpSpec, events=None):
 def _wrap(spec: IvpSpec, res, t_event=None) -> RadialSolution:
     grid = LogRadialGrid(res.t, spec.r_start)
     aux = {name: res.y[2 + i] for i, name in enumerate(spec.aux)}
-    return RadialSolution(grid, res.y[0], res.y[1], aux=aux, dense=res.sol,
+    return RadialSolution(grid, res.y[0], res.y[1], res.sol, aux=aux,
                           t_event=t_event)
 
 

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import profiles as pf
 from .perturbations import PerturbationSpec
-from .radial_ode import IvpSpec, NoCrossingError, RadialSolution, find_event
+from .radial_ode import (IntegrationError, IvpSpec, NoCrossingError,
+                         RadialSolution, find_event)
 
 __all__ = [
     "ShotSolution",
@@ -74,25 +75,6 @@ class ShotSolution:
         return self.eta.t_event if self.eta.t_event is not None else self.eta.t_max
 
 
-def _expo(eta, mu2):
-    """The exponent 2 eta + eta^2/mu^2 = eta (2 + eta/mu^2), clamped at 0.
-
-    Along the solution eta stays in [-mu^2, 0] where the exponent is
-    non-positive; the clamp only affects wildly overshooting trial steps of
-    the adaptive integrator (eta < -2 mu^2), preventing overflow there.
-    """
-    return np.minimum(eta * (2.0 + eta / mu2), 0.0)
-
-
-def _safe_h(spec: PerturbationSpec) -> Callable:
-    h = spec.h
-
-    def call(u):
-        return h(np.maximum(u, 1e-12))
-
-    return call
-
-
 def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11,
           split_exponent: float = 3.0, method: str = "DOP853") -> ShotSolution:
     """Integrate to the boundary event and accumulate energy splits.
@@ -102,50 +84,36 @@ def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11,
     """
     if not (MU_MIN <= mu <= MU_MAX):
         raise ValueError(f"mu={mu} outside supported range [{MU_MIN}, {MU_MAX}]")
-    h = _safe_h(spec)
-    g = spec.g
+    h, g = spec.h, spec.g
     mu2 = mu * mu
 
-    def rhs(r, eta):
-        u = mu + eta / mu
-        with np.errstate(over="ignore", invalid="ignore"):
-            return 4.0 * (1.0 + h(u)) * (1.0 + eta / mu2) * np.exp(_expo(eta, mu2))
+    def state(t, y):
+        """(eta, v, energy, mass, mass_plain)' at t = log r.
 
-    def scaled_rhs(t, eta):
-        # e^{2t} * rhs with the exponents combined; the +50 clamp only
-        # bites on rejected trial steps far past the boundary event
-        u = mu + eta / mu
+        All rates share e = e^{2t + eta (2 + eta/mu^2)}.  Along the solution
+        eta stays in [-mu^2, 0], where the exponent eta (2 + eta/mu^2) is
+        non-positive; its clamp at 0 and the clamp of the whole exponent at
+        50 only bite on wildly overshooting trial steps of the adaptive
+        integrator (eta < -2 mu^2, or t far past the boundary event).
+        """
+        eta, v = y[0], y[1]
+        u = max(mu + eta / mu, 1e-12)
+        q = 1.0 + eta / mu2
         with np.errstate(over="ignore", invalid="ignore"):
-            ex = min(2.0 * t + _expo(eta, mu2), 50.0)
-            return 4.0 * (1.0 + h(u)) * (1.0 + eta / mu2) * np.exp(ex)
-
-    def energy_rate(r, eta, v):
-        u = mu + eta / mu
-        with np.errstate(over="ignore", invalid="ignore"):
-            ex = min(2.0 * np.log(r) + _expo(eta, mu2), 50.0)
-            return TWO_PI * 4.0 * (1.0 + h(u)) * (1.0 + eta / mu2) ** 2 * np.exp(ex)
-
-    def mass_rate(r, eta, v):
-        u = mu + eta / mu
-        gu = g(u) if g is not None else 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            ex = min(2.0 * np.log(r) + _expo(eta, mu2), 50.0)
-            return TWO_PI * (1.0 + gu) * np.exp(ex)
-
-    def mass_plain_rate(r, eta, v):
-        with np.errstate(over="ignore", invalid="ignore"):
-            ex = min(2.0 * np.log(r) + _expo(eta, mu2), 50.0)
-            return TWO_PI * np.exp(ex)
+            e = np.exp(min(2.0 * t + min(eta * (2.0 + eta / mu2), 0.0), 50.0))
+            f = 4.0 * (1.0 + h(u)) * q * e
+            gu = g(u) if g is not None else 0.0
+            return np.array([v, -f, TWO_PI * f * q, TWO_PI * (1.0 + gu) * e,
+                             TWO_PI * e])
 
     # near the origin eta ~ r^2 is exponentially small in t = log r, yet the
     # residual check needs it to full *relative* accuracy, so the eta and v
     # components get a vanishing absolute tolerance
     abs_tol = np.array([1e-60, 1e-60, tol, tol, tol])
-    ivp = IvpSpec(rhs=rhs, u0=0.0, t_end=0.55 * mu2 + 10.0,
-                  rel_tol=tol, abs_tol=abs_tol, r_start=1e-6,
-                  aux={"energy": energy_rate, "mass": mass_rate,
-                       "mass_plain": mass_plain_rate},
-                  method=method, scaled_rhs=scaled_rhs, max_step=1.0)
+    ivp = IvpSpec(fun=state, lap0=-4.0 * (1.0 + h(mu)), u0=0.0,
+                  t_end=0.55 * mu2 + 10.0, rel_tol=tol, abs_tol=abs_tol,
+                  r_start=1e-6, aux=("energy", "mass", "mass_plain"),
+                  method=method, max_step=1.0)
     try:
         t_star, sol = find_event(ivp, -mu2)
     except NoCrossingError as exc:
@@ -200,10 +168,6 @@ def plain_mass_value(sol: ShotSolution) -> float:
     return float(np.exp(sol.mu ** 2 - 2.0 * sol.log_R) * sol.exp_mass_plain)
 
 
-def _t_event(sol: ShotSolution) -> float:
-    return sol.t_event_or_max()
-
-
 def pde_residual(sol: ShotSolution, sample_radii: Sequence[float],
                  ds: float = 0.01,
                  solution_eval: Optional[Callable] = None) -> float:
@@ -221,12 +185,14 @@ def pde_residual(sol: ShotSolution, sample_radii: Sequence[float],
     center where eta is small, and a fourth-order first difference of the
     stored r u' channel, well conditioned in the tail where eta is large
     but slowly varying.  Each sample reports the better conditioned of
-    the two.  ``solution_eval`` (t -> (eta, r u')) overrides the dense
-    solution, for sensitivity tests.
+    the two.  A non-finite residual from either scheme raises
+    IntegrationError instead of reading as a perfect fit.
+    ``solution_eval`` (t -> (eta, r u')) overrides the dense solution, for
+    sensitivity tests.
     """
     mu, mu2 = sol.mu, sol.mu ** 2
-    h = _safe_h(sol.perturbation)
-    t_hi = _t_event(sol)
+    h = sol.perturbation.h
+    t_hi = sol.t_event_or_max()
     ev = solution_eval if solution_eval is not None else sol.eta.eval_t
 
     worst = 0.0
@@ -243,13 +209,15 @@ def pde_residual(sol: ShotSolution, sample_radii: Sequence[float],
                     + 16 * eta_st[3] - eta_st[4]) / (12.0 * ds * ds)
         eta_ss_b = (v_st[0] - 8 * v_st[1] + 8 * v_st[3] - v_st[4]) / (12.0 * ds)
         eta_c = eta_st[2]
-        u = mu + eta_c / mu
+        u = max(mu + eta_c / mu, 1e-12)
         rhs_val = 4.0 * (1.0 + h(u)) * (1.0 + eta_c / mu2) \
             * np.exp(min(2.0 * eta_c + eta_c * eta_c / mu2, 0.0))
-        resid = min(
-            abs(lap + rhs_val) / (pref_inv + abs(lap))
-            for lap in (np.exp(-2.0 * s) * eta_ss_a, np.exp(-2.0 * s) * eta_ss_b))
-        worst = max(worst, float(resid))
+        resids = [float(abs(lap + rhs_val) / (pref_inv + abs(lap)))
+                  for lap in (np.exp(-2.0 * s) * eta_ss_a, np.exp(-2.0 * s) * eta_ss_b)]
+        if not np.all(np.isfinite(resids)):
+            raise IntegrationError(
+                f"non-finite PDE residual {resids} at r={r:.6g} (mu={mu})")
+        worst = max(worst, min(resids))
     return worst
 
 
@@ -264,7 +232,7 @@ def comparison_eta0(sol: ShotSolution, n_samples: int = 400,
                     slack: float = 1e-9) -> Eta0Comparison:
     """Check eta <= eta0 on [mu^2, R] (log grid); report the first violation."""
     t_lo = 2.0 * np.log(sol.mu)
-    t_hi = _t_event(sol)
+    t_hi = sol.t_event_or_max()
     if t_hi <= t_lo:
         return Eta0Comparison(True, None, 0.0)
     ts = np.linspace(t_lo, t_hi, n_samples)

@@ -1,16 +1,19 @@
 """Energy scans, residual hierarchy, thresholds, branch and concentration."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mtlab import analysis
 from mtlab.analysis import (FOUR_PI, SLACK, branch_scan, branch_summary_json,
                             branch_to_csv, concentration_check, energy_scan,
                             residual_hierarchy, residuals_to_csv, scan_to_csv,
                             subcritical_mass_bound, threshold_a,
                             verify_branch_root)
 from mtlab.perturbations import inverse_square_tail, log_power_family, trivial
+from mtlab.radial_ode import IntegrationError
 from mtlab.shooting import shoot
 
 
@@ -117,3 +120,20 @@ def test_csv_and_json_renderers(trivial_spec):
     assert branch_to_csv(bscan).splitlines()[0] == "mu,E"
     payload = json.loads(branch_summary_json(bscan))
     assert payload["lambda_star"] > FOUR_PI
+
+
+def test_branch_root_bisection_is_bounded(monkeypatch):
+    # E jumps across the level at mu = 2.5, so no midpoint ever lands within
+    # the root tolerance; the bisection must give up instead of spinning
+    calls = []
+
+    def fake_shoot(mu, spec, tol=None):
+        calls.append(mu)
+        if len(calls) > 1000:
+            raise RuntimeError("bisection did not stop")
+        return SimpleNamespace(energy_total=FOUR_PI + (1.0 if mu < 2.5 else 0.0))
+
+    monkeypatch.setattr(analysis, "shoot", fake_shoot)
+    with pytest.raises(IntegrationError, match="halvings"):
+        branch_scan([1.0, 2.0, 3.0, 4.0], lambda_queries=[FOUR_PI + 0.5])
+    assert len(calls) < 1000

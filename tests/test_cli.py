@@ -113,19 +113,40 @@ def test_maximize_nan_functional_exit_code(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_python_m_mtlab(tmp_path):
-    out = tmp_path / "t.csv"
+def _module_env():
+    """Environment that lets ``python -m mtlab`` import this checkout."""
     src = str(Path(mtlab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_python_m_mtlab(tmp_path):
+    out = tmp_path / "t.csv"
     proc = subprocess.run([sys.executable, "-m", "mtlab", "tables",
-                           "--output", str(out)], env=env,
+                           "--output", str(out)], env=_module_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == EXIT_OK, proc.stderr
     ref = tmp_path / "ref.csv"
     assert run(["tables", "--output", str(ref)]) == EXIT_OK
     assert out.read_text() == ref.read_text()
+
+
+@pytest.mark.parametrize("argv", [["shoot", "--mu", "6"], ["tables"],
+                                  ["profiles"]])
+def test_closed_stdout_ends_quietly(argv):
+    # the reader is gone before the command writes (e.g. `mtlab ... | head`)
+    proc = subprocess.Popen([sys.executable, "-m", "mtlab"] + argv,
+                            env=_module_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=300)
+    finally:
+        proc.kill()
+    assert proc.returncode == EXIT_OK
+    assert err == b""
 
 
 def test_exit_codes_are_distinct():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from mtlab import profiles as pf
+from mtlab import radial_ode
 from mtlab.perturbations import inverse_square_tail, log_power_family, trivial
+from mtlab.radial_ode import IntegrationError
 from mtlab.shooting import (EventNotReachedError, comparison_eta0,
                             functional_value, pde_residual, physical_profile,
                             plain_mass_value, shoot, to_json)
@@ -107,6 +109,45 @@ def test_pde_residual_detects_corruption(shots):
     assert pde_residual(sol, radii, solution_eval=corrupted) > 1e-5
     with pytest.raises(ValueError):
         pde_residual(sol, [1.5])
+
+
+def test_pde_residual_rejects_nan_solution(shots):
+    sol = shots[6.0]
+    radii = np.exp(np.linspace(np.log(1e-4), np.log(0.9), 10))
+
+    def nan_eval(t):
+        nan = np.full_like(np.asarray(t, dtype=float), np.nan)
+        return nan, nan
+
+    with pytest.raises(IntegrationError):
+        pde_residual(sol, radii, solution_eval=nan_eval)
+
+
+@pytest.mark.parametrize("family", [trivial, log_power_family])
+def test_one_h_and_one_g_call_per_rhs_evaluation(monkeypatch, family):
+    # the state function evaluates h and g once per call; h once more for
+    # the series start at the origin
+    spec = family()
+    calls = {"h": 0, "g": 0}
+    for name in calls:
+        def counted(u, fn=getattr(spec, name), name=name):
+            calls[name] += 1
+            return fn(u)
+
+        setattr(spec, name, counted)
+    nfev = []
+    solve_ivp = radial_ode.solve_ivp
+
+    def recording_solve_ivp(*args, **kwargs):
+        res = solve_ivp(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(radial_ode, "solve_ivp", recording_solve_ivp)
+    shoot(6.0, spec)
+    assert len(nfev) == 1
+    assert calls["h"] == nfev[0] + 1
+    assert calls["g"] == nfev[0]
 
 
 def test_comparison_to_bubble_outside_core(shots):
