@@ -24,6 +24,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.optimize import brentq, minimize_scalar
 
 from . import profiles as pf
 from .linearized import solve_linearized, source_z0
@@ -62,9 +63,6 @@ SLACK = {
     "branch_root_tol": 1e-6,
     "residual_bound": 1e-7,
 }
-# bisection cap of the branch roots: a grid bracket shrinks to adjacent
-# floats long before 100 halvings
-MAX_HALVINGS = 100
 
 
 @dataclass
@@ -212,7 +210,7 @@ def residual_hierarchy(mu: float, spec: Optional[PerturbationSpec] = None,
 
 @dataclass
 class ThresholdResult:
-    """Bisected sign change of c(mu_probe) in the tail amplitude a."""
+    """Sign change of c(mu_probe) in the tail amplitude a."""
 
     mu_probe: float
     a_crit: float
@@ -221,19 +219,41 @@ class ThresholdResult:
     c_hi: float
 
 
+def _brentq(f, lo, hi, what, **kw) -> float:
+    """``brentq`` on a sign-changing bracket; NaN or non-convergence raises."""
+
+    def finite(x):
+        y = f(x)
+        if not np.isfinite(y):
+            raise IntegrationError(f"{what}: non-finite value {y!r} at x={x!r}")
+        return y
+
+    x, res = brentq(finite, lo, hi, full_output=True, disp=False, **kw)
+    if not res.converged:
+        raise IntegrationError(
+            f"{what} not converged after {res.iterations} iterations: "
+            f"{res.flag}, last x={x!r}")
+    return x
+
+
 def threshold_a(mu_probe: float, a_lo: float = 0.25, a_hi: float = 3.0,
                 a_tol: float = 1e-3, tol: float = 1e-10,
                 family=None) -> ThresholdResult:
-    """Bisect the amplitude of the inverse-square tail where c changes sign.
+    """Find the amplitude of the inverse-square tail where c changes sign.
 
     The energy coefficient of the tail family shifts linearly, c ~ c0 -
     4 pi a, so a single sign change is expected; the asymptotic
     prediction brackets it between a = 1 (lower window coefficient
     vanishes) and a = 3/2 + (sup h)/2 (upper coefficient vanishes).
+    Brent's method on [a_lo, a_hi] returns ``a_crit`` within a_tol/2 of
+    the sign change; a_tol must be positive.
     """
     from .perturbations import inverse_square_tail
     make = family if family is not None else inverse_square_tail
+    if not a_tol > 0:
+        raise ValueError(f"a_tol must be positive, got {a_tol!r}")
 
+    @lru_cache(maxsize=None)
     def c_of(a):
         sol = shoot(mu_probe, make(a), tol=tol)
         return mu_probe ** 4 * (sol.energy_total - FOUR_PI)
@@ -242,16 +262,9 @@ def threshold_a(mu_probe: float, a_lo: float = 0.25, a_hi: float = 3.0,
     if c_lo * c_hi > 0:
         raise ValueError(
             f"no sign change of c on [{a_lo}, {a_hi}]: c={c_lo:.3g}, {c_hi:.3g}")
-    lo, hi = a_lo, a_hi
-    while hi - lo > a_tol:
-        mid = 0.5 * (lo + hi)
-        if c_lo * c_of(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    sup_h = make(0.5 * (lo + hi)).sup_h
-    return ThresholdResult(mu_probe=mu_probe, a_crit=0.5 * (lo + hi),
-                           predicted_window=(1.0, 1.5 + 0.5 * sup_h),
+    a_crit = _brentq(c_of, a_lo, a_hi, "sign change of c", xtol=0.5 * a_tol)
+    return ThresholdResult(mu_probe=mu_probe, a_crit=a_crit,
+                           predicted_window=(1.0, 1.5 + 0.5 * make(a_crit).sup_h),
                            c_lo=c_lo, c_hi=c_hi)
 
 
@@ -267,37 +280,20 @@ class BranchScan:
     failures: Dict[float, str] = field(default_factory=dict)
 
 
-def _golden_max(f, lo, hi, tol=1e-6):
-    """Golden-section maximization of a unimodal scalar function."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return (0.5 * (a + b), max(fc, fd))
-
-
 def branch_scan(mu_grid: Sequence[float], spec: Optional[PerturbationSpec] = None,
                 lambda_queries: Sequence[float] = (),
                 level_fractions: Sequence[float] = (),
                 tol: float = 1e-11) -> BranchScan:
     """Sample E(mu), refine its maximum, and solve E(mu) = Lambda levels.
 
-    Lambda* is the grid maximum refined by golden section between the
-    neighbors of the best sample (no global claim beyond the grid
-    resolution).  Each Lambda in (4 pi, Lambda*) is bracketed on the
-    grid and every bracket is bisected until |E - Lambda| <= 1e-6; roots
-    are re-verified by a fresh shoot.  ``level_fractions`` adds queries
-    at Lambda = 4 pi + f (Lambda* - 4 pi), resolved after Lambda* is
-    known (f = 0.5 is the midpoint level of the multiplicity theorem).
+    Lambda* is the grid maximum refined by bounded Brent (mu to 1e-6)
+    between the neighbors of the best sample (no global claim beyond the
+    grid resolution).  Each Lambda in (4 pi, Lambda*) is bracketed on the
+    grid, every bracket is solved by ``brentq`` (mu to about 1e-12), and
+    a root whose |E - Lambda| exceeds ``SLACK["branch_root_tol"]`` raises
+    ``IntegrationError``.  ``level_fractions`` adds queries at Lambda =
+    4 pi + f (Lambda* - 4 pi), resolved after Lambda* is known (f = 0.5 is
+    the midpoint level of the multiplicity theorem).
     """
     if spec is None:
         spec = trivial()
@@ -305,6 +301,7 @@ def branch_scan(mu_grid: Sequence[float], spec: Optional[PerturbationSpec] = Non
     energies = np.full_like(mus, np.nan)
     failures: Dict[float, str] = {}
 
+    @lru_cache(maxsize=None)
     def E(mu):
         return shoot(float(mu), spec, tol=tol).energy_total
 
@@ -319,8 +316,13 @@ def branch_scan(mu_grid: Sequence[float], spec: Optional[PerturbationSpec] = Non
     i_best = int(np.argmax(E_ok))
     lo = mu_ok[max(i_best - 1, 0)]
     hi = mu_ok[min(i_best + 1, len(mu_ok) - 1)]
-    mu_star, lambda_star = _golden_max(E, lo, hi)
-    lambda_star = max(lambda_star, float(E_ok[i_best]))
+    best = minimize_scalar(lambda mu: -E(mu), bounds=(lo, hi),
+                           method="bounded", options={"xatol": 1e-6})
+    if not best.success:
+        raise IntegrationError(
+            f"maximum of E(mu) on [{lo!r}, {hi!r}] not converged: {best.message}")
+    mu_star = best.x
+    lambda_star = max(-best.fun, float(E_ok[i_best]))
 
     pairs: Dict[float, List[float]] = {}
     notes: Dict[float, str] = {}
@@ -342,22 +344,15 @@ def branch_scan(mu_grid: Sequence[float], spec: Optional[PerturbationSpec] = Non
                 continue
             if diffs[i] * diffs[i + 1] < 0:
                 a, b = float(mu_ok[i]), float(mu_ok[i + 1])
-                fa = diffs[i]
-                for _ in range(MAX_HALVINGS):
-                    mid = 0.5 * (a + b)
-                    fm = E(mid) - lam
-                    if abs(fm) <= root_tol:
-                        roots.append(mid)
-                        break
-                    if fa * fm <= 0:
-                        b = mid
-                    else:
-                        a, fa = mid, fm
-                else:
+                mu = _brentq(lambda m: E(m) - lam, a, b,
+                             f"root of E(mu) = {lam!r} on [{a!r}, {b!r}]")
+                gap = E(mu) - lam
+                if abs(gap) > root_tol:
                     raise IntegrationError(
-                        f"root of E(mu) = {lam!r} not resolved to {root_tol} in "
-                        f"{MAX_HALVINGS} halvings: last mu={mid!r}, "
-                        f"E - Lambda = {fm!r}, bracket [{a!r}, {b!r}]")
+                        f"root of E(mu) = {lam!r} on [{a!r}, {b!r}] misses the "
+                        f"level by more than {root_tol}: mu={mu!r}, "
+                        f"E - Lambda = {gap!r}")
+                roots.append(mu)
         pairs[lam] = sorted(roots)
     return BranchScan(points=pts, lambda_star=float(lambda_star),
                       mu_star=float(mu_star), pairs=pairs, notes=notes,
@@ -405,34 +400,31 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def scan_to_csv(scan: ExpansionScan) -> str:
+def _csv(header: Sequence[str], rows) -> str:
+    """CSV text: the header line, then one line per row of cells."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["mu", "E", "c", "inner_coeff", "outer_coeff", "in_window"])
-    for i, mu in enumerate(scan.mu_values):
-        w.writerow([_fmt(mu), _fmt(scan.energies[i]), _fmt(scan.c_values[i]),
-                    _fmt(scan.inner_coeffs[i]), _fmt(scan.outer_coeffs[i]),
-                    int(scan.window_ok[i])])
+    w.writerow(header)
+    w.writerows(rows)
     return buf.getvalue()
+
+
+def scan_to_csv(scan: ExpansionScan) -> str:
+    return _csv(["mu", "E", "c", "inner_coeff", "outer_coeff", "in_window"],
+                ([_fmt(mu), _fmt(scan.energies[i]), _fmt(scan.c_values[i]),
+                  _fmt(scan.inner_coeffs[i]), _fmt(scan.outer_coeffs[i]),
+                  int(scan.window_ok[i])]
+                 for i, mu in enumerate(scan.mu_values)))
 
 
 def residuals_to_csv(reports: Sequence[ResidualReport]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["mu", "sup_w_err", "sup_z_err", "phi_over_xi", "delta"])
-    for rep in reports:
-        w.writerow([_fmt(rep.mu), _fmt(rep.sup_w_err), _fmt(rep.sup_z_err),
-                    _fmt(rep.phi_over_xi), _fmt(rep.delta)])
-    return buf.getvalue()
+    return _csv(["mu", "sup_w_err", "sup_z_err", "phi_over_xi", "delta"],
+                ([_fmt(rep.mu), _fmt(rep.sup_w_err), _fmt(rep.sup_z_err),
+                  _fmt(rep.phi_over_xi), _fmt(rep.delta)] for rep in reports))
 
 
 def branch_to_csv(scan: BranchScan) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["mu", "E"])
-    for mu, e in scan.points:
-        w.writerow([_fmt(mu), _fmt(e)])
-    return buf.getvalue()
+    return _csv(["mu", "E"], ([_fmt(mu), _fmt(e)] for mu, e in scan.points))
 
 
 def branch_summary_json(scan: BranchScan) -> str:

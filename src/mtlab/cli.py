@@ -14,15 +14,13 @@ ends the command quietly with exit code 0.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 
 import numpy as np
 
 from . import analysis, linearized, maximizer, perturbations, profiles, quadrature
-from .analysis import _fmt
+from .analysis import _csv, _fmt
 from .perturbations import family_by_name
 from .radial_ode import IntegrationError, NoCrossingError
 from .shooting import EventNotReachedError, shoot, to_json as shot_to_json
@@ -71,14 +69,10 @@ def _add_family_flags(p: argparse.ArgumentParser, default: str = "trivial"):
 
 def cmd_profiles(args) -> int:
     rs = np.exp(np.linspace(np.log(args.r_min), np.log(args.r_max), args.n))
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
     cols = ["eta0", "w0", "zeta0", "psi", "psi0", "xi"]
-    w.writerow(["r"] + cols)
-    for r in rs:
-        w.writerow([_fmt(r)] + [_fmt(float(getattr(profiles, c)(r)))
-                                for c in cols])
-    _write(args, buf.getvalue())
+    _write(args, _csv(["r"] + cols,
+                      ([_fmt(r)] + [_fmt(float(getattr(profiles, c)(r)))
+                                    for c in cols] for r in rs)))
     return EXIT_OK
 
 
@@ -98,13 +92,10 @@ def cmd_beta(args) -> int:
     slope_ode, spread = linearized.extract_log_slope(sol)
     slope_int = quadrature.beta_from_source(linearized.source_z0)
     closed = -6.0 - np.pi ** 2 / 3.0
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["route", "beta", "error_estimate"])
-    w.writerow(["ode_tail", _fmt(slope_ode), _fmt(spread)])
-    w.writerow(["weighted_integral", _fmt(slope_int), _fmt(1e-10)])
-    w.writerow(["closed_form", _fmt(closed), _fmt(0.0)])
-    _write(args, buf.getvalue())
+    _write(args, _csv(["route", "beta", "error_estimate"],
+                      [["ode_tail", _fmt(slope_ode), _fmt(spread)],
+                       ["weighted_integral", _fmt(slope_int), _fmt(1e-10)],
+                       ["closed_form", _fmt(closed), _fmt(0.0)]]))
     if abs(slope_ode - slope_int) > spread + 1e-6:
         raise AssertionFailure(
             f"slope routes disagree: ode {slope_ode!r} vs integral {slope_int!r}")
@@ -117,14 +108,11 @@ def cmd_shoot(args) -> int:
         _write(args, shot_to_json(sol))
     else:
         c = args.mu ** 4 * (sol.energy_total - 4.0 * np.pi)
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["mu", "log_R", "log_lambda", "E", "c",
-                    "energy_inner", "energy_outer"])
-        w.writerow([_fmt(sol.mu), _fmt(sol.log_R), _fmt(sol.log_lambda),
-                    _fmt(sol.energy_total), _fmt(c),
-                    _fmt(sol.energy_inner), _fmt(sol.energy_outer)])
-        _write(args, buf.getvalue())
+        _write(args, _csv(["mu", "log_R", "log_lambda", "E", "c",
+                           "energy_inner", "energy_outer"],
+                          [[_fmt(sol.mu), _fmt(sol.log_R), _fmt(sol.log_lambda),
+                            _fmt(sol.energy_total), _fmt(c),
+                            _fmt(sol.energy_inner), _fmt(sol.energy_outer)]]))
     return EXIT_OK
 
 
@@ -180,14 +168,11 @@ def cmd_check_h(args) -> int:
     lines = [f"{name}: {rep.verdict}" for name, rep in reports.items()]
     sys.stdout.write("\n".join(lines) + "\n")
     if args.output is not None:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t", "t_sq_h", "t4_modulus"])
         r1, r2 = reports["condh1"], reports["condh2"]
-        for i, t in enumerate(r1.t_values):
-            w.writerow([_fmt(t), _fmt(r1.q_values[i]), _fmt(r2.q_values[i])])
         with open(args.output, "w", newline="") as fh:
-            fh.write(buf.getvalue())
+            fh.write(_csv(["t", "t_sq_h", "t4_modulus"],
+                          ([_fmt(t), _fmt(r1.q_values[i]), _fmt(r2.q_values[i])]
+                           for i, t in enumerate(r1.t_values))))
     return EXIT_OK
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 __all__ = [
     "PerturbationSpec",
@@ -32,7 +31,6 @@ __all__ = [
     "check_conditions",
     "ConditionReport",
     "delta_k",
-    "reconstruct_g",
     "family_by_name",
 ]
 
@@ -71,7 +69,6 @@ class PerturbationSpec:
 
     h: Callable
     g: Optional[Callable] = None
-    g_prime: Optional[Callable] = None
     name: str = "custom"
     family_params: Dict = field(default_factory=dict)
     sup_h: float = field(init=False)
@@ -104,7 +101,7 @@ def h_from_g(g: Callable, g_prime: Callable) -> Callable:
 def trivial() -> PerturbationSpec:
     """The unperturbed functional: g = h = 0."""
     zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    return PerturbationSpec(h=zero, g=zero, g_prime=zero, name="trivial")
+    return PerturbationSpec(h=zero, g=zero, name="trivial")
 
 
 def log_power_family(a: float = 1.0, p: float = 3.0, q: float = 0.0,
@@ -138,8 +135,7 @@ def log_power_family(a: float = 1.0, p: float = 3.0, q: float = 0.0,
             dcore = (q * lg ** (q - 1.0) - p * lg ** q) * ts ** (-p - 1.0)
         return sgn * a * (dchi * core + chi * dcore)
 
-    return PerturbationSpec(h=h_from_g(g, g_prime), g=g, g_prime=g_prime,
-                            name="log-power",
+    return PerturbationSpec(h=h_from_g(g, g_prime), g=g, name="log-power",
                             family_params={"a": a, "p": p, "q": q, "R": R})
 
 
@@ -165,8 +161,7 @@ def oscillating_family(a: float = 1.0, p: float = 3.0,
         dcore = (-np.sin(lg) - p * np.cos(lg)) * ts ** (-p - 1.0)
         return sgn * a * (dchi * core + chi * dcore)
 
-    return PerturbationSpec(h=h_from_g(g, g_prime), g=g, g_prime=g_prime,
-                            name="oscillating",
+    return PerturbationSpec(h=h_from_g(g, g_prime), g=g, name="oscillating",
                             family_params={"a": a, "p": p, "R": R})
 
 
@@ -247,31 +242,6 @@ def delta_k(mu: float, spec: PerturbationSpec) -> float:
     h_mu = float(spec.h(np.asarray(mu)))
     sup_term = float(np.max(np.abs(spec.h(mu + shift) - h_mu)))
     return max(sup_term, mu ** -6, h_mu / mu ** 2)
-
-
-def reconstruct_g(spec: PerturbationSpec, t_min: float = 0.5,
-                  t_max: float = 1e4) -> Callable:
-    """Numerically reconstruct a g with h_from_g(g) = spec.h (optional tool).
-
-    Integrates g' = 2t (h - g) forward from t_min with g(t_min) =
-    h(t_min); the homogeneous mode decays like e^{-t^2}, so the error of
-    the starting guess is forgotten within a unit of t.  (The backward
-    direction is unusable: the same mode grows like e^{t^2}.)  Provided
-    for exploration, not for the solvers, which consume h directly.
-    """
-    # the relaxation rate 2t makes the problem stiff at large t, so use an
-    # implicit-capable stepper
-    res = solve_ivp(lambda t, y: 2.0 * t * (float(spec.h(np.asarray(t))) - y[0]),
-                    (t_min, t_max), [float(spec.h(np.asarray(t_min)))],
-                    rtol=1e-10, atol=1e-14, dense_output=True, method="LSODA")
-
-    def g(t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < t_min) or np.any(t > t_max):
-            raise ValueError("reconstructed g only valid on [t_min, t_max]")
-        return res.sol(t)[0]
-
-    return g
 
 
 def family_by_name(name: str, **params) -> PerturbationSpec:

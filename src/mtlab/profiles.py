@@ -9,20 +9,17 @@ correction ``w0`` has an explicit formula involving the dilogarithm-type
 integral ``dilog_integral``; the remaining profiles (zeta0, psi, psi0, xi)
 are elementary rational/logarithmic expressions.
 
-Every profile is evaluated together with its first radial derivative, which
-downstream code uses for tail asymptotics (the quantity r * f'(r)).
+eta0, w0 and zeta0 also have closed-form first radial derivatives
+(``eta0_prime``, ``w0_prime``, ``zeta0_prime``) for tail asymptotics (the
+quantity r * f'(r)).
 """
 
 from __future__ import annotations
-
-import enum
 
 import numpy as np
 from scipy.special import spence
 
 __all__ = [
-    "ProfileId",
-    "eval_profile",
     "dilog_integral",
     "eta0",
     "eta0_prime",
@@ -34,17 +31,6 @@ __all__ = [
     "psi0",
     "xi",
 ]
-
-
-class ProfileId(enum.Enum):
-    """Tags for the built-in closed-form profiles."""
-
-    Eta0 = "eta0"
-    W0 = "w0"
-    Zeta0 = "zeta0"
-    Psi = "psi"
-    Psi0 = "psi0"
-    Xi = "xi"
 
 
 def dilog_integral(r):
@@ -141,43 +127,3 @@ def xi(r):
     r = np.asarray(r, dtype=float)
     return 1.0 + np.log1p(r)
 
-
-def _psi_prime(r):
-    r = np.asarray(r, dtype=float)
-    one = 1.0 + r * r
-    return 4.0 * r / (one * one)
-
-
-def _psi0_prime(r):
-    r = np.asarray(r, dtype=float)
-    one = 1.0 + r * r
-    return (8.0 * r - 4.0 * r ** 3) / one ** 4
-
-
-def _xi_prime(r):
-    r = np.asarray(r, dtype=float)
-    return 1.0 / (1.0 + r)
-
-
-_RULES = {
-    ProfileId.Eta0: (eta0, eta0_prime),
-    ProfileId.W0: (w0, w0_prime),
-    ProfileId.Zeta0: (zeta0, zeta0_prime),
-    ProfileId.Psi: (psi, _psi_prime),
-    ProfileId.Psi0: (psi0, _psi0_prime),
-    ProfileId.Xi: (xi, _xi_prime),
-}
-
-
-def eval_profile(profile: ProfileId, r):
-    """Evaluate a profile and its radial derivative at r >= 0.
-
-    Returns ``(value, derivative)``; both are finite for all finite r.
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(~np.isfinite(r)):
-        raise ValueError("eval_profile requires finite r")
-    if np.any(r < 0):
-        raise ValueError("eval_profile requires r >= 0")
-    fn, dfn = _RULES[profile]
-    return fn(r), dfn(r)

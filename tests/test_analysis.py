@@ -123,8 +123,8 @@ def test_csv_and_json_renderers(trivial_spec):
 
 
 def test_branch_root_bisection_is_bounded(monkeypatch):
-    # E jumps across the level at mu = 2.5, so no midpoint ever lands within
-    # the root tolerance; the bisection must give up instead of spinning
+    # E jumps across the level at mu = 2.5, so no point ever lands within
+    # the root tolerance; the root search must give up instead of spinning
     calls = []
 
     def fake_shoot(mu, spec, tol=None):
@@ -134,6 +134,70 @@ def test_branch_root_bisection_is_bounded(monkeypatch):
         return SimpleNamespace(energy_total=FOUR_PI + (1.0 if mu < 2.5 else 0.0))
 
     monkeypatch.setattr(analysis, "shoot", fake_shoot)
-    with pytest.raises(IntegrationError, match="halvings"):
+    with pytest.raises(IntegrationError, match="misses the level"):
         branch_scan([1.0, 2.0, 3.0, 4.0], lambda_queries=[FOUR_PI + 0.5])
     assert len(calls) < 1000
+
+
+def test_searches_fail_loudly_on_nan_energy(monkeypatch):
+    # energies are finite on the grid and at the threshold bracket ends but
+    # NaN in between: the maximum and the sign-change search must raise
+    # IntegrationError, not return a value or SciPy's ValueError
+    def fake_shoot(mu, spec, tol=None):
+        if "a" in spec.family_params:  # threshold: c = 1 - a at mu = 1
+            a = spec.family_params["a"]
+            energy, inside = FOUR_PI + 1.0 - a, a not in (0.25, 3.0)
+        else:
+            energy, inside = FOUR_PI + 1.0 - abs(mu - 2.0), mu % 1.0 != 0.0
+        return SimpleNamespace(energy_total=np.nan if inside else energy)
+
+    monkeypatch.setattr(analysis, "shoot", fake_shoot)
+    with pytest.raises(IntegrationError, match="maximum of E"):
+        branch_scan([1.0, 2.0, 3.0, 4.0], lambda_queries=[FOUR_PI + 0.5])
+    with pytest.raises(IntegrationError, match="non-finite"):
+        threshold_a(1.0)
+
+
+def test_threshold_rejects_nonpositive_tolerance(monkeypatch):
+    # a zero tolerance would ask for a bracket narrower than adjacent floats
+    calls = []
+
+    def fake_shoot(mu, spec, tol=None):
+        calls.append(spec)
+        if len(calls) > 1000:
+            raise RuntimeError("threshold search did not stop")
+        a = spec.family_params["a"]
+        return SimpleNamespace(energy_total=FOUR_PI + (1.2 - a) / mu ** 4)
+
+    monkeypatch.setattr(analysis, "shoot", fake_shoot)
+    for a_tol in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="a_tol"):
+            threshold_a(12.0, a_tol=a_tol)
+    assert calls == []
+
+
+def _count_shoots(monkeypatch):
+    calls = []
+
+    def counting_shoot(*args, **kwargs):
+        calls.append(args[0])
+        return shoot(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "shoot", counting_shoot)
+    return calls
+
+
+def test_branch_scan_shoot_count(monkeypatch, trivial_spec):
+    # criterion-11 grid: 11 grid shots, the bounded maximum and two roots
+    calls = _count_shoots(monkeypatch)
+    scan = branch_scan(np.linspace(2.0, 7.0, 11), trivial_spec,
+                       level_fractions=(0.5,))
+    assert len(scan.pairs) == 1 and len(next(iter(scan.pairs.values()))) == 2
+    assert len(calls) <= 40
+
+
+def test_threshold_shoot_count(monkeypatch):
+    calls = _count_shoots(monkeypatch)
+    res = threshold_a(12.0)
+    assert 1.0 < res.a_crit < 1.5
+    assert len(calls) <= 6

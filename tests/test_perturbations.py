@@ -6,8 +6,7 @@ import pytest
 from mtlab.perturbations import (PerturbationSpec, check_conditions, delta_k,
                                  family_by_name, h_from_g,
                                  inverse_square_tail, log_power_family,
-                                 oscillating_family, reconstruct_g,
-                                 smooth_cutoff, trivial)
+                                 oscillating_family, smooth_cutoff, trivial)
 
 TS = np.exp(np.linspace(np.log(0.5), np.log(1e5), 500))
 
@@ -84,13 +83,6 @@ def test_delta_k_floor_and_monotone_input():
     assert delta_k(8.0, spec) == pytest.approx(8.0 ** -6, rel=1e-12)
     with pytest.raises(ValueError):
         delta_k(1.0, spec)
-
-
-def test_reconstruct_g_roundtrip():
-    spec = log_power_family(a=1.0, p=3.0)
-    g = reconstruct_g(spec, t_min=3.0, t_max=1e4)
-    ts = np.exp(np.linspace(np.log(5.0), np.log(1e3), 60))
-    assert np.max(np.abs(g(ts) - spec.g(ts))) < 1e-6
 
 
 def test_family_by_name():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mtlab import profiles as pf
-from mtlab.profiles import ProfileId, eval_profile
 
 RS = np.exp(np.linspace(np.log(1e-3), np.log(1e5), 300))
 
@@ -86,16 +85,14 @@ def test_xi_gauge():
     assert pf.xi(np.e - 1.0) == pytest.approx(2.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("pid", list(ProfileId))
-def test_eval_profile_derivative_consistency(pid):
+@pytest.mark.parametrize("fn, deriv_fn", [
+    (pf.eta0, pf.eta0_prime),
+    (pf.w0, pf.w0_prime),
+    (pf.zeta0, pf.zeta0_prime),
+], ids=["eta0", "w0", "zeta0"])
+def test_profile_derivative_consistency(fn, deriv_fn):
     r = np.exp(np.linspace(np.log(1e-2), np.log(1e3), 100))
-    _, deriv = eval_profile(pid, r)
-    fn = lambda x: eval_profile(pid, x)[0]
+    deriv = deriv_fn(r)
     fd = _fd_derivative(fn, r)
     scale = 1.0 + np.abs(deriv)
     assert np.max(np.abs(deriv - fd) / scale) < 1e-5
-
-
-def test_eval_profile_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        eval_profile(ProfileId.W0, -0.5)
