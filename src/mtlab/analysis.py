@@ -30,8 +30,7 @@ from . import profiles as pf
 from .linearized import solve_linearized, source_z0
 from .perturbations import PerturbationSpec, delta_k, trivial
 from .radial_ode import IntegrationError
-from .shooting import (EventNotReachedError, ShotSolution, pde_residual,
-                       plain_mass_value, shoot)
+from .shooting import EventNotReachedError, pde_residual, shoot
 
 __all__ = [
     "SLACK",
@@ -44,7 +43,6 @@ __all__ = [
     "residual_hierarchy",
     "threshold_a",
     "branch_scan",
-    "concentration_check",
     "scan_to_csv",
     "residuals_to_csv",
     "branch_to_csv",
@@ -293,7 +291,10 @@ def branch_scan(mu_grid: Sequence[float], spec: Optional[PerturbationSpec] = Non
     a root whose |E - Lambda| exceeds ``SLACK["branch_root_tol"]`` raises
     ``IntegrationError``.  ``level_fractions`` adds queries at Lambda =
     4 pi + f (Lambda* - 4 pi), resolved after Lambda* is known (f = 0.5 is
-    the midpoint level of the multiplicity theorem).
+    the midpoint level of the multiplicity theorem).  A grid shot that
+    fails or returns a non-finite energy is recorded in ``failures`` and
+    left out of the branch; if no grid shot succeeds, ``IntegrationError``
+    names them all.
     """
     if spec is None:
         spec = trivial()
@@ -310,7 +311,14 @@ def branch_scan(mu_grid: Sequence[float], spec: Optional[PerturbationSpec] = Non
             energies[i] = E(mu)
         except (EventNotReachedError, ValueError) as exc:
             failures[float(mu)] = str(exc)
+            continue
+        if not np.isfinite(energies[i]):
+            failures[float(mu)] = f"non-finite energy {energies[i]!r}"
     ok = np.isfinite(energies)
+    if not np.any(ok):
+        raise IntegrationError(
+            "every grid shot failed: " + "; ".join(
+                f"mu={mu:g}: {msg}" for mu, msg in failures.items()))
     pts = list(zip(mus[ok].tolist(), energies[ok].tolist()))
     mu_ok, E_ok = mus[ok], energies[ok]
     i_best = int(np.argmax(E_ok))
@@ -368,32 +376,6 @@ def verify_branch_root(mu: float, lam: float,
     sol = shoot(mu, spec, tol=1e-11)
     radii = np.exp(np.linspace(np.log(1e-6), np.log(0.99), n_radii))
     return abs(sol.energy_total - lam), pde_residual(sol, radii)
-
-
-def subcritical_mass_bound(sol: ShotSolution) -> Tuple[float, float]:
-    """(int e^{u^2} dx, pi/(1 - E/4pi)) for solutions with E < 4 pi."""
-    if sol.energy_total >= FOUR_PI:
-        raise ValueError("bound only applies below energy 4 pi")
-    mass = plain_mass_value(sol)
-    return mass, float(np.pi / (1.0 - sol.energy_total / FOUR_PI))
-
-
-def concentration_check(mu: float, R: float = 100.0,
-                        tol: float = 1e-11) -> float:
-    """Energy over the rescaled ball of radius R (physical radius R r_k).
-
-    As mu grows the value approaches the concentration limit
-    4 pi R^2/(1+R^2) of the Liouville bubble; R = 0 returns 0.
-    """
-    if R < 0:
-        raise ValueError("R must be non-negative")
-    if R == 0.0:
-        return 0.0
-    sol = shoot(mu, trivial(), tol=tol)
-    t_R = min(np.log(R), sol.t_event_or_max())
-    if t_R <= sol.eta.t_min:
-        return 0.0
-    return float(sol.eta.eval_aux_t("energy", t_R))
 
 
 def _fmt(x: float) -> str:

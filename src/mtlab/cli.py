@@ -83,7 +83,16 @@ def cmd_tables(args) -> int:
     if abs(combo - target) > 1e-6:
         raise AssertionFailure(
             f"z0 slope combination {combo!r} misses {target!r} by more than 1e-6")
-    _write(args, quadrature.tables_to_csv(tables))
+    # the fourteen entries, then the z0 log-slope and the seven-entry
+    # linear-slope sum (closed form -2), each with the summed error
+    err = sum(res.abs_error for _, res in tables.values())
+    rows = [[name, _fmt(closed), _fmt(res.value), _fmt(res.abs_error)]
+            for name, (closed, res) in tables.items()]
+    rows += [["combination_z0_slope", _fmt(target), _fmt(combo), _fmt(err)],
+             ["combination_beta1_sum", _fmt(-2.0),
+              _fmt(quadrature.beta1_combination(tables)), _fmt(err)]]
+    _write(args, _csv(["name", "closed_form_value", "numeric_value",
+                       "abs_error"], rows))
     return EXIT_OK
 
 

@@ -116,7 +116,7 @@ def _grid_plan(t_nodes: np.ndarray, order: int) -> _GridPlan:
 def functional_value(field: RadialField, spec: PerturbationSpec,
                      order: int = 5) -> float:
     """F = int (1+g(u)) e^{u^2} dx, per-segment Gauss plus the inner cap."""
-    g = spec.g if spec.g is not None else (lambda t: np.zeros_like(t))
+    g = spec.g
     plan = field.plan(order)
     frac = plan.frac
     uq = frac * field.values[:-1, None] + (1.0 - frac) * field.values[1:, None]
@@ -244,11 +244,15 @@ def maximize_subcritical(alpha: float, spec: Optional[PerturbationSpec] = None,
     """Projected H^1 gradient ascent with two starts (Moser and parabolic).
 
     Returns the better of the two converged runs; ``converged`` is False
-    only if the reported run hit ``max_iter`` while still improving.
+    only if the reported run hit ``max_iter`` while still improving.  A
+    family without g (only h) has no functional to maximize: ValueError.
     """
     if not (0.0 < alpha < FOUR_PI):
         raise ValueError("alpha must lie in (0, 4 pi)")
     spec = spec or trivial()
+    if spec.g is None:
+        raise ValueError(f"family {spec.name!r} defines no g, "
+                         "so the functional is undefined")
     starts = (("moser", moser_start(alpha, r_min, n_nodes)),
               ("parabolic", parabolic_start(alpha, r_min, n_nodes)))
     runs = [_ascend(start, alpha, spec, tol, max_iter) + (name,)

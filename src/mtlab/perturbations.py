@@ -7,7 +7,10 @@ function g; the Euler-Lagrange equation only sees the combination
 
 Built-in families: the smooth-cutoff log-power family, its oscillating
 variant, and the inverse-square tail h(t) = -a t^{-2} (t >= R) used to
-probe the critical decay rate.  ``check_conditions`` samples the two decay
+probe the critical decay rate.  The two cutoff families share one builder
+whose h evaluates the cutoff, log t and the powers of t once, without
+calling g; the inverse-square tail defines h only, so it has no
+functional F.  ``check_conditions`` samples the two decay
 conditions (t^2 h(t) -> 0 and the t^4-modulus-of-continuity condition) and
 reports a monotone-trend verdict; ``delta_k`` is the perturbation scale
 entering the expansion of the rescaled solutions.
@@ -23,7 +26,6 @@ import numpy as np
 __all__ = [
     "PerturbationSpec",
     "smooth_cutoff",
-    "h_from_g",
     "trivial",
     "log_power_family",
     "oscillating_family",
@@ -35,28 +37,24 @@ __all__ = [
 ]
 
 
+def _bridge(x):
+    """The two exponentials of the cutoff: e^{-1/(x-1)} and e^{-1/(2-x)}.
+
+    Each is 0 where its exponent would be -inf (x <= 1, resp. x >= 2).
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        up = np.where(x > 1.0, np.exp(-1.0 / np.maximum(x - 1.0, 1e-300)), 0.0)
+        down = np.where(x < 2.0, np.exp(-1.0 / np.maximum(2.0 - x, 1e-300)), 0.0)
+    return up, down
+
+
 def smooth_cutoff(x):
     """C-infinity bridge: 0 on [0, 1], 1 on [2, inf).
 
     Built from s(y) = exp(-1/y) so results are bit-reproducible.
     """
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        up = np.where(x > 1.0, np.exp(-1.0 / np.maximum(x - 1.0, 1e-300)), 0.0)
-        down = np.where(x < 2.0, np.exp(-1.0 / np.maximum(2.0 - x, 1e-300)), 0.0)
+    up, down = _bridge(np.asarray(x, dtype=float))
     return up / (up + down + (up + down == 0.0))
-
-
-def _smooth_cutoff_prime(x):
-    x = np.asarray(x, dtype=float)
-    inside = (x > 1.0) & (x < 2.0)
-    xs = np.where(inside, x, 1.5)
-    a = np.exp(-1.0 / (xs - 1.0))
-    b = np.exp(-1.0 / (2.0 - xs))
-    da = a / (xs - 1.0) ** 2
-    db = -b / (2.0 - xs) ** 2
-    val = (da * b - a * db) / (a + b) ** 2
-    return np.where(inside, val, 0.0)
 
 
 @dataclass
@@ -86,16 +84,44 @@ class PerturbationSpec:
             raise ValueError("inf h must exceed -1")
 
 
-def h_from_g(g: Callable, g_prime: Callable) -> Callable:
-    """Pointwise rule h(t) = g(t) + g'(t)/(2t); rejects t = 0."""
+def _cutoff_family(a: float, R: float, p: float, core: Callable,
+                   core_slope: Callable):
+    """(h, g) of g(t) = a chi(|t|/R) core(log s) s^{-p}, s = max(|t|, R).
+
+    chi is :func:`smooth_cutoff`, so g vanishes on [0, R] and ``core`` is
+    only evaluated at log s >= log R.  ``core_slope`` is the derivative of
+    ``core``.  ``h`` = g + g'/(2t) is built in one pass: one evaluation of
+    the two bridge exponentials, of log s and of the powers of s serves
+    chi, chi', g and g'.
+    """
+
+    def g(t):
+        t = np.abs(np.asarray(t, dtype=float))
+        s = np.maximum(t, R)
+        return a * smooth_cutoff(t / R) * core(np.log(s)) * s ** (-p)
 
     def h(t):
         t = np.asarray(t, dtype=float)
         if np.any(t == 0.0):
             raise ValueError("h(t) is undefined at t = 0")
-        return g(t) + g_prime(t) / (2.0 * t)
+        x, s = np.abs(t) / R, np.maximum(np.abs(t), R)
+        up, down = _bridge(x)
+        chi = up / (up + down + (up + down == 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # chi' = (up' down - up down') / (up + down)^2 on (1, 2), else 0
+            d_up = up / (x - 1.0) ** 2
+            d_down = -down / (2.0 - x) ** 2
+            dchi = np.where((x > 1.0) & (x < 2.0),
+                            (d_up * down - up * d_down) / (up + down) ** 2,
+                            0.0) / R
+        lg = np.log(s)
+        c = core(lg)
+        pw = s ** (-p)
+        dcore = (core_slope(lg) - p * c) * s ** (-p - 1.0)
+        g_prime = np.sign(t) * a * (dchi * (c * pw) + chi * dcore)
+        return a * chi * c * pw + g_prime / (2.0 * t)
 
-    return h
+    return h, g
 
 
 def trivial() -> PerturbationSpec:
@@ -116,26 +142,9 @@ def log_power_family(a: float = 1.0, p: float = 3.0, q: float = 0.0,
     if R < 2:
         raise ValueError("need R >= 2")
 
-    def g(t):
-        t = np.abs(np.asarray(t, dtype=float))
-        ts = np.maximum(t, R)  # g vanishes below R anyway
-        return a * smooth_cutoff(t / R) * np.log(ts) ** q * ts ** (-p)
-
-    def g_prime(t):
-        sgn = np.sign(np.asarray(t, dtype=float))
-        t = np.abs(np.asarray(t, dtype=float))
-        ts = np.maximum(t, R)
-        chi = smooth_cutoff(t / R)
-        dchi = _smooth_cutoff_prime(t / R) / R
-        lg = np.log(ts)
-        core = lg ** q * ts ** (-p)
-        if q == 0.0:
-            dcore = -p * lg ** q * ts ** (-p - 1.0)
-        else:
-            dcore = (q * lg ** (q - 1.0) - p * lg ** q) * ts ** (-p - 1.0)
-        return sgn * a * (dchi * core + chi * dcore)
-
-    return PerturbationSpec(h=h_from_g(g, g_prime), g=g, name="log-power",
+    h, g = _cutoff_family(a, R, p, lambda lg: lg ** q,
+                          lambda lg: q * lg ** (q - 1.0))
+    return PerturbationSpec(h=h, g=g, name="log-power",
                             family_params={"a": a, "p": p, "q": q, "R": R})
 
 
@@ -145,23 +154,8 @@ def oscillating_family(a: float = 1.0, p: float = 3.0,
     if p <= 2:
         raise ValueError("need p > 2")
 
-    def g(t):
-        t = np.abs(np.asarray(t, dtype=float))
-        ts = np.maximum(t, R)
-        return a * smooth_cutoff(t / R) * np.cos(np.log(ts)) * ts ** (-p)
-
-    def g_prime(t):
-        sgn = np.sign(np.asarray(t, dtype=float))
-        t = np.abs(np.asarray(t, dtype=float))
-        ts = np.maximum(t, R)
-        chi = smooth_cutoff(t / R)
-        dchi = _smooth_cutoff_prime(t / R) / R
-        lg = np.log(ts)
-        core = np.cos(lg) * ts ** (-p)
-        dcore = (-np.sin(lg) - p * np.cos(lg)) * ts ** (-p - 1.0)
-        return sgn * a * (dchi * core + chi * dcore)
-
-    return PerturbationSpec(h=h_from_g(g, g_prime), g=g, name="oscillating",
+    h, g = _cutoff_family(a, R, p, np.cos, lambda lg: -np.sin(lg))
+    return PerturbationSpec(h=h, g=g, name="oscillating",
                             family_params={"a": a, "p": p, "R": R})
 
 

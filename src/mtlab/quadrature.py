@@ -17,8 +17,6 @@ used in the energy expansions.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
@@ -37,7 +35,6 @@ __all__ = [
     "beta1_combination",
     "beta2_combination",
     "z0_slope_combination",
-    "tables_to_csv",
 ]
 
 PI = np.pi
@@ -196,23 +193,3 @@ def z0_slope_combination(tables: Dict[str, Tuple[float, QuadratureResult]]) -> f
               "z0slope_eta0_fourth": 0.5}
     return float(-2.0 / PI * sum(c * tables[n][1].value
                                  for n, c in coeffs.items()))
-
-
-def tables_to_csv(tables: Dict[str, Tuple[float, QuadratureResult]]) -> str:
-    """Render a table mapping as CSV (name, closed_form_value, numeric_value, abs_error).
-
-    Two combination rows follow the entries: the z0 log-slope (closed form
-    -6 - pi^2/3) and the seven-entry linear-slope sum (closed form -2).
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "closed_form_value", "numeric_value", "abs_error"])
-    for name, (closed, res) in tables.items():
-        writer.writerow([name, f"{closed:.17g}", f"{res.value:.17g}",
-                         f"{res.abs_error:.17g}"])
-    err = sum(res.abs_error for _, res in tables.values())
-    writer.writerow(["combination_z0_slope", f"{-6.0 - PI ** 2 / 3.0:.17g}",
-                     f"{z0_slope_combination(tables):.17g}", f"{err:.17g}"])
-    writer.writerow(["combination_beta1_sum", f"{-2.0:.17g}",
-                     f"{beta1_combination(tables):.17g}", f"{err:.17g}"])
-    return buf.getvalue()

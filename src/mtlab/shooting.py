@@ -8,8 +8,10 @@ The rescaled unknown eta solves
 and the boundary of the unit disk corresponds to the event eta = -mu^2
 (where the physical solution u = mu + eta/mu vanishes).  The boundary
 radius R (the inverse of the concentration scale) and the multiplier
-lambda are kept in log scale: R ~ e^{mu^2/2} overflows doubles long before
-mu reaches its ceiling of 24.
+lambda are kept in log scale.  log R is about mu^2/2 - 1/2 (287.5 at
+mu = 24), so R itself is a representable double up to mu ~ 37.7, but R^2
+and e^{mu^2}, which enter lambda, overflow past mu ~ 26.6.  The supported
+range ends at MU_MAX = 24, a fixed constant rather than a precision limit.
 
 The Dirichlet energy equals the integral of lambda (1+h(u)) u^2 e^{u^2}
 over the disk, accumulated in rescaled coordinates as an auxiliary ODE
@@ -159,7 +161,11 @@ def functional_value(sol: ShotSolution) -> float:
 
     Recovered from the rescaled mass integral: the physical prefactor is
     exp(mu^2 - 2 log R) = 4 / (lambda mu^2 e^{...}), evaluated in log scale.
+    A family that defines only h (no g) has no functional: ValueError.
     """
+    if sol.perturbation.g is None:
+        raise ValueError(f"family {sol.perturbation.name!r} defines no g, "
+                         "so the functional is undefined")
     return float(np.exp(sol.mu ** 2 - 2.0 * sol.log_R) * sol.exp_mass)
 
 

@@ -1,11 +1,14 @@
 """Acceptance suite: twelve numbered criteria, one pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v`` to see one line per
-criterion.  Criteria 6, 7 and 8 encode asymptotic windows that the desk
-scale mu <= 12 provably cannot reach (the neglected corrections are of
-order log^2(mu)/mu^2 with large constants); they are implemented exactly
-as stated and are expected to fail.  See notes in the repository history
-for the supporting analysis.
+criterion.  Criteria 6, 7 and 8 encode asymptotic mu -> infinity windows
+(the neglected corrections are of order log^2(mu)/mu^2 with large
+constants); they are implemented exactly as stated, checked at mu <= 12,
+and expected to fail there.  That scale is a choice of this suite, not a
+precision limit: shooting accepts mu up to the constant MU_MAX = 24, where
+the boundary radius has log R = 287.5, and R = e^{log R} would overflow a
+double only past mu ~ 37.7.  See notes in the repository history for the
+supporting analysis.
 """
 
 import time

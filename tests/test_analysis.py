@@ -8,13 +8,12 @@ import pytest
 
 from mtlab import analysis
 from mtlab.analysis import (FOUR_PI, SLACK, branch_scan, branch_summary_json,
-                            branch_to_csv, concentration_check, energy_scan,
-                            residual_hierarchy, residuals_to_csv, scan_to_csv,
-                            subcritical_mass_bound, threshold_a,
+                            branch_to_csv, energy_scan, residual_hierarchy,
+                            residuals_to_csv, scan_to_csv, threshold_a,
                             verify_branch_root)
-from mtlab.perturbations import inverse_square_tail, log_power_family, trivial
+from mtlab.perturbations import inverse_square_tail, log_power_family
 from mtlab.radial_ode import IntegrationError
-from mtlab.shooting import shoot
+from mtlab.shooting import EventNotReachedError, shoot
 
 
 def test_energy_scan_unperturbed_coefficients(trivial_spec):
@@ -92,24 +91,6 @@ def test_branch_scan_out_of_range_level(trivial_spec):
     assert "outside" in scan.notes[20.0]
 
 
-def test_subcritical_mass_bound():
-    sol = shoot(0.1, trivial())
-    mass, bound = subcritical_mass_bound(sol)
-    assert mass <= bound
-    big = shoot(6.0, trivial())
-    with pytest.raises(ValueError):
-        subcritical_mass_bound(big)
-
-
-def test_concentration_check_limits():
-    assert concentration_check(6.0, R=0.0) == 0.0
-    dev = abs(concentration_check(12.0, R=100.0)
-              - FOUR_PI * (1.0 - 1.0 / (1.0 + 100.0 ** 2)))
-    assert dev < 5e-3
-    with pytest.raises(ValueError):
-        concentration_check(6.0, R=-1.0)
-
-
 def test_csv_and_json_renderers(trivial_spec):
     scan = energy_scan([6.0], trivial_spec)
     text = scan_to_csv(scan)
@@ -156,6 +137,32 @@ def test_searches_fail_loudly_on_nan_energy(monkeypatch):
         branch_scan([1.0, 2.0, 3.0, 4.0], lambda_queries=[FOUR_PI + 0.5])
     with pytest.raises(IntegrationError, match="non-finite"):
         threshold_a(1.0)
+
+
+def test_branch_scan_records_nan_grid_energy(monkeypatch):
+    # a grid shot with a NaN energy is a failure, not a silently missing point
+    def fake_shoot(mu, spec, tol=None):
+        energy = np.nan if mu == 3.0 else FOUR_PI + 1.0 - abs(mu - 2.0)
+        return SimpleNamespace(energy_total=energy)
+
+    monkeypatch.setattr(analysis, "shoot", fake_shoot)
+    scan = branch_scan([1.0, 2.0, 3.0, 4.0])
+    assert [mu for mu, _ in scan.points] == [1.0, 2.0, 4.0]
+    assert list(scan.failures) == [3.0]
+    assert "non-finite" in scan.failures[3.0]
+
+
+def test_branch_scan_raises_when_every_grid_shot_fails(monkeypatch):
+    def fake_shoot(mu, spec, tol=None):
+        if mu == 2.0:
+            return SimpleNamespace(energy_total=np.nan)
+        raise EventNotReachedError(f"no event at mu={mu}")
+
+    monkeypatch.setattr(analysis, "shoot", fake_shoot)
+    with pytest.raises(IntegrationError, match="every grid shot failed") as exc:
+        branch_scan([1.0, 2.0, 3.0])
+    for mu in ("mu=1", "mu=2", "mu=3"):
+        assert mu in str(exc.value)
 
 
 def test_threshold_rejects_nonpositive_tolerance(monkeypatch):

@@ -31,8 +31,12 @@ def test_profiles_csv(tmp_path):
 def test_tables_combination_row(tmp_path):
     out = tmp_path / "t.csv"
     assert run(["tables", "--output", str(out)]) == EXIT_OK
-    rows = {line.split(",")[0]: line.split(",")
-            for line in out.read_text().splitlines()[1:]}
+    lines = out.read_text().splitlines()
+    assert lines[0] == "name,closed_form_value,numeric_value,abs_error"
+    assert len(lines) == 1 + 14 + 2
+    assert lines[-2].startswith("combination_z0_slope,")
+    assert lines[-1].startswith("combination_beta1_sum,")
+    rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
     combo = float(rows["combination_z0_slope"][2])
     assert combo == pytest.approx(-6.0 - np.pi ** 2 / 3.0, abs=1e-6)
 
@@ -95,12 +99,20 @@ def test_config_error_exit_code(capsys):
     assert run(["shoot", "--mu", "100"]) == EXIT_CONFIG
     assert run(["maximize", "--alpha", "100"]) == EXIT_CONFIG
     assert run(["check-h", "--family", "log-power", "--p", "1.5"]) == EXIT_CONFIG
+    # the inverse-square tail defines only h, so F(u) is undefined
+    assert run(["maximize", "--alpha", "6", "--family", "inverse-square",
+                "--a", "0.5"]) == EXIT_CONFIG
+    assert "defines no g" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(capsys):
     # the scan records a failed mu and the command reports it
     assert run(["scan", "--mu-from", "6", "--mu-to", "30",
                 "--steps", "2"]) == EXIT_NUMERICAL
+    # no branch grid shot succeeds: every center value is out of range
+    assert run(["branch", "--mu-from", "30", "--mu-to", "40",
+                "--steps", "3"]) == EXIT_NUMERICAL
+    assert "every grid shot failed" in capsys.readouterr().err
 
 
 def test_maximize_nan_functional_exit_code(monkeypatch, tmp_path, capsys):

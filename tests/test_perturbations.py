@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from mtlab.perturbations import (PerturbationSpec, check_conditions, delta_k,
-                                 family_by_name, h_from_g,
-                                 inverse_square_tail, log_power_family,
-                                 oscillating_family, smooth_cutoff, trivial)
+                                 family_by_name, inverse_square_tail,
+                                 log_power_family, oscillating_family,
+                                 smooth_cutoff, trivial)
 
 TS = np.exp(np.linspace(np.log(0.5), np.log(1e5), 500))
 
@@ -18,16 +18,21 @@ def test_smooth_cutoff_shape():
     assert np.all(np.diff(mid) > 0)
 
 
-def test_h_from_g_matches_finite_differences():
-    spec = log_power_family(a=1.0, p=3.0)
+@pytest.mark.parametrize("spec", [log_power_family(a=1.0, p=3.0),
+                                  log_power_family(a=1.0, p=3.0, q=1.5),
+                                  oscillating_family(a=1.0, p=3.0)],
+                         ids=["log-power-q0", "log-power-q1.5", "oscillating"])
+def test_h_matches_finite_differences(spec):
     eps = 1e-6
     g_prime_fd = (spec.g(TS + eps) - spec.g(TS - eps)) / (2.0 * eps)
     h_fd = spec.g(TS) + g_prime_fd / (2.0 * TS)
     assert np.max(np.abs(spec.h(TS) - h_fd)) < 1e-6
 
 
-def test_h_from_g_rejects_zero():
-    h = h_from_g(lambda t: t, lambda t: np.ones_like(t))
+def test_h_rejects_zero():
+    h = log_power_family().h
+    with pytest.raises(ValueError):
+        h(0.0)
     with pytest.raises(ValueError):
         h(np.array([0.0, 1.0]))
 

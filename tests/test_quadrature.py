@@ -7,8 +7,7 @@ from mtlab import profiles as pf
 from mtlab.linearized import source_w0, source_z0
 from mtlab.quadrature import (TailBoundError, beta1_combination,
                               beta2_combination, beta_from_source,
-                              integrate_plane, tables_to_csv,
-                              z0_slope_combination)
+                              integrate_plane, z0_slope_combination)
 
 
 def test_integrate_plane_gaussian_like():
@@ -58,11 +57,3 @@ def test_z0_slope_combination_value(tables):
     assert z0_slope_combination(tables) == pytest.approx(
         -6.0 - np.pi ** 2 / 3.0, abs=1e-8)
 
-
-def test_csv_rendering(tables):
-    text = tables_to_csv(tables)
-    lines = text.splitlines()
-    assert lines[0] == "name,closed_form_value,numeric_value,abs_error"
-    assert len(lines) == 1 + 14 + 2
-    assert lines[-2].startswith("combination_z0_slope,")
-    assert lines[-1].startswith("combination_beta1_sum,")

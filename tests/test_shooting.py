@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from mtlab import perturbations
 from mtlab import profiles as pf
 from mtlab import radial_ode
 from mtlab.perturbations import inverse_square_tail, log_power_family, trivial
@@ -85,6 +86,28 @@ def test_functional_value_against_mass_quadrature():
     assert plain_mass_value(sol) == pytest.approx(mass, rel=1e-6)
 
 
+def test_functional_value_needs_g():
+    # the inverse-square tail defines only h: its functional is undefined
+    sol = shoot(3.0, inverse_square_tail(a=0.5))
+    with pytest.raises(ValueError, match="defines no g"):
+        functional_value(sol)
+
+
+def test_subcritical_mass_bound():
+    # below energy 4 pi, int e^{u^2} dx <= pi / (1 - E / 4 pi)
+    sol = shoot(0.1, trivial())
+    assert sol.energy_total < FOUR_PI
+    assert plain_mass_value(sol) <= np.pi / (1.0 - sol.energy_total / FOUR_PI)
+
+
+def test_energy_concentrates_like_the_bubble(shots):
+    # the energy inside the rescaled ball of radius R approaches the
+    # Liouville bubble's 4 pi R^2 / (1 + R^2)
+    R = 100.0
+    energy = float(shots[12.0].eta.eval_aux_t("energy", np.log(R)))
+    assert abs(energy - FOUR_PI * (1.0 - 1.0 / (1.0 + R ** 2))) < 5e-3
+
+
 def test_rescaled_profile_approaches_bubble(shots):
     # eta -> eta0 with error O(1/mu^2) on compact sets
     r = np.linspace(0.0, 5.0, 100)[1:]
@@ -148,6 +171,30 @@ def test_one_h_and_one_g_call_per_rhs_evaluation(monkeypatch, family):
     assert len(nfev) == 1
     assert calls["h"] == nfev[0] + 1
     assert calls["g"] == nfev[0]
+
+
+def test_two_bridge_evaluations_per_rhs_evaluation(monkeypatch):
+    # the one-pass h of a cutoff family evaluates the two bridge
+    # exponentials once, like g: two per state-function call, plus one for
+    # the h call of the series start
+    spec = log_power_family(a=1.0, p=3.0)
+    bridges, nfev = [], []
+    bridge, solve_ivp = perturbations._bridge, radial_ode.solve_ivp
+
+    def counting_bridge(x):
+        bridges.append(x)
+        return bridge(x)
+
+    def recording_solve_ivp(*args, **kwargs):
+        res = solve_ivp(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(perturbations, "_bridge", counting_bridge)
+    monkeypatch.setattr(radial_ode, "solve_ivp", recording_solve_ivp)
+    shoot(12.0, spec)
+    assert len(nfev) == 1
+    assert len(bridges) <= 2 * nfev[0] + 1
 
 
 def test_comparison_to_bubble_outside_core(shots):
