@@ -105,13 +105,13 @@ def _window_for(spec: PerturbationSpec) -> Tuple[float, float]:
 
 
 def energy_scan(mu_list: Sequence[float], spec: PerturbationSpec,
-                tol: float = 1e-11, split_exponent: float = 3.0) -> ExpansionScan:
+                tol: float = 1e-11) -> ExpansionScan:
     """Shoot each mu and collect the energy coefficients and their fit."""
     mus, cs, inner, outer, energies = [], [], [], [], []
     failures: Dict[float, str] = {}
     for mu in sorted(mu_list):
         try:
-            sol = shoot(mu, spec, tol=tol, split_exponent=split_exponent)
+            sol = shoot(mu, spec, tol=tol)
         except (EventNotReachedError, ValueError) as exc:
             failures[float(mu)] = str(exc)
             continue
@@ -179,7 +179,7 @@ def residual_hierarchy(mu: float, spec: Optional[PerturbationSpec] = None,
     def hierarchy_err(r_hi, n=600):
         """Radii plus (eta - eta0 - w0/mu^2, same - z0/mu^4) samples."""
         t = np.linspace(max(np.log(1e-3), sol.eta.t_min),
-                        min(np.log(r_hi), sol.t_event_or_max()), n)
+                        min(np.log(r_hi), sol.log_R), n)
         r = np.exp(t)
         eta, _ = sol.eta.eval_t(t)
         d1 = eta - pf.eta0(r) - pf.w0(r) / mu2

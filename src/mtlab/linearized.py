@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import profiles as pf
-from .radial_ode import IvpSpec, RadialSolution, integrate
+from .radial_ode import RadialSolution, solve
 
 __all__ = [
     "source_w0",
@@ -88,9 +88,7 @@ def solve_linearized(source: Callable, r_max: float = 1e6,
         one = 1.0 + r * r
         return np.array([y[1], -r * r * (4.0 / (one * one) * (source(r) + 2.0 * y[0]))])
 
-    spec = IvpSpec(fun=state, lap0=-4.0 * float(source(0.0)), u0=0.0,
-                   t_end=np.log(r_max), rel_tol=tol, abs_tol=tol)
-    return integrate(spec)
+    return solve(state, -4.0 * float(source(0.0)), np.log(r_max), tol, tol)
 
 
 def extract_log_slope(sol: RadialSolution, r_lo: float = 1e3,

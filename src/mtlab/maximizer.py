@@ -23,7 +23,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.special import jn_zeros, roots_legendre
@@ -39,12 +39,13 @@ __all__ = [
     "maximize_subcritical",
     "pointwise_moser_bound",
     "MoserBoundReport",
-    "multiplier_estimate",
+    "multiplier_estimate_field",
     "lambda1_disk",
     "result_to_json",
 ]
 
 FOUR_PI = 4.0 * np.pi
+GAUSS_ORDER = 5  # Gauss-Legendre points per segment
 
 
 def lambda1_disk() -> float:
@@ -72,21 +73,21 @@ class RadialField:
         values[-1] = 0.0
         self.t_nodes = t_nodes
         self.values = values
-        self._plans: Dict[int, "_GridPlan"] = {}
+        self._plan: Optional["_GridPlan"] = None
 
     def energy(self) -> float:
         """Exact Dirichlet energy of the piecewise-linear-in-log field."""
         du = np.diff(self.values)
         return float(2.0 * np.pi * np.sum(du * du / np.diff(self.t_nodes)))
 
-    def plan(self, order: int = 5) -> "_GridPlan":
+    def plan(self) -> "_GridPlan":
         """The grid-constant quadrature and stiffness data, built on first use."""
-        if order not in self._plans:
-            self._plans[order] = _grid_plan(self.t_nodes, order)
-        return self._plans[order]
+        if self._plan is None:
+            self._plan = _grid_plan(self.t_nodes)
+        return self._plan
 
     def copy(self) -> "RadialField":
-        """Copy of the values; the grid and its plans are shared, not re-checked."""
+        """Copy of the values; the grid and its plan are shared, not re-checked."""
         twin = copy.copy(self)
         twin.values = self.values.copy()
         return twin
@@ -100,9 +101,9 @@ class _GridPlan(NamedTuple):
     w: np.ndarray         # segment stiffnesses 2 pi / dt
 
 
-def _grid_plan(t_nodes: np.ndarray, order: int) -> _GridPlan:
+def _grid_plan(t_nodes: np.ndarray) -> _GridPlan:
     """Gauss-Legendre points/weights of every segment plus the stiffnesses."""
-    x, w = roots_legendre(order)
+    x, w = roots_legendre(GAUSS_ORDER)
     t0, t1 = t_nodes[:-1], t_nodes[1:]
     mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
     tq = mid[:, None] + half[:, None] * x[None, :]
@@ -113,11 +114,10 @@ def _grid_plan(t_nodes: np.ndarray, order: int) -> _GridPlan:
                      w=2.0 * np.pi / np.diff(t_nodes))
 
 
-def functional_value(field: RadialField, spec: PerturbationSpec,
-                     order: int = 5) -> float:
+def functional_value(field: RadialField, spec: PerturbationSpec) -> float:
     """F = int (1+g(u)) e^{u^2} dx, per-segment Gauss plus the inner cap."""
     g = spec.g
-    plan = field.plan(order)
+    plan = field.plan()
     frac = plan.frac
     uq = frac * field.values[:-1, None] + (1.0 - frac) * field.values[1:, None]
     integrand = (1.0 + g(np.abs(uq))) * np.exp(uq * uq) * plan.e2t
@@ -127,11 +127,10 @@ def functional_value(field: RadialField, spec: PerturbationSpec,
     return val + plan.cap * (1.0 + g0) * np.exp(u0 * u0)
 
 
-def _functional_gradient(field: RadialField, spec: PerturbationSpec,
-                         order: int = 5) -> np.ndarray:
+def _functional_gradient(field: RadialField, spec: PerturbationSpec) -> np.ndarray:
     """Nodal gradient of F; dF/du = 2 u (1 + h(u)) e^{u^2} pointwise."""
     h = spec.h
-    plan = field.plan(order)
+    plan = field.plan()
     frac, wq = plan.frac, plan.wq
     uq = frac * field.values[:-1, None] + (1.0 - frac) * field.values[1:, None]
     hu = h(np.maximum(np.abs(uq), 1e-12))
@@ -282,14 +281,15 @@ def pointwise_moser_bound(result: MaximizerResult,
     return MoserBoundReport(not len(bad), float(np.max(excess)), first)
 
 
-def multiplier_estimate_field(field: RadialField, spec: PerturbationSpec,
-                              interior: slice = slice(1, -1)) -> Tuple[float, float]:
+def multiplier_estimate_field(field: RadialField,
+                              spec: PerturbationSpec) -> Tuple[float, float]:
     """Least-squares multiplier of -Delta u = lambda (1+h(u)) u e^{u^2}.
 
     The fit is done in the log coordinate, where the equation reads
     -u_tt = lambda e^{2t} (1+h(u)) u e^{u^2}; this avoids multiplying
     the second-difference noise of the innermost nodes by e^{-2t}.
-    Needs a uniform grid: spacings that vary by over 1e-9 relative raise.
+    The fit leaves out the two nodes at each end of the grid.  Needs a
+    uniform grid: spacings that vary by over 1e-9 relative raise.
     Returns (lambda_hat, relative residual of the least-squares fit).
     """
     t, u = field.t_nodes, field.values
@@ -300,18 +300,13 @@ def multiplier_estimate_field(field: RadialField, spec: PerturbationSpec,
     uu = u[1:-1]
     h = spec.h(np.maximum(np.abs(uu), 1e-12))
     w = np.exp(2.0 * t[1:-1]) * (1.0 + h) * uu * np.exp(uu * uu)
-    b, wgt = (-u_tt)[interior], w[interior]
+    b, wgt = (-u_tt)[1:-1], w[1:-1]
     denom = float(np.dot(wgt, wgt))
     if denom == 0.0:
         raise ValueError("degenerate field: zero nonlinearity weight")
     lam = float(np.dot(b, wgt)) / denom
     resid = float(np.linalg.norm(b - lam * wgt) / max(np.linalg.norm(b), 1e-300))
     return lam, resid
-
-
-def multiplier_estimate(result: MaximizerResult,
-                        spec: Optional[PerturbationSpec] = None) -> Tuple[float, float]:
-    return multiplier_estimate_field(result.field, spec or trivial())
 
 
 def result_to_json(result: MaximizerResult, max_nodes: int = 512) -> str:

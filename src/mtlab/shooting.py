@@ -16,6 +16,11 @@ range ends at MU_MAX = 24, a fixed constant rather than a precision limit.
 The Dirichlet energy equals the integral of lambda (1+h(u)) u^2 e^{u^2}
 over the disk, accumulated in rescaled coordinates as an auxiliary ODE
 state together with the exponential mass used by the functional value.
+Both are integrated by one :func:`mtlab.radial_ode.solve` call with
+DOP853, steps of at most 1 in t = log r and the boundary event as its
+level.  The energy starts from its series value 4 pi (1+h(mu)) R_START^2;
+the mass starts at 0 and so misses pi (1+g(mu)) R_START^2 (3.1e-12 for
+g = 0), as its seed would cost one more g call per shot.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ import numpy as np
 
 from . import profiles as pf
 from .perturbations import PerturbationSpec
-from .radial_ode import (IntegrationError, IvpSpec, NoCrossingError,
-                         RadialSolution, find_event)
+from .radial_ode import (R_START, IntegrationError, NoCrossingError,
+                         RadialSolution, solve)
 
 __all__ = [
     "ShotSolution",
@@ -45,6 +50,7 @@ __all__ = [
 
 MU_MIN = 0.05
 MU_MAX = 24.0
+SPLIT_EXPONENT = 3.0  # inner ball of rescaled radius mu^p, p > 2
 TWO_PI = 2.0 * np.pi
 
 
@@ -57,8 +63,9 @@ class ShotSolution:
     """One critical point of the (perturbed) functional.
 
     Radii and multiplier are stored on log scale: R = r_k^{-1} with
-    log lambda = log 4 + 2 log R - mu^2 - 2 log mu.  ``exp_mass`` is the
-    rescaled accumulated integral used by :func:`functional_value`.
+    log lambda = log 4 + 2 log R - mu^2 - 2 log mu, and ``eta`` ends at the
+    boundary event t = log R.  ``exp_mass`` is the rescaled accumulated
+    integral used by :func:`functional_value`.
     """
 
     mu: float
@@ -69,28 +76,23 @@ class ShotSolution:
     energy_outer: float
     eta: RadialSolution
     perturbation: PerturbationSpec
-    split_exponent: float
     exp_mass: float
-    exp_mass_plain: float
-
-    def t_event_or_max(self) -> float:
-        return self.eta.t_event if self.eta.t_event is not None else self.eta.t_max
 
 
-def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11,
-          split_exponent: float = 3.0, method: str = "DOP853") -> ShotSolution:
+def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11) -> ShotSolution:
     """Integrate to the boundary event and accumulate energy splits.
 
     The inner energy is taken over the rescaled ball of radius mu^p with
-    p = split_exponent (p > 2 required for the inner/outer expansion).
+    p = SPLIT_EXPONENT (p > 2 required for the inner/outer expansion).
     """
     if not (MU_MIN <= mu <= MU_MAX):
         raise ValueError(f"mu={mu} outside supported range [{MU_MIN}, {MU_MAX}]")
     h, g = spec.h, spec.g
     mu2 = mu * mu
+    one_h = 1.0 + h(mu)
 
     def state(t, y):
-        """(eta, v, energy, mass, mass_plain)' at t = log r.
+        """(eta, v, energy, mass)' at t = log r.
 
         All rates share e = e^{2t + eta (2 + eta/mu^2)}.  Along the solution
         eta stays in [-mu^2, 0], where the exponent eta (2 + eta/mu^2) is
@@ -105,31 +107,27 @@ def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11,
             e = np.exp(min(2.0 * t + min(eta * (2.0 + eta / mu2), 0.0), 50.0))
             f = 4.0 * (1.0 + h(u)) * q * e
             gu = g(u) if g is not None else 0.0
-            return np.array([v, -f, TWO_PI * f * q, TWO_PI * (1.0 + gu) * e,
-                             TWO_PI * e])
+            return np.array([v, -f, TWO_PI * f * q, TWO_PI * (1.0 + gu) * e])
 
     # near the origin eta ~ r^2 is exponentially small in t = log r, yet the
     # residual check needs it to full *relative* accuracy, so the eta and v
     # components get a vanishing absolute tolerance
-    abs_tol = np.array([1e-60, 1e-60, tol, tol, tol])
-    ivp = IvpSpec(fun=state, lap0=-4.0 * (1.0 + h(mu)), u0=0.0,
-                  t_end=0.55 * mu2 + 10.0, rel_tol=tol, abs_tol=abs_tol,
-                  r_start=1e-6, aux=("energy", "mass", "mass_plain"),
-                  method=method, max_step=1.0)
+    abs_tol = np.array([1e-60, 1e-60, tol, tol])
+    energy0 = 2.0 * TWO_PI * one_h * R_START * R_START
     try:
-        t_star, sol = find_event(ivp, -mu2)
+        sol = solve(state, -4.0 * one_h, 0.55 * mu2 + 10.0, tol, abs_tol,
+                    aux={"energy": energy0, "mass": 0.0},
+                    method="DOP853", max_step=1.0, level=-mu2)
     except NoCrossingError as exc:
         raise EventNotReachedError(
             f"boundary event eta = -mu^2 not reached for mu={mu} "
             f"(family {spec.name})") from exc
 
-    energy_total = float(sol.eval_aux_t("energy", t_star))
-    t_split = min(split_exponent * np.log(mu), t_star)
-    if t_split <= sol.t_min:
-        energy_inner = 0.0
-    else:
-        energy_inner = float(sol.eval_aux_t("energy", t_split))
-    log_R = t_star
+    log_R = sol.t_event
+    energy_total = float(sol.eval_aux_t("energy", log_R))
+    # mu >= MU_MIN puts the split radius mu^p above R_START
+    t_split = min(SPLIT_EXPONENT * np.log(mu), log_R)
+    energy_inner = float(sol.eval_aux_t("energy", t_split))
     return ShotSolution(
         mu=mu,
         log_R=log_R,
@@ -139,9 +137,7 @@ def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11,
         energy_outer=energy_total - energy_inner,
         eta=sol,
         perturbation=spec,
-        split_exponent=split_exponent,
-        exp_mass=float(sol.eval_aux_t("mass", t_star)),
-        exp_mass_plain=float(sol.eval_aux_t("mass_plain", t_star)),
+        exp_mass=float(sol.eval_aux_t("mass", log_R)),
     )
 
 
@@ -151,7 +147,7 @@ def physical_profile(sol: ShotSolution, r_phys):
     if np.any(r_phys <= 0.0) or np.any(r_phys > 1.0):
         raise ValueError("r_phys must lie in (0, 1]")
     t = np.log(r_phys) + sol.log_R
-    t = np.clip(t, sol.eta.t_min, sol.t_event_or_max())
+    t = np.clip(t, sol.eta.t_min, sol.log_R)
     eta, _ = sol.eta.eval_t(t)
     return sol.mu + eta / sol.mu
 
@@ -167,11 +163,6 @@ def functional_value(sol: ShotSolution) -> float:
         raise ValueError(f"family {sol.perturbation.name!r} defines no g, "
                          "so the functional is undefined")
     return float(np.exp(sol.mu ** 2 - 2.0 * sol.log_R) * sol.exp_mass)
-
-
-def plain_mass_value(sol: ShotSolution) -> float:
-    """int_{B_1} e^{u^2} dx without the g weight (for the subcritical bound)."""
-    return float(np.exp(sol.mu ** 2 - 2.0 * sol.log_R) * sol.exp_mass_plain)
 
 
 def pde_residual(sol: ShotSolution, sample_radii: Sequence[float],
@@ -198,7 +189,7 @@ def pde_residual(sol: ShotSolution, sample_radii: Sequence[float],
     """
     mu, mu2 = sol.mu, sol.mu ** 2
     h = sol.perturbation.h
-    t_hi = sol.t_event_or_max()
+    t_hi = sol.log_R
     ev = solution_eval if solution_eval is not None else sol.eta.eval_t
 
     worst = 0.0
@@ -238,7 +229,7 @@ def comparison_eta0(sol: ShotSolution, n_samples: int = 400,
                     slack: float = 1e-9) -> Eta0Comparison:
     """Check eta <= eta0 on [mu^2, R] (log grid); report the first violation."""
     t_lo = 2.0 * np.log(sol.mu)
-    t_hi = sol.t_event_or_max()
+    t_hi = sol.log_R
     if t_hi <= t_lo:
         return Eta0Comparison(True, None, 0.0)
     ts = np.linspace(t_lo, t_hi, n_samples)
@@ -269,7 +260,7 @@ def to_json(sol: ShotSolution, max_nodes: int = 2048) -> str:
         "energy_total": sol.energy_total,
         "energy_inner": sol.energy_inner,
         "energy_outer": sol.energy_outer,
-        "split_exponent": sol.split_exponent,
+        "split_exponent": SPLIT_EXPONENT,
         "family": sol.perturbation.name,
         "family_params": sol.perturbation.family_params,
         "profile_t": t[idx].tolist(),

@@ -21,7 +21,7 @@ from mtlab.analysis import (FOUR_PI, branch_scan, residual_hierarchy,
                             threshold_a, verify_branch_root)
 from mtlab.linearized import (extract_log_slope, solve_linearized, source_w0,
                               source_wa, source_z0)
-from mtlab.maximizer import (maximize_subcritical, multiplier_estimate,
+from mtlab.maximizer import (maximize_subcritical, multiplier_estimate_field,
                              pointwise_moser_bound)
 from mtlab.perturbations import (check_conditions, inverse_square_tail,
                                  log_power_family, trivial)
@@ -147,7 +147,7 @@ def test_criterion_12_maximizer():
     half = maximize_subcritical(0.5 * FOUR_PI)
     assert half.value <= 2.0 * np.pi + 1e-6
     near = maximize_subcritical(0.9 * FOUR_PI)
-    lam, _ = multiplier_estimate(near)
+    lam, _ = multiplier_estimate_field(near.field, trivial())
     assert 0.0 < lam < 5.7832
     top = maximize_subcritical(0.999 * FOUR_PI, max_iter=600)
     assert top.value > np.pi * (1.0 + np.e)

@@ -93,6 +93,9 @@ def test_check_h_verdicts(capsys):
 
 def test_config_error_exit_code(capsys):
     assert run(["shoot", "--mu", "100"]) == EXIT_CONFIG
+    # a NaN tolerance or radius is rejected before the integrator starts
+    assert run(["shoot", "--mu", "6", "--tol", "nan"]) == EXIT_CONFIG
+    assert run(["beta", "--r-max", "nan"]) == EXIT_CONFIG
     assert run(["maximize", "--alpha", "100"]) == EXIT_CONFIG
     assert run(["check-h", "--family", "log-power", "--p", "1.5"]) == EXIT_CONFIG
     # the inverse-square tail defines only h, so F(u) is undefined
@@ -105,6 +108,9 @@ def test_numerical_failure_exit_code(capsys):
     # the scan records a failed mu and the command reports it
     assert run(["scan", "--mu-from", "6", "--mu-to", "30",
                 "--steps", "2"]) == EXIT_NUMERICAL
+    # a NaN tolerance rejects every shot, and the scan records them
+    assert run(["scan", "--mu-from", "6", "--mu-to", "7", "--steps", "2",
+                "--tol", "nan"]) == EXIT_NUMERICAL
     # no branch grid shot succeeds: every center value is out of range
     assert run(["branch", "--mu-from", "30", "--mu-to", "40",
                 "--steps", "3"]) == EXIT_NUMERICAL

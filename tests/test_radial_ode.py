@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from mtlab import profiles as pf
-from mtlab.radial_ode import (IvpSpec, NoCrossingError, find_event, integrate,
-                              series_start)
+from mtlab.radial_ode import R_START, NoCrossingError, solve
 
 
 def liouville_state(t, y):
@@ -15,20 +14,20 @@ def liouville_state(t, y):
     return np.array([y[1], -f, 2.0 * np.pi * f])[:len(y)]
 
 
-def liouville_spec(**kw):
-    return IvpSpec(fun=liouville_state, lap0=-4.0, **kw)
+def liouville_solve(t_end, rtol=1e-12, atol=1e-12, **kw):
+    return solve(liouville_state, -4.0, t_end, rtol, atol, **kw)
 
 
 def test_series_start_matches_taylor():
-    spec = liouville_spec(r_start=1e-6)
-    u_s, v_s = series_start(spec)
+    sol = liouville_solve(np.log(1e3))
     # eta0 ~ -r^2 with Delta eta0(0) = -4
-    assert u_s == pytest.approx(-1e-12, rel=1e-6)
-    assert v_s == pytest.approx(-2e-12, rel=1e-6)
+    assert sol.t_min == np.log(R_START)
+    assert sol.values[0] == pytest.approx(-1e-12, rel=1e-6)
+    assert sol.r_derivs[0] == pytest.approx(-2e-12, rel=1e-6)
 
 
 def test_liouville_bubble_reproduced():
-    sol = integrate(liouville_spec(t_end=np.log(1e5)))
+    sol = liouville_solve(np.log(1e5))
     r = np.exp(np.linspace(np.log(1e-3), np.log(1e4), 200))
     u, v = sol.eval(r)
     assert np.max(np.abs(u - pf.eta0(r))) < 1e-8
@@ -38,35 +37,40 @@ def test_liouville_bubble_reproduced():
 def test_aux_state_accumulates_mass():
     # d(mass)/dt = 2 pi r^2 * 4 e^{2 eta}; total planar mass of the bubble
     # is 2 pi int 4 r / (1+r^2)^2 dr = 4 pi
-    spec = liouville_spec(t_end=np.log(1e6), aux=("mass",))
-    sol = integrate(spec)
+    sol = liouville_solve(np.log(1e6), aux={"mass": 0.0})
     mass = sol.eval_aux_t("mass", sol.t_max)
     assert mass == pytest.approx(4.0 * np.pi, abs=1e-8)
 
 
 def test_event_location():
-    t_star, sol = find_event(liouville_spec(t_end=20.0), -np.log(101.0))
+    sol = liouville_solve(20.0, level=-np.log(101.0))
     # eta0 = -log(101) at r = 10
-    assert np.exp(t_star) == pytest.approx(10.0, rel=1e-9)
-    assert sol.t_event == t_star
+    assert np.exp(sol.t_event) == pytest.approx(10.0, rel=1e-9)
+    assert sol.t_max == sol.t_event
 
 
 def test_missing_event_raises():
     with pytest.raises(NoCrossingError):
-        find_event(liouville_spec(t_end=2.0), -50.0)
+        liouville_solve(2.0, level=-50.0)
 
 
 def test_bad_tolerances_rejected():
     with pytest.raises(ValueError):
-        liouville_spec(rel_tol=0.0)
+        liouville_solve(1.0, rtol=0.0)
     with pytest.raises(ValueError):
-        liouville_spec(abs_tol=np.array([1e-12, -1e-12]))
-    with pytest.raises(ValueError):
-        liouville_spec(r_start=0.0)
+        liouville_solve(1.0, atol=np.array([1e-12, -1e-12]))
+
+
+def test_solve_rejects_nonfinite_inputs():
+    # a NaN passes a plain `<= 0` check and SciPy then never finishes
+    for kw in ({"t_end": 1.0, "rtol": np.nan}, {"t_end": 1.0, "atol": np.nan},
+               {"t_end": np.nan}, {"t_end": np.inf}, {"t_end": np.log(R_START)}):
+        with pytest.raises(ValueError):
+            liouville_solve(**kw)
 
 
 def test_dense_output_between_nodes():
-    sol = integrate(liouville_spec(t_end=np.log(1e3)))
+    sol = liouville_solve(np.log(1e3))
     mids = 0.5 * (sol.grid.t_nodes[:-1] + sol.grid.t_nodes[1:])
     u, _ = sol.eval_t(mids)
     assert np.max(np.abs(u - pf.eta0(np.exp(mids)))) < 1e-8

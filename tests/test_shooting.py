@@ -9,10 +9,10 @@ from mtlab import perturbations
 from mtlab import profiles as pf
 from mtlab import radial_ode
 from mtlab.perturbations import inverse_square_tail, log_power_family, trivial
-from mtlab.radial_ode import IntegrationError
+from mtlab.radial_ode import R_START, IntegrationError
 from mtlab.shooting import (EventNotReachedError, comparison_eta0,
                             functional_value, pde_residual, physical_profile,
-                            plain_mass_value, shoot, to_json)
+                            shoot, to_json)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -83,7 +83,6 @@ def test_functional_value_against_mass_quadrature():
     mass = 2.0 * np.pi * np.trapezoid(
         np.exp(u * u + 2.0 * t - 2.0 * sol.log_R), t)
     assert functional_value(sol) == pytest.approx(mass, rel=1e-6)
-    assert plain_mass_value(sol) == pytest.approx(mass, rel=1e-6)
 
 
 def test_functional_value_needs_g():
@@ -94,10 +93,20 @@ def test_functional_value_needs_g():
 
 
 def test_subcritical_mass_bound():
-    # below energy 4 pi, int e^{u^2} dx <= pi / (1 - E / 4 pi)
+    # below energy 4 pi, int e^{u^2} dx <= pi / (1 - E / 4 pi); the trivial
+    # family has g = 0, so its functional is that plain mass
     sol = shoot(0.1, trivial())
     assert sol.energy_total < FOUR_PI
-    assert plain_mass_value(sol) <= np.pi / (1.0 - sol.energy_total / FOUR_PI)
+    assert functional_value(sol) <= np.pi / (1.0 - sol.energy_total / FOUR_PI)
+
+
+@pytest.mark.parametrize("family", [trivial, log_power_family])
+def test_energy_starts_from_its_series_value(family):
+    # the energy inside R_START is 4 pi (1 + h(mu)) R_START^2 to leading order
+    spec = family()
+    sol = shoot(6.0, spec)
+    seed = FOUR_PI * (1.0 + spec.h(6.0)) * R_START ** 2
+    assert sol.eta.eval_aux_t("energy", sol.eta.t_min) == pytest.approx(seed, rel=1e-12)
 
 
 def test_energy_concentrates_like_the_bubble(shots):
