@@ -52,12 +52,11 @@ __all__ = [
 FOUR_PI = 4.0 * np.pi
 
 # Auditable slack table.  The theory gives asymptotic o(.) remainders; every
-# finite-mu window check below widens the asymptotic constant by exactly
-# these amounts (additive for coefficient windows, multiplicative for
-# convergence-rate ratios).
+# finite-mu coefficient window below widens the asymptotic constant by
+# exactly the additive "coefficient_window"; the other two entries bound
+# a branch root's energy gap and its PDE residual.
 SLACK = {
     "coefficient_window": 0.5,
-    "rate_ratio": 2.0,
     "branch_root_tol": 1e-6,
     "residual_bound": 1e-7,
 }
@@ -368,14 +367,12 @@ def branch_scan(mu_grid: Sequence[float], spec: Optional[PerturbationSpec] = Non
 
 
 def verify_branch_root(mu: float, lam: float,
-                       spec: Optional[PerturbationSpec] = None,
-                       n_radii: int = 40) -> Tuple[float, float]:
-    """Fresh shoot at a claimed root: (|E - Lambda|, max PDE residual)."""
+                       spec: Optional[PerturbationSpec] = None) -> Tuple[float, float]:
+    """Fresh shoot at a claimed root: (|E - Lambda|, flux-form PDE residual)."""
     if spec is None:
         spec = trivial()
     sol = shoot(mu, spec, tol=1e-11)
-    radii = np.exp(np.linspace(np.log(1e-6), np.log(0.99), n_radii))
-    return abs(sol.energy_total - lam), pde_residual(sol, radii)
+    return abs(sol.energy_total - lam), pde_residual(sol)
 
 
 def _fmt(x: float) -> str:

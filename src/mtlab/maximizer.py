@@ -46,6 +46,7 @@ __all__ = [
 
 FOUR_PI = 4.0 * np.pi
 GAUSS_ORDER = 5  # Gauss-Legendre points per segment
+JSON_MAX_NODES = 512  # field nodes kept by result_to_json
 
 
 def lambda1_disk() -> float:
@@ -309,9 +310,9 @@ def multiplier_estimate_field(field: RadialField,
     return lam, resid
 
 
-def result_to_json(result: MaximizerResult, max_nodes: int = 512) -> str:
+def result_to_json(result: MaximizerResult) -> str:
     t = result.field.t_nodes
-    idx = np.linspace(0, len(t) - 1, min(max_nodes, len(t))).round().astype(int)
+    idx = np.linspace(0, len(t) - 1, min(JSON_MAX_NODES, len(t))).round().astype(int)
     payload = {
         "alpha": result.alpha,
         "value": result.value,

@@ -206,8 +206,12 @@ def check_conditions(spec: PerturbationSpec, t_max: float = 1e6,
 
     Condition 1: t^2 h(t) -> 0.  Condition 2: the modulus
     t^4 sup_{|s|<=1} |h(t + s(8 log t + 1)/t) - h(t)| -> 0, with the
-    s-supremum taken over a fixed 21-point grid.
+    s-supremum taken over a fixed 21-point grid.  The log grid runs from
+    t = 10 to ``t_max``, which must be finite and above 10 (ValueError).
     """
+    # written so that a NaN fails the test
+    if not 10.0 < t_max < np.inf:
+        raise ValueError(f"need 10 < t_max < inf, got t_max={t_max}")
     ts = np.exp(np.linspace(np.log(10.0), np.log(t_max), n_t))
     q1 = ts ** 2 * np.asarray(spec.h(ts), dtype=float)
 

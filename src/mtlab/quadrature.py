@@ -68,8 +68,11 @@ def integrate_plane(f: Callable, tol: float = 1e-10,
 
     ``f`` must decay at least like log^4(r) / r^4; the remainder beyond
     ``r_cut`` is bounded by an empirically calibrated majorant and must fit
-    within tol/2, otherwise TailBoundError is raised.
+    within tol/2, otherwise TailBoundError is raised.  A tolerance that is
+    not positive (NaN included) raises ValueError.
     """
+    if not tol > 0:
+        raise ValueError(f"need a positive tolerance, got tol={tol}")
     # inner disc in the radial variable, outer part in t = log r
     inner, err_in, info_in = quad(lambda r: f(r) * r, 0.0, 1.0,
                                   epsabs=tol / (8 * PI), epsrel=1e-13,

@@ -73,9 +73,13 @@ class RadialSolution:
     def t_max(self) -> float:
         return float(self.grid.t_nodes[-1])
 
+    def eval_state_t(self, t):
+        """Dense evaluation of the whole state (u, r*u', aux...) at t = log r."""
+        return self._dense(np.asarray(t, dtype=float))
+
     def eval_t(self, t):
         """Dense evaluation at t = log r; returns (u, r*u')."""
-        y = self._dense(np.asarray(t, dtype=float))
+        y = self.eval_state_t(t)
         return y[0], y[1]
 
     def eval(self, r):
@@ -85,13 +89,12 @@ class RadialSolution:
 
     def eval_aux_t(self, name: str, t):
         """Accumulated auxiliary integral at t = log r."""
-        idx = 2 + self._aux_names.index(name)
-        return self._dense(np.asarray(t, dtype=float))[idx]
+        return self.eval_state_t(t)[2 + self._aux_names.index(name)]
 
 
 def solve(fun: Callable, lap0: float, t_end: float, rtol: float, atol,
           aux: Mapping[str, float] = {}, method: str = "RK45",
-          max_step: float = np.inf, level: Optional[float] = None) -> RadialSolution:
+          level: Optional[float] = None) -> RadialSolution:
     """Integrate from R_START to t_end, or to the first crossing u = level.
 
     ``fun(t, y)`` returns dy/dt for the state y = (u, v, aux...):
@@ -115,7 +118,7 @@ def solve(fun: Callable, lap0: float, t_end: float, rtol: float, atol,
     r = R_START
     y0 = np.array([0.25 * lap0 * r * r, 0.5 * lap0 * r * r, *aux.values()])
     res = solve_ivp(fun, (t0, t_end), y0, method=method, rtol=rtol, atol=atol,
-                    dense_output=True, events=events, max_step=max_step)
+                    dense_output=True, events=events)
     if res.status == -1:
         raise IntegrationError(
             f"integration failed near t={res.t[-1]:.6g} (r={np.exp(res.t[-1]):.6g}): "

@@ -17,19 +17,22 @@ The Dirichlet energy equals the integral of lambda (1+h(u)) u^2 e^{u^2}
 over the disk, accumulated in rescaled coordinates as an auxiliary ODE
 state together with the exponential mass used by the functional value.
 Both are integrated by one :func:`mtlab.radial_ode.solve` call with
-DOP853, steps of at most 1 in t = log r and the boundary event as its
+DOP853, no cap on the step in t = log r and the boundary event as its
 level.  The energy starts from its series value 4 pi (1+h(mu)) R_START^2;
 the mass starts at 0 and so misses pi (1+g(mu)) R_START^2 (3.1e-12 for
 g = 0), as its seed would cost one more g call per shot.
+
+:func:`pde_residual` checks a finished shot against the same state function.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import roots_legendre
 
 from . import profiles as pf
 from .perturbations import PerturbationSpec
@@ -52,6 +55,7 @@ MU_MIN = 0.05
 MU_MAX = 24.0
 SPLIT_EXPONENT = 3.0  # inner ball of rescaled radius mu^p, p > 2
 TWO_PI = 2.0 * np.pi
+JSON_MAX_NODES = 2048  # profile nodes kept by to_json
 
 
 class EventNotReachedError(RuntimeError):
@@ -79,17 +83,14 @@ class ShotSolution:
     exp_mass: float
 
 
-def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11) -> ShotSolution:
-    """Integrate to the boundary event and accumulate energy splits.
+def _state(mu: float, spec: PerturbationSpec) -> Callable:
+    """The state function of a shot at center value mu.
 
-    The inner energy is taken over the rescaled ball of radius mu^p with
-    p = SPLIT_EXPONENT (p > 2 required for the inner/outer expansion).
+    :func:`shoot` integrates it and :func:`pde_residual` checks the shot
+    against it, so the equation is written once.
     """
-    if not (MU_MIN <= mu <= MU_MAX):
-        raise ValueError(f"mu={mu} outside supported range [{MU_MIN}, {MU_MAX}]")
     h, g = spec.h, spec.g
     mu2 = mu * mu
-    one_h = 1.0 + h(mu)
 
     def state(t, y):
         """(eta, v, energy, mass)' at t = log r.
@@ -109,15 +110,29 @@ def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11) -> ShotSolution
             gu = g(u) if g is not None else 0.0
             return np.array([v, -f, TWO_PI * f * q, TWO_PI * (1.0 + gu) * e])
 
-    # near the origin eta ~ r^2 is exponentially small in t = log r, yet the
-    # residual check needs it to full *relative* accuracy, so the eta and v
-    # components get a vanishing absolute tolerance
+    return state
+
+
+def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11) -> ShotSolution:
+    """Integrate to the boundary event and accumulate energy splits.
+
+    The inner energy is taken over the rescaled ball of radius mu^p with
+    p = SPLIT_EXPONENT (p > 2 required for the inner/outer expansion).
+    """
+    if not (MU_MIN <= mu <= MU_MAX):
+        raise ValueError(f"mu={mu} outside supported range [{MU_MIN}, {MU_MAX}]")
+    mu2 = mu * mu
+    one_h = 1.0 + spec.h(mu)
+
+    # near the origin eta ~ r^2 is exponentially small in t = log r; a
+    # vanishing absolute tolerance on eta and v resolves them there to full
+    # *relative* accuracy
     abs_tol = np.array([1e-60, 1e-60, tol, tol])
     energy0 = 2.0 * TWO_PI * one_h * R_START * R_START
     try:
-        sol = solve(state, -4.0 * one_h, 0.55 * mu2 + 10.0, tol, abs_tol,
-                    aux={"energy": energy0, "mass": 0.0},
-                    method="DOP853", max_step=1.0, level=-mu2)
+        sol = solve(_state(mu, spec), -4.0 * one_h, 0.55 * mu2 + 10.0, tol,
+                    abs_tol, aux={"energy": energy0, "mass": 0.0},
+                    method="DOP853", level=-mu2)
     except NoCrossingError as exc:
         raise EventNotReachedError(
             f"boundary event eta = -mu^2 not reached for mu={mu} "
@@ -165,57 +180,35 @@ def functional_value(sol: ShotSolution) -> float:
     return float(np.exp(sol.mu ** 2 - 2.0 * sol.log_R) * sol.exp_mass)
 
 
-def pde_residual(sol: ShotSolution, sample_radii: Sequence[float],
-                 ds: float = 0.01,
-                 solution_eval: Optional[Callable] = None) -> float:
-    """Max normalized residual of the physical equation at sample radii.
+def pde_residual(sol: ShotSolution) -> float:
+    """Largest per-step miss of the shot's integrated equation.
 
-    The Laplacian is recomputed from the dense solution by finite
-    differences in the log coordinate and compared with
-    lambda (1+h(u)) u e^{u^2}.  All exponents are combined before
-    exponentiation; the normalization 1 + |Delta u| makes the residual
-    effectively relative in the concentration region where |Delta u| is
-    astronomically large.
-
-    Two difference schemes estimate the same second derivative: a
-    fourth-order second difference of eta, well conditioned near the
-    center where eta is small, and a fourth-order first difference of the
-    stored r u' channel, well conditioned in the tail where eta is large
-    but slowly varying.  Each sample reports the better conditioned of
-    the two.  A non-finite residual from either scheme raises
-    IntegrationError instead of reading as a perfect fit.
-    ``solution_eval`` (t -> (eta, r u')) overrides the dense solution, for
-    sensitivity tests.
+    On each accepted step [t_k, t_{k+1}] the increment of every state
+    (eta, v, energy, mass) on the dense output is compared with the
+    integral of the shot's own state function along that output, taken
+    with 8-point Gauss-Legendre quadrature.  Each state's largest miss is
+    divided by its integral of |rate| over the whole shot, and the worst
+    state's ratio is returned.  No term is weighted by e^{-2t} or by the
+    Laplacian, so the residual does not underflow at large mu.  A
+    non-finite residual raises IntegrationError instead of reading as a
+    perfect fit.
     """
-    mu, mu2 = sol.mu, sol.mu ** 2
-    h = sol.perturbation.h
-    t_hi = sol.log_R
-    ev = solution_eval if solution_eval is not None else sol.eta.eval_t
-
-    worst = 0.0
-    log_pref = 2.0 * sol.log_R - np.log(mu)
-    pref_inv = np.exp(-log_pref) if log_pref < 700.0 else 0.0
-    for r in sample_radii:
-        if not (0.0 < r < 1.0):
-            raise ValueError("sample radii must lie inside (0, 1)")
-        s = np.log(r) + sol.log_R
-        s = np.clip(s, sol.eta.t_min + 2 * ds, t_hi - 2 * ds)
-        stencil = s + ds * np.arange(-2.0, 3.0)
-        eta_st, v_st = (np.asarray(a, dtype=float) for a in ev(stencil))
-        eta_ss_a = (-eta_st[0] + 16 * eta_st[1] - 30 * eta_st[2]
-                    + 16 * eta_st[3] - eta_st[4]) / (12.0 * ds * ds)
-        eta_ss_b = (v_st[0] - 8 * v_st[1] + 8 * v_st[3] - v_st[4]) / (12.0 * ds)
-        eta_c = eta_st[2]
-        u = max(mu + eta_c / mu, 1e-12)
-        rhs_val = 4.0 * (1.0 + h(u)) * (1.0 + eta_c / mu2) \
-            * np.exp(min(2.0 * eta_c + eta_c * eta_c / mu2, 0.0))
-        resids = [float(abs(lap + rhs_val) / (pref_inv + abs(lap)))
-                  for lap in (np.exp(-2.0 * s) * eta_ss_a, np.exp(-2.0 * s) * eta_ss_b)]
-        if not np.all(np.isfinite(resids)):
-            raise IntegrationError(
-                f"non-finite PDE residual {resids} at r={r:.6g} (mu={mu})")
-        worst = max(worst, min(resids))
-    return worst
+    state = _state(sol.mu, sol.perturbation)
+    nodes = sol.eta.grid.t_nodes
+    n = len(nodes)
+    half = 0.5 * np.diff(nodes)
+    x, w = roots_legendre(8)
+    ts = (nodes[:-1] + half)[:, None] + half[:, None] * x
+    ys = sol.eta.eval_state_t(np.concatenate([nodes, ts.ravel()]))
+    rates = np.array([state(t, y) for t, y in zip(ts.ravel(), ys[:, n:].T)])
+    rates = rates.reshape(*ts.shape, -1)  # (step, Gauss point, state)
+    flux = np.einsum("k,j,kjs->ks", half, w, rates)
+    scale = np.einsum("k,j,kjs->s", half, w, np.abs(rates))
+    miss = np.abs(np.diff(ys[:, :n], axis=1).T - flux)
+    resid = float(np.max(np.max(miss, axis=0) / scale))
+    if not np.isfinite(resid):
+        raise IntegrationError(f"non-finite PDE residual {resid} (mu={sol.mu})")
+    return resid
 
 
 @dataclass
@@ -246,11 +239,11 @@ def _compare_to_eta0(ts, eta_vals, slack: float = 1e-9) -> Eta0Comparison:
     return Eta0Comparison(True, None, float(np.max(excess)))
 
 
-def to_json(sol: ShotSolution, max_nodes: int = 2048) -> str:
-    """Serialize scalars plus a down-sampled profile."""
+def to_json(sol: ShotSolution) -> str:
+    """Serialize scalars plus a profile down-sampled to JSON_MAX_NODES."""
     t = sol.eta.grid.t_nodes
-    if len(t) > max_nodes:
-        idx = np.linspace(0, len(t) - 1, max_nodes).round().astype(int)
+    if len(t) > JSON_MAX_NODES:
+        idx = np.linspace(0, len(t) - 1, JSON_MAX_NODES).round().astype(int)
     else:
         idx = np.arange(len(t))
     payload = {

@@ -98,6 +98,12 @@ def test_config_error_exit_code(capsys):
     assert run(["beta", "--r-max", "nan"]) == EXIT_CONFIG
     assert run(["maximize", "--alpha", "100"]) == EXIT_CONFIG
     assert run(["check-h", "--family", "log-power", "--p", "1.5"]) == EXIT_CONFIG
+    # a quadrature tolerance must be positive, and the condition grid must
+    # run forward from t = 10 to a finite end
+    assert run(["tables", "--tol", "nan"]) == EXIT_CONFIG
+    assert run(["tables", "--tol", "0"]) == EXIT_CONFIG
+    assert run(["check-h", "--t-max", "nan"]) == EXIT_CONFIG
+    assert run(["check-h", "--t-max", "5"]) == EXIT_CONFIG
     # the inverse-square tail defines only h, so F(u) is undefined
     assert run(["maximize", "--alpha", "6", "--family", "inverse-square",
                 "--a", "0.5"]) == EXIT_CONFIG

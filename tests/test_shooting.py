@@ -1,5 +1,7 @@
 """Shooting solver: invariants, residuals and cross-checks."""
 
+import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -125,34 +127,44 @@ def test_rescaled_profile_approaches_bubble(shots):
         assert np.max(np.abs(eta - pf.eta0(r))) < bound
 
 
-def test_pde_residual_small(shots):
-    radii = np.exp(np.linspace(np.log(1e-6), np.log(0.99), 30))
-    assert pde_residual(shots[6.0], radii) < 1e-7
+def test_pde_residual_small():
+    # the flux-form residual stays near the tolerance across the sweep range
+    for family in (trivial, log_power_family):
+        for mu in (3.45, 5.1, 6.0, 12.0, 24.0):
+            assert pde_residual(shoot(mu, family())) <= 1e-7
+
+
+def test_shot_nodes_do_not_grow_like_mu_squared():
+    # without a step cap the adaptive steps widen with t: a cap of 1 in t
+    # took about mu^2 / 2 nodes (391 at mu = 24)
+    assert len(shoot(24.0, trivial()).eta.grid.t_nodes) <= 200
+
+
+def _with_dense_output(sol, eval_state_t):
+    eta = copy.copy(sol.eta)
+    eta.eval_state_t = eval_state_t
+    return dataclasses.replace(sol, eta=eta)
 
 
 def test_pde_residual_detects_corruption(shots):
     sol = shots[6.0]
-    radii = np.exp(np.linspace(np.log(1e-4), np.log(0.9), 10))
 
     def corrupted(t):
-        eta, v = sol.eta.eval_t(t)
-        return eta * (1.0 + 1e-4), v
+        y = sol.eta.eval_state_t(t).copy()
+        y[0] *= 1.0 + 1e-4
+        return y
 
-    assert pde_residual(sol, radii, solution_eval=corrupted) > 1e-5
-    with pytest.raises(ValueError):
-        pde_residual(sol, [1.5])
+    assert pde_residual(_with_dense_output(sol, corrupted)) > 1e-5
 
 
 def test_pde_residual_rejects_nan_solution(shots):
     sol = shots[6.0]
-    radii = np.exp(np.linspace(np.log(1e-4), np.log(0.9), 10))
 
     def nan_eval(t):
-        nan = np.full_like(np.asarray(t, dtype=float), np.nan)
-        return nan, nan
+        return np.full_like(sol.eta.eval_state_t(t), np.nan)
 
     with pytest.raises(IntegrationError):
-        pde_residual(sol, radii, solution_eval=nan_eval)
+        pde_residual(_with_dense_output(sol, nan_eval))
 
 
 @pytest.mark.parametrize("family", [trivial, log_power_family])
