@@ -61,6 +61,11 @@ SLACK = {
     "residual_bound": 1e-7,
 }
 
+# threshold_a: the amplitude bracket of the inverse-square tail and the
+# tolerance of its shots (the other searches shoot at shoot's default)
+A_LO, A_HI = 0.25, 3.0
+THRESHOLD_SHOT_TOL = 1e-10
+
 
 @dataclass
 class ExpansionScan:
@@ -157,8 +162,8 @@ def _z0_solution():
     return solve_linearized(source_z0, r_max=1e6)
 
 
-def residual_hierarchy(mu: float, spec: Optional[PerturbationSpec] = None,
-                       tol: float = 1e-11) -> ResidualReport:
+def residual_hierarchy(mu: float,
+                       spec: Optional[PerturbationSpec] = None) -> ResidualReport:
     """Compare the shot profile to eta0 + w0/mu^2 + z0/mu^4 (+ h(mu) zeta0).
 
     For the unperturbed functional the remainder phi := mu^6 (eta - eta0
@@ -171,7 +176,7 @@ def residual_hierarchy(mu: float, spec: Optional[PerturbationSpec] = None,
     if spec is None:
         spec = trivial()
     perturbed = spec.name != "trivial"
-    sol = shoot(mu, spec, tol=tol)
+    sol = shoot(mu, spec)
     z0 = _z0_solution()
     mu2, mu4 = mu ** 2, mu ** 4
 
@@ -233,35 +238,34 @@ def _brentq(f, lo, hi, what, **kw) -> float:
     return x
 
 
-def threshold_a(mu_probe: float, a_lo: float = 0.25, a_hi: float = 3.0,
-                a_tol: float = 1e-3, tol: float = 1e-10,
-                family=None) -> ThresholdResult:
+def threshold_a(mu_probe: float, a_tol: float = 1e-3) -> ThresholdResult:
     """Find the amplitude of the inverse-square tail where c changes sign.
 
     The energy coefficient of the tail family shifts linearly, c ~ c0 -
     4 pi a, so a single sign change is expected; the asymptotic
     prediction brackets it between a = 1 (lower window coefficient
     vanishes) and a = 3/2 + (sup h)/2 (upper coefficient vanishes).
-    Brent's method on [a_lo, a_hi] returns ``a_crit`` within a_tol/2 of
+    Brent's method on [A_LO, A_HI] returns ``a_crit`` within a_tol/2 of
     the sign change; a_tol must be positive.
     """
+    # imported here, so the family is looked up on the module at call time
     from .perturbations import inverse_square_tail
-    make = family if family is not None else inverse_square_tail
     if not a_tol > 0:
         raise ValueError(f"a_tol must be positive, got {a_tol!r}")
 
     @lru_cache(maxsize=None)
     def c_of(a):
-        sol = shoot(mu_probe, make(a), tol=tol)
+        sol = shoot(mu_probe, inverse_square_tail(a), tol=THRESHOLD_SHOT_TOL)
         return mu_probe ** 4 * (sol.energy_total - FOUR_PI)
 
-    c_lo, c_hi = c_of(a_lo), c_of(a_hi)
+    c_lo, c_hi = c_of(A_LO), c_of(A_HI)
     if c_lo * c_hi > 0:
         raise ValueError(
-            f"no sign change of c on [{a_lo}, {a_hi}]: c={c_lo:.3g}, {c_hi:.3g}")
-    a_crit = _brentq(c_of, a_lo, a_hi, "sign change of c", xtol=0.5 * a_tol)
+            f"no sign change of c on [{A_LO}, {A_HI}]: c={c_lo:.3g}, {c_hi:.3g}")
+    a_crit = _brentq(c_of, A_LO, A_HI, "sign change of c", xtol=0.5 * a_tol)
+    sup_h = inverse_square_tail(a_crit).sup_h
     return ThresholdResult(mu_probe=mu_probe, a_crit=a_crit,
-                           predicted_window=(1.0, 1.5 + 0.5 * make(a_crit).sup_h),
+                           predicted_window=(1.0, 1.5 + 0.5 * sup_h),
                            c_lo=c_lo, c_hi=c_hi)
 
 
@@ -279,21 +283,22 @@ class BranchScan:
 
 def branch_scan(mu_grid: Sequence[float], spec: Optional[PerturbationSpec] = None,
                 lambda_queries: Sequence[float] = (),
-                level_fractions: Sequence[float] = (),
-                tol: float = 1e-11) -> BranchScan:
+                level_fractions: Sequence[float] = ()) -> BranchScan:
     """Sample E(mu), refine its maximum, and solve E(mu) = Lambda levels.
 
-    Lambda* is the grid maximum refined by bounded Brent (mu to 1e-6)
-    between the neighbors of the best sample (no global claim beyond the
-    grid resolution).  Each Lambda in (4 pi, Lambda*) is bracketed on the
-    grid, every bracket is solved by ``brentq`` (mu to about 1e-12), and
-    a root whose |E - Lambda| exceeds ``SLACK["branch_root_tol"]`` raises
-    ``IntegrationError``.  ``level_fractions`` adds queries at Lambda =
-    4 pi + f (Lambda* - 4 pi), resolved after Lambda* is known (f = 0.5 is
-    the midpoint level of the multiplicity theorem).  A grid shot that
-    fails or returns a non-finite energy is recorded in ``failures`` and
-    left out of the branch; if no grid shot succeeds, ``IntegrationError``
-    names them all.
+    Every shot runs at shoot's default tolerance.  Lambda* is the grid
+    maximum refined by bounded Brent (mu to 1e-6) between the neighbors of
+    the best sample (no global claim beyond the grid resolution).  A best
+    sample without a successful neighbor on each side means the grid does
+    not bracket the maximum: ValueError, naming the grid ends.  Each Lambda
+    in (4 pi, Lambda*) is bracketed on the grid, every bracket is solved by
+    ``brentq`` (mu to about 1e-12), and a root whose |E - Lambda| exceeds
+    ``SLACK["branch_root_tol"]`` raises ``IntegrationError``.
+    ``level_fractions`` adds queries at Lambda = 4 pi + f (Lambda* - 4 pi),
+    resolved after Lambda* is known (f = 0.5 is the midpoint level of the
+    multiplicity theorem).  A grid shot that fails or returns a non-finite
+    energy is recorded in ``failures`` and left out of the branch; if no
+    grid shot succeeds, ``IntegrationError`` names them all.
     """
     if spec is None:
         spec = trivial()
@@ -303,7 +308,7 @@ def branch_scan(mu_grid: Sequence[float], spec: Optional[PerturbationSpec] = Non
 
     @lru_cache(maxsize=None)
     def E(mu):
-        return shoot(float(mu), spec, tol=tol).energy_total
+        return shoot(float(mu), spec).energy_total
 
     for i, mu in enumerate(mus):
         try:
@@ -321,8 +326,13 @@ def branch_scan(mu_grid: Sequence[float], spec: Optional[PerturbationSpec] = Non
     pts = list(zip(mus[ok].tolist(), energies[ok].tolist()))
     mu_ok, E_ok = mus[ok], energies[ok]
     i_best = int(np.argmax(E_ok))
-    lo = mu_ok[max(i_best - 1, 0)]
-    hi = mu_ok[min(i_best + 1, len(mu_ok) - 1)]
+    if not 0 < i_best < len(mu_ok) - 1:
+        raise ValueError(
+            f"the largest sampled E(mu) is at mu={float(mu_ok[i_best])!r}, which "
+            f"lacks a successful grid neighbor on one side: the grid "
+            f"[{float(mus[0])!r}, {float(mus[-1])!r}] does not bracket the "
+            f"maximum of E(mu)")
+    lo, hi = mu_ok[i_best - 1], mu_ok[i_best + 1]
     best = minimize_scalar(lambda mu: -E(mu), bounds=(lo, hi),
                            method="bounded", options={"xatol": 1e-6})
     if not best.success:
@@ -371,7 +381,7 @@ def verify_branch_root(mu: float, lam: float,
     """Fresh shoot at a claimed root: (|E - Lambda|, flux-form PDE residual)."""
     if spec is None:
         spec = trivial()
-    sol = shoot(mu, spec, tol=1e-11)
+    sol = shoot(mu, spec)
     return abs(sol.energy_total - lam), pde_residual(sol)
 
 

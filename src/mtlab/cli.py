@@ -68,6 +68,10 @@ def _add_family_flags(p: argparse.ArgumentParser, default: str = "trivial"):
 
 
 def cmd_profiles(args) -> int:
+    # written so that a NaN fails the test
+    if not 0.0 < args.r_min <= args.r_max < np.inf:
+        raise ValueError("need 0 < r_min <= r_max < inf, got "
+                         f"r_min={args.r_min}, r_max={args.r_max}")
     rs = np.exp(np.linspace(np.log(args.r_min), np.log(args.r_max), args.n))
     cols = ["eta0", "w0", "zeta0", "psi", "psi0", "xi"]
     _write(args, _csv(["r"] + cols,
@@ -155,8 +159,6 @@ def cmd_branch(args) -> int:
 
 
 def cmd_maximize(args) -> int:
-    if not (0.0 < args.alpha < 4.0 * np.pi):
-        raise ValueError("alpha must lie in (0, 4 pi)")
     res = maximizer.maximize_subcritical(
         args.alpha, _family(args), n_nodes=args.n_nodes,
         max_iter=args.max_iter)

@@ -27,6 +27,8 @@ __all__ = [
     "extract_log_slope",
 ]
 
+LINEARIZED_TOL = 1e-12  # relative and absolute tolerance of solve_linearized
+
 
 def source_w0(r):
     """f = eta0 + eta0^2 (produces the profile w0)."""
@@ -74,11 +76,11 @@ def source_za_minus_z0(a: float) -> Callable:
     return f
 
 
-def solve_linearized(source: Callable, r_max: float = 1e6,
-                     tol: float = 1e-12) -> RadialSolution:
+def solve_linearized(source: Callable, r_max: float = 1e6) -> RadialSolution:
     """Solve -Delta w = 4 e^{2 eta0}(source(r) + 2 w), w(0) = w'(0) = 0.
 
     ``source`` is a radial rule with at most log^4 growth; r_max <= 1e8.
+    Both tolerances of the integrator are LINEARIZED_TOL.
     """
     if r_max > 1e8:
         raise ValueError("r_max must be <= 1e8")
@@ -88,7 +90,8 @@ def solve_linearized(source: Callable, r_max: float = 1e6,
         one = 1.0 + r * r
         return np.array([y[1], -r * r * (4.0 / (one * one) * (source(r) + 2.0 * y[0]))])
 
-    return solve(state, -4.0 * float(source(0.0)), np.log(r_max), tol, tol)
+    return solve(state, -4.0 * float(source(0.0)), np.log(r_max),
+                 LINEARIZED_TOL, LINEARIZED_TOL)
 
 
 def extract_log_slope(sol: RadialSolution, r_lo: float = 1e3,

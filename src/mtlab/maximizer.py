@@ -2,7 +2,10 @@
 
 Maximizes F(u) = int_{B_1} (1 + g(u)) e^{u^2} dx over radial u in H^1_0
 with Dirichlet energy ||grad u||^2 = alpha < 4 pi, by projected gradient
-ascent on a log-spaced grid.  The ascent direction is the H^1-Riesz
+ascent on a log-spaced grid from the flat start 1 - r^2.  By Carleson-Chang
+the maximizer is the radial critical point at energy alpha, so its value
+converges under mesh refinement to the shooting branch's F at the root of
+E(mu) = alpha (the tests check this).  The ascent direction is the H^1-Riesz
 representative of dF (the solution of the discrete radial Poisson
 problem), which keeps the iteration count essentially mesh independent;
 the constraint is enforced by exact rescaling, valid because F increases
@@ -34,7 +37,6 @@ from .radial_ode import IntegrationError
 __all__ = [
     "RadialField",
     "MaximizerResult",
-    "moser_start",
     "parabolic_start",
     "maximize_subcritical",
     "pointwise_moser_bound",
@@ -47,6 +49,9 @@ __all__ = [
 FOUR_PI = 4.0 * np.pi
 GAUSS_ORDER = 5  # Gauss-Legendre points per segment
 JSON_MAX_NODES = 512  # field nodes kept by result_to_json
+R_MIN = 1e-8  # innermost grid radius; the cap [0, R_MIN] holds u(R_MIN)
+ASCENT_TOL = 1e-12  # relative gain in F below which the ascent stops
+MOSER_BOUND_EPS = 1e-8  # additive slack of the pointwise Moser bound
 
 
 def lambda1_disk() -> float:
@@ -164,25 +169,9 @@ def _project(field: RadialField, alpha: float) -> None:
     field.values *= np.sqrt(alpha / field.energy())
 
 
-def moser_start(alpha: float, r_min: float = 1e-8, n_nodes: int = 4096,
-                concentration: float = 0.5) -> RadialField:
-    """Truncated-logarithm profile scaled to energy alpha.
-
-    The profile is min(-t, L) with the plateau starting at fraction
-    ``concentration`` of the grid depth, the classical near-extremal
-    shape for the exponential functional.
-    """
-    t = np.linspace(np.log(r_min), 0.0, n_nodes)
-    L = -concentration * t[0]
-    f = RadialField(t, np.minimum(-t, L))
-    _project(f, alpha)
-    return f
-
-
-def parabolic_start(alpha: float, r_min: float = 1e-8,
-                    n_nodes: int = 4096) -> RadialField:
+def parabolic_start(alpha: float, n_nodes: int = 4096) -> RadialField:
     """Profile 1 - r^2 scaled to energy alpha (flat, non-concentrated)."""
-    t = np.linspace(np.log(r_min), 0.0, n_nodes)
+    t = np.linspace(np.log(R_MIN), 0.0, n_nodes)
     f = RadialField(t, 1.0 - np.exp(2.0 * t))
     _project(f, alpha)
     return f
@@ -196,7 +185,6 @@ class MaximizerResult:
     lambda_hat: float
     iterations: int
     converged: bool
-    start_name: str
 
 
 def _require_finite(x, what: str, it: int) -> None:
@@ -205,7 +193,7 @@ def _require_finite(x, what: str, it: int) -> None:
 
 
 def _ascend(field: RadialField, alpha: float, spec: PerturbationSpec,
-            tol: float, max_iter: int) -> Tuple[RadialField, float, int, bool]:
+            max_iter: int) -> Tuple[RadialField, float, int, bool]:
     """Projected ascent from ``field``; raises IntegrationError on NaN/inf."""
     _project(field, alpha)
     value = functional_value(field, spec)
@@ -232,20 +220,20 @@ def _ascend(field: RadialField, alpha: float, spec: PerturbationSpec,
             break
         gain = (trial_value - value) / max(abs(value), 1.0)
         field, value = trial, trial_value
-        if gain < tol:
+        if gain < ASCENT_TOL:
             converged = True
             break
     return field, value, it, converged
 
 
 def maximize_subcritical(alpha: float, spec: Optional[PerturbationSpec] = None,
-                         r_min: float = 1e-8, n_nodes: int = 4096,
-                         tol: float = 1e-12, max_iter: int = 200) -> MaximizerResult:
-    """Projected H^1 gradient ascent with two starts (Moser and parabolic).
+                         n_nodes: int = 4096, max_iter: int = 200) -> MaximizerResult:
+    """Projected H^1 gradient ascent from the parabolic start.
 
-    Returns the better of the two converged runs; ``converged`` is False
-    only if the reported run hit ``max_iter`` while still improving.  A
-    family without g (only h) has no functional to maximize: ValueError.
+    The ascent stops once an accepted step gains less than ASCENT_TOL in F
+    (relative) or no step size improves F; ``converged`` is False only if
+    it hit ``max_iter`` while still improving.  A family without g (only
+    h) has no functional to maximize: ValueError.
     """
     if not (0.0 < alpha < FOUR_PI):
         raise ValueError("alpha must lie in (0, 4 pi)")
@@ -253,15 +241,11 @@ def maximize_subcritical(alpha: float, spec: Optional[PerturbationSpec] = None,
     if spec.g is None:
         raise ValueError(f"family {spec.name!r} defines no g, "
                          "so the functional is undefined")
-    starts = (("moser", moser_start(alpha, r_min, n_nodes)),
-              ("parabolic", parabolic_start(alpha, r_min, n_nodes)))
-    runs = [_ascend(start, alpha, spec, tol, max_iter) + (name,)
-            for name, start in starts]
-    field, value, its, conv, name = max(runs, key=lambda run: run[1])
+    field, value, its, conv = _ascend(parabolic_start(alpha, n_nodes), alpha,
+                                      spec, max_iter)
     lam, _ = multiplier_estimate_field(field, spec)
     return MaximizerResult(field=field, alpha=alpha, value=value,
-                           lambda_hat=lam, iterations=its, converged=conv,
-                           start_name=name)
+                           lambda_hat=lam, iterations=its, converged=conv)
 
 
 @dataclass
@@ -271,11 +255,10 @@ class MoserBoundReport:
     first_violation_r: Optional[float]
 
 
-def pointwise_moser_bound(result: MaximizerResult,
-                          eps: float = 1e-8) -> MoserBoundReport:
-    """Check u(r)^2 <= (alpha / 2 pi) log(1/r) + eps at every node."""
+def pointwise_moser_bound(result: MaximizerResult) -> MoserBoundReport:
+    """Check u(r)^2 <= (alpha / 2 pi) log(1/r) + MOSER_BOUND_EPS at every node."""
     f = result.field
-    bound = (result.alpha / (2.0 * np.pi)) * (-f.t_nodes) + eps
+    bound = (result.alpha / (2.0 * np.pi)) * (-f.t_nodes) + MOSER_BOUND_EPS
     excess = f.values ** 2 - bound
     bad = np.flatnonzero(excess > 0.0)
     first = float(np.exp(f.t_nodes[bad[0]])) if len(bad) else None
@@ -319,7 +302,6 @@ def result_to_json(result: MaximizerResult) -> str:
         "lambda_hat": result.lambda_hat,
         "iterations": result.iterations,
         "converged": result.converged,
-        "start": result.start_name,
         "field_t": t[idx].tolist(),
         "field_u": result.field.values[idx].tolist(),
     }

@@ -36,6 +36,8 @@ __all__ = [
     "family_by_name",
 ]
 
+CONDITION_SAMPLES = 25  # t values sampled by check_conditions
+
 
 def _bridge(x):
     """The two exponentials of the cutoff: e^{-1/(x-1)} and e^{-1/(2-x)}.
@@ -200,19 +202,20 @@ def _verdict(q: np.ndarray) -> str:
     return "inconclusive"
 
 
-def check_conditions(spec: PerturbationSpec, t_max: float = 1e6,
-                     n_t: int = 25) -> Dict[str, ConditionReport]:
+def check_conditions(spec: PerturbationSpec,
+                     t_max: float = 1e6) -> Dict[str, ConditionReport]:
     """Sample the two tail conditions on h and classify the trend.
 
     Condition 1: t^2 h(t) -> 0.  Condition 2: the modulus
     t^4 sup_{|s|<=1} |h(t + s(8 log t + 1)/t) - h(t)| -> 0, with the
-    s-supremum taken over a fixed 21-point grid.  The log grid runs from
-    t = 10 to ``t_max``, which must be finite and above 10 (ValueError).
+    s-supremum taken over a fixed 21-point grid.  The log grid of
+    CONDITION_SAMPLES points runs from t = 10 to ``t_max``, which must be
+    finite and above 10 (ValueError).
     """
     # written so that a NaN fails the test
     if not 10.0 < t_max < np.inf:
         raise ValueError(f"need 10 < t_max < inf, got t_max={t_max}")
-    ts = np.exp(np.linspace(np.log(10.0), np.log(t_max), n_t))
+    ts = np.exp(np.linspace(np.log(10.0), np.log(t_max), CONDITION_SAMPLES))
     q1 = ts ** 2 * np.asarray(spec.h(ts), dtype=float)
 
     s_grid = np.linspace(-1.0, 1.0, 21)

@@ -3,7 +3,7 @@
 ``integrate_plane`` evaluates int_{R^2} f dx = 2 pi int_0^inf f(r) r dr for
 radial integrands that decay at least like log^q(r) / r^4.  The range is
 split at r = 1; the outer part is integrated in the log coordinate and cut
-at ``r_cut``, beyond which a closed-form majorant C log^4(r) / r^3 bounds
+at ``R_CUT``, beyond which a closed-form majorant C log^4(r) / r^3 bounds
 the remainder.
 
 ``beta_from_source`` implements the identity
@@ -39,6 +39,7 @@ __all__ = [
 
 PI = np.pi
 ZETA3 = float(zeta(3.0))
+R_CUT = 1e10  # integrate_plane's outer limit; a majorant bounds the rest
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,11 @@ def _tail_integral(r_cut: float) -> float:
     return np.exp(-2.0 * L) * (0.5 * L ** 4 + L ** 3 + 1.5 * L ** 2 + 1.5 * L + 0.75)
 
 
-def integrate_plane(f: Callable, tol: float = 1e-10,
-                    r_cut: float = 1e10) -> QuadratureResult:
+def integrate_plane(f: Callable, tol: float = 1e-10) -> QuadratureResult:
     """Planar integral 2 pi int_0^inf f(r) r dr of a radial integrand.
 
     ``f`` must decay at least like log^4(r) / r^4; the remainder beyond
-    ``r_cut`` is bounded by an empirically calibrated majorant and must fit
+    ``R_CUT`` is bounded by an empirically calibrated majorant and must fit
     within tol/2, otherwise TailBoundError is raised.  A tolerance that is
     not positive (NaN included) raises ValueError.
     """
@@ -78,18 +78,18 @@ def integrate_plane(f: Callable, tol: float = 1e-10,
                                   epsabs=tol / (8 * PI), epsrel=1e-13,
                                   limit=200, full_output=True)[:3]
     outer, err_out, info_out = quad(
-        lambda t: f(np.exp(t)) * np.exp(2.0 * t), 0.0, np.log(r_cut),
+        lambda t: f(np.exp(t)) * np.exp(2.0 * t), 0.0, np.log(R_CUT),
         epsabs=tol / (8 * PI), epsrel=1e-13, limit=400,
         full_output=True)[:3]
 
     # majorant constant from samples near the cut
-    rs = np.exp(np.linspace(np.log(r_cut) - np.log(4.0), np.log(r_cut), 32))
+    rs = np.exp(np.linspace(np.log(R_CUT) - np.log(4.0), np.log(R_CUT), 32))
     fs = np.abs(np.asarray([f(r) for r in rs], dtype=float))
     c_maj = float(np.max(fs * rs ** 4 / np.log(rs) ** 4))
-    tail = 2.0 * PI * 2.0 * c_maj * _tail_integral(r_cut)  # factor-2 slack
+    tail = 2.0 * PI * 2.0 * c_maj * _tail_integral(R_CUT)  # factor-2 slack
     if tail > tol / 2.0:
         raise TailBoundError(
-            f"tail bound {tail:.3e} beyond r_cut={r_cut:.3e} exceeds tol/2={tol / 2:.3e}")
+            f"tail bound {tail:.3e} beyond R_CUT={R_CUT:.3e} exceeds tol/2={tol / 2:.3e}")
 
     value = 2.0 * PI * (inner + outer)
     abs_error = 2.0 * PI * (err_in + err_out) + tail

@@ -56,6 +56,8 @@ MU_MAX = 24.0
 SPLIT_EXPONENT = 3.0  # inner ball of rescaled radius mu^p, p > 2
 TWO_PI = 2.0 * np.pi
 JSON_MAX_NODES = 2048  # profile nodes kept by to_json
+ETA0_SAMPLES = 400  # log-spaced radii checked by comparison_eta0
+ETA0_SLACK = 1e-9  # excess of eta over eta0 that comparison_eta0 allows
 
 
 class EventNotReachedError(RuntimeError):
@@ -218,34 +220,27 @@ class Eta0Comparison:
     max_excess: float
 
 
-def comparison_eta0(sol: ShotSolution, n_samples: int = 400,
-                    slack: float = 1e-9) -> Eta0Comparison:
-    """Check eta <= eta0 on [mu^2, R] (log grid); report the first violation."""
+def comparison_eta0(sol: ShotSolution) -> Eta0Comparison:
+    """Check eta <= eta0 on [mu^2, R] at ETA0_SAMPLES log-spaced radii.
+
+    An excess up to ETA0_SLACK passes; the report names the first violation.
+    """
     t_lo = 2.0 * np.log(sol.mu)
     t_hi = sol.log_R
     if t_hi <= t_lo:
         return Eta0Comparison(True, None, 0.0)
-    ts = np.linspace(t_lo, t_hi, n_samples)
+    ts = np.linspace(t_lo, t_hi, ETA0_SAMPLES)
     eta, _ = sol.eta.eval_t(ts)
-    return _compare_to_eta0(ts, eta, slack)
-
-
-def _compare_to_eta0(ts, eta_vals, slack: float = 1e-9) -> Eta0Comparison:
-    excess = np.asarray(eta_vals) - pf.eta0(np.exp(np.asarray(ts)))
-    bad = np.where(excess > slack)[0]
-    if len(bad):
-        return Eta0Comparison(False, float(np.exp(ts[bad[0]])),
-                              float(np.max(excess)))
-    return Eta0Comparison(True, None, float(np.max(excess)))
+    excess = eta - pf.eta0(np.exp(ts))
+    bad = np.flatnonzero(excess > ETA0_SLACK)
+    first = float(np.exp(ts[bad[0]])) if len(bad) else None
+    return Eta0Comparison(not len(bad), first, float(np.max(excess)))
 
 
 def to_json(sol: ShotSolution) -> str:
     """Serialize scalars plus a profile down-sampled to JSON_MAX_NODES."""
     t = sol.eta.grid.t_nodes
-    if len(t) > JSON_MAX_NODES:
-        idx = np.linspace(0, len(t) - 1, JSON_MAX_NODES).round().astype(int)
-    else:
-        idx = np.arange(len(t))
+    idx = np.linspace(0, len(t) - 1, min(JSON_MAX_NODES, len(t))).round().astype(int)
     payload = {
         "mu": sol.mu,
         "log_R": sol.log_R,

@@ -104,15 +104,17 @@ def test_csv_and_json_renderers(trivial_spec):
 
 
 def test_branch_root_bisection_is_bounded(monkeypatch):
-    # E jumps across the level at mu = 2.5, so no point ever lands within
-    # the root tolerance; the root search must give up instead of spinning
+    # E peaks inside the grid at mu = 2 and jumps across the level at
+    # mu = 2.5, so no point ever lands within the root tolerance; the root
+    # search must give up instead of spinning
     calls = []
 
     def fake_shoot(mu, spec, tol=None):
         calls.append(mu)
         if len(calls) > 1000:
             raise RuntimeError("bisection did not stop")
-        return SimpleNamespace(energy_total=FOUR_PI + (1.0 if mu < 2.5 else 0.0))
+        peak = 1.0 - 0.01 * abs(mu - 2.0)
+        return SimpleNamespace(energy_total=FOUR_PI + (peak if mu < 2.5 else 0.0))
 
     monkeypatch.setattr(analysis, "shoot", fake_shoot)
     with pytest.raises(IntegrationError, match="misses the level"):

@@ -82,6 +82,8 @@ def test_maximize_json(tmp_path):
     assert run(["maximize", "--alpha", "6.28", "--n-nodes", "512",
                 "--output", str(out)]) == EXIT_OK
     payload = json.loads(out.read_text())
+    assert set(payload) == {"alpha", "value", "lambda_hat", "iterations",
+                            "converged", "field_t", "field_u"}
     assert payload["converged"]
 
 
@@ -104,6 +106,16 @@ def test_config_error_exit_code(capsys):
     assert run(["tables", "--tol", "0"]) == EXIT_CONFIG
     assert run(["check-h", "--t-max", "nan"]) == EXIT_CONFIG
     assert run(["check-h", "--t-max", "5"]) == EXIT_CONFIG
+    # profile radii must satisfy 0 < r_min <= r_max < inf
+    for r_min, r_max in (("0", "1e6"), ("-1", "1e6"), ("nan", "1e6"),
+                         ("1e-3", "nan"), ("1e-3", "inf"), ("2", "1")):
+        assert run(["profiles", "--r-min", r_min, "--r-max", r_max,
+                    "--n", "3"]) == EXIT_CONFIG
+    # a branch grid whose best sample sits at an end brackets no maximum
+    assert run(["branch", "--steps", "1"]) == EXIT_CONFIG
+    assert run(["branch", "--mu-from", "5", "--mu-to", "9",
+                "--steps", "5"]) == EXIT_CONFIG
+    assert "does not bracket the maximum" in capsys.readouterr().err
     # the inverse-square tail defines only h, so F(u) is undefined
     assert run(["maximize", "--alpha", "6", "--family", "inverse-square",
                 "--a", "0.5"]) == EXIT_CONFIG

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from mtlab import shooting
 from mtlab.maximizer import (RadialField, _h1_riesz, lambda1_disk,
-                             maximize_subcritical, moser_start,
-                             multiplier_estimate_field,
+                             maximize_subcritical, multiplier_estimate_field,
                              parabolic_start, pointwise_moser_bound,
                              result_to_json, functional_value)
 from mtlab.perturbations import PerturbationSpec, log_power_family, trivial
@@ -45,8 +46,7 @@ def test_functional_value_constant_free_case():
 
 
 def test_starts_satisfy_constraint():
-    for start in (moser_start(2.0), parabolic_start(2.0)):
-        assert start.energy() == pytest.approx(2.0, rel=1e-12)
+    assert parabolic_start(2.0).energy() == pytest.approx(2.0, rel=1e-12)
 
 
 def test_maximize_rejects_supercritical():
@@ -80,6 +80,25 @@ def test_moser_bound_holds():
     report = pointwise_moser_bound(res)
     assert report.holds
     assert report.first_violation_r is None
+
+
+@pytest.mark.parametrize("frac", [0.5, 0.9, 0.999])
+def test_maximizer_converges_to_the_branch_value(frac):
+    # Carleson-Chang: the maximizer at energy alpha is the radial critical
+    # point on the shooting branch with E(mu) = alpha, so its value F_n on
+    # n nodes approaches the branch's F from below at second order
+    alpha = frac * FOUR_PI
+    spec = trivial()
+    root = brentq(lambda mu: shooting.shoot(mu, spec).energy_total - alpha,
+                  0.1, 3.9)
+    f_branch = shooting.functional_value(shooting.shoot(root, spec))
+    gaps = []
+    for n_nodes in (1024, 2048):
+        res = maximize_subcritical(alpha, n_nodes=n_nodes, max_iter=600)
+        assert res.converged
+        gaps.append(f_branch - res.value)
+    assert gaps[0] > 0.0 and gaps[1] > 0.0
+    assert 3.5 <= gaps[0] / gaps[1] <= 4.5
 
 
 def test_perturbed_maximization_increases_value():
