@@ -20,7 +20,7 @@ analysis
 maximizer
     Constrained maximization of the functional at subcritical energy.
 cli
-    Command-line entry point (``mtlab``).
+    Command-line entry point (``mtlab``) and the only CSV/JSON renderer.
 """
 
 __version__ = "0.1.0"

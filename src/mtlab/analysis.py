@@ -11,14 +11,12 @@ and condenses the results into the quantities the theory predicts:
   solutions of E(mu) = Lambda.
 
 All slack constants used by finite-mu window checks live in ``SLACK`` so
-the thresholds are auditable in one place.
+the thresholds are auditable in one place.  The functions return data
+classes; :mod:`mtlab.cli` renders them as CSV or JSON.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -43,10 +41,6 @@ __all__ = [
     "residual_hierarchy",
     "threshold_a",
     "branch_scan",
-    "scan_to_csv",
-    "residuals_to_csv",
-    "branch_to_csv",
-    "branch_summary_json",
 ]
 
 FOUR_PI = 4.0 * np.pi
@@ -71,13 +65,10 @@ THRESHOLD_SHOT_TOL = 1e-10
 class ExpansionScan:
     """Energy coefficients c(mu) = mu^4 (E - 4 pi) along a mu list.
 
-    ``fit`` holds (c_inf, c_1) of the least-squares model
-    c(mu) = c_inf + c_1/mu^2, with the max absolute misfit in
-    ``fit_residual``.  ``window`` is the asymptotic window (widened by
-    slack) that applies to the scanned family, and ``window_ok`` flags
-    each mu against it; the caller decides whether to treat failures as
-    errors.  Shoot failures are recorded in ``failures`` and the scan
-    continues.
+    ``window`` is the asymptotic window (widened by slack) that applies to
+    the scanned family, and ``window_ok`` flags each mu against it; the
+    caller decides whether to treat failures as errors.  Shoot failures are
+    recorded in ``failures`` and the scan continues.
     """
 
     mu_values: np.ndarray
@@ -85,8 +76,6 @@ class ExpansionScan:
     inner_coeffs: np.ndarray
     outer_coeffs: np.ndarray
     energies: np.ndarray
-    fit: Tuple[float, float]
-    fit_residual: float
     window: Tuple[float, float]
     window_ok: List[bool]
     failures: Dict[float, str] = field(default_factory=dict)
@@ -110,7 +99,12 @@ def _window_for(spec: PerturbationSpec) -> Tuple[float, float]:
 
 def energy_scan(mu_list: Sequence[float], spec: PerturbationSpec,
                 tol: float = 1e-11) -> ExpansionScan:
-    """Shoot each mu and collect the energy coefficients and their fit."""
+    """Shoot each mu and collect the energy coefficients.
+
+    An empty ``mu_list`` raises ValueError before any shot.
+    """
+    if not len(mu_list):
+        raise ValueError("empty mu grid: nothing to scan")
     mus, cs, inner, outer, energies = [], [], [], [], []
     failures: Dict[float, str] = {}
     for mu in sorted(mu_list):
@@ -125,22 +119,12 @@ def energy_scan(mu_list: Sequence[float], spec: PerturbationSpec,
         cs.append(mu4 * (sol.energy_total - FOUR_PI))
         inner.append(mu4 * (sol.energy_inner - FOUR_PI))
         outer.append(mu4 * sol.energy_outer)
-    mus_arr = np.asarray(mus)
-    cs_arr = np.asarray(cs)
-    if len(mus) >= 2:
-        design = np.column_stack([np.ones_like(mus_arr), mus_arr ** -2.0])
-        coef, *_ = np.linalg.lstsq(design, cs_arr, rcond=None)
-        fit = (float(coef[0]), float(coef[1]))
-        fit_residual = float(np.max(np.abs(design @ coef - cs_arr)))
-    else:
-        fit, fit_residual = (float("nan"), float("nan")), float("nan")
     window = _window_for(spec)
-    window_ok = [bool(window[0] <= c <= window[1]) for c in cs_arr]
-    return ExpansionScan(mu_values=mus_arr, c_values=cs_arr,
+    window_ok = [bool(window[0] <= c <= window[1]) for c in cs]
+    return ExpansionScan(mu_values=np.asarray(mus), c_values=np.asarray(cs),
                          inner_coeffs=np.asarray(inner),
                          outer_coeffs=np.asarray(outer),
                          energies=np.asarray(energies),
-                         fit=fit, fit_residual=fit_residual,
                          window=window, window_ok=window_ok,
                          failures=failures)
 
@@ -298,10 +282,13 @@ def branch_scan(mu_grid: Sequence[float], spec: Optional[PerturbationSpec] = Non
     resolved after Lambda* is known (f = 0.5 is the midpoint level of the
     multiplicity theorem).  A grid shot that fails or returns a non-finite
     energy is recorded in ``failures`` and left out of the branch; if no
-    grid shot succeeds, ``IntegrationError`` names them all.
+    grid shot succeeds, ``IntegrationError`` names them all.  An empty
+    ``mu_grid`` raises ValueError before any shot.
     """
     if spec is None:
         spec = trivial()
+    if not len(mu_grid):
+        raise ValueError("empty mu grid: no branch to sample")
     mus = np.asarray(sorted(mu_grid), dtype=float)
     energies = np.full_like(mus, np.nan)
     failures: Dict[float, str] = {}
@@ -383,45 +370,3 @@ def verify_branch_root(mu: float, lam: float,
         spec = trivial()
     sol = shoot(mu, spec)
     return abs(sol.energy_total - lam), pde_residual(sol)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _csv(header: Sequence[str], rows) -> str:
-    """CSV text: the header line, then one line per row of cells."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
-
-
-def scan_to_csv(scan: ExpansionScan) -> str:
-    return _csv(["mu", "E", "c", "inner_coeff", "outer_coeff", "in_window"],
-                ([_fmt(mu), _fmt(scan.energies[i]), _fmt(scan.c_values[i]),
-                  _fmt(scan.inner_coeffs[i]), _fmt(scan.outer_coeffs[i]),
-                  int(scan.window_ok[i])]
-                 for i, mu in enumerate(scan.mu_values)))
-
-
-def residuals_to_csv(reports: Sequence[ResidualReport]) -> str:
-    return _csv(["mu", "sup_w_err", "sup_z_err", "phi_over_xi", "delta"],
-                ([_fmt(rep.mu), _fmt(rep.sup_w_err), _fmt(rep.sup_z_err),
-                  _fmt(rep.phi_over_xi), _fmt(rep.delta)] for rep in reports))
-
-
-def branch_to_csv(scan: BranchScan) -> str:
-    return _csv(["mu", "E"], ([_fmt(mu), _fmt(e)] for mu, e in scan.points))
-
-
-def branch_summary_json(scan: BranchScan) -> str:
-    payload = {
-        "lambda_star": scan.lambda_star,
-        "mu_star": scan.mu_star,
-        "pairs": {f"{lam:.17g}": roots for lam, roots in scan.pairs.items()},
-        "notes": {f"{lam:.17g}": note for lam, note in scan.notes.items()},
-        "failures": {f"{mu:.17g}": msg for mu, msg in scan.failures.items()},
-    }
-    return json.dumps(payload, indent=2)

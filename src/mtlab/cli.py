@@ -1,8 +1,13 @@
 """Command-line entry point: scans and checks with CSV/JSON output.
 
+This is the only module that renders: the numerics modules return data
+classes, and each subcommand writes its own CSV or JSON from them.  CSV
+cells carry 17 significant digits, and a JSON profile keeps at most
+SHOT_JSON_NODES (a shot) or FIELD_JSON_NODES (a maximizer field) evenly
+spaced nodes.
+
 Every subcommand is deterministic: re-running with the same flags writes
 byte-identical data files (fixed grids, fixed summation orders, no RNG).
-Numbers are rendered with 17 significant digits.
 
 Exit codes: 0 success, 2 configuration error (bad flags or parameters),
 3 numerical failure (integration, quadrature or root finding did not
@@ -14,16 +19,19 @@ ends the command quietly with exit code 0.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import json
 import os
 import sys
+from typing import Sequence
 
 import numpy as np
 
 from . import analysis, linearized, maximizer, perturbations, profiles, quadrature
-from .analysis import _csv, _fmt
 from .perturbations import family_by_name
 from .radial_ode import IntegrationError, NoCrossingError
-from .shooting import EventNotReachedError, shoot, to_json as shot_to_json
+from .shooting import SPLIT_EXPONENT, EventNotReachedError, shoot
 
 __all__ = ["main"]
 
@@ -31,6 +39,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_ASSERTION = 4
+
+SHOT_JSON_NODES = 2048  # profile nodes kept in the shoot JSON
+FIELD_JSON_NODES = 512  # field nodes kept in the maximize JSON
 
 
 class AssertionFailure(RuntimeError):
@@ -45,6 +56,32 @@ def _write(args, text: str) -> None:
     else:
         with open(args.output, "w", newline="") as fh:
             fh.write(text)
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def _csv(header: Sequence[str], rows) -> str:
+    """CSV text: the header line, then one line per row of cells."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _json(payload: dict, max_nodes: int = 0, **profile) -> str:
+    """JSON text of ``payload`` plus the ``profile`` arrays.
+
+    The arrays share one node axis and keep at most ``max_nodes`` evenly
+    spaced nodes, both ends included.
+    """
+    if profile:
+        n = len(next(iter(profile.values())))
+        idx = np.linspace(0, n - 1, min(max_nodes, n)).round().astype(int)
+        payload.update((k, v[idx].tolist()) for k, v in profile.items())
+    return json.dumps(payload, indent=2)
 
 
 def _family(args) -> perturbations.PerturbationSpec:
@@ -72,6 +109,8 @@ def cmd_profiles(args) -> int:
     if not 0.0 < args.r_min <= args.r_max < np.inf:
         raise ValueError("need 0 < r_min <= r_max < inf, got "
                          f"r_min={args.r_min}, r_max={args.r_max}")
+    if args.n < 1:
+        raise ValueError(f"need n >= 1 radii, got n={args.n}")
     rs = np.exp(np.linspace(np.log(args.r_min), np.log(args.r_max), args.n))
     cols = ["eta0", "w0", "zeta0", "psi", "psi0", "xi"]
     _write(args, _csv(["r"] + cols,
@@ -118,7 +157,17 @@ def cmd_beta(args) -> int:
 def cmd_shoot(args) -> int:
     sol = shoot(args.mu, _family(args), tol=args.tol)
     if args.format == "json":
-        _write(args, shot_to_json(sol))
+        eta = sol.eta
+        _write(args, _json(
+            {"mu": sol.mu, "log_R": sol.log_R, "log_lambda": sol.log_lambda,
+             "energy_total": sol.energy_total,
+             "energy_inner": sol.energy_inner,
+             "energy_outer": sol.energy_outer,
+             "split_exponent": SPLIT_EXPONENT,
+             "family": sol.perturbation.name,
+             "family_params": sol.perturbation.family_params},
+            SHOT_JSON_NODES, profile_t=eta.grid.t_nodes,
+            profile_eta=eta.values, profile_r_deriv=eta.r_derivs))
     else:
         c = args.mu ** 4 * (sol.energy_total - 4.0 * np.pi)
         _write(args, _csv(["mu", "log_R", "log_lambda", "E", "c",
@@ -132,7 +181,11 @@ def cmd_shoot(args) -> int:
 def cmd_scan(args) -> int:
     mus = np.linspace(args.mu_from, args.mu_to, args.steps)
     scan = analysis.energy_scan(mus, _family(args), tol=args.tol)
-    _write(args, analysis.scan_to_csv(scan))
+    _write(args, _csv(
+        ["mu", "E", "c", "inner_coeff", "outer_coeff", "in_window"],
+        ([_fmt(mu), _fmt(scan.energies[i]), _fmt(scan.c_values[i]),
+          _fmt(scan.inner_coeffs[i]), _fmt(scan.outer_coeffs[i]),
+          int(scan.window_ok[i])] for i, mu in enumerate(scan.mu_values))))
     if scan.failures:
         raise IntegrationError(
             "scan failed at mu = " + ", ".join(f"{m:g}" for m in scan.failures))
@@ -142,7 +195,10 @@ def cmd_scan(args) -> int:
 def cmd_residuals(args) -> int:
     spec = _family(args)
     reports = [analysis.residual_hierarchy(mu, spec) for mu in args.mu]
-    _write(args, analysis.residuals_to_csv(reports))
+    _write(args, _csv(
+        ["mu", "sup_w_err", "sup_z_err", "phi_over_xi", "delta"],
+        ([_fmt(rep.mu), _fmt(rep.sup_w_err), _fmt(rep.sup_z_err),
+          _fmt(rep.phi_over_xi), _fmt(rep.delta)] for rep in reports)))
     return EXIT_OK
 
 
@@ -152,9 +208,15 @@ def cmd_branch(args) -> int:
         mus, _family(args), lambda_queries=args.level or (),
         level_fractions=args.level_fraction or ())
     if args.format == "json":
-        _write(args, analysis.branch_summary_json(scan))
+        _write(args, _json({
+            "lambda_star": scan.lambda_star,
+            "mu_star": scan.mu_star,
+            "pairs": {_fmt(lam): roots for lam, roots in scan.pairs.items()},
+            "notes": {_fmt(lam): note for lam, note in scan.notes.items()},
+            "failures": {_fmt(mu): msg for mu, msg in scan.failures.items()}}))
     else:
-        _write(args, analysis.branch_to_csv(scan))
+        _write(args, _csv(["mu", "E"],
+                          ([_fmt(mu), _fmt(e)] for mu, e in scan.points)))
     return EXIT_OK
 
 
@@ -169,7 +231,10 @@ def cmd_maximize(args) -> int:
     if not bound.holds:
         raise AssertionFailure(
             f"pointwise bound violated at r = {bound.first_violation_r!r}")
-    _write(args, maximizer.result_to_json(res))
+    _write(args, _json(
+        {"alpha": res.alpha, "value": res.value, "lambda_hat": res.lambda_hat,
+         "iterations": res.iterations, "converged": res.converged},
+        FIELD_JSON_NODES, field_t=res.field.t_nodes, field_u=res.field.values))
     return EXIT_OK
 
 

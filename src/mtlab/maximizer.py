@@ -19,12 +19,12 @@ a closed inner cap on [0, r_min].
 What depends only on the grid (Gauss points, weights, e^{2t}, stiffnesses
 2 pi / dt, cap area) is a per-grid plan shared by copies of the field, and
 the Riesz solve in flux form is two cumulative sums: a step is loop-free.
+The result is returned as data; :mod:`mtlab.cli` renders it as JSON.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
@@ -43,12 +43,10 @@ __all__ = [
     "MoserBoundReport",
     "multiplier_estimate_field",
     "lambda1_disk",
-    "result_to_json",
 ]
 
 FOUR_PI = 4.0 * np.pi
 GAUSS_ORDER = 5  # Gauss-Legendre points per segment
-JSON_MAX_NODES = 512  # field nodes kept by result_to_json
 R_MIN = 1e-8  # innermost grid radius; the cap [0, R_MIN] holds u(R_MIN)
 ASCENT_TOL = 1e-12  # relative gain in F below which the ascent stops
 MOSER_BOUND_EPS = 1e-8  # additive slack of the pointwise Moser bound
@@ -291,18 +289,3 @@ def multiplier_estimate_field(field: RadialField,
     lam = float(np.dot(b, wgt)) / denom
     resid = float(np.linalg.norm(b - lam * wgt) / max(np.linalg.norm(b), 1e-300))
     return lam, resid
-
-
-def result_to_json(result: MaximizerResult) -> str:
-    t = result.field.t_nodes
-    idx = np.linspace(0, len(t) - 1, min(JSON_MAX_NODES, len(t))).round().astype(int)
-    payload = {
-        "alpha": result.alpha,
-        "value": result.value,
-        "lambda_hat": result.lambda_hat,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "field_t": t[idx].tolist(),
-        "field_u": result.field.values[idx].tolist(),
-    }
-    return json.dumps(payload, indent=2)

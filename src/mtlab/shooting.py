@@ -23,11 +23,11 @@ the mass starts at 0 and so misses pi (1+g(mu)) R_START^2 (3.1e-12 for
 g = 0), as its seed would cost one more g call per shot.
 
 :func:`pde_residual` checks a finished shot against the same state function.
+A shot is returned as data; :mod:`mtlab.cli` renders it as JSON or CSV.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -48,14 +48,12 @@ __all__ = [
     "pde_residual",
     "comparison_eta0",
     "Eta0Comparison",
-    "to_json",
 ]
 
 MU_MIN = 0.05
 MU_MAX = 24.0
 SPLIT_EXPONENT = 3.0  # inner ball of rescaled radius mu^p, p > 2
 TWO_PI = 2.0 * np.pi
-JSON_MAX_NODES = 2048  # profile nodes kept by to_json
 ETA0_SAMPLES = 400  # log-spaced radii checked by comparison_eta0
 ETA0_SLACK = 1e-9  # excess of eta over eta0 that comparison_eta0 allows
 
@@ -235,24 +233,3 @@ def comparison_eta0(sol: ShotSolution) -> Eta0Comparison:
     bad = np.flatnonzero(excess > ETA0_SLACK)
     first = float(np.exp(ts[bad[0]])) if len(bad) else None
     return Eta0Comparison(not len(bad), first, float(np.max(excess)))
-
-
-def to_json(sol: ShotSolution) -> str:
-    """Serialize scalars plus a profile down-sampled to JSON_MAX_NODES."""
-    t = sol.eta.grid.t_nodes
-    idx = np.linspace(0, len(t) - 1, min(JSON_MAX_NODES, len(t))).round().astype(int)
-    payload = {
-        "mu": sol.mu,
-        "log_R": sol.log_R,
-        "log_lambda": sol.log_lambda,
-        "energy_total": sol.energy_total,
-        "energy_inner": sol.energy_inner,
-        "energy_outer": sol.energy_outer,
-        "split_exponent": SPLIT_EXPONENT,
-        "family": sol.perturbation.name,
-        "family_params": sol.perturbation.family_params,
-        "profile_t": t[idx].tolist(),
-        "profile_eta": sol.eta.values[idx].tolist(),
-        "profile_r_deriv": sol.eta.r_derivs[idx].tolist(),
-    }
-    return json.dumps(payload, indent=2)

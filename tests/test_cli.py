@@ -50,12 +50,31 @@ def test_beta_routes_agree(tmp_path):
 def test_shoot_json(tmp_path, capsys):
     assert run(["shoot", "--mu", "6"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"mu", "log_R", "log_lambda", "energy_total",
+                            "energy_inner", "energy_outer", "split_exponent",
+                            "family", "family_params", "profile_t",
+                            "profile_eta", "profile_r_deriv"}
     assert payload["mu"] == 6.0
+    assert payload["family"] == "trivial"
+    assert len(payload["profile_t"]) == len(payload["profile_eta"])
 
 
-def test_scan_deterministic(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    argv = ["scan", "--mu-from", "6", "--mu-to", "8", "--steps", "2"]
+# one cheap argv per subcommand that writes a data file
+DETERMINISM_ARGV = {
+    "shoot": ["shoot", "--mu", "6"],
+    "scan": ["scan", "--mu-from", "6", "--mu-to", "8", "--steps", "2"],
+    "branch": ["branch", "--mu-from", "3", "--mu-to", "5", "--steps", "5"],
+    "maximize": ["maximize", "--alpha", "6.28", "--n-nodes", "256"],
+    "profiles": ["profiles"],
+    "residuals": ["residuals", "--mu", "6"],
+    "check-h": ["check-h"],
+}
+
+
+@pytest.mark.parametrize("argv", DETERMINISM_ARGV.values(),
+                         ids=DETERMINISM_ARGV.keys())
+def test_deterministic(argv, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
     assert run(argv + ["--output", str(a)]) == EXIT_OK
     assert run(argv + ["--output", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
@@ -64,8 +83,9 @@ def test_scan_deterministic(tmp_path):
 def test_residuals_csv(tmp_path):
     out = tmp_path / "r.csv"
     assert run(["residuals", "--mu", "6", "--output", str(out)]) == EXIT_OK
-    assert out.read_text().splitlines()[0] == \
-        "mu,sup_w_err,sup_z_err,phi_over_xi,delta"
+    lines = out.read_text().splitlines()
+    assert lines[0] == "mu,sup_w_err,sup_z_err,phi_over_xi,delta"
+    assert len(lines) == 2
 
 
 def test_branch_json(tmp_path):
@@ -74,7 +94,11 @@ def test_branch_json(tmp_path):
             "--output", str(out)]
     assert run(argv) == EXIT_OK
     payload = json.loads(out.read_text())
+    assert set(payload) == {"lambda_star", "mu_star", "pairs", "notes",
+                            "failures"}
     assert payload["lambda_star"] > 4.0 * np.pi
+    assert run(argv + ["--format", "csv"]) == EXIT_OK
+    assert out.read_text().splitlines()[0] == "mu,E"
 
 
 def test_maximize_json(tmp_path):
@@ -84,7 +108,9 @@ def test_maximize_json(tmp_path):
     payload = json.loads(out.read_text())
     assert set(payload) == {"alpha", "value", "lambda_hat", "iterations",
                             "converged", "field_t", "field_u"}
+    assert payload["alpha"] == 6.28
     assert payload["converged"]
+    assert len(payload["field_t"]) == len(payload["field_u"]) == 512
 
 
 def test_check_h_verdicts(capsys):
@@ -113,6 +139,11 @@ def test_config_error_exit_code(capsys):
                     "--n", "3"]) == EXIT_CONFIG
     # a branch grid whose best sample sits at an end brackets no maximum
     assert run(["branch", "--steps", "1"]) == EXIT_CONFIG
+    # an empty grid is rejected before any shot
+    assert run(["branch", "--steps", "0"]) == EXIT_CONFIG
+    assert run(["scan", "--mu-from", "6", "--mu-to", "8",
+                "--steps", "0"]) == EXIT_CONFIG
+    assert run(["profiles", "--n", "0"]) == EXIT_CONFIG
     assert run(["branch", "--mu-from", "5", "--mu-to", "9",
                 "--steps", "5"]) == EXIT_CONFIG
     assert "does not bracket the maximum" in capsys.readouterr().err
@@ -123,9 +154,12 @@ def test_config_error_exit_code(capsys):
 
 
 def test_numerical_failure_exit_code(capsys):
-    # the scan records a failed mu and the command reports it
+    # the scan writes the rows it has, then reports the failed mu
     assert run(["scan", "--mu-from", "6", "--mu-to", "30",
                 "--steps", "2"]) == EXIT_NUMERICAL
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "mu,E,c,inner_coeff,outer_coeff,in_window"
+    assert len(out) == 2
     # a NaN tolerance rejects every shot, and the scan records them
     assert run(["scan", "--mu-from", "6", "--mu-to", "7", "--steps", "2",
                 "--tol", "nan"]) == EXIT_NUMERICAL

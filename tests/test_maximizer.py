@@ -1,7 +1,5 @@
 """Constrained maximization: energies, invariants and multiplier limits."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,7 @@ from mtlab import shooting
 from mtlab.maximizer import (RadialField, _h1_riesz, lambda1_disk,
                              maximize_subcritical, multiplier_estimate_field,
                              parabolic_start, pointwise_moser_bound,
-                             result_to_json, functional_value)
+                             functional_value)
 from mtlab.perturbations import PerturbationSpec, log_power_family, trivial
 from mtlab.radial_ode import IntegrationError
 
@@ -108,13 +106,6 @@ def test_perturbed_maximization_increases_value():
                                 n_nodes=1024)
     # g >= 0 pointwise, so the perturbed supremum cannot be smaller
     assert pert.value >= plain.value - 1e-9
-
-
-def test_result_json():
-    res = maximize_subcritical(0.5 * FOUR_PI, n_nodes=512)
-    payload = json.loads(result_to_json(res))
-    assert payload["alpha"] == pytest.approx(0.5 * FOUR_PI)
-    assert len(payload["field_t"]) == len(payload["field_u"]) == 512
 
 
 def test_ascent_fails_loudly_on_nan_g():

@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from mtlab.perturbations import inverse_square_tail, log_power_family, trivial
 from mtlab.radial_ode import R_START, IntegrationError
 from mtlab.shooting import (EventNotReachedError, comparison_eta0,
                             functional_value, pde_residual, physical_profile,
-                            shoot, to_json)
+                            shoot)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -251,10 +250,3 @@ def test_vanishing_nonlinearity_misses_event():
         name="near-degenerate")
     with pytest.raises(EventNotReachedError):
         shoot(0.05, weak, tol=1e-9)
-
-
-def test_json_roundtrip(shots):
-    payload = json.loads(to_json(shots[6.0]))
-    assert payload["mu"] == 6.0
-    assert payload["family"] == "trivial"
-    assert len(payload["profile_t"]) == len(payload["profile_eta"])
