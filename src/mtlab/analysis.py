@@ -160,7 +160,7 @@ def residual_hierarchy(mu: float,
     if spec is None:
         spec = trivial()
     perturbed = spec.name != "trivial"
-    sol = shoot(mu, spec)
+    sol = shoot(mu, spec, profile=True)
     z0 = _z0_solution()
     mu2, mu4 = mu ** 2, mu ** 4
 
@@ -368,5 +368,5 @@ def verify_branch_root(mu: float, lam: float,
     """Fresh shoot at a claimed root: (|E - Lambda|, flux-form PDE residual)."""
     if spec is None:
         spec = trivial()
-    sol = shoot(mu, spec)
+    sol = shoot(mu, spec, profile=True)
     return abs(sol.energy_total - lam), pde_residual(sol)

@@ -17,10 +17,21 @@ The Dirichlet energy equals the integral of lambda (1+h(u)) u^2 e^{u^2}
 over the disk, accumulated in rescaled coordinates as an auxiliary ODE
 state together with the exponential mass used by the functional value.
 Both are integrated by one :func:`mtlab.radial_ode.solve` call with
-DOP853, no cap on the step in t = log r and the boundary event as its
-level.  The energy starts from its series value 4 pi (1+h(mu)) R_START^2;
-the mass starts at 0 and so misses pi (1+g(mu)) R_START^2 (3.1e-12 for
-g = 0), as its seed would cost one more g call per shot.
+DOP853, no cap on the step in t = log r, the boundary event as its level
+and the split radius t = SPLIT_EXPONENT log mu as its mark.  The energy
+starts from its series value 4 pi (1+h(mu)) R_START^2; the mass starts at
+0 and so misses pi (1+g(mu)) R_START^2 (3.1e-12 for g = 0), as its seed
+would cost one more g call per shot.
+
+Every number of a shot (log R, the energies, the mass) is read from the
+state at those two events, so :func:`shoot` skips the dense output by
+default: DOP853's continuous extension costs 3 more state-function calls
+per accepted step, about a fifth of a shot's calls, and SciPy builds it
+anyway on the two steps that hold an event.  The steps, and so every
+number, are the same with or without it.  Only a caller that reads the
+profile between nodes (:func:`physical_profile`, :func:`pde_residual`,
+:func:`comparison_eta0`, ``sol.eta.eval*``) passes ``profile=True``; on a
+profile-free shot these raise ValueError.
 
 :func:`pde_residual` checks a finished shot against the same state function.
 A shot is returned as data; :mod:`mtlab.cli` renders it as JSON or CSV.
@@ -68,8 +79,9 @@ class ShotSolution:
 
     Radii and multiplier are stored on log scale: R = r_k^{-1} with
     log lambda = log 4 + 2 log R - mu^2 - 2 log mu, and ``eta`` ends at the
-    boundary event t = log R.  ``exp_mass`` is the rescaled accumulated
-    integral used by :func:`functional_value`.
+    boundary event t = log R; it evaluates between its nodes only for a
+    shot taken with ``profile=True``.  ``exp_mass`` is the rescaled
+    accumulated integral used by :func:`functional_value`.
     """
 
     mu: float
@@ -113,11 +125,14 @@ def _state(mu: float, spec: PerturbationSpec) -> Callable:
     return state
 
 
-def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11) -> ShotSolution:
+def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11,
+          profile: bool = False) -> ShotSolution:
     """Integrate to the boundary event and accumulate energy splits.
 
     The inner energy is taken over the rescaled ball of radius mu^p with
     p = SPLIT_EXPONENT (p > 2 required for the inner/outer expansion).
+    ``profile=True`` keeps the dense output, so that ``eta`` can be
+    evaluated between nodes.
     """
     if not (MU_MIN <= mu <= MU_MAX):
         raise ValueError(f"mu={mu} outside supported range [{MU_MIN}, {MU_MAX}]")
@@ -129,20 +144,23 @@ def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11) -> ShotSolution
     # *relative* accuracy
     abs_tol = np.array([1e-60, 1e-60, tol, tol])
     energy0 = 2.0 * TWO_PI * one_h * R_START * R_START
+    # mu >= MU_MIN puts the split radius mu^p above R_START
+    t_split = SPLIT_EXPONENT * np.log(mu)
     try:
         sol = solve(_state(mu, spec), -4.0 * one_h, 0.55 * mu2 + 10.0, tol,
                     abs_tol, aux={"energy": energy0, "mass": 0.0},
-                    method="DOP853", level=-mu2)
+                    method="DOP853", level=-mu2, marks=(t_split,),
+                    dense=profile)
     except NoCrossingError as exc:
         raise EventNotReachedError(
             f"boundary event eta = -mu^2 not reached for mu={mu} "
             f"(family {spec.name})") from exc
 
     log_R = sol.t_event
-    energy_total = float(sol.eval_aux_t("energy", log_R))
-    # mu >= MU_MIN puts the split radius mu^p above R_START
-    t_split = min(SPLIT_EXPONENT * np.log(mu), log_R)
-    energy_inner = float(sol.eval_aux_t("energy", t_split))
+    energy_total = float(sol.aux("energy", sol.end_state))
+    # a split radius past the boundary leaves the whole energy inner
+    split = sol.mark_states.get(t_split, sol.end_state)
+    energy_inner = float(sol.aux("energy", split))
     return ShotSolution(
         mu=mu,
         log_R=log_R,
@@ -152,7 +170,7 @@ def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11) -> ShotSolution
         energy_outer=energy_total - energy_inner,
         eta=sol,
         perturbation=spec,
-        exp_mass=float(sol.eval_aux_t("mass", log_R)),
+        exp_mass=float(sol.aux("mass", sol.end_state)),
     )
 
 

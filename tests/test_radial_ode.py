@@ -49,6 +49,21 @@ def test_event_location():
     assert sol.t_max == sol.t_event
 
 
+def test_marks_without_dense_output():
+    # each reached mark records the whole state, read off the continuous
+    # extension of its own step; a mark past t_end is absent
+    t10 = np.log(10.0)
+    sol = liouville_solve(np.log(1e3), aux={"mass": 0.0}, marks=(t10, 8.0),
+                          dense=False)
+    assert list(sol.mark_states) == [t10]
+    state = sol.mark_states[t10]
+    assert state[0] == pytest.approx(pf.eta0(10.0), abs=1e-10)
+    assert sol.aux("mass", state) == pytest.approx(4.0 * np.pi * 100.0 / 101.0, rel=1e-9)
+    assert sol.end_state[0] == sol.values[-1]
+    with pytest.raises(ValueError, match="dense output"):
+        sol.eval_t(t10)
+
+
 def test_missing_event_raises():
     with pytest.raises(NoCrossingError):
         liouville_solve(2.0, level=-50.0)

@@ -9,11 +9,12 @@ import pytest
 from mtlab import perturbations
 from mtlab import profiles as pf
 from mtlab import radial_ode
-from mtlab.perturbations import inverse_square_tail, log_power_family, trivial
+from mtlab.perturbations import (inverse_square_tail, log_power_family,
+                                 oscillating_family, trivial)
 from mtlab.radial_ode import R_START, IntegrationError
-from mtlab.shooting import (EventNotReachedError, comparison_eta0,
-                            functional_value, pde_residual, physical_profile,
-                            shoot)
+from mtlab.shooting import (SPLIT_EXPONENT, EventNotReachedError,
+                            comparison_eta0, functional_value, pde_residual,
+                            physical_profile, shoot)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -67,7 +68,7 @@ def test_energy_against_small_mu_physical_quadrature():
     gradient integral 2 pi int (u')^2 r dr is computable from the dense
     profile by plain quadrature.
     """
-    sol = shoot(3.0, trivial())
+    sol = shoot(3.0, trivial(), profile=True)
     t = np.linspace(sol.eta.t_min, sol.log_R, 60_000)
     _, v = sol.eta.eval_t(t)
     # |grad u|^2 dx = 2 pi (u')^2 r dr = 2 pi (v/mu)^2 dt in log radius
@@ -76,7 +77,7 @@ def test_energy_against_small_mu_physical_quadrature():
 
 
 def test_functional_value_against_mass_quadrature():
-    sol = shoot(3.0, trivial())
+    sol = shoot(3.0, trivial(), profile=True)
     t = np.linspace(sol.eta.t_min, sol.log_R, 60_000)
     eta, _ = sol.eta.eval_t(t)
     u = 3.0 + eta / 3.0
@@ -84,6 +85,22 @@ def test_functional_value_against_mass_quadrature():
     mass = 2.0 * np.pi * np.trapezoid(
         np.exp(u * u + 2.0 * t - 2.0 * sol.log_R), t)
     assert functional_value(sol) == pytest.approx(mass, rel=1e-6)
+
+
+@pytest.mark.parametrize("family", [trivial, log_power_family, oscillating_family])
+@pytest.mark.parametrize("mu", [0.5, 3.0, 12.0, 24.0])
+def test_functional_value_against_pohozaev(family, mu):
+    # Pohozaev on the unit disk for -Delta u = lambda (1+h(u)) u e^{u^2},
+    # whose primitive is ((1+g(u)) e^{u^2} - (1+g(0)))/2, gives
+    # int (1+g(u)) e^{u^2} dx = pi (1+g(0)) + pi u'(1)^2 / lambda; in the
+    # rescaled variables u'(1) = v(log R)/mu with v = r eta', the boundary
+    # node of the shot, so no profile between the nodes is needed
+    spec = family()
+    sol = shoot(mu, spec)
+    v = sol.eta.r_derivs[-1]
+    pohozaev = (np.pi * (1.0 + spec.g(0.0))
+                + 0.25 * np.pi * v * v * np.exp(mu * mu - 2.0 * sol.log_R))
+    assert functional_value(sol) == pytest.approx(pohozaev, rel=1e-8)
 
 
 def test_functional_value_needs_g():
@@ -105,7 +122,7 @@ def test_subcritical_mass_bound():
 def test_energy_starts_from_its_series_value(family):
     # the energy inside R_START is 4 pi (1 + h(mu)) R_START^2 to leading order
     spec = family()
-    sol = shoot(6.0, spec)
+    sol = shoot(6.0, spec, profile=True)
     seed = FOUR_PI * (1.0 + spec.h(6.0)) * R_START ** 2
     assert sol.eta.eval_aux_t("energy", sol.eta.t_min) == pytest.approx(seed, rel=1e-12)
 
@@ -130,13 +147,69 @@ def test_pde_residual_small():
     # the flux-form residual stays near the tolerance across the sweep range
     for family in (trivial, log_power_family):
         for mu in (3.45, 5.1, 6.0, 12.0, 24.0):
-            assert pde_residual(shoot(mu, family())) <= 1e-7
+            assert pde_residual(shoot(mu, family(), profile=True)) <= 1e-7
 
 
 def test_shot_nodes_do_not_grow_like_mu_squared():
     # without a step cap the adaptive steps widen with t: a cap of 1 in t
     # took about mu^2 / 2 nodes (391 at mu = 24)
     assert len(shoot(24.0, trivial()).eta.grid.t_nodes) <= 200
+
+
+@pytest.fixture(scope="module")
+def profile_free_shot():
+    return shoot(6.0, trivial())
+
+
+@pytest.mark.parametrize("read", [
+    lambda sol: sol.eta.eval_state_t(1.0),
+    lambda sol: sol.eta.eval_t(1.0),
+    lambda sol: sol.eta.eval(2.0),
+    lambda sol: sol.eta.eval_aux_t("energy", 1.0),
+    lambda sol: physical_profile(sol, 0.5),
+    pde_residual,
+    comparison_eta0,
+], ids=["eval_state_t", "eval_t", "eval", "eval_aux_t", "physical_profile",
+        "pde_residual", "comparison_eta0"])
+def test_profile_free_shot_refuses_profile_reads(profile_free_shot, read):
+    with pytest.raises(ValueError, match=r"profile=True"):
+        read(profile_free_shot)
+
+
+@pytest.mark.parametrize("family", [
+    trivial, log_power_family, lambda: inverse_square_tail(a=1.3)],
+    ids=["trivial", "log-power", "inverse-square"])
+@pytest.mark.parametrize("mu", [0.5, 2.0, 6.0, 24.0])
+def test_profile_does_not_change_the_shot(family, mu):
+    # dense output is built after each step and never feeds step control
+    plain, dense = shoot(mu, family()), shoot(mu, family(), profile=True)
+    for name in ("log_R", "energy_total", "energy_inner", "exp_mass"):
+        assert getattr(plain, name) == getattr(dense, name), name
+    assert np.array_equal(plain.eta.grid.t_nodes, dense.eta.grid.t_nodes)
+    # a boundary event before the split radius leaves all the energy inner:
+    # at mu = 2 it does for trivial and log-power (log R = 1.93 < 3 log 2)
+    split_first = SPLIT_EXPONENT * np.log(mu) < plain.log_R
+    assert (plain.energy_inner == plain.energy_total) != split_first
+
+
+@pytest.mark.parametrize("mu", [1.0, 3.0, 12.0, 24.0])
+def test_profile_free_shot_skips_the_dense_output_calls(monkeypatch, mu):
+    # DOP853's continuous extension costs 3 state-function calls per accepted
+    # step; a profile-free shot pays them only on the two steps holding the
+    # split mark and the boundary event
+    nfev = []
+    solve_ivp = radial_ode.solve_ivp
+
+    def recording_solve_ivp(*args, **kwargs):
+        res = solve_ivp(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(radial_ode, "solve_ivp", recording_solve_ivp)
+    plain = shoot(mu, trivial())
+    shoot(mu, trivial(), profile=True)
+    steps = len(plain.eta.grid.t_nodes) - 1
+    assert nfev[1] - nfev[0] == 3 * (steps - 2)
 
 
 def _with_dense_output(sol, eval_state_t):
