@@ -275,9 +275,11 @@ def branch_scan(mu_grid: Sequence[float], spec: Optional[PerturbationSpec] = Non
     the best sample (no global claim beyond the grid resolution).  A best
     sample without a successful neighbor on each side means the grid does
     not bracket the maximum: ValueError, naming the grid ends.  Each Lambda
-    in (4 pi, Lambda*) is bracketed on the grid, every bracket is solved by
-    ``brentq`` (mu to about 1e-12), and a root whose |E - Lambda| exceeds
-    ``SLACK["branch_root_tol"]`` raises ``IntegrationError``.
+    below Lambda*, 4 pi and subcritical levels included, is bracketed on
+    the grid, every bracket is solved by ``brentq`` (mu to about 1e-12),
+    and a root whose |E - Lambda| exceeds ``SLACK["branch_root_tol"]``
+    raises ``IntegrationError``; a level at or above Lambda* gets no roots
+    and a note.
     ``level_fractions`` adds queries at Lambda = 4 pi + f (Lambda* - 4 pi),
     resolved after Lambda* is known (f = 0.5 is the midpoint level of the
     multiplicity theorem).  A grid shot that fails or returns a non-finite
@@ -335,7 +337,7 @@ def branch_scan(mu_grid: Sequence[float], spec: Optional[PerturbationSpec] = Non
         FOUR_PI + f * (lambda_star - FOUR_PI) for f in level_fractions]
     for lam in queries:
         lam = float(lam)
-        if not (FOUR_PI < lam < lambda_star):
+        if lam >= lambda_star:
             pairs[lam] = []
             notes[lam] = (f"level {lam:.6g} outside (4 pi, Lambda*) = "
                           f"({FOUR_PI:.6g}, {lambda_star:.6g}); no roots sought")

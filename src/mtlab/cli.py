@@ -226,14 +226,16 @@ def cmd_maximize(args) -> int:
         max_iter=args.max_iter)
     if not res.converged:
         raise IntegrationError(
-            f"ascent still improving after {res.iterations} iterations")
+            f"ascent not stationary after {res.iterations} iterations: "
+            f"sin theta = {res.stationarity:.3g} >= {maximizer.ASCENT_TOL:g}")
     bound = maximizer.pointwise_moser_bound(res)
     if not bound.holds:
         raise AssertionFailure(
             f"pointwise bound violated at r = {bound.first_violation_r!r}")
     _write(args, _json(
         {"alpha": res.alpha, "value": res.value, "lambda_hat": res.lambda_hat,
-         "iterations": res.iterations, "converged": res.converged},
+         "iterations": res.iterations, "converged": res.converged,
+         "stationarity": res.stationarity},
         FIELD_JSON_NODES, field_t=res.field.t_nodes, field_u=res.field.values))
     return EXIT_OK
 

@@ -5,11 +5,14 @@ with Dirichlet energy ||grad u||^2 = alpha < 4 pi, by projected gradient
 ascent on a log-spaced grid from the flat start 1 - r^2.  By Carleson-Chang
 the maximizer is the radial critical point at energy alpha, so its value
 converges under mesh refinement to the shooting branch's F at the root of
-E(mu) = alpha (the tests check this).  The ascent direction is the H^1-Riesz
+E(mu) = alpha (the tests check this).  The ascent direction d is the H^1-Riesz
 representative of dF (the solution of the discrete radial Poisson
 problem), which keeps the iteration count essentially mesh independent;
 the constraint is enforced by exact rescaling, valid because F increases
-under scaling up for the admissible weights.
+under scaling up for the admissible weights.  A discrete critical point is
+a u parallel to d in the H^1 metric: the ascent stops, ``converged``, once
+the sine of their angle is below ASCENT_TOL, and the multiplier is the
+energy identity alpha = lambda int (1+h(u)) u^2 e^{u^2} dx, on any grid.
 
 The discrete field is piecewise linear in t = log r, for which the
 Dirichlet energy has the exact per-segment form 2 pi (du)^2 / dt and the
@@ -48,7 +51,7 @@ __all__ = [
 FOUR_PI = 4.0 * np.pi
 GAUSS_ORDER = 5  # Gauss-Legendre points per segment
 R_MIN = 1e-8  # innermost grid radius; the cap [0, R_MIN] holds u(R_MIN)
-ASCENT_TOL = 1e-12  # relative gain in F below which the ascent stops
+ASCENT_TOL = 1e-6  # sine of the H^1 angle between u and d at the stop
 MOSER_BOUND_EPS = 1e-8  # additive slack of the pointwise Moser bound
 
 
@@ -68,8 +71,8 @@ class RadialField:
     def __init__(self, t_nodes: np.ndarray, values: np.ndarray):
         t_nodes = np.asarray(t_nodes, dtype=float)
         values = np.asarray(values, dtype=float).copy()
-        if t_nodes.ndim != 1 or np.any(np.diff(t_nodes) <= 0):
-            raise ValueError("t_nodes must be strictly increasing")
+        if t_nodes.ndim != 1 or len(t_nodes) < 2 or np.any(np.diff(t_nodes) <= 0):
+            raise ValueError("t_nodes must be two or more strictly increasing values")
         if abs(t_nodes[-1]) > 1e-14:
             raise ValueError("last node must sit at r = 1 (t = 0)")
         if len(values) != len(t_nodes):
@@ -183,11 +186,26 @@ class MaximizerResult:
     lambda_hat: float
     iterations: int
     converged: bool
+    stationarity: float  # sin of the H^1 angle between u and d at the end
 
 
 def _require_finite(x, what: str, it: int) -> None:
     if not np.all(np.isfinite(x)):
         raise IntegrationError(f"non-finite {what} at ascent iteration {it}")
+
+
+def _stationarity(field: RadialField, grad: np.ndarray,
+                  direction: np.ndarray) -> Tuple[float, float]:
+    """(lambda, sin theta) from dF = ``grad`` and its Riesz representative d.
+
+    In the H^1 metric <u, d> = u.G, |d|^2 = d.G and |u|^2 = E, so
+    sin theta = sqrt(1 - (u.G)^2 / (E d.G)); lambda = 2 E / (u.G) is the
+    energy identity, since u.G = 2 int (1+h(u)) u^2 e^{u^2} dx.
+    """
+    energy = field.energy()
+    ug = np.dot(field.values, grad)
+    sin2 = 1.0 - ug * ug / (energy * np.dot(direction, grad))
+    return float(2.0 * energy / ug), float(np.sqrt(max(sin2, 0.0)))
 
 
 def _ascend(field: RadialField, alpha: float, spec: PerturbationSpec,
@@ -196,13 +214,13 @@ def _ascend(field: RadialField, alpha: float, spec: PerturbationSpec,
     _project(field, alpha)
     value = functional_value(field, spec)
     _require_finite(value, "functional value", 0)
-    converged = False
-    it = 0
     for it in range(1, max_iter + 1):
         grad = _functional_gradient(field, spec)
         _require_finite(grad, "gradient", it)
         direction = _h1_riesz(field, grad)
         _require_finite(direction, "ascent direction", it)
+        if _stationarity(field, grad, direction)[1] < ASCENT_TOL:
+            return field, value, it, True
         step = 1.0
         while step > 1e-12:
             trial = field.copy()
@@ -213,37 +231,35 @@ def _ascend(field: RadialField, alpha: float, spec: PerturbationSpec,
             if trial_value > value:
                 break
             step *= 0.5
-        else:  # no step size improves F
-            converged = True
+        else:  # no step size improves F short of the stop
             break
-        gain = (trial_value - value) / max(abs(value), 1.0)
         field, value = trial, trial_value
-        if gain < ASCENT_TOL:
-            converged = True
-            break
-    return field, value, it, converged
+    return field, value, it, False
 
 
 def maximize_subcritical(alpha: float, spec: Optional[PerturbationSpec] = None,
                          n_nodes: int = 4096, max_iter: int = 200) -> MaximizerResult:
     """Projected H^1 gradient ascent from the parabolic start.
 
-    The ascent stops once an accepted step gains less than ASCENT_TOL in F
-    (relative) or no step size improves F; ``converged`` is False only if
-    it hit ``max_iter`` while still improving.  A family without g (only
-    h) has no functional to maximize: ValueError.
+    ``converged`` is True only at the stop on sin theta < ASCENT_TOL, not
+    when ``max_iter`` or the line search runs out first.  An alpha outside
+    (0, 4 pi), ``max_iter`` < 1 or a family without g (only h) raise
+    ValueError.
     """
     if not (0.0 < alpha < FOUR_PI):
         raise ValueError("alpha must lie in (0, 4 pi)")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     spec = spec or trivial()
     if spec.g is None:
         raise ValueError(f"family {spec.name!r} defines no g, "
                          "so the functional is undefined")
     field, value, its, conv = _ascend(parabolic_start(alpha, n_nodes), alpha,
                                       spec, max_iter)
-    lam, _ = multiplier_estimate_field(field, spec)
+    lam, sin_theta = multiplier_estimate_field(field, spec)
     return MaximizerResult(field=field, alpha=alpha, value=value,
-                           lambda_hat=lam, iterations=its, converged=conv)
+                           lambda_hat=lam, iterations=its, converged=conv,
+                           stationarity=sin_theta)
 
 
 @dataclass
@@ -265,27 +281,9 @@ def pointwise_moser_bound(result: MaximizerResult) -> MoserBoundReport:
 
 def multiplier_estimate_field(field: RadialField,
                               spec: PerturbationSpec) -> Tuple[float, float]:
-    """Least-squares multiplier of -Delta u = lambda (1+h(u)) u e^{u^2}.
+    """(lambda_hat, sin theta) for -Delta u = lambda (1+h(u)) u e^{u^2}.
 
-    The fit is done in the log coordinate, where the equation reads
-    -u_tt = lambda e^{2t} (1+h(u)) u e^{u^2}; this avoids multiplying
-    the second-difference noise of the innermost nodes by e^{-2t}.
-    The fit leaves out the two nodes at each end of the grid.  Needs a
-    uniform grid: spacings that vary by over 1e-9 relative raise.
-    Returns (lambda_hat, relative residual of the least-squares fit).
+    sin theta is 0 exactly at a discrete critical point of F on the sphere.
     """
-    t, u = field.t_nodes, field.values
-    dt = t[1] - t[0]
-    if np.ptp(np.diff(t)) > 1e-9 * dt:
-        raise ValueError("multiplier estimate needs a uniform t grid")
-    u_tt = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dt * dt)
-    uu = u[1:-1]
-    h = spec.h(np.maximum(np.abs(uu), 1e-12))
-    w = np.exp(2.0 * t[1:-1]) * (1.0 + h) * uu * np.exp(uu * uu)
-    b, wgt = (-u_tt)[1:-1], w[1:-1]
-    denom = float(np.dot(wgt, wgt))
-    if denom == 0.0:
-        raise ValueError("degenerate field: zero nonlinearity weight")
-    lam = float(np.dot(b, wgt)) / denom
-    resid = float(np.linalg.norm(b - lam * wgt) / max(np.linalg.norm(b), 1e-300))
-    return lam, resid
+    grad = _functional_gradient(field, spec)
+    return _stationarity(field, grad, _h1_riesz(field, grad))

@@ -1,11 +1,19 @@
-"""Shared fixtures: expensive shots and tables are computed once per session."""
+"""Shared fixtures: expensive shots and tables are computed once per session.
+
+Hypothesis runs derandomized, so every property test draws the same
+examples on every run and a tier-1 result is reproducible.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mtlab.perturbations import trivial
 from mtlab.quadrature import integral_tables
 from mtlab.shooting import shoot
+
+settings.register_profile("reproducible", derandomize=True)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture(scope="session")

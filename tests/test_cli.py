@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mtlab
-from mtlab import cli
+from mtlab import cli, maximizer
 from mtlab.cli import (EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                        main)
 from mtlab.perturbations import PerturbationSpec
@@ -107,9 +107,10 @@ def test_maximize_json(tmp_path):
                 "--output", str(out)]) == EXIT_OK
     payload = json.loads(out.read_text())
     assert set(payload) == {"alpha", "value", "lambda_hat", "iterations",
-                            "converged", "field_t", "field_u"}
+                            "converged", "stationarity", "field_t", "field_u"}
     assert payload["alpha"] == 6.28
     assert payload["converged"]
+    assert payload["stationarity"] < maximizer.ASCENT_TOL
     assert len(payload["field_t"]) == len(payload["field_u"]) == 512
 
 
@@ -125,6 +126,9 @@ def test_config_error_exit_code(capsys):
     assert run(["shoot", "--mu", "6", "--tol", "nan"]) == EXIT_CONFIG
     assert run(["beta", "--r-max", "nan"]) == EXIT_CONFIG
     assert run(["maximize", "--alpha", "100"]) == EXIT_CONFIG
+    # a field needs a segment, and an ascent at least one iteration
+    assert run(["maximize", "--alpha", "6", "--n-nodes", "0"]) == EXIT_CONFIG
+    assert run(["maximize", "--alpha", "6", "--max-iter", "0"]) == EXIT_CONFIG
     assert run(["check-h", "--family", "log-power", "--p", "1.5"]) == EXIT_CONFIG
     # a quadrature tolerance must be positive, and the condition grid must
     # run forward from t = 10 to a finite end

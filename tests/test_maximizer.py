@@ -4,17 +4,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from mtlab import shooting
-from mtlab.maximizer import (RadialField, _h1_riesz, lambda1_disk,
-                             maximize_subcritical, multiplier_estimate_field,
-                             parabolic_start, pointwise_moser_bound,
-                             functional_value)
+from mtlab.analysis import branch_scan
+from mtlab.maximizer import (ASCENT_TOL, RadialField, _functional_gradient,
+                             _h1_riesz, lambda1_disk, maximize_subcritical,
+                             multiplier_estimate_field, parabolic_start,
+                             pointwise_moser_bound, functional_value)
 from mtlab.perturbations import PerturbationSpec, log_power_family, trivial
 from mtlab.radial_ode import IntegrationError
 
 FOUR_PI = 4.0 * np.pi
+BRANCH_FRACS = (0.5, 0.9, 0.999)
+
+
+@pytest.fixture(scope="module")
+def branch_roots():
+    """The root of E(mu) = frac 4 pi for each frac, from one branch scan."""
+    levels = [frac * FOUR_PI for frac in BRANCH_FRACS]
+    # the grid brackets the maximum of E at mu* = 3.98
+    scan = branch_scan(np.linspace(0.5, 6.0, 12), trivial(),
+                       lambda_queries=levels)
+    return {frac: scan.pairs[lam] for frac, lam in zip(BRANCH_FRACS, levels)}
 
 
 def test_lambda1_value():
@@ -34,6 +45,9 @@ def test_field_validation():
         RadialField(np.array([-1.0, -2.0, 0.0]), np.zeros(3))  # not increasing
     with pytest.raises(ValueError):
         RadialField(np.array([-1.0, -0.5]), np.zeros(2))       # last not at 0
+    for n_nodes in (0, 1):  # no segment
+        with pytest.raises(ValueError, match="two or more"):
+            RadialField(np.zeros(n_nodes), np.zeros(n_nodes))
 
 
 def test_functional_value_constant_free_case():
@@ -52,11 +66,14 @@ def test_maximize_rejects_supercritical():
         maximize_subcritical(FOUR_PI)
     with pytest.raises(ValueError):
         maximize_subcritical(0.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        maximize_subcritical(0.5 * FOUR_PI, max_iter=0)
 
 
 def test_half_critical_value_below_two_pi():
     res = maximize_subcritical(0.5 * FOUR_PI, n_nodes=1024)
     assert res.converged
+    assert res.stationarity < ASCENT_TOL
     assert res.value <= 2.0 * np.pi + 1e-6
     assert res.value > np.pi  # beats the zero field
 
@@ -80,16 +97,14 @@ def test_moser_bound_holds():
     assert report.first_violation_r is None
 
 
-@pytest.mark.parametrize("frac", [0.5, 0.9, 0.999])
-def test_maximizer_converges_to_the_branch_value(frac):
+@pytest.mark.parametrize("frac", BRANCH_FRACS)
+def test_maximizer_converges_to_the_branch_value(frac, branch_roots):
     # Carleson-Chang: the maximizer at energy alpha is the radial critical
     # point on the shooting branch with E(mu) = alpha, so its value F_n on
     # n nodes approaches the branch's F from below at second order
     alpha = frac * FOUR_PI
-    spec = trivial()
-    root = brentq(lambda mu: shooting.shoot(mu, spec).energy_total - alpha,
-                  0.1, 3.9)
-    f_branch = shooting.functional_value(shooting.shoot(root, spec))
+    (root,) = branch_roots[frac]
+    f_branch = shooting.functional_value(shooting.shoot(root, trivial()))
     gaps = []
     for n_nodes in (1024, 2048):
         res = maximize_subcritical(alpha, n_nodes=n_nodes, max_iter=600)
@@ -97,6 +112,17 @@ def test_maximizer_converges_to_the_branch_value(frac):
         gaps.append(f_branch - res.value)
     assert gaps[0] > 0.0 and gaps[1] > 0.0
     assert 3.5 <= gaps[0] / gaps[1] <= 4.5
+
+
+@pytest.mark.parametrize("frac", BRANCH_FRACS)
+def test_maximizer_multiplier_matches_the_branch(frac, branch_roots):
+    # Carleson-Chang again: the identity multiplier of the stopped field is
+    # the branch's lambda at the same energy, up to the stop and the mesh
+    (root,) = branch_roots[frac]
+    lam_branch = np.exp(shooting.shoot(root, trivial()).log_lambda)
+    res = maximize_subcritical(frac * FOUR_PI, n_nodes=4096, max_iter=600)
+    assert res.converged
+    assert abs(res.lambda_hat - lam_branch) <= 1e-5
 
 
 def test_perturbed_maximization_increases_value():
@@ -115,18 +141,12 @@ def test_ascent_fails_loudly_on_nan_g():
         maximize_subcritical(0.5 * FOUR_PI, spec, n_nodes=256)
 
 
-def test_multiplier_estimate_rejects_nonuniform_grid():
-    t = np.linspace(np.log(1e-8), 0.0, 1024)
-    lam, _ = multiplier_estimate_field(RadialField(t, 1.0 - np.exp(2.0 * t)),
-                                       trivial())
-    assert 4.0 < lam < 5.0
-    # two uniform pieces with different spacings: the single-spacing second
-    # difference would return a meaningless estimate here (about 0)
-    t2 = np.concatenate([np.linspace(np.log(1e-8), -2.0, 500, endpoint=False),
-                         np.linspace(-2.0, 0.0, 524)])
-    with pytest.raises(ValueError, match="uniform"):
-        multiplier_estimate_field(RadialField(t2, 1.0 - np.exp(2.0 * t2)),
-                                  trivial())
+def _stiffness(t):
+    """Dense stiffness of 2 pi sum (du_i)^2 / dt_i on the free nodes: free
+    at the inner node, Dirichlet at the outer one."""
+    w = 2.0 * np.pi / np.diff(t)
+    A = np.diag(w) + np.diag(np.append(0.0, w[:-1]))
+    return A - np.diag(w[:-1], 1) - np.diag(w[:-1], -1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -138,11 +158,26 @@ def test_h1_riesz_solves_the_stiffness_system(data, n_seg):
                                       max_size=n_seg + 1)))
     t = np.append(-np.cumsum(dt[::-1])[::-1], 0.0)
     d = _h1_riesz(RadialField(t, np.zeros(n_seg + 1)), rhs)
-    # stiffness of 2 pi sum (du_i)^2 / dt_i, free at the inner node,
-    # Dirichlet at the outer one
-    w = 2.0 * np.pi / np.diff(t)
-    A = np.diag(w) + np.diag(np.append(0.0, w[:-1]))
-    A -= np.diag(w[:-1], 1) + np.diag(w[:-1], -1)
-    ref = np.linalg.solve(A, rhs[:-1])
+    ref = np.linalg.solve(_stiffness(t), rhs[:-1])
     assert d[-1] == 0.0
     assert np.max(np.abs(d[:-1] - ref)) <= 1e-10 * max(np.max(np.abs(ref)), 1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_seg=st.integers(1, 80))
+def test_stationarity_is_the_h1_angle(data, n_seg):
+    # on a random non-uniform grid, sin theta of u against d = A^{-1} dF
+    # in the H^1 inner product x^T A y
+    dt = np.array(data.draw(st.lists(st.floats(1e-2, 1.0), min_size=n_seg,
+                                     max_size=n_seg)))
+    u = np.array(data.draw(st.lists(st.floats(0.1, 2.0), min_size=n_seg + 1,
+                                    max_size=n_seg + 1)))
+    t = np.append(-np.cumsum(dt[::-1])[::-1], 0.0)
+    field = RadialField(t, u)
+    _, sin_theta = multiplier_estimate_field(field, trivial())
+    A = _stiffness(t)
+    uu = field.values[:-1]
+    d = np.linalg.solve(A, _functional_gradient(field, trivial())[:-1])
+    cos2 = (uu @ A @ d) ** 2 / ((uu @ A @ uu) * (d @ A @ d))
+    assert sin_theta == pytest.approx(np.sqrt(max(1.0 - cos2, 0.0)),
+                                      rel=1e-9, abs=1e-7)
