@@ -339,8 +339,8 @@ def branch_scan(mu_grid: Sequence[float], spec: Optional[PerturbationSpec] = Non
         lam = float(lam)
         if lam >= lambda_star:
             pairs[lam] = []
-            notes[lam] = (f"level {lam:.6g} outside (4 pi, Lambda*) = "
-                          f"({FOUR_PI:.6g}, {lambda_star:.6g}); no roots sought")
+            notes[lam] = (f"level {lam:.6g} at or above Lambda* = "
+                          f"{lambda_star:.6g}; no roots sought")
             continue
         roots = []
         diffs = E_ok - lam

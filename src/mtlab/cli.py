@@ -234,7 +234,8 @@ def cmd_maximize(args) -> int:
             f"pointwise bound violated at r = {bound.first_violation_r!r}")
     _write(args, _json(
         {"alpha": res.alpha, "value": res.value, "lambda_hat": res.lambda_hat,
-         "iterations": res.iterations, "converged": res.converged,
+         "iterations": res.iterations, "evaluations": res.evaluations,
+         "converged": res.converged,
          "stationarity": res.stationarity},
         FIELD_JSON_NODES, field_t=res.field.t_nodes, field_u=res.field.values))
     return EXIT_OK

@@ -1,15 +1,21 @@
 """Constrained maximization of the exponential functional on radial fields.
 
 Maximizes F(u) = int_{B_1} (1 + g(u)) e^{u^2} dx over radial u in H^1_0
-with Dirichlet energy ||grad u||^2 = alpha < 4 pi, by projected gradient
+with Dirichlet energy ||grad u||^2 = alpha < 4 pi, by conjugate-gradient
 ascent on a log-spaced grid from the flat start 1 - r^2.  By Carleson-Chang
 the maximizer is the radial critical point at energy alpha, so its value
 converges under mesh refinement to the shooting branch's F at the root of
-E(mu) = alpha (the tests check this).  The ascent direction d is the H^1-Riesz
+E(mu) = alpha (the tests check this).  The gradient d is the H^1-Riesz
 representative of dF (the solution of the discrete radial Poisson
-problem), which keeps the iteration count essentially mesh independent;
-the constraint is enforced by exact rescaling, valid because F increases
-under scaling up for the admissible weights.  A discrete critical point is
+problem), which keeps the iteration count essentially mesh independent.
+On the sphere E = alpha the ascent is Polak-Ribiere+ in the H^1 metric:
+the search direction is the tangent part g = d - (u.G / E) u plus
+beta = max(0, <g, g - g_prev> / <g_prev, g_prev>) times the previous
+direction, moved into the tangent space at u; a direction that does not
+ascend is replaced by g (a restart).  A step is retracted to the sphere
+by exact rescaling, valid because F increases under scaling up for the
+admissible weights, and each backtracking line search starts at
+STEP_GROWTH times the last accepted step.  A discrete critical point is
 a u parallel to d in the H^1 metric: the ascent stops, ``converged``, once
 the sine of their angle is below ASCENT_TOL, and the multiplier is the
 energy identity alpha = lambda int (1+h(u)) u^2 e^{u^2} dx, on any grid.
@@ -52,6 +58,7 @@ FOUR_PI = 4.0 * np.pi
 GAUSS_ORDER = 5  # Gauss-Legendre points per segment
 R_MIN = 1e-8  # innermost grid radius; the cap [0, R_MIN] holds u(R_MIN)
 ASCENT_TOL = 1e-6  # sine of the H^1 angle between u and d at the stop
+STEP_GROWTH = 1.5  # a line search starts at this multiple of the last accepted step
 MOSER_BOUND_EPS = 1e-8  # additive slack of the pointwise Moser bound
 
 
@@ -185,6 +192,7 @@ class MaximizerResult:
     value: float
     lambda_hat: float
     iterations: int
+    evaluations: int  # F evaluations: the start and every line-search trial
     converged: bool
     stationarity: float  # sin of the H^1 angle between u and d at the end
 
@@ -208,25 +216,51 @@ def _stationarity(field: RadialField, grad: np.ndarray,
     return float(2.0 * energy / ug), float(np.sqrt(max(sin2, 0.0)))
 
 
+def _h1_inner(field: RadialField, a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b> = sum w (da)(db), the H^1 product of nodal fields; <u, u> = E."""
+    return float(np.dot(field.plan().w, np.diff(a) * np.diff(b)))
+
+
 def _ascend(field: RadialField, alpha: float, spec: PerturbationSpec,
-            max_iter: int) -> Tuple[RadialField, float, int, bool]:
-    """Projected ascent from ``field``; raises IntegrationError on NaN/inf."""
+            max_iter: int) -> Tuple[RadialField, float, int, int]:
+    """PR+ conjugate-gradient ascent from ``field`` on the sphere E = alpha.
+
+    Returns (field, F, iterations, F evaluations); raises IntegrationError
+    on NaN/inf.  The ascent ends at the stop sin theta < ASCENT_TOL, when
+    the line search finds no step that raises F, or after ``max_iter``.
+    """
     _project(field, alpha)
     value = functional_value(field, spec)
     _require_finite(value, "functional value", 0)
+    evaluations, step = 1, 1.0
+    tangent_prev = search = None
     for it in range(1, max_iter + 1):
         grad = _functional_gradient(field, spec)
         _require_finite(grad, "gradient", it)
         direction = _h1_riesz(field, grad)
         _require_finite(direction, "ascent direction", it)
-        if _stationarity(field, grad, direction)[1] < ASCENT_TOL:
-            return field, value, it, True
-        step = 1.0
+        lam, sin_theta = _stationarity(field, grad, direction)
+        if sin_theta < ASCENT_TOL:
+            break
+        u, energy = field.values, field.energy()
+        # the H^1 gradient on the sphere: d less its component along u,
+        # whose coefficient is u.G / E = 2 / lambda
+        tangent = direction - (2.0 / lam) * u
+        if search is not None:
+            beta = max(0.0, _h1_inner(field, tangent, tangent - tangent_prev)
+                       / _h1_inner(field, tangent_prev, tangent_prev))
+            # the previous direction, moved into the tangent space at u
+            search = tangent + beta * (search - (_h1_inner(field, search, u)
+                                                 / energy) * u)
+        if search is None or _h1_inner(field, search, tangent) <= 0.0:
+            search = tangent  # restart on steepest ascent
+        tangent_prev = tangent
         while step > 1e-12:
             trial = field.copy()
-            trial.values += step * direction
+            trial.values += step * search
             _project(trial, alpha)
             trial_value = functional_value(trial, spec)
+            evaluations += 1
             _require_finite(trial_value, "functional value", it)
             if trial_value > value:
                 break
@@ -234,17 +268,18 @@ def _ascend(field: RadialField, alpha: float, spec: PerturbationSpec,
         else:  # no step size improves F short of the stop
             break
         field, value = trial, trial_value
-    return field, value, it, False
+        step *= STEP_GROWTH
+    return field, value, it, evaluations
 
 
 def maximize_subcritical(alpha: float, spec: Optional[PerturbationSpec] = None,
                          n_nodes: int = 4096, max_iter: int = 200) -> MaximizerResult:
-    """Projected H^1 gradient ascent from the parabolic start.
+    """Conjugate-gradient ascent in the H^1 metric from the parabolic start.
 
-    ``converged`` is True only at the stop on sin theta < ASCENT_TOL, not
-    when ``max_iter`` or the line search runs out first.  An alpha outside
-    (0, 4 pi), ``max_iter`` < 1 or a family without g (only h) raise
-    ValueError.
+    ``converged`` is True only when the returned field meets the stop
+    sin theta < ASCENT_TOL, not when ``max_iter`` or the line search runs
+    out short of it.  An alpha outside (0, 4 pi), ``max_iter`` < 1 or a
+    family without g (only h) raise ValueError.
     """
     if not (0.0 < alpha < FOUR_PI):
         raise ValueError("alpha must lie in (0, 4 pi)")
@@ -254,11 +289,12 @@ def maximize_subcritical(alpha: float, spec: Optional[PerturbationSpec] = None,
     if spec.g is None:
         raise ValueError(f"family {spec.name!r} defines no g, "
                          "so the functional is undefined")
-    field, value, its, conv = _ascend(parabolic_start(alpha, n_nodes), alpha,
-                                      spec, max_iter)
+    field, value, its, evals = _ascend(parabolic_start(alpha, n_nodes), alpha,
+                                       spec, max_iter)
     lam, sin_theta = multiplier_estimate_field(field, spec)
     return MaximizerResult(field=field, alpha=alpha, value=value,
-                           lambda_hat=lam, iterations=its, converged=conv,
+                           lambda_hat=lam, iterations=its, evaluations=evals,
+                           converged=sin_theta < ASCENT_TOL,
                            stationarity=sin_theta)
 
 

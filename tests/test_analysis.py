@@ -75,7 +75,7 @@ def test_branch_scan_out_of_range_level(trivial_spec):
     scan = branch_scan(np.linspace(2.5, 5.5, 7), trivial_spec,
                        lambda_queries=(20.0,))
     assert scan.pairs[20.0] == []
-    assert "outside" in scan.notes[20.0]
+    assert "at or above Lambda*" in scan.notes[20.0]
 
 
 def test_branch_root_bisection_is_bounded(monkeypatch):

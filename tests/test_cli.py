@@ -107,10 +107,12 @@ def test_maximize_json(tmp_path):
                 "--output", str(out)]) == EXIT_OK
     payload = json.loads(out.read_text())
     assert set(payload) == {"alpha", "value", "lambda_hat", "iterations",
-                            "converged", "stationarity", "field_t", "field_u"}
+                            "evaluations", "converged", "stationarity",
+                            "field_t", "field_u"}
     assert payload["alpha"] == 6.28
     assert payload["converged"]
     assert payload["stationarity"] < maximizer.ASCENT_TOL
+    assert payload["evaluations"] >= payload["iterations"]
     assert len(payload["field_t"]) == len(payload["field_u"]) == 512
 
 

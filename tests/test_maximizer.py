@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from mtlab import shooting
 from mtlab.analysis import branch_scan
 from mtlab.maximizer import (ASCENT_TOL, RadialField, _functional_gradient,
-                             _h1_riesz, lambda1_disk, maximize_subcritical,
+                             _h1_inner, _h1_riesz, lambda1_disk,
+                             maximize_subcritical,
                              multiplier_estimate_field, parabolic_start,
                              pointwise_moser_bound, functional_value)
 from mtlab.perturbations import PerturbationSpec, log_power_family, trivial
@@ -125,6 +126,14 @@ def test_maximizer_multiplier_matches_the_branch(frac, branch_roots):
     assert abs(res.lambda_hat - lam_branch) <= 1e-5
 
 
+@pytest.mark.parametrize("frac, budget", zip(BRANCH_FRACS, (35, 60, 100)))
+def test_ascent_iteration_budget(frac, budget):
+    # below the 45, 81 and 350 iterations that steepest ascent takes
+    res = maximize_subcritical(frac * FOUR_PI, n_nodes=4096, max_iter=600)
+    assert res.converged
+    assert res.iterations <= budget
+
+
 def test_perturbed_maximization_increases_value():
     alpha = 0.9 * FOUR_PI
     plain = maximize_subcritical(alpha, n_nodes=1024)
@@ -163,21 +172,38 @@ def test_h1_riesz_solves_the_stiffness_system(data, n_seg):
     assert np.max(np.abs(d[:-1] - ref)) <= 1e-10 * max(np.max(np.abs(ref)), 1e-300)
 
 
+def _draw_field(data, n_seg):
+    """A positive field on a random non-uniform grid of ``n_seg`` segments."""
+    dt = np.array(data.draw(st.lists(st.floats(1e-2, 1.0), min_size=n_seg,
+                                     max_size=n_seg)))
+    u = np.array(data.draw(st.lists(st.floats(0.1, 2.0), min_size=n_seg + 1,
+                                    max_size=n_seg + 1)))
+    return RadialField(np.append(-np.cumsum(dt[::-1])[::-1], 0.0), u)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n_seg=st.integers(1, 80))
 def test_stationarity_is_the_h1_angle(data, n_seg):
     # on a random non-uniform grid, sin theta of u against d = A^{-1} dF
     # in the H^1 inner product x^T A y
-    dt = np.array(data.draw(st.lists(st.floats(1e-2, 1.0), min_size=n_seg,
-                                     max_size=n_seg)))
-    u = np.array(data.draw(st.lists(st.floats(0.1, 2.0), min_size=n_seg + 1,
-                                    max_size=n_seg + 1)))
-    t = np.append(-np.cumsum(dt[::-1])[::-1], 0.0)
-    field = RadialField(t, u)
+    field = _draw_field(data, n_seg)
     _, sin_theta = multiplier_estimate_field(field, trivial())
-    A = _stiffness(t)
+    A = _stiffness(field.t_nodes)
     uu = field.values[:-1]
     d = np.linalg.solve(A, _functional_gradient(field, trivial())[:-1])
     cos2 = (uu @ A @ d) ** 2 / ((uu @ A @ uu) * (d @ A @ d))
     assert sin_theta == pytest.approx(np.sqrt(max(1.0 - cos2, 0.0)),
                                       rel=1e-9, abs=1e-7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_seg=st.integers(1, 80))
+def test_h1_inner_product_identities(data, n_seg):
+    # the tangent projection and the conjugacy rest on <u, u> = E and
+    # <u, d> = u.G for d the Riesz representative of G = dF
+    field = _draw_field(data, n_seg)
+    grad = _functional_gradient(field, trivial())
+    u = field.values
+    assert _h1_inner(field, u, u) == pytest.approx(field.energy(), rel=1e-10)
+    assert _h1_inner(field, u, _h1_riesz(field, grad)) == pytest.approx(
+        np.dot(u, grad), rel=1e-10)
