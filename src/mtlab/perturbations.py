@@ -7,10 +7,12 @@ function g; the Euler-Lagrange equation only sees the combination
 
 Built-in families: the smooth-cutoff log-power family, its oscillating
 variant, and the inverse-square tail h(t) = -a t^{-2} (t >= R) used to
-probe the critical decay rate.  The two cutoff families share one builder
-whose h evaluates the cutoff, log t and the powers of t once, without
-calling g; the inverse-square tail defines h only, so it has no
-functional F.  ``check_conditions`` samples the two decay
+probe the critical decay rate.  Every family has a scalar kernel
+``point(t) -> (h(t), g(t))`` for one float, written in plain ``math``: a
+shot calls it once per right-hand-side evaluation.  The two cutoff
+families write their formula once, as that kernel, and their array ``h``
+and ``g`` vectorize it; the inverse-square tail defines h only, so it has
+no functional F.  ``check_conditions`` samples the two decay
 conditions (t^2 h(t) -> 0 and the t^4-modulus-of-continuity condition) and
 reports a monotone-trend verdict; ``delta_k`` is the perturbation scale
 entering the expansion of the rescaled solutions.
@@ -18,14 +20,14 @@ entering the expansion of the rescaled solutions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "PerturbationSpec",
-    "smooth_cutoff",
     "trivial",
     "log_power_family",
     "oscillating_family",
@@ -39,42 +41,33 @@ __all__ = [
 CONDITION_SAMPLES = 25  # t values sampled by check_conditions
 
 
-def _bridge(x):
-    """The two exponentials of the cutoff: e^{-1/(x-1)} and e^{-1/(2-x)}.
-
-    Each is 0 where its exponent would be -inf (x <= 1, resp. x >= 2).
-    """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        up = np.where(x > 1.0, np.exp(-1.0 / np.maximum(x - 1.0, 1e-300)), 0.0)
-        down = np.where(x < 2.0, np.exp(-1.0 / np.maximum(2.0 - x, 1e-300)), 0.0)
-    return up, down
-
-
-def smooth_cutoff(x):
-    """C-infinity bridge: 0 on [0, 1], 1 on [2, inf).
-
-    Built from s(y) = exp(-1/y) so results are bit-reproducible.
-    """
-    up, down = _bridge(np.asarray(x, dtype=float))
-    return up / (up + down + (up + down == 0.0))
-
-
 @dataclass
 class PerturbationSpec:
     """An (h, optionally g) perturbation with cached bounds.
 
-    ``h`` must be total on (0, inf); ``sup_h`` / ``inf_h`` are computed on
-    a fixed log grid plus the zero tail limit, so they are reproducible.
+    ``h`` and ``g`` take arrays; ``point(t) -> (h(t), g(t))`` takes one
+    float t > 0 and returns two floats, with 0.0 for the g part of a
+    family without g.  A spec built without ``point`` gets one that calls
+    the array ``h`` and ``g``.  ``h`` must be total on (0, inf);
+    ``sup_h`` / ``inf_h`` are computed on a fixed log grid plus the zero
+    tail limit, so they are reproducible.
     """
 
     h: Callable
     g: Optional[Callable] = None
     name: str = "custom"
     family_params: Dict = field(default_factory=dict)
+    point: Optional[Callable[[float], Tuple[float, float]]] = None
     sup_h: float = field(init=False)
     inf_h: float = field(init=False)
 
     def __post_init__(self):
+        if self.point is None:
+            def point(t):
+                return (float(self.h(t)),
+                        0.0 if self.g is None else float(self.g(t)))
+
+            self.point = point
         ts = np.exp(np.linspace(np.log(1e-3), np.log(1e8), 10_000))
         hs = np.asarray(self.h(ts), dtype=float)
         if np.any(~np.isfinite(hs)):
@@ -88,48 +81,59 @@ class PerturbationSpec:
 
 def _cutoff_family(a: float, R: float, p: float, core: Callable,
                    core_slope: Callable):
-    """(h, g) of g(t) = a chi(|t|/R) core(log s) s^{-p}, s = max(|t|, R).
+    """(point, h, g) of g(t) = a chi(|t|/R) core(log s) s^{-p}, s = max(|t|, R).
 
-    chi is :func:`smooth_cutoff`, so g vanishes on [0, R] and ``core`` is
-    only evaluated at log s >= log R.  ``core_slope`` is the derivative of
-    ``core``.  ``h`` = g + g'/(2t) is built in one pass: one evaluation of
-    the two bridge exponentials, of log s and of the powers of s serves
-    chi, chi', g and g'.
+    chi is the C-infinity bridge from 0 on [0, 1] to 1 on [2, inf), built
+    from e^{-1/y} so results are bit-reproducible; g vanishes on [0, R]
+    and ``core`` (a scalar function, derivative ``core_slope``) is only
+    evaluated at log s >= log R.  ``point`` gives h = g + g'/(2t) and g at
+    one t: on 1 < |t|/R < 2 one evaluation of the two bridge exponentials
+    serves chi and chi', and one of log s and s^{-p} serves g and g'.
+    ``h`` and ``g`` vectorize it; ``h`` is undefined at t = 0 (ValueError).
     """
 
-    def g(t):
-        t = np.abs(np.asarray(t, dtype=float))
-        s = np.maximum(t, R)
-        return a * smooth_cutoff(t / R) * core(np.log(s)) * s ** (-p)
+    def point(t):
+        s = abs(t)
+        x = s / R
+        if x <= 1.0:
+            return 0.0, 0.0
+        if x < 2.0:
+            # a double x in (1, 2) keeps x - 1 and 2 - x above 1e-16
+            d1, d2 = x - 1.0, 2.0 - x
+            up, down = math.exp(-1.0 / d1), math.exp(-1.0 / d2)
+            chi = up / (up + down)
+            # chi' = (up' down - up down') / (up + down)^2, up' = up / d1^2
+            dchi = (up / d1 ** 2 * down + up * (down / d2 ** 2)) / (up + down) ** 2 / R
+        else:
+            chi, dchi = 1.0, 0.0
+        lg = math.log(s)
+        c = core(lg)
+        pw = s ** -p
+        g = a * chi * c * pw
+        # g is even, so g'(t) / (2t) = g'(|t|) / (2|t|)
+        g_prime = a * (dchi * (c * pw) + chi * (core_slope(lg) - p * c) * (pw / s))
+        return g + g_prime / (2.0 * s), g
+
+    h_all = np.vectorize(lambda t: point(t)[0], otypes=[float])
+    g_all = np.vectorize(lambda t: point(t)[1], otypes=[float])
 
     def h(t):
         t = np.asarray(t, dtype=float)
         if np.any(t == 0.0):
             raise ValueError("h(t) is undefined at t = 0")
-        x, s = np.abs(t) / R, np.maximum(np.abs(t), R)
-        up, down = _bridge(x)
-        chi = up / (up + down + (up + down == 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # chi' = (up' down - up down') / (up + down)^2 on (1, 2), else 0
-            d_up = up / (x - 1.0) ** 2
-            d_down = -down / (2.0 - x) ** 2
-            dchi = np.where((x > 1.0) & (x < 2.0),
-                            (d_up * down - up * d_down) / (up + down) ** 2,
-                            0.0) / R
-        lg = np.log(s)
-        c = core(lg)
-        pw = s ** (-p)
-        dcore = (core_slope(lg) - p * c) * s ** (-p - 1.0)
-        g_prime = np.sign(t) * a * (dchi * (c * pw) + chi * dcore)
-        return a * chi * c * pw + g_prime / (2.0 * t)
+        return h_all(t)
 
-    return h, g
+    def g(t):
+        return g_all(np.asarray(t, dtype=float))
+
+    return point, h, g
 
 
 def trivial() -> PerturbationSpec:
     """The unperturbed functional: g = h = 0."""
     zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    return PerturbationSpec(h=zero, g=zero, name="trivial")
+    return PerturbationSpec(h=zero, g=zero, name="trivial",
+                            point=lambda t: (0.0, 0.0))
 
 
 def log_power_family(a: float = 1.0, p: float = 3.0, q: float = 0.0,
@@ -144,9 +148,9 @@ def log_power_family(a: float = 1.0, p: float = 3.0, q: float = 0.0,
     if R < 2:
         raise ValueError("need R >= 2")
 
-    h, g = _cutoff_family(a, R, p, lambda lg: lg ** q,
-                          lambda lg: q * lg ** (q - 1.0))
-    return PerturbationSpec(h=h, g=g, name="log-power",
+    point, h, g = _cutoff_family(a, R, p, lambda lg: lg ** q,
+                                 lambda lg: q * lg ** (q - 1.0))
+    return PerturbationSpec(h=h, g=g, point=point, name="log-power",
                             family_params={"a": a, "p": p, "q": q, "R": R})
 
 
@@ -156,8 +160,8 @@ def oscillating_family(a: float = 1.0, p: float = 3.0,
     if p <= 2:
         raise ValueError("need p > 2")
 
-    h, g = _cutoff_family(a, R, p, np.cos, lambda lg: -np.sin(lg))
-    return PerturbationSpec(h=h, g=g, name="oscillating",
+    point, h, g = _cutoff_family(a, R, p, math.cos, lambda lg: -math.sin(lg))
+    return PerturbationSpec(h=h, g=g, point=point, name="oscillating",
                             family_params={"a": a, "p": p, "R": R})
 
 
@@ -176,7 +180,8 @@ def inverse_square_tail(a: float = 1.0, R: Optional[float] = None) -> Perturbati
         t = np.asarray(t, dtype=float)
         return -a / np.maximum(t, R) ** 2
 
-    return PerturbationSpec(h=h, name="inverse-square",
+    return PerturbationSpec(h=h, point=lambda t: (-a / max(t, R) ** 2, 0.0),
+                            name="inverse-square",
                             family_params={"a": a, "R": R})
 
 

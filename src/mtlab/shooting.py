@@ -19,9 +19,11 @@ state together with the exponential mass used by the functional value.
 Both are integrated by one :func:`mtlab.radial_ode.solve` call with
 DOP853, no cap on the step in t = log r, the boundary event as its level
 and the split radius t = SPLIT_EXPONENT log mu as its mark.  The energy
-starts from its series value 4 pi (1+h(mu)) R_START^2; the mass starts at
-0 and so misses pi (1+g(mu)) R_START^2 (3.1e-12 for g = 0), as its seed
-would cost one more g call per shot.
+and the mass start from their series values 4 pi (1+h(mu)) R_START^2 and
+pi (1+g(mu)) R_START^2, both from one call of the family's scalar kernel
+``point(mu)``.  The state function calls that kernel once per evaluation,
+in plain ``math`` on Python floats, and raises IntegrationError when it
+returns a non-finite value (a NaN would otherwise stall the stepper).
 
 Every number of a shot (log R, the energies, the mass) is read from the
 state at those two events, so :func:`shoot` skips the dense output by
@@ -39,6 +41,7 @@ A shot is returned as data; :mod:`mtlab.cli` renders it as JSON or CSV.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -95,13 +98,22 @@ class ShotSolution:
     exp_mass: float
 
 
+def _checked_point(spec: PerturbationSpec, mu: float, u: float):
+    """(h(u), g(u)) from the family's scalar kernel, checked to be finite."""
+    hu, gu = spec.point(u)
+    if not math.isfinite(hu + gu):
+        raise IntegrationError(
+            f"non-finite perturbation (h, g) = ({hu}, {gu}) at u={u} "
+            f"(mu={mu}, family {spec.name})")
+    return hu, gu
+
+
 def _state(mu: float, spec: PerturbationSpec) -> Callable:
     """The state function of a shot at center value mu.
 
     :func:`shoot` integrates it and :func:`pde_residual` checks the shot
     against it, so the equation is written once.
     """
-    h, g = spec.h, spec.g
     mu2 = mu * mu
 
     def state(t, y):
@@ -111,16 +123,16 @@ def _state(mu: float, spec: PerturbationSpec) -> Callable:
         eta stays in [-mu^2, 0], where the exponent eta (2 + eta/mu^2) is
         non-positive; its clamp at 0 and the clamp of the whole exponent at
         50 only bite on wildly overshooting trial steps of the adaptive
-        integrator (eta < -2 mu^2, or t far past the boundary event).
+        integrator (eta < -2 mu^2, or t far past the boundary event), and
+        keep ``math.exp`` below overflow.
         """
-        eta, v = y[0], y[1]
+        eta, v = float(y[0]), float(y[1])
         u = max(mu + eta / mu, 1e-12)
+        hu, gu = _checked_point(spec, mu, u)
         q = 1.0 + eta / mu2
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = np.exp(min(2.0 * t + min(eta * (2.0 + eta / mu2), 0.0), 50.0))
-            f = 4.0 * (1.0 + h(u)) * q * e
-            gu = g(u) if g is not None else 0.0
-            return np.array([v, -f, TWO_PI * f * q, TWO_PI * (1.0 + gu) * e])
+        e = math.exp(min(2.0 * t + min(eta * (2.0 + eta / mu2), 0.0), 50.0))
+        f = 4.0 * (1.0 + hu) * q * e
+        return np.array([v, -f, TWO_PI * f * q, TWO_PI * (1.0 + gu) * e])
 
     return state
 
@@ -137,18 +149,20 @@ def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11,
     if not (MU_MIN <= mu <= MU_MAX):
         raise ValueError(f"mu={mu} outside supported range [{MU_MIN}, {MU_MAX}]")
     mu2 = mu * mu
-    one_h = 1.0 + spec.h(mu)
+    h_mu, g_mu = _checked_point(spec, mu, mu)
+    one_h = 1.0 + h_mu
 
     # near the origin eta ~ r^2 is exponentially small in t = log r; a
     # vanishing absolute tolerance on eta and v resolves them there to full
     # *relative* accuracy
     abs_tol = np.array([1e-60, 1e-60, tol, tol])
     energy0 = 2.0 * TWO_PI * one_h * R_START * R_START
+    mass0 = 0.5 * TWO_PI * (1.0 + g_mu) * R_START * R_START
     # mu >= MU_MIN puts the split radius mu^p above R_START
     t_split = SPLIT_EXPONENT * np.log(mu)
     try:
         sol = solve(_state(mu, spec), -4.0 * one_h, 0.55 * mu2 + 10.0, tol,
-                    abs_tol, aux={"energy": energy0, "mass": 0.0},
+                    abs_tol, aux={"energy": energy0, "mass": mass0},
                     method="DOP853", level=-mu2, marks=(t_split,),
                     dense=profile)
     except NoCrossingError as exc:

@@ -185,6 +185,15 @@ def test_maximize_nan_functional_exit_code(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_shoot_nan_perturbation_exit_code(monkeypatch, tmp_path, capsys):
+    nan_g = PerturbationSpec(h=np.zeros_like, g=lambda t: np.full_like(t, np.nan))
+    monkeypatch.setattr(cli, "_family", lambda args: nan_g)
+    out = tmp_path / "s.json"
+    assert run(["shoot", "--mu", "6", "--output", str(out)]) == EXIT_NUMERICAL
+    assert "non-finite perturbation" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _module_env():
     """Environment that lets ``python -m mtlab`` import this checkout."""
     src = str(Path(mtlab.__file__).resolve().parents[1])

@@ -2,20 +2,84 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlab.perturbations import (PerturbationSpec, check_conditions, delta_k,
                                  family_by_name, inverse_square_tail,
                                  log_power_family, oscillating_family,
-                                 smooth_cutoff, trivial)
+                                 trivial)
 
 TS = np.exp(np.linspace(np.log(0.5), np.log(1e5), 500))
 
+# (t, h(t), g(t)) of the cutoff families as evaluated by the NumPy array
+# formula that the scalar kernel replaced, at t = R, 1.01R, 1.5R, 1.99R,
+# 2R, 10 and 1e4 (R = 2)
+CUTOFF_VALUES = {
+    "log-power-q0": (log_power_family, {}, [
+        (2.0, 0.0, 0.0),
+        (2.02, 1.5347363402167704e-41, 1.239307266670578e-44),
+        (3.0, 0.021604938271604937, 0.018518518518518517),
+        (3.98, 0.01435971779525045, 0.015861738428766647),
+        (4.0, 0.01416015625, 0.015625),
+        (10.0, 0.000985, 0.001),
+        (10000.0, 9.99999985e-13, 1e-12)]),
+    "log-power-q1.5": (log_power_family, {"q": 1.5}, [
+        (2.0, 0.0, 0.0),
+        (2.02, 9.050004344770909e-42, 7.306381371256768e-45),
+        (3.0, 0.026495754097330394, 0.021324208440610965),
+        (3.98, 0.02419410024378959, 0.02574982175662416),
+        (4.0, 0.02397509004248601, 0.025503701170925718),
+        (10.0, 0.00345297571497997, 0.003494005087826986),
+        (10000.0, 2.795204030609668e-11, 2.7952040702615884e-11)]),
+    "oscillating": (oscillating_family, {}, [
+        (2.0, 0.0, 0.0),
+        (2.02, 1.170664759363152e-41, 9.453969347864291e-45),
+        (3.0, 0.008910394894743885, 0.008422822644937216),
+        (3.98, 0.0022134046487275235, 0.002988067865231238),
+        (4.0, 0.0021177854136447787, 0.0028665152303640894),
+        (10.0, -0.000661898389222246, -0.0006682015101903132),
+        (10000.0, -9.7709621508078e-13, -9.770962286732338e-13)]),
+}
+
 
 def test_smooth_cutoff_shape():
-    assert smooth_cutoff(0.5) == 0.0
-    assert smooth_cutoff(3.0) == 1.0
-    mid = smooth_cutoff(np.linspace(1.01, 1.99, 50))
-    assert np.all(np.diff(mid) > 0)
+    # g = a chi(t/R) t^{-p} for the log-power family with q = 0, so the
+    # cutoff chi shows in g t^p / a
+    a, p, R = 1.5, 3.0, 2.0
+    spec = log_power_family(a=a, p=p, R=R)
+    assert np.all(spec.g(np.linspace(0.0, R, 20)) == 0.0)
+    tail = np.array([2.0 * R, 3.0 * R, 10.0, 1e4])
+    assert spec.g(tail) == pytest.approx(a * tail ** -p, rel=1e-15)
+    mid = np.linspace(1.01 * R, 1.99 * R, 50)
+    chi = spec.g(mid) * mid ** p / a
+    assert np.all(np.diff(chi) > 0)
+    assert 0.0 < chi[0] and chi[-1] == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(CUTOFF_VALUES))
+def test_point_matches_the_array_formula_it_replaced(name):
+    family, params, values = CUTOFF_VALUES[name]
+    point = family(**params).point
+    for t, h, g in values:
+        assert point(t) == pytest.approx((h, g), rel=1e-13, abs=0.0), t
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(["trivial", "log-power", "oscillating",
+                               "inverse-square"]),
+       a=st.floats(0.1, 2.0), p=st.floats(2.1, 5.0), q=st.floats(0.0, 3.0),
+       R=st.floats(2.0, 5.0),
+       t=st.floats(1e-3, 20.0) | st.floats(20.0, 1e6))
+def test_point_agrees_with_the_array_h_and_g(family, a, p, q, R, t):
+    spec = {"trivial": trivial,
+            "log-power": lambda: log_power_family(a=a, p=p, q=q, R=R),
+            "oscillating": lambda: oscillating_family(a=a, p=p, R=R),
+            "inverse-square": lambda: inverse_square_tail(a=a)}[family]()
+    h, g = spec.point(t)
+    assert isinstance(h, float) and isinstance(g, float)
+    assert h == pytest.approx(float(spec.h(t)), rel=1e-15, abs=0.0)
+    assert g == (0.0 if spec.g is None else float(spec.g(t)))
 
 
 @pytest.mark.parametrize("spec", [log_power_family(a=1.0, p=3.0),

@@ -6,11 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mtlab import perturbations
 from mtlab import profiles as pf
 from mtlab import radial_ode
-from mtlab.perturbations import (inverse_square_tail, log_power_family,
-                                 oscillating_family, trivial)
+from mtlab.perturbations import (PerturbationSpec, inverse_square_tail,
+                                 log_power_family, oscillating_family, trivial)
 from mtlab.radial_ode import R_START, IntegrationError
 from mtlab.shooting import (SPLIT_EXPONENT, EventNotReachedError,
                             comparison_eta0, functional_value, pde_residual,
@@ -127,6 +126,26 @@ def test_energy_starts_from_its_series_value(family):
     assert sol.eta.eval_aux_t("energy", sol.eta.t_min) == pytest.approx(seed, rel=1e-12)
 
 
+@pytest.mark.parametrize("family", [trivial, log_power_family])
+def test_mass_starts_from_its_series_value(family):
+    # the mass inside R_START is pi (1 + g(mu)) R_START^2 to leading order
+    spec = family()
+    sol = shoot(6.0, spec, profile=True)
+    seed = np.pi * (1.0 + spec.g(6.0)) * R_START ** 2
+    assert sol.eta.eval_aux_t("mass", sol.eta.t_min) == pytest.approx(seed, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["h", "g"])
+def test_nan_perturbation_raises_integration_error(name):
+    # a NaN from h or g would stall the adaptive stepper; the state function
+    # refuses it.  The spec rejects a non-finite h when built, so the NaN goes
+    # in afterwards: the default point reads spec.h and spec.g at call time
+    spec = PerturbationSpec(h=np.zeros_like, g=np.zeros_like)
+    setattr(spec, name, lambda t: np.full_like(np.asarray(t, dtype=float), np.nan))
+    with pytest.raises(IntegrationError, match=r"mu=6\.0"):
+        shoot(6.0, spec)
+
+
 def test_energy_concentrates_like_the_bubble(shots):
     # the energy inside the rescaled ball of radius R approaches the
     # Liouville bubble's 4 pi R^2 / (1 + R^2)
@@ -240,54 +259,28 @@ def test_pde_residual_rejects_nan_solution(shots):
 
 
 @pytest.mark.parametrize("family", [trivial, log_power_family])
-def test_one_h_and_one_g_call_per_rhs_evaluation(monkeypatch, family):
-    # the state function evaluates h and g once per call; h once more for
-    # the series start at the origin
+def test_one_point_call_per_rhs_evaluation(monkeypatch, family):
+    # the state function calls the scalar kernel once per evaluation; one
+    # more call at mu gives the energy and mass seeds at the origin
     spec = family()
-    calls = {"h": 0, "g": 0}
-    for name in calls:
-        def counted(u, fn=getattr(spec, name), name=name):
-            calls[name] += 1
-            return fn(u)
+    calls, nfev = [], []
+    point, solve_ivp = spec.point, radial_ode.solve_ivp
 
-        setattr(spec, name, counted)
-    nfev = []
-    solve_ivp = radial_ode.solve_ivp
+    def counted(u):
+        calls.append(u)
+        return point(u)
 
     def recording_solve_ivp(*args, **kwargs):
         res = solve_ivp(*args, **kwargs)
         nfev.append(res.nfev)
         return res
 
+    spec.point = counted
     monkeypatch.setattr(radial_ode, "solve_ivp", recording_solve_ivp)
     shoot(6.0, spec)
     assert len(nfev) == 1
-    assert calls["h"] == nfev[0] + 1
-    assert calls["g"] == nfev[0]
-
-
-def test_two_bridge_evaluations_per_rhs_evaluation(monkeypatch):
-    # the one-pass h of a cutoff family evaluates the two bridge
-    # exponentials once, like g: two per state-function call, plus one for
-    # the h call of the series start
-    spec = log_power_family(a=1.0, p=3.0)
-    bridges, nfev = [], []
-    bridge, solve_ivp = perturbations._bridge, radial_ode.solve_ivp
-
-    def counting_bridge(x):
-        bridges.append(x)
-        return bridge(x)
-
-    def recording_solve_ivp(*args, **kwargs):
-        res = solve_ivp(*args, **kwargs)
-        nfev.append(res.nfev)
-        return res
-
-    monkeypatch.setattr(perturbations, "_bridge", counting_bridge)
-    monkeypatch.setattr(radial_ode, "solve_ivp", recording_solve_ivp)
-    shoot(12.0, spec)
-    assert len(nfev) == 1
-    assert len(bridges) <= 2 * nfev[0] + 1
+    assert len(calls) == nfev[0] + 1
+    assert calls[0] == 6.0
 
 
 def test_comparison_to_bubble_outside_core(shots):
