@@ -6,16 +6,21 @@ is best read off from the integrated quantity r w'(r), which converges to
 beta with rate O(log^q r / r^2).  The same beta is computable by a weighted
 planar integral (see :mod:`mtlab.quadrature`), giving an independent
 cross-check.
+
+The sources, like the profiles they are built from, take a float or a
+float ndarray: a float gives a scalar, with no 0-d array built on the
+way, and the solver's state calls them on one float per evaluation.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
 from . import profiles as pf
-from .radial_ode import RadialSolution, solve
+from .radial_ode import R_START, RadialSolution, solve
 
 __all__ = [
     "source_w0",
@@ -79,14 +84,17 @@ def source_za_minus_z0(a: float) -> Callable:
 def solve_linearized(source: Callable, r_max: float = 1e6) -> RadialSolution:
     """Solve -Delta w = 4 e^{2 eta0}(source(r) + 2 w), w(0) = w'(0) = 0.
 
-    ``source`` is a radial rule with at most log^4 growth; r_max <= 1e8.
-    Both tolerances of the integrator are LINEARIZED_TOL.
+    ``source`` is a radial rule with at most log^4 growth; the state calls
+    it on one float r per evaluation.  An r_max outside (R_START, 1e8],
+    NaN included, raises ValueError before the solve.  Both tolerances of
+    the integrator (DOP853) are LINEARIZED_TOL.
     """
-    if r_max > 1e8:
-        raise ValueError("r_max must be <= 1e8")
+    # written so that a NaN fails the test
+    if not R_START < r_max <= 1e8:
+        raise ValueError(f"need R_START < r_max <= 1e8, got r_max={r_max}")
 
     def state(t, y):
-        r = np.exp(t)
+        r = math.exp(t)
         one = 1.0 + r * r
         return np.array([y[1], -r * r * (4.0 / (one * one) * (source(r) + 2.0 * y[0]))])
 

@@ -12,6 +12,12 @@ are elementary rational/logarithmic expressions.
 eta0, w0 and zeta0 also have closed-form first radial derivatives
 (``eta0_prime``, ``w0_prime``, ``zeta0_prime``) for tail asymptotics (the
 quantity r * f'(r)).
+
+Every profile takes a float or a float ndarray r >= 0 and applies its
+formula, written once, to it as given: a float gives a scalar (no 0-d
+array is built, which on one radius costs more than the formula) and an
+array gives an array of its shape.  Only ``dilog_integral`` converts and
+validates its argument.
 """
 
 from __future__ import annotations
@@ -48,12 +54,10 @@ def dilog_integral(r):
 
 def eta0(r):
     """Standard bubble -log(1 + r^2)."""
-    r = np.asarray(r, dtype=float)
     return -np.log1p(r * r)
 
 
 def eta0_prime(r):
-    r = np.asarray(r, dtype=float)
     return -2.0 * r / (1.0 + r * r)
 
 
@@ -66,7 +70,6 @@ def w0(r):
     the unique zero-Cauchy-data solution of
     -Delta w0 = 4 e^{2 eta0} (eta0 + eta0^2 + 2 w0).
     """
-    r = np.asarray(r, dtype=float)
     r2 = r * r
     e = -np.log1p(r2)
     return e + 2.0 * r2 / (1.0 + r2) - 0.5 * e * e \
@@ -79,7 +82,6 @@ def w0_prime(r):
     The integral term differentiates by the Leibniz rule:
     d/dr dilog_integral(r) = 2 eta0(r) / r, with limit 0 at r = 0.
     """
-    r = np.asarray(r, dtype=float)
     r2 = r * r
     one = 1.0 + r2
     e = -np.log1p(r2)
@@ -98,32 +100,27 @@ def w0_prime(r):
 
 def zeta0(r):
     """zeta0(r) = -1 + 1/(1+r^2) = -r^2/(1+r^2)."""
-    r = np.asarray(r, dtype=float)
     return -r * r / (1.0 + r * r)
 
 
 def zeta0_prime(r):
-    r = np.asarray(r, dtype=float)
     one = 1.0 + r * r
     return -2.0 * r / (one * one)
 
 
 def psi(r):
     """psi(r) = (r^2-1)/(1+r^2); solves -Delta psi = 8 e^{2 eta0} psi."""
-    r = np.asarray(r, dtype=float)
     r2 = r * r
     return (r2 - 1.0) / (1.0 + r2)
 
 
 def psi0(r):
     """Weight (r^2-1)/(1+r^2)^3 of the log-slope integral formula."""
-    r = np.asarray(r, dtype=float)
     r2 = r * r
     return (r2 - 1.0) / (1.0 + r2) ** 3
 
 
 def xi(r):
     """Growth gauge xi(r) = 1 + log(1 + r)."""
-    r = np.asarray(r, dtype=float)
     return 1.0 + np.log1p(r)
 

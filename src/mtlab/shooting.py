@@ -163,8 +163,7 @@ def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11,
     try:
         sol = solve(_state(mu, spec), -4.0 * one_h, 0.55 * mu2 + 10.0, tol,
                     abs_tol, aux={"energy": energy0, "mass": mass0},
-                    method="DOP853", level=-mu2, marks=(t_split,),
-                    dense=profile)
+                    level=-mu2, marks=(t_split,), dense=profile)
     except NoCrossingError as exc:
         raise EventNotReachedError(
             f"boundary event eta = -mu^2 not reached for mu={mu} "

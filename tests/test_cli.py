@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mtlab
-from mtlab import cli, maximizer
+from mtlab import cli, linearized, maximizer
 from mtlab.cli import (EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                        main)
 from mtlab.perturbations import PerturbationSpec
@@ -45,6 +46,22 @@ def test_beta_routes_agree(tmp_path):
     assert betas["ode_tail"] == pytest.approx(betas["closed_form"], abs=1e-2)
     assert betas["weighted_integral"] == pytest.approx(
         betas["closed_form"], abs=1e-6)
+
+
+@pytest.mark.parametrize("r_max", ["-1", "1e4"])
+def test_beta_rejects_r_max_below_the_slope_window(monkeypatch, capsys, r_max):
+    # rejected before the solve, by a message that names r_max, and with no
+    # NumPy warning on the way (a warning would raise here)
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_linearized called")
+
+    monkeypatch.setattr(linearized, "solve_linearized", no_solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["beta", "--r-max", r_max]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "r_max" in err
+    assert "RuntimeWarning" not in err
 
 
 def test_shoot_json(tmp_path, capsys):

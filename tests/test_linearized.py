@@ -7,6 +7,7 @@ from mtlab import profiles as pf
 from mtlab.linearized import (extract_log_slope, solve_linearized, source_w0,
                               source_wa, source_z0, source_za_minus_z0,
                               source_zeta0)
+from mtlab.radial_ode import R_START
 
 RS = np.exp(np.linspace(np.log(1e-3), np.log(1e3), 400))
 
@@ -55,3 +56,20 @@ def test_extract_log_slope_validates_range():
 def test_r_max_cap():
     with pytest.raises(ValueError):
         solve_linearized(source_w0, r_max=1e9)
+    # the solve needs R_START < r_max; a NaN is rejected too, by name
+    for r_max in (1e9, -1.0, 0.0, R_START, np.nan):
+        with pytest.raises(ValueError, match="r_max"):
+            solve_linearized(source_w0, r_max=r_max)
+
+
+def test_w0_solve_work_is_pinned():
+    # DOP853 at LINEARIZED_TOL takes 70 accepted steps and 1233 source calls
+    calls = []
+
+    def counted(r):
+        calls.append(r)
+        return source_w0(r)
+
+    sol = solve_linearized(counted, r_max=2e3)
+    assert len(calls) <= 1500
+    assert len(sol.grid.t_nodes) - 1 <= 100

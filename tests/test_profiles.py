@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mtlab import profiles as pf
 
@@ -96,3 +98,24 @@ def test_profile_derivative_consistency(fn, deriv_fn):
     fd = _fd_derivative(fn, r)
     scale = 1.0 + np.abs(deriv)
     assert np.max(np.abs(deriv - fd) / scale) < 1e-5
+
+
+FORMULA_PROFILES = ["eta0", "eta0_prime", "w0", "w0_prime", "zeta0",
+                    "zeta0_prime", "psi", "psi0", "xi"]
+
+
+@pytest.mark.parametrize("name", FORMULA_PROFILES)
+@given(r=st.floats(min_value=0.0, max_value=1e9))
+def test_float_path_is_the_array_formula(name, r):
+    # one formula serves both: a float gives a scalar, never a 0-d array,
+    # with the bits of the same radius inside an array
+    fn = getattr(pf, name)
+    value = fn(float(r))
+    assert not isinstance(value, np.ndarray)
+    expect = fn(np.array([r]))[0]
+    if name == "psi0":
+        # NumPy raises arrays to the power 3 with its SIMD pow and scalars
+        # with the C library's, which differ in the last bit on some radii
+        assert abs(value - expect) <= abs(np.spacing(expect))
+    else:
+        assert value == expect
