@@ -228,9 +228,11 @@ def threshold_a(mu_probe: float, a_tol: float = 1e-3) -> ThresholdResult:
     The energy coefficient of the tail family shifts linearly, c ~ c0 -
     4 pi a, so a single sign change is expected; the asymptotic
     prediction brackets it between a = 1 (lower window coefficient
-    vanishes) and a = 3/2 + (sup h)/2 (upper coefficient vanishes).
-    Brent's method on [A_LO, A_HI] returns ``a_crit`` within a_tol/2 of
-    the sign change; a_tol must be positive.
+    vanishes) and a = 3/2 + (sup h)/2 (upper coefficient vanishes).  The
+    tail's h is negative, so sup h is 0 and ``predicted_window`` is
+    (1, 3/2) for every amplitude.  Brent's method on [A_LO, A_HI]
+    returns ``a_crit`` within a_tol/2 of the sign change; a_tol must be
+    positive.
     """
     # imported here, so the family is looked up on the module at call time
     from .perturbations import inverse_square_tail
@@ -247,9 +249,8 @@ def threshold_a(mu_probe: float, a_tol: float = 1e-3) -> ThresholdResult:
         raise ValueError(
             f"no sign change of c on [{A_LO}, {A_HI}]: c={c_lo:.3g}, {c_hi:.3g}")
     a_crit = _brentq(c_of, A_LO, A_HI, "sign change of c", xtol=0.5 * a_tol)
-    sup_h = inverse_square_tail(a_crit).sup_h
     return ThresholdResult(mu_probe=mu_probe, a_crit=a_crit,
-                           predicted_window=(1.0, 1.5 + 0.5 * sup_h),
+                           predicted_window=(1.0, 1.5),
                            c_lo=c_lo, c_hi=c_hi)
 
 
@@ -285,12 +286,17 @@ def branch_scan(mu_grid: Sequence[float], spec: Optional[PerturbationSpec] = Non
     multiplicity theorem).  A grid shot that fails or returns a non-finite
     energy is recorded in ``failures`` and left out of the branch; if no
     grid shot succeeds, ``IntegrationError`` names them all.  An empty
-    ``mu_grid`` raises ValueError before any shot.
+    ``mu_grid``, or a non-finite entry of ``lambda_queries`` or
+    ``level_fractions``, raises ValueError before any shot.
     """
     if spec is None:
         spec = trivial()
     if not len(mu_grid):
         raise ValueError("empty mu grid: no branch to sample")
+    for name, values in (("lambda_queries", lambda_queries),
+                         ("level_fractions", level_fractions)):
+        if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+            raise ValueError(f"{name} must be finite, got {list(values)!r}")
     mus = np.asarray(sorted(mu_grid), dtype=float)
     energies = np.full_like(mus, np.nan)
     failures: Dict[float, str] = {}

@@ -95,8 +95,7 @@ def _family(args) -> perturbations.PerturbationSpec:
 
 def _add_family_flags(p: argparse.ArgumentParser, default: str = "trivial"):
     p.add_argument("--family", default=default,
-                   choices=["trivial", "log-power", "oscillating",
-                            "inverse-square"],
+                   choices=list(perturbations.FAMILIES),
                    help="perturbation family (default: %(default)s)")
     p.add_argument("--a", type=float, default=None, help="amplitude")
     p.add_argument("--p", type=float, default=None, help="power (> 2)")

@@ -7,9 +7,10 @@ beta with rate O(log^q r / r^2).  The same beta is computable by a weighted
 planar integral (see :mod:`mtlab.quadrature`), giving an independent
 cross-check.
 
-The sources, like the profiles they are built from, take a float or a
-float ndarray: a float gives a scalar, with no 0-d array built on the
-way, and the solver's state calls them on one float per evaluation.
+The sources of w0, z0 and w_a, like the profiles they are built from,
+take a float or a float ndarray: a float gives a scalar, with no 0-d
+array built on the way, and the solver's state calls them on one float
+per evaluation.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .radial_ode import R_START, RadialSolution, solve
 __all__ = [
     "source_w0",
     "source_z0",
-    "source_zeta0",
-    "source_za_minus_z0",
     "source_wa",
     "solve_linearized",
     "extract_log_slope",
@@ -49,34 +48,12 @@ def source_z0(r):
         + e ** 3 + 0.5 * e ** 4
 
 
-def source_zeta0(r):
-    """f = 1 (produces zeta0 = -1 + 1/(1+r^2))."""
-    return np.ones_like(np.asarray(r, dtype=float))
-
-
 def source_wa(a: float) -> Callable:
     """f = eta0 + eta0^2 - a (produces w_a = w0 - a zeta0)."""
 
     def f(r):
         e = pf.eta0(r)
         return e + e * e - a
-
-    return f
-
-
-def source_za_minus_z0(a: float) -> Callable:
-    """Source of the difference z_a - z0 for the inverse-square tail family.
-
-    f = 2 a^2 (zeta0 + zeta0^2)
-        + a (eta0 - eta0^2 - 2 w0 + zeta0 (-2 eta0^2 - 4 eta0 - 4 w0 - 1)).
-    """
-
-    def f(r):
-        e = pf.eta0(r)
-        w = pf.w0(r)
-        z = pf.zeta0(r)
-        return 2.0 * a * a * (z + z * z) \
-            + a * (e - e * e - 2.0 * w + z * (-2.0 * e * e - 4.0 * e - 4.0 * w - 1.0))
 
     return f
 
@@ -108,8 +85,15 @@ def extract_log_slope(sol: RadialSolution, r_lo: float = 1e3,
 
     Returns (beta_hat, error_estimate); beta_hat is the median of r w'(r)
     over log-spaced samples in [r_lo, r_hi], the error estimate is the
-    half-spread of the central 80% of the samples.
+    half-spread of the central 80% of the samples.  A non-finite or
+    non-positive r_lo or r_hi, or n_samples < 1, raises ValueError.
     """
+    # written so that a NaN fails each test
+    for name, value in (("r_lo", r_lo), ("r_hi", r_hi)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"need 0 < {name} < inf, got {name}={value}")
+    if not n_samples >= 1:
+        raise ValueError(f"need n_samples >= 1, got n_samples={n_samples}")
     if r_hi < 100.0 * r_lo:
         raise ValueError("need r_hi >= 100 * r_lo for a meaningful tail")
     if np.log(r_hi) > sol.t_max + 1e-12:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.special import jn_zeros, roots_legendre
+from scipy.special import roots_legendre
 
 from .perturbations import PerturbationSpec, trivial
 from .radial_ode import IntegrationError
@@ -51,7 +51,6 @@ __all__ = [
     "pointwise_moser_bound",
     "MoserBoundReport",
     "multiplier_estimate_field",
-    "lambda1_disk",
 ]
 
 FOUR_PI = 4.0 * np.pi
@@ -60,11 +59,6 @@ R_MIN = 1e-8  # innermost grid radius; the cap [0, R_MIN] holds u(R_MIN)
 ASCENT_TOL = 1e-6  # sine of the H^1 angle between u and d at the stop
 STEP_GROWTH = 1.5  # a line search starts at this multiple of the last accepted step
 MOSER_BOUND_EPS = 1e-8  # additive slack of the pointwise Moser bound
-
-
-def lambda1_disk() -> float:
-    """First Dirichlet eigenvalue of the unit disk, the squared Bessel root."""
-    return float(jn_zeros(0, 1)[0] ** 2)
 
 
 class RadialField:

@@ -35,6 +35,7 @@ __all__ = [
     "check_conditions",
     "ConditionReport",
     "delta_k",
+    "FAMILIES",
     "family_by_name",
 ]
 
@@ -47,27 +48,22 @@ class PerturbationSpec:
 
     ``h`` and ``g`` take arrays; ``point(t) -> (h(t), g(t))`` takes one
     float t > 0 and returns two floats, with 0.0 for the g part of a
-    family without g.  A spec built without ``point`` gets one that calls
-    the array ``h`` and ``g``.  ``h`` must be total on (0, inf);
-    ``sup_h`` / ``inf_h`` are computed on a fixed log grid plus the zero
-    tail limit, so they are reproducible.
+    family without g.  Every spec passes its own ``point``: shots call
+    only it, while the maximizer and the checkers call the arrays.
+    ``h`` must be total on (0, inf); ``sup_h`` / ``inf_h`` are computed
+    on a fixed log grid plus the zero tail limit, so they are
+    reproducible.
     """
 
     h: Callable
+    point: Callable[[float], Tuple[float, float]]
     g: Optional[Callable] = None
     name: str = "custom"
     family_params: Dict = field(default_factory=dict)
-    point: Optional[Callable[[float], Tuple[float, float]]] = None
     sup_h: float = field(init=False)
     inf_h: float = field(init=False)
 
     def __post_init__(self):
-        if self.point is None:
-            def point(t):
-                return (float(self.h(t)),
-                        0.0 if self.g is None else float(self.g(t)))
-
-            self.point = point
         ts = np.exp(np.linspace(np.log(1e-3), np.log(1e8), 10_000))
         hs = np.asarray(self.h(ts), dtype=float)
         if np.any(~np.isfinite(hs)):
@@ -141,12 +137,14 @@ def log_power_family(a: float = 1.0, p: float = 3.0, q: float = 0.0,
     """g(t) = a * chi(|t|/R) * log^q(|t|) * |t|^{-p}, p > 2.
 
     The cutoff keeps g = 0 on [0, R]; with R >= 2 the active range has
-    log t > 0 so fractional q is safe.
+    log t > 0 so fractional q is safe.  R outside [2, inf), NaN
+    included, raises ValueError.
     """
     if p <= 2:
         raise ValueError("need p > 2")
-    if R < 2:
-        raise ValueError("need R >= 2")
+    # written so that a NaN fails the test
+    if not 2.0 <= R < np.inf:
+        raise ValueError(f"need 2 <= R < inf, got R={R}")
 
     point, h, g = _cutoff_family(a, R, p, lambda lg: lg ** q,
                                  lambda lg: q * lg ** (q - 1.0))
@@ -156,9 +154,15 @@ def log_power_family(a: float = 1.0, p: float = 3.0, q: float = 0.0,
 
 def oscillating_family(a: float = 1.0, p: float = 3.0,
                        R: float = 2.0) -> PerturbationSpec:
-    """g(t) = a * chi(|t|/R) * cos(log|t|) * |t|^{-p}, p > 2."""
+    """g(t) = a * chi(|t|/R) * cos(log|t|) * |t|^{-p}, p > 2.
+
+    R outside (0, inf), NaN included, raises ValueError.
+    """
     if p <= 2:
         raise ValueError("need p > 2")
+    # written so that a NaN fails the test
+    if not 0.0 < R < np.inf:
+        raise ValueError(f"need 0 < R < inf, got R={R}")
 
     point, h, g = _cutoff_family(a, R, p, math.cos, lambda lg: -math.sin(lg))
     return PerturbationSpec(h=h, g=g, point=point, name="oscillating",
@@ -250,14 +254,17 @@ def delta_k(mu: float, spec: PerturbationSpec) -> float:
     return max(sup_term, mu ** -6, h_mu / mu ** 2)
 
 
+# name -> builder of each built-in family, in the order the CLI lists them
+FAMILIES: Dict[str, Callable[..., PerturbationSpec]] = {
+    "trivial": trivial,
+    "log-power": log_power_family,
+    "oscillating": oscillating_family,
+    "inverse-square": inverse_square_tail,
+}
+
+
 def family_by_name(name: str, **params) -> PerturbationSpec:
     """Factory used by the command-line interface."""
-    table = {
-        "trivial": trivial,
-        "log-power": log_power_family,
-        "oscillating": oscillating_family,
-        "inverse-square": inverse_square_tail,
-    }
-    if name not in table:
-        raise ValueError(f"unknown family {name!r}; choose from {sorted(table)}")
-    return table[name](**params)
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}; choose from {sorted(FAMILIES)}")
+    return FAMILIES[name](**params)

@@ -33,7 +33,6 @@ __all__ = [
     "beta_from_source",
     "integral_tables",
     "beta1_combination",
-    "beta2_combination",
     "z0_slope_combination",
 ]
 
@@ -169,17 +168,6 @@ def beta1_combination(tables: Dict[str, Tuple[float, QuadratureResult]]) -> floa
     names = ["tail_eta0", "tail_minus_eta0_sq", "tail_minus_2w0", "tail_minus_zeta0",
              "tail_minus_4w0_zeta0", "tail_minus_4eta0_zeta0", "tail_minus_2eta0_sq_zeta0"]
     return float(sum(tables[n][1].value for n in names))
-
-
-def beta2_combination(tables: Dict[str, Tuple[float, QuadratureResult]]) -> float:
-    """Quadratic-in-amplitude slope coefficient; the two zeta0 entries cancel.
-
-    The quadratic part of the tail-family source is 2 (zeta0 + zeta0^2);
-    applying the slope formula pairs the entries to
-    2 (I(-zeta0) - I(zeta0^2)) = 2 (1/3 - 1/3) = 0.
-    """
-    return float(2.0 * (tables["tail_minus_zeta0"][1].value
-                        - tables["tail_zeta0_sq"][1].value))
 
 
 def z0_slope_combination(tables: Dict[str, Tuple[float, QuadratureResult]]) -> float:

@@ -112,10 +112,6 @@ class RadialSolution:
         """The auxiliary integral ``name`` read from a whole state."""
         return state[2 + self._aux_names.index(name)]
 
-    def eval_aux_t(self, name: str, t):
-        """Accumulated auxiliary integral at t = log r."""
-        return self.aux(name, self.eval_state_t(t))
-
 
 def solve(fun: Callable, lap0: float, t_end: float, rtol: float, atol,
           aux: Mapping[str, float] = {}, level: Optional[float] = None,

@@ -25,8 +25,8 @@ from mtlab.maximizer import (maximize_subcritical, multiplier_estimate_field,
                              pointwise_moser_bound)
 from mtlab.perturbations import (check_conditions, inverse_square_tail,
                                  log_power_family, trivial)
-from mtlab.quadrature import (beta1_combination, beta2_combination,
-                              beta_from_source, z0_slope_combination)
+from mtlab.quadrature import (beta1_combination, beta_from_source,
+                              z0_slope_combination)
 from mtlab.shooting import comparison_eta0, pde_residual, shoot
 
 Z0_SLOPE = -6.0 - np.pi ** 2 / 3.0
@@ -59,7 +59,10 @@ def test_criterion_04_integral_tables(tables):
     for name, (closed, res) in tables.items():
         assert res.value == pytest.approx(closed, rel=1e-8), name
     assert beta1_combination(tables) == pytest.approx(-2.0, abs=1e-8)
-    assert abs(beta2_combination(tables)) <= 1e-10
+    # quadratic-in-amplitude slope: the two zeta0 entries cancel
+    beta2 = 2.0 * (tables["tail_minus_zeta0"][1].value
+                   - tables["tail_zeta0_sq"][1].value)
+    assert abs(beta2) <= 1e-10
     assert z0_slope_combination(tables) == pytest.approx(Z0_SLOPE, abs=1e-8)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mtlab
-from mtlab import cli, linearized, maximizer
+from mtlab import analysis, cli, linearized, maximizer
 from mtlab.cli import (EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                        main)
 from mtlab.perturbations import PerturbationSpec
@@ -176,6 +176,34 @@ def test_config_error_exit_code(capsys):
     assert "defines no g" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("levels", [
+    ["--level", "nan", "--level-fraction", "nan"],
+    ["--level", "nan"],
+    ["--level", "inf"],
+    ["--level-fraction", "nan"],
+], ids=["both-nan", "level-nan", "level-inf", "fraction-nan"])
+def test_branch_rejects_non_finite_levels(monkeypatch, capsys, levels):
+    # rejected before any shot, by a message that names the argument
+    def no_shot(*args, **kwargs):
+        raise AssertionError("shoot called")
+
+    monkeypatch.setattr(analysis, "shoot", no_shot)
+    assert run(["branch", "--mu-from", "2", "--mu-to", "7", "--steps", "11",
+                *levels]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "lambda_queries" in err or "level_fractions" in err
+
+
+@pytest.mark.parametrize("family, R", [
+    ("oscillating", "0"), ("oscillating", "-1"), ("oscillating", "nan"),
+    ("oscillating", "inf"), ("log-power", "nan"), ("log-power", "1"),
+    ("log-power", "inf"),
+])
+def test_cutoff_family_rejects_bad_R(capsys, family, R):
+    assert run(["shoot", "--mu", "6", "--family", family, "--R", R]) == EXIT_CONFIG
+    assert f"R={R}" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(capsys):
     # the scan writes the rows it has, then reports the failed mu
     assert run(["scan", "--mu-from", "6", "--mu-to", "30",
@@ -193,7 +221,8 @@ def test_numerical_failure_exit_code(capsys):
 
 
 def test_maximize_nan_functional_exit_code(monkeypatch, tmp_path, capsys):
-    nan_g = PerturbationSpec(h=np.zeros_like, g=lambda t: np.full_like(t, np.nan))
+    nan_g = PerturbationSpec(h=np.zeros_like, g=lambda t: np.full_like(t, np.nan),
+                             point=lambda t: (0.0, np.nan))
     monkeypatch.setattr(cli, "_family", lambda args: nan_g)
     out = tmp_path / "m.json"
     assert run(["maximize", "--alpha", "6.0", "--n-nodes", "256",
@@ -203,7 +232,8 @@ def test_maximize_nan_functional_exit_code(monkeypatch, tmp_path, capsys):
 
 
 def test_shoot_nan_perturbation_exit_code(monkeypatch, tmp_path, capsys):
-    nan_g = PerturbationSpec(h=np.zeros_like, g=lambda t: np.full_like(t, np.nan))
+    nan_g = PerturbationSpec(h=np.zeros_like, g=lambda t: np.full_like(t, np.nan),
+                             point=lambda t: (0.0, np.nan))
     monkeypatch.setattr(cli, "_family", lambda args: nan_g)
     out = tmp_path / "s.json"
     assert run(["shoot", "--mu", "6", "--output", str(out)]) == EXIT_NUMERICAL

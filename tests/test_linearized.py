@@ -5,11 +5,32 @@ import pytest
 
 from mtlab import profiles as pf
 from mtlab.linearized import (extract_log_slope, solve_linearized, source_w0,
-                              source_wa, source_z0, source_za_minus_z0,
-                              source_zeta0)
+                              source_wa, source_z0)
 from mtlab.radial_ode import R_START
 
 RS = np.exp(np.linspace(np.log(1e-3), np.log(1e3), 400))
+
+
+def source_zeta0(r):
+    """f = 1 (produces zeta0 = -1 + 1/(1+r^2))."""
+    return 1.0
+
+
+def source_za_minus_z0(a):
+    """Source of the difference z_a - z0 for the inverse-square tail family.
+
+    f = 2 a^2 (zeta0 + zeta0^2)
+        + a (eta0 - eta0^2 - 2 w0 + zeta0 (-2 eta0^2 - 4 eta0 - 4 w0 - 1)).
+    """
+
+    def f(r):
+        e = pf.eta0(r)
+        w = pf.w0(r)
+        z = pf.zeta0(r)
+        return 2.0 * a * a * (z + z * z) \
+            + a * (e - e * e - 2.0 * w + z * (-2.0 * e * e - 4.0 * e - 4.0 * w - 1.0))
+
+    return f
 
 
 def test_w0_equation_reproduces_closed_form():
@@ -51,6 +72,18 @@ def test_extract_log_slope_validates_range():
         extract_log_slope(sol, r_lo=1e3, r_hi=1e4)  # window too narrow
     with pytest.raises(ValueError):
         extract_log_slope(sol, r_lo=1e2, r_hi=1e6)  # beyond the solution
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"r_lo": np.nan}, "r_lo"), ({"r_lo": 0.0}, "r_lo"), ({"r_lo": -1.0}, "r_lo"),
+    ({"r_hi": np.nan}, "r_hi"), ({"r_hi": np.inf}, "r_hi"), ({"r_hi": -1.0}, "r_hi"),
+    ({"n_samples": 0}, "n_samples"),
+], ids=["r_lo-nan", "r_lo-0", "r_lo-neg", "r_hi-nan", "r_hi-inf", "r_hi-neg",
+        "n_samples-0"])
+def test_extract_log_slope_rejects_bad_window(kwargs, name):
+    sol = solve_linearized(source_w0, r_max=2e3)
+    with pytest.raises(ValueError, match=f"{name}={kwargs[name]}"):
+        extract_log_slope(sol, **{"r_lo": 10.0, "r_hi": 1e3, **kwargs})
 
 
 def test_r_max_cap():

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jn_zeros
 
 from mtlab import shooting
 from mtlab.analysis import branch_scan
 from mtlab.maximizer import (ASCENT_TOL, RadialField, _functional_gradient,
-                             _h1_inner, _h1_riesz, lambda1_disk,
-                             maximize_subcritical,
+                             _h1_inner, _h1_riesz, maximize_subcritical,
                              multiplier_estimate_field, parabolic_start,
                              pointwise_moser_bound, functional_value)
 from mtlab.perturbations import PerturbationSpec, log_power_family, trivial
@@ -17,6 +17,11 @@ from mtlab.radial_ode import IntegrationError
 
 FOUR_PI = 4.0 * np.pi
 BRANCH_FRACS = (0.5, 0.9, 0.999)
+
+
+def lambda1_disk() -> float:
+    """First Dirichlet eigenvalue of the unit disk, the squared Bessel root."""
+    return float(jn_zeros(0, 1)[0] ** 2)
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +150,8 @@ def test_perturbed_maximization_increases_value():
 
 def test_ascent_fails_loudly_on_nan_g():
     # a NaN functional value used to end the line search as "converged"
-    spec = PerturbationSpec(h=np.zeros_like, g=lambda t: np.full_like(t, np.nan))
+    spec = PerturbationSpec(h=np.zeros_like, g=lambda t: np.full_like(t, np.nan),
+                            point=lambda t: (0.0, np.nan))
     with pytest.raises(IntegrationError, match="non-finite functional value"):
         maximize_subcritical(0.5 * FOUR_PI, spec, n_nodes=256)
 

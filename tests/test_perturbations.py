@@ -133,7 +133,8 @@ def test_inverse_square_tail_range():
 
 def test_sup_inf_bounds_guard():
     with pytest.raises(ValueError):
-        PerturbationSpec(h=lambda t: -1.5 * np.ones_like(np.asarray(t)))
+        PerturbationSpec(h=lambda t: -1.5 * np.ones_like(np.asarray(t)),
+                         point=lambda t: (-1.5, 0.0))
 
 
 def test_conditions_log_power_satisfied():

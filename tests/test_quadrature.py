@@ -7,8 +7,8 @@ from mtlab import cli, quadrature
 from mtlab import profiles as pf
 from mtlab.linearized import source_w0, source_z0
 from mtlab.quadrature import (TailBoundError, beta1_combination,
-                              beta2_combination, beta_from_source,
-                              integrate_plane, z0_slope_combination)
+                              beta_from_source, integrate_plane,
+                              z0_slope_combination)
 
 
 def test_integrate_plane_gaussian_like():
@@ -51,7 +51,11 @@ def test_linear_slope_sum(tables):
 
 
 def test_quadratic_slope_cancellation(tables):
-    assert abs(beta2_combination(tables)) < 1e-10
+    # the quadratic part of the tail-family source is 2 (zeta0 + zeta0^2),
+    # so its slope pairs two entries: 2 (I(-zeta0) - I(zeta0^2)) = 0
+    beta2 = 2.0 * (tables["tail_minus_zeta0"][1].value
+                   - tables["tail_zeta0_sq"][1].value)
+    assert abs(beta2) < 1e-10
 
 
 def test_z0_slope_combination_value(tables):

@@ -38,7 +38,7 @@ def test_aux_state_accumulates_mass():
     # d(mass)/dt = 2 pi r^2 * 4 e^{2 eta}; total planar mass of the bubble
     # is 2 pi int 4 r / (1+r^2)^2 dr = 4 pi
     sol = liouville_solve(np.log(1e6), aux={"mass": 0.0})
-    mass = sol.eval_aux_t("mass", sol.t_max)
+    mass = sol.aux("mass", sol.eval_state_t(sol.t_max))
     assert mass == pytest.approx(4.0 * np.pi, abs=1e-8)
 
 

@@ -123,7 +123,8 @@ def test_energy_starts_from_its_series_value(family):
     spec = family()
     sol = shoot(6.0, spec, profile=True)
     seed = FOUR_PI * (1.0 + spec.h(6.0)) * R_START ** 2
-    assert sol.eta.eval_aux_t("energy", sol.eta.t_min) == pytest.approx(seed, rel=1e-12)
+    energy = sol.eta.aux("energy", sol.eta.eval_state_t(sol.eta.t_min))
+    assert energy == pytest.approx(seed, rel=1e-12)
 
 
 @pytest.mark.parametrize("family", [trivial, log_power_family])
@@ -132,16 +133,17 @@ def test_mass_starts_from_its_series_value(family):
     spec = family()
     sol = shoot(6.0, spec, profile=True)
     seed = np.pi * (1.0 + spec.g(6.0)) * R_START ** 2
-    assert sol.eta.eval_aux_t("mass", sol.eta.t_min) == pytest.approx(seed, rel=1e-12)
+    mass = sol.eta.aux("mass", sol.eta.eval_state_t(sol.eta.t_min))
+    assert mass == pytest.approx(seed, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["h", "g"])
 def test_nan_perturbation_raises_integration_error(name):
     # a NaN from h or g would stall the adaptive stepper; the state function
-    # refuses it.  The spec rejects a non-finite h when built, so the NaN goes
-    # in afterwards: the default point reads spec.h and spec.g at call time
-    spec = PerturbationSpec(h=np.zeros_like, g=np.zeros_like)
-    setattr(spec, name, lambda t: np.full_like(np.asarray(t, dtype=float), np.nan))
+    # refuses it.  The spec checks only the array h when built, so the NaN
+    # comes from point, which is all a shot calls
+    nan = {"h": (np.nan, 0.0), "g": (0.0, np.nan)}[name]
+    spec = PerturbationSpec(h=np.zeros_like, g=np.zeros_like, point=lambda t: nan)
     with pytest.raises(IntegrationError, match=r"mu=6\.0"):
         shoot(6.0, spec)
 
@@ -150,7 +152,8 @@ def test_energy_concentrates_like_the_bubble(shots):
     # the energy inside the rescaled ball of radius R approaches the
     # Liouville bubble's 4 pi R^2 / (1 + R^2)
     R = 100.0
-    energy = float(shots[12.0].eta.eval_aux_t("energy", np.log(R)))
+    eta = shots[12.0].eta
+    energy = float(eta.aux("energy", eta.eval_state_t(np.log(R))))
     assert abs(energy - FOUR_PI * (1.0 - 1.0 / (1.0 + R ** 2))) < 5e-3
 
 
@@ -184,11 +187,10 @@ def profile_free_shot():
     lambda sol: sol.eta.eval_state_t(1.0),
     lambda sol: sol.eta.eval_t(1.0),
     lambda sol: sol.eta.eval(2.0),
-    lambda sol: sol.eta.eval_aux_t("energy", 1.0),
     lambda sol: physical_profile(sol, 0.5),
     pde_residual,
     comparison_eta0,
-], ids=["eval_state_t", "eval_t", "eval", "eval_aux_t", "physical_profile",
+], ids=["eval_state_t", "eval_t", "eval", "physical_profile",
         "pde_residual", "comparison_eta0"])
 def test_profile_free_shot_refuses_profile_reads(profile_free_shot, read):
     with pytest.raises(ValueError, match=r"profile=True"):
@@ -313,6 +315,6 @@ def test_vanishing_nonlinearity_misses_event():
     from mtlab.perturbations import PerturbationSpec
     weak = PerturbationSpec(
         h=lambda t: np.full_like(np.asarray(t, dtype=float), -1.0 + 5e-13),
-        name="near-degenerate")
+        point=lambda t: (-1.0 + 5e-13, 0.0), name="near-degenerate")
     with pytest.raises(EventNotReachedError):
         shoot(0.05, weak, tol=1e-9)
