@@ -38,10 +38,13 @@ __all__ = [
     "LogRadialGrid",
     "RadialSolution",
     "R_START",
+    "MIN_RTOL",
     "solve",
 ]
 
 R_START = 1e-6
+# SciPy's floor on rtol: below it solve_ivp only warns and runs at this value
+MIN_RTOL = 100.0 * np.finfo(float).eps
 
 
 class IntegrationError(RuntimeError):
@@ -126,13 +129,17 @@ def solve(fun: Callable, lap0: float, t_end: float, rtol: float, atol,
     extension of its step, and a missing crossing raises NoCrossingError
     (distinct from integrator failure).  Each t in ``marks`` is located the
     same way, as an event that does not stop the solve.  ``dense=False``
-    skips the dense output.
+    skips the dense output.  An ``rtol`` below MIN_RTOL raises ValueError,
+    since SciPy would silently run at MIN_RTOL instead.
     """
     t0 = np.log(R_START)
     # written so that a NaN fails each test: SciPy never finishes on one
     if not (rtol > 0 and np.all(np.asarray(atol) > 0) and t0 < t_end < np.inf):
         raise ValueError(f"need positive tolerances and a finite t_end above "
                          f"log R_START, got rtol={rtol}, atol={atol}, t_end={t_end}")
+    if not rtol >= MIN_RTOL:
+        raise ValueError(f"rtol={rtol:g} is below SciPy's floor "
+                         f"100 eps = {MIN_RTOL:.3g}, which it would use instead")
     events = [lambda t, y, m=m: t - m for m in marks]
     if level is not None:
         def crossing(t, y):

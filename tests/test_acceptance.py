@@ -6,9 +6,8 @@ criterion.  Criteria 6, 7 and 8 encode asymptotic mu -> infinity windows
 constants); they are implemented exactly as stated, checked at mu <= 12,
 and expected to fail there.  That scale is a choice of this suite, not a
 precision limit: shooting accepts mu up to the constant MU_MAX = 24, where
-the boundary radius has log R = 287.5, and R = e^{log R} would overflow a
-double only past mu ~ 37.7.  See notes in the repository history for the
-supporting analysis.
+the boundary radius has log R = 287.5 and is kept on log scale.  See notes
+in the repository history for the supporting analysis.
 """
 
 import time

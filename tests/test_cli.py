@@ -143,6 +143,10 @@ def test_config_error_exit_code(capsys):
     assert run(["shoot", "--mu", "100"]) == EXIT_CONFIG
     # a NaN tolerance or radius is rejected before the integrator starts
     assert run(["shoot", "--mu", "6", "--tol", "nan"]) == EXIT_CONFIG
+    # so is one below SciPy's floor 100 eps, which SciPy would run at instead
+    capsys.readouterr()
+    assert run(["shoot", "--mu", "6", "--tol", "1e-15"]) == EXIT_CONFIG
+    assert "rtol=1e-15" in capsys.readouterr().err
     assert run(["beta", "--r-max", "nan"]) == EXIT_CONFIG
     assert run(["maximize", "--alpha", "100"]) == EXIT_CONFIG
     # a field needs a segment, and an ascent at least one iteration

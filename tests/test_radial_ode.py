@@ -1,10 +1,12 @@
 """Log-radius initial-value integration against closed-form solutions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from mtlab import profiles as pf
-from mtlab.radial_ode import R_START, NoCrossingError, solve
+from mtlab.radial_ode import MIN_RTOL, R_START, NoCrossingError, solve
 
 
 def liouville_state(t, y):
@@ -74,6 +76,15 @@ def test_bad_tolerances_rejected():
         liouville_solve(1.0, rtol=0.0)
     with pytest.raises(ValueError):
         liouville_solve(1.0, atol=np.array([1e-12, -1e-12]))
+
+
+def test_rtol_below_scipy_floor_rejected():
+    # SciPy replaces such an rtol by 100 eps with only a warning
+    with pytest.raises(ValueError, match="rtol"):
+        liouville_solve(1.0, rtol=0.5 * MIN_RTOL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        liouville_solve(1.0, rtol=MIN_RTOL)
 
 
 def test_solve_rejects_nonfinite_inputs():

@@ -178,6 +178,28 @@ def test_shot_nodes_do_not_grow_like_mu_squared():
     assert len(shoot(24.0, trivial()).eta.grid.t_nodes) <= 200
 
 
+@pytest.mark.parametrize("family", [trivial, log_power_family])
+def test_absolute_floor_coarsens_the_core(family):
+    # eta ~ -(1+h(mu)) r^2 decays like e^{2t} at the origin; under pure
+    # relative control on (eta, v) a shot at mu = 6 took 66 of its 120 nodes
+    # below t = -2, under the absolute floor 29 of 84
+    t = shoot(6.0, family()).eta.grid.t_nodes
+    assert np.count_nonzero(t[1:] < -2.0) <= 35
+    assert len(t) <= 95
+
+
+@pytest.mark.parametrize("family", [trivial, log_power_family])
+@pytest.mark.parametrize("mu", [0.05, 1.0, 2.0, 6.0, 12.0, 24.0])
+def test_floored_shot_matches_a_tight_shot(family, mu):
+    # the benchmark's sweep check |E - E_ref| <= 1e-9 against tol = 1e-13;
+    # the boundary event sits where |eta| = mu^2, whose relative control sets
+    # the error of log R, so that bound scales with log R beyond 1
+    spec = family()
+    sol, tight = shoot(mu, spec), shoot(mu, spec, tol=1e-13)
+    assert abs(sol.energy_total - tight.energy_total) <= 1e-9
+    assert abs(sol.log_R - tight.log_R) <= 1e-10 * max(1.0, abs(tight.log_R))
+
+
 @pytest.fixture(scope="module")
 def profile_free_shot():
     return shoot(6.0, trivial())
