@@ -27,7 +27,7 @@ from scipy.optimize import brentq, minimize_scalar
 from . import profiles as pf
 from .linearized import solve_linearized, source_z0
 from .perturbations import PerturbationSpec, delta_k, trivial
-from .radial_ode import IntegrationError
+from .radial_ode import MIN_RTOL, IntegrationError
 from .shooting import EventNotReachedError, pde_residual, shoot
 
 __all__ = [
@@ -101,10 +101,14 @@ def energy_scan(mu_list: Sequence[float], spec: PerturbationSpec,
                 tol: float = 1e-11) -> ExpansionScan:
     """Shoot each mu and collect the energy coefficients.
 
-    An empty ``mu_list`` raises ValueError before any shot.
+    An empty ``mu_list`` or a ``tol`` below MIN_RTOL (NaN included) raises
+    ValueError before any shot.
     """
     if not len(mu_list):
         raise ValueError("empty mu grid: nothing to scan")
+    if not tol >= MIN_RTOL:
+        raise ValueError(f"need tol at or above SciPy's floor 100 eps = "
+                         f"{MIN_RTOL:.3g}, got tol={tol:g}")
     mus, cs, inner, outer, energies = [], [], [], [], []
     failures: Dict[float, str] = {}
     for mu in sorted(mu_list):

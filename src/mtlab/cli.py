@@ -191,8 +191,8 @@ def cmd_scan(args) -> int:
           _fmt(scan.inner_coeffs[i]), _fmt(scan.outer_coeffs[i]),
           int(scan.window_ok[i])] for i, mu in enumerate(scan.mu_values))))
     if scan.failures:
-        raise IntegrationError(
-            "scan failed at mu = " + ", ".join(f"{m:g}" for m in scan.failures))
+        raise IntegrationError("scan failed at " + "; ".join(
+            f"mu = {m:g} ({msg})" for m, msg in scan.failures.items()))
     return EXIT_OK
 
 

@@ -19,6 +19,21 @@ STEP_GROWTH times the last accepted step.  A discrete critical point is
 a u parallel to d in the H^1 metric: the ascent stops, ``converged``, once
 the sine of their angle is below ASCENT_TOL, and the multiplier is the
 energy identity alpha = lambda int (1+h(u)) u^2 e^{u^2} dx, on any grid.
+The sine is |tau| / |d| for the tangent tau, which does not cancel.
+
+Conjugate gradients converge linearly, so the ascent is finished by
+Newton's method: once sin theta < NEWTON_SWITCH an iteration first tries
+one Newton step on the Lagrangian F - nu (E - alpha), nu = 1 / lambda.
+The Hessian H = F'' and the stiffness A are tridiagonal on the nodes, so
+the bordered KKT step is one banded solve with two right-hand sides,
+O(n); H's bands are three forward differences of the gradient, one per
+colour of nodes c, c+3, c+6, ... (Curtis, Powell & Reid), so no family
+needs h'.  The step is retracted to the sphere by rescaling and kept
+when F does not fall beyond rounding; otherwise the iteration takes its
+conjugate-gradient step.  This safeguard keeps the ascent on the
+maximizer: Newton's method converges to any critical point, and Newton
+steps taken from the flat start at alpha / 4 pi = 0.9 reach one with F
+lower by 5.9.
 
 The discrete field is piecewise linear in t = log r, for which the
 Dirichlet energy has the exact per-segment form 2 pi (du)^2 / dt and the
@@ -38,6 +53,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.special import roots_legendre
 
 from .perturbations import PerturbationSpec, trivial
@@ -58,6 +74,8 @@ GAUSS_ORDER = 5  # Gauss-Legendre points per segment
 R_MIN = 1e-8  # innermost grid radius; the cap [0, R_MIN] holds u(R_MIN)
 ASCENT_TOL = 1e-6  # sine of the H^1 angle between u and d at the stop
 STEP_GROWTH = 1.5  # a line search starts at this multiple of the last accepted step
+NEWTON_SWITCH = 1e-2  # below this sin theta an iteration first tries a Newton step
+NEWTON_FD_EPS = 1e-7  # relative forward-difference step of the Hessian bands
 MOSER_BOUND_EPS = 1e-8  # additive slack of the pointwise Moser bound
 
 
@@ -186,7 +204,7 @@ class MaximizerResult:
     value: float
     lambda_hat: float
     iterations: int
-    evaluations: int  # F evaluations: the start and every line-search trial
+    evaluations: int  # F evaluations: the start, every line-search and Newton trial
     converged: bool
     stationarity: float  # sin of the H^1 angle between u and d at the end
 
@@ -197,17 +215,20 @@ def _require_finite(x, what: str, it: int) -> None:
 
 
 def _stationarity(field: RadialField, grad: np.ndarray,
-                  direction: np.ndarray) -> Tuple[float, float]:
-    """(lambda, sin theta) from dF = ``grad`` and its Riesz representative d.
+                  direction: np.ndarray) -> Tuple[float, float, np.ndarray]:
+    """(lambda, sin theta, tangent) from dF = ``grad`` and its Riesz representative d.
 
-    In the H^1 metric <u, d> = u.G, |d|^2 = d.G and |u|^2 = E, so
-    sin theta = sqrt(1 - (u.G)^2 / (E d.G)); lambda = 2 E / (u.G) is the
-    energy identity, since u.G = 2 int (1+h(u)) u^2 e^{u^2} dx.
+    In the H^1 metric <u, d> = u.G and <u, u> = E, so the tangent part of d
+    on the sphere is tau = d - (u.G / E) u and sin theta = |tau| / |d|, a
+    quotient of two sums of squares that does not cancel near a critical
+    point; lambda = 2 E / (u.G) is the energy identity, since
+    u.G = 2 int (1+h(u)) u^2 e^{u^2} dx.
     """
     energy = field.energy()
-    ug = np.dot(field.values, grad)
-    sin2 = 1.0 - ug * ug / (energy * np.dot(direction, grad))
-    return float(2.0 * energy / ug), float(np.sqrt(max(sin2, 0.0)))
+    ug = float(np.dot(field.values, grad))
+    tangent = direction - (ug / energy) * field.values
+    sin2 = _h1_inner(field, tangent, tangent) / _h1_inner(field, direction, direction)
+    return 2.0 * energy / ug, float(np.sqrt(sin2)), tangent
 
 
 def _h1_inner(field: RadialField, a: np.ndarray, b: np.ndarray) -> float:
@@ -215,13 +236,65 @@ def _h1_inner(field: RadialField, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(field.plan().w, np.diff(a) * np.diff(b)))
 
 
+def _hessian_bands(field: RadialField, spec: PerturbationSpec,
+                   grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(diagonal, off-diagonal) of H = F'' on the free nodes (all but r = 1).
+
+    H is tridiagonal, so nodes c, c+3, c+6, ... share no row: one forward
+    difference of the gradient per colour c reads H[j, j] and H[j+1, j]
+    for every j of that colour (Curtis, Powell & Reid), and no family
+    needs h'.
+    """
+    u = field.values
+    n = len(u) - 1
+    eps = NEWTON_FD_EPS * max(1.0, float(np.max(np.abs(u))))
+    diag, off = np.empty(n), np.empty(n - 1)
+    probe = field.copy()
+    for c in range(3):
+        probe.values[:] = u
+        probe.values[c:n:3] += eps
+        quotient = (_functional_gradient(probe, spec) - grad) / eps
+        diag[c::3] = quotient[c:n:3]
+        off[c::3] = quotient[c + 1:n:3]
+    return diag, off
+
+
+def _newton_trial(field: RadialField, grad: np.ndarray, lam: float,
+                  alpha: float, spec: PerturbationSpec) -> RadialField:
+    """One Newton step on the Lagrangian F - nu (E - alpha), retracted to E = alpha.
+
+    With nu = 1/lambda, b = 2 A u and M = H - 2 nu A on the free nodes the
+    bordered KKT system is M du - b dnu = -(G - nu b), b.du = alpha - E;
+    both solves M [x1 x2] = [-(G - nu b), b] share one banded LU, then
+    dnu = (alpha - E - b.x1) / (b.x2) and du = x1 + dnu x2.
+    """
+    u, w = field.values, field.plan().w
+    nu = 1.0 / lam
+    diag, off = _hessian_bands(field, spec, grad)
+    flux = w * (u[:-1] - u[1:])  # A u in flux form, as in _h1_riesz
+    b = 2.0 * (flux - np.concatenate(([0.0], flux[:-1])))
+    bands = np.zeros((3, len(b)))
+    bands[0, 1:] = bands[2, :-1] = off + 2.0 * nu * w[:-1]
+    bands[1] = diag - 2.0 * nu * (w + np.concatenate(([0.0], w[:-1])))
+    x1, x2 = solve_banded((1, 1), bands, np.column_stack((nu * b - grad[:-1], b)),
+                          check_finite=False).T
+    dnu = (alpha - field.energy() - np.dot(b, x1)) / np.dot(b, x2)
+    trial = field.copy()
+    trial.values[:-1] += x1 + dnu * x2
+    _project(trial, alpha)
+    return trial
+
+
 def _ascend(field: RadialField, alpha: float, spec: PerturbationSpec,
             max_iter: int) -> Tuple[RadialField, float, int, int]:
-    """PR+ conjugate-gradient ascent from ``field`` on the sphere E = alpha.
+    """PR+ conjugate-gradient ascent from ``field`` on the sphere E = alpha,
+    finished by Newton steps once sin theta < NEWTON_SWITCH.
 
     Returns (field, F, iterations, F evaluations); raises IntegrationError
-    on NaN/inf.  The ascent ends at the stop sin theta < ASCENT_TOL, when
-    the line search finds no step that raises F, or after ``max_iter``.
+    on NaN/inf.  A Newton trial is kept when it does not lower F beyond
+    rounding; otherwise the iteration takes the conjugate-gradient step.
+    The ascent ends at the stop sin theta < ASCENT_TOL, when the line
+    search finds no step that raises F, or after ``max_iter``.
     """
     _project(field, alpha)
     value = functional_value(field, spec)
@@ -233,13 +306,18 @@ def _ascend(field: RadialField, alpha: float, spec: PerturbationSpec,
         _require_finite(grad, "gradient", it)
         direction = _h1_riesz(field, grad)
         _require_finite(direction, "ascent direction", it)
-        lam, sin_theta = _stationarity(field, grad, direction)
+        lam, sin_theta, tangent = _stationarity(field, grad, direction)
         if sin_theta < ASCENT_TOL:
             break
+        if sin_theta < NEWTON_SWITCH:
+            trial = _newton_trial(field, grad, lam, alpha, spec)
+            trial_value = functional_value(trial, spec)
+            evaluations += 1
+            if trial_value >= value * (1.0 - 1e-14):
+                field, value = trial, trial_value
+                search = None  # the next conjugate-gradient step restarts
+                continue
         u, energy = field.values, field.energy()
-        # the H^1 gradient on the sphere: d less its component along u,
-        # whose coefficient is u.G / E = 2 / lambda
-        tangent = direction - (2.0 / lam) * u
         if search is not None:
             beta = max(0.0, _h1_inner(field, tangent, tangent - tangent_prev)
                        / _h1_inner(field, tangent_prev, tangent_prev))
@@ -268,7 +346,8 @@ def _ascend(field: RadialField, alpha: float, spec: PerturbationSpec,
 
 def maximize_subcritical(alpha: float, spec: Optional[PerturbationSpec] = None,
                          n_nodes: int = 4096, max_iter: int = 200) -> MaximizerResult:
-    """Conjugate-gradient ascent in the H^1 metric from the parabolic start.
+    """Conjugate-gradient ascent in the H^1 metric from the parabolic start,
+    finished by safeguarded Newton steps (see the module docstring).
 
     ``converged`` is True only when the returned field meets the stop
     sin theta < ASCENT_TOL, not when ``max_iter`` or the line search runs
@@ -316,4 +395,5 @@ def multiplier_estimate_field(field: RadialField,
     sin theta is 0 exactly at a discrete critical point of F on the sphere.
     """
     grad = _functional_gradient(field, spec)
-    return _stationarity(field, grad, _h1_riesz(field, grad))
+    lam, sin_theta, _ = _stationarity(field, grad, _h1_riesz(field, grad))
+    return lam, sin_theta

@@ -36,6 +36,17 @@ def test_energy_scan_records_failures(trivial_spec):
     assert list(scan.mu_values) == [6.0]
 
 
+@pytest.mark.parametrize("tol", [1e-15, 0.0, -1e-11, float("nan")])
+def test_energy_scan_rejects_tol_below_the_floor(monkeypatch, trivial_spec, tol):
+    # rejected before any shot instead of recorded as a failure per mu
+    def no_shot(*args, **kwargs):
+        raise AssertionError("shoot called")
+
+    monkeypatch.setattr(analysis, "shoot", no_shot)
+    with pytest.raises(ValueError, match="SciPy's floor"):
+        energy_scan([6.0, 7.0], trivial_spec, tol=tol)
+
+
 def test_residual_hierarchy_first_order(trivial_spec):
     rep = residual_hierarchy(8.0, trivial_spec)
     assert rep.sup_w_err < 0.05

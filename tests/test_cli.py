@@ -208,16 +208,30 @@ def test_cutoff_family_rejects_bad_R(capsys, family, R):
     assert f"R={R}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["1e-15", "nan"])
+def test_scan_rejects_tol_below_the_floor(monkeypatch, capsys, tol):
+    # a configuration error like `mtlab shoot --tol 1e-15`, found before any shot
+    def no_shot(*args, **kwargs):
+        raise AssertionError("shoot called")
+
+    monkeypatch.setattr(analysis, "shoot", no_shot)
+    assert run(["scan", "--mu-from", "6", "--mu-to", "7", "--steps", "2",
+                "--tol", tol]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "SciPy's floor" in captured.err and f"tol={tol}" in captured.err
+
+
 def test_numerical_failure_exit_code(capsys):
     # the scan writes the rows it has, then reports the failed mu
     assert run(["scan", "--mu-from", "6", "--mu-to", "30",
                 "--steps", "2"]) == EXIT_NUMERICAL
-    out = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
     assert out[0] == "mu,E,c,inner_coeff,outer_coeff,in_window"
     assert len(out) == 2
-    # a NaN tolerance rejects every shot, and the scan records them
-    assert run(["scan", "--mu-from", "6", "--mu-to", "7", "--steps", "2",
-                "--tol", "nan"]) == EXIT_NUMERICAL
+    # the failure names each failed mu with its reason
+    assert "scan failed at mu = 30 (mu=30.0 outside supported range" in captured.err
     # no branch grid shot succeeds: every center value is out of range
     assert run(["branch", "--mu-from", "30", "--mu-to", "40",
                 "--steps", "3"]) == EXIT_NUMERICAL

@@ -1,17 +1,22 @@
 """Constrained maximization: energies, invariants and multiplier limits."""
 
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
-from mtlab import shooting
+from mtlab import maximizer, shooting
 from mtlab.analysis import branch_scan
 from mtlab.maximizer import (ASCENT_TOL, RadialField, _functional_gradient,
-                             _h1_inner, _h1_riesz, maximize_subcritical,
-                             multiplier_estimate_field, parabolic_start,
-                             pointwise_moser_bound, functional_value)
+                             _h1_inner, _h1_riesz, _hessian_bands,
+                             _newton_trial, _project, _stationarity,
+                             maximize_subcritical, multiplier_estimate_field,
+                             parabolic_start, pointwise_moser_bound,
+                             functional_value)
 from mtlab.perturbations import PerturbationSpec, log_power_family, trivial
 from mtlab.radial_ode import IntegrationError
 
@@ -131,12 +136,50 @@ def test_maximizer_multiplier_matches_the_branch(frac, branch_roots):
     assert abs(res.lambda_hat - lam_branch) <= 1e-5
 
 
-@pytest.mark.parametrize("frac, budget", zip(BRANCH_FRACS, (35, 60, 100)))
+def test_multiplier_error_is_mesh_error_at_the_top_rung(branch_roots):
+    # at 0.999 the Newton finish leaves lambda_hat - lambda_branch to the
+    # mesh: one sign and about 4x smaller per node doubling (the stop of a
+    # conjugate-gradient-only ascent flips its sign with the mesh)
+    (root,) = branch_roots[0.999]
+    lam_branch = np.exp(shooting.shoot(root, trivial()).log_lambda)
+    errors = [maximize_subcritical(0.999 * FOUR_PI, n_nodes=n_nodes,
+                                   max_iter=600).lambda_hat - lam_branch
+              for n_nodes in (2048, 4096, 8192)]
+    assert all(np.sign(e) == np.sign(errors[0]) != 0 for e in errors)
+    assert abs(errors[0]) >= 3.0 * abs(errors[1]) >= 9.0 * abs(errors[2])
+
+
+@pytest.mark.parametrize("frac, budget", zip(BRANCH_FRACS, (10, 18, 30)))
 def test_ascent_iteration_budget(frac, budget):
-    # below the 45, 81 and 350 iterations that steepest ascent takes
+    # below the 15, 28 and 46 iterations that the conjugate-gradient ascent
+    # takes without its Newton finish (and 45, 81, 350 for steepest ascent)
     res = maximize_subcritical(frac * FOUR_PI, n_nodes=4096, max_iter=600)
     assert res.converged
     assert res.iterations <= budget
+
+
+def test_rejected_newton_trials_leave_the_conjugate_gradient_path(monkeypatch):
+    # a Newton trial that lowers F is discarded: the ascent then takes
+    # exactly the conjugate-gradient iterations, each trial counted
+    alpha = 0.9 * FOUR_PI
+    monkeypatch.setattr(maximizer, "NEWTON_SWITCH", 0.0)
+    cg_only = maximize_subcritical(alpha, n_nodes=1024)
+    monkeypatch.setattr(maximizer, "NEWTON_SWITCH", 1e-2)
+    calls = []
+
+    def lower_trial(field, grad, lam, alpha, spec):
+        calls.append(field)
+        shrunk = field.copy()
+        shrunk.values *= 0.5
+        return shrunk
+
+    monkeypatch.setattr(maximizer, "_newton_trial", lower_trial)
+    res = maximize_subcritical(alpha, n_nodes=1024)
+    assert calls
+    assert res.converged
+    assert res.value == cg_only.value
+    assert res.iterations == cg_only.iterations
+    assert res.evaluations == cg_only.evaluations + len(calls)
 
 
 def test_perturbed_maximization_increases_value():
@@ -187,6 +230,20 @@ def _draw_field(data, n_seg):
     return RadialField(np.append(-np.cumsum(dt[::-1])[::-1], 0.0), u)
 
 
+def _exact_sin_theta(field, grad, d):
+    """sin theta = |tau| / |d| with tau = d - (u.G / E) u, every sum exact."""
+    w = [Fraction(x) for x in field.plan().w]
+    u, grad, d = ([Fraction(x) for x in v] for v in (field.values, grad, d))
+
+    def inner(a, b):
+        return sum(wi * (a[i] - a[i + 1]) * (b[i] - b[i + 1])
+                   for i, wi in enumerate(w))
+
+    coeff = sum(ui * gi for ui, gi in zip(u, grad)) / inner(u, u)
+    tau = [di - coeff * ui for di, ui in zip(d, u)]
+    return float(np.sqrt(float(inner(tau, tau) / inner(d, d))))
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n_seg=st.integers(1, 80))
 def test_stationarity_is_the_h1_angle(data, n_seg):
@@ -200,6 +257,15 @@ def test_stationarity_is_the_h1_angle(data, n_seg):
     cos2 = (uu @ A @ d) ** 2 / ((uu @ A @ uu) * (d @ A @ d))
     assert sin_theta == pytest.approx(np.sqrt(max(1.0 - cos2, 0.0)),
                                       rel=1e-9, abs=1e-7)
+    # d = u + 1e-10 p: there 1 - cos^2 rounds to 0, while the tangent
+    # norm still measures the angle of order 1e-10
+    p = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n_seg + 1,
+                                    max_size=n_seg + 1)))
+    near = np.append(field.values[:-1] + 1e-10 * p[:-1], 0.0)
+    grad = np.append(A @ near[:-1], 0.0)
+    _, sin_near, _ = _stationarity(field, grad, near)
+    assert sin_near == pytest.approx(_exact_sin_theta(field, grad, near),
+                                     rel=1e-4, abs=1e-13)
 
 
 @settings(max_examples=200, deadline=None)
@@ -213,3 +279,60 @@ def test_h1_inner_product_identities(data, n_seg):
     assert _h1_inner(field, u, u) == pytest.approx(field.energy(), rel=1e-10)
     assert _h1_inner(field, u, _h1_riesz(field, grad)) == pytest.approx(
         np.dot(u, grad), rel=1e-10)
+
+
+def _kkt_step(field, grad, nu, alpha, diag, off):
+    """Dense reference for the retracted Newton step: the full KKT matrix
+    [[H - 2 nu A, -b], [b^T, 0]] with b = 2 A u, solved by LU."""
+    A = _stiffness(field.t_nodes)
+    u = field.values[:-1]
+    b = 2.0 * A @ u
+    H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    kkt = np.block([[H - 2.0 * nu * A, -b[:, None]], [b[None, :], np.zeros((1, 1))]])
+    rhs = np.append(nu * b - grad[:-1], alpha - field.energy())
+    step = field.copy()
+    step.values[:-1] += np.linalg.solve(kkt, rhs)[:-1]
+    _project(step, alpha)
+    return step.values
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_seg=st.integers(1, 40))
+def test_newton_step_solves_the_kkt_system(data, n_seg):
+    # the banded solve with two right-hand sides and the scalar border is
+    # the dense KKT solve; H is drawn negative and diagonally dominant
+    field = _draw_field(data, n_seg)
+    grad = _functional_gradient(field, trivial())
+    nu = data.draw(st.floats(0.01, 1.0))
+    alpha = data.draw(st.floats(0.5, 2.0)) * field.energy()
+    diag = np.array(data.draw(st.lists(st.floats(-2e3, -1e3), min_size=n_seg,
+                                       max_size=n_seg)))
+    off = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n_seg - 1,
+                                      max_size=n_seg - 1)))
+    with mock.patch.object(maximizer, "_hessian_bands", lambda *args: (diag, off)):
+        trial = _newton_trial(field, grad, 1.0 / nu, alpha, trivial())
+    ref = _kkt_step(field, grad, nu, alpha, diag, off)
+    assert trial.values[-1] == 0.0
+    assert np.max(np.abs(trial.values - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_seg=st.integers(1, 40))
+def test_hessian_bands_match_the_exact_second_derivative(data, n_seg):
+    # trivial family: F'' is (2 + 4 u^2) e^{u^2}, assembled with the same
+    # Gauss weights as F and its gradient, plus the inner cap at node 0
+    field = _draw_field(data, n_seg)
+    plan = field.plan()
+    u = field.values
+    uq = plan.frac * u[:-1, None] + (1.0 - plan.frac) * u[1:, None]
+    f2 = 2.0 * np.pi * (2.0 + 4.0 * uq * uq) * np.exp(uq * uq) * plan.e2t * plan.wq
+    diag = np.zeros(len(u))
+    diag[:-1] += np.sum(f2 * plan.frac ** 2, axis=1)
+    diag[1:] += np.sum(f2 * (1.0 - plan.frac) ** 2, axis=1)
+    diag[0] += plan.cap * (2.0 + 4.0 * u[0] ** 2) * np.exp(u[0] ** 2)
+    off = np.sum(f2 * plan.frac * (1.0 - plan.frac), axis=1)[:-1]
+    got_diag, got_off = _hessian_bands(field, trivial(),
+                                       _functional_gradient(field, trivial()))
+    scale = np.max(np.abs(diag))
+    assert np.max(np.abs(got_diag - diag[:-1])) <= 1e-5 * scale
+    assert np.max(np.abs(got_off - off), initial=0.0) <= 1e-5 * scale

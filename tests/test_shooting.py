@@ -200,6 +200,18 @@ def test_floored_shot_matches_a_tight_shot(family, mu):
     assert abs(sol.log_R - tight.log_R) <= 1e-10 * max(1.0, abs(tight.log_R))
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("mu", [2.0, 6.0, 12.0, 24.0])
+def test_inverse_square_shot_matches_a_tight_shot(a, mu):
+    # threshold_a shoots this family; at the default tol it misses a
+    # tol = 1e-13 shot by more than the sweep families do (worst measured
+    # 5.8e-10 in E and 3.3e-9 in log R, both at a = 1, mu = 12)
+    spec = inverse_square_tail(a=a)
+    sol, tight = shoot(mu, spec), shoot(mu, spec, tol=1e-13)
+    assert abs(sol.energy_total - tight.energy_total) <= 1e-9
+    assert abs(sol.log_R - tight.log_R) <= 1e-8
+
+
 @pytest.fixture(scope="module")
 def profile_free_shot():
     return shoot(6.0, trivial())
