@@ -170,8 +170,7 @@ def residual_hierarchy(mu: float,
 
     def hierarchy_err(r_hi, n=600):
         """Radii plus (eta - eta0 - w0/mu^2, same - z0/mu^4) samples."""
-        t = np.linspace(max(np.log(1e-3), sol.eta.t_min),
-                        min(np.log(r_hi), sol.log_R), n)
+        t = np.linspace(np.log(1e-3), min(np.log(r_hi), sol.log_R), n)
         r = np.exp(t)
         eta, _ = sol.eta.eval_t(t)
         d1 = eta - pf.eta0(r) - pf.w0(r) / mu2

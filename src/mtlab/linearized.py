@@ -1,11 +1,14 @@
 """Solvers for the linearized radial family -Delta w = 4 e^{2 eta0}(f + 2w).
 
-Every member is solved with zero Cauchy data at the origin.  Solutions grow
-at most logarithmically, w(r) = beta log r + O(1), and the log-slope beta
-is best read off from the integrated quantity r w'(r), which converges to
-beta with rate O(log^q r / r^2).  The same beta is computable by a weighted
-planar integral (see :mod:`mtlab.quadrature`), giving an independent
-cross-check.
+Every member is solved with zero Cauchy data at the origin, stepped from
+the series of the core that :func:`mtlab.radial_ode.solve` fits (at
+r = 1e-2, a rung lower when r_max is below it); the w0 core starts at r^4,
+since its source vanishes at the origin, which the fit's absolute check
+handles.  Solutions grow at most logarithmically, w(r) = beta log r + O(1),
+and the log-slope beta is best read off from the integrated quantity
+r w'(r), which converges to beta with rate O(log^q r / r^2).  The same beta
+is computable by a weighted planar integral (see :mod:`mtlab.quadrature`),
+giving an independent cross-check.
 
 The sources of w0, z0 and w_a, like the profiles they are built from,
 take a float or a float ndarray: a float gives a scalar, with no 0-d
@@ -62,21 +65,25 @@ def solve_linearized(source: Callable, r_max: float = 1e6) -> RadialSolution:
     """Solve -Delta w = 4 e^{2 eta0}(source(r) + 2 w), w(0) = w'(0) = 0.
 
     ``source`` is a radial rule with at most log^4 growth; the state calls
-    it on one float r per evaluation.  An r_max outside (R_START, 1e8],
-    NaN included, raises ValueError before the solve.  Both tolerances of
-    the integrator (DOP853) are LINEARIZED_TOL.
+    it on one float r per evaluation, the fit of the start included: the
+    solve starts from the core's fitted series at the largest radius of
+    ``radial_ode.START_LADDER`` below r_max that passes its check.  An
+    r_max outside (R_START, 1e8], NaN included, raises ValueError before
+    the solve.  Both tolerances of the integrator (DOP853) are
+    LINEARIZED_TOL.
     """
     # written so that a NaN fails the test
     if not R_START < r_max <= 1e8:
-        raise ValueError(f"need R_START < r_max <= 1e8, got r_max={r_max}")
+        raise ValueError(f"need R_START = {R_START:g} < r_max <= 1e8 (the solve "
+                         f"starts below r_max, at R_START at the lowest), "
+                         f"got r_max={r_max}")
 
     def state(t, y):
         r = math.exp(t)
         one = 1.0 + r * r
         return np.array([y[1], -r * r * (4.0 / (one * one) * (source(r) + 2.0 * y[0]))])
 
-    return solve(state, -4.0 * float(source(0.0)), np.log(r_max),
-                 LINEARIZED_TOL, LINEARIZED_TOL)
+    return solve(state, np.log(r_max), LINEARIZED_TOL, LINEARIZED_TOL)
 
 
 def extract_log_slope(sol: RadialSolution, r_lo: float = 1e3,

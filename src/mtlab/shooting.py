@@ -14,35 +14,41 @@ rather than a precision limit.
 
 The Dirichlet energy equals the integral of lambda (1+h(u)) u^2 e^{u^2}
 over the disk, accumulated in rescaled coordinates as an auxiliary ODE
-state together with the exponential mass used by the functional value.
-Both are integrated by one :func:`mtlab.radial_ode.solve` call with
+state.  It is integrated by one :func:`mtlab.radial_ode.solve` call with
 DOP853, no cap on the step in t = log r, the boundary event as its level
-and the split radius t = SPLIT_EXPONENT log mu as its mark.  The energy
-and the mass start from their series values 4 pi (1+h(mu)) R_START^2 and
-pi (1+g(mu)) R_START^2, both from one call of the family's scalar kernel
-``point(mu)``.  The state function calls that kernel once per evaluation,
-in plain ``math`` on Python floats, and raises IntegrationError when it
-returns a non-finite value (a NaN would otherwise stall the stepper).
+and the split radius t = SPLIT_EXPONENT log mu as its mark.  The solve
+fits the start to the analytic core itself (an even series in r, checked
+against this state function; see :mod:`mtlab.radial_ode`) at r = 1e-2, or
+lower on its ladder when the check fails: at mu = 0.05 the series of the
+core converges only for r below about mu, and the start drops to 1e-3.
+A split radius below the start is read off that series.  The state
+function calls the family's scalar kernel ``point`` once per evaluation,
+the fit's included, in plain ``math`` on Python floats, and raises
+IntegrationError when it returns a non-finite value (a NaN would
+otherwise stall the stepper).  The functional needs no state of its own:
+:func:`functional_value` is the Pohozaev closed form on the boundary state.
 
-Every state has the relative tolerance tol.  The energy and the mass have
-the absolute tolerance tol, and eta and v the floor ETA_ATOL_FACTOR tol =
-1e-3 tol.  Near the origin eta ~ -(1+h(mu)) r^2 decays like e^{2t}; under
-pure relative control DOP853 stepped that analytic core at about 0.18 in
-t, 66 of the 119 accepted steps of a shot at mu = 6 below t = -2.  With
-the floor that shot takes 29 of 83 steps there, and a shot from mu = 12
-to 24 has 95-101 nodes.  Over the benchmark's sweep lattice the worst
-|E - E_ref| against tol = 1e-13 shots is 2.7e-10 (5.9e-10 under pure
-relative control); a floor of tol on eta and v raises it to 9.9e-10.
+Every state has the relative tolerance tol.  The energy has the absolute
+tolerance tol, and eta and v the floor ETA_ATOL_FACTOR tol = 1e-3 tol.
+Near the origin eta ~ -(1+h(mu)) r^2 decays like e^{2t}, and under pure
+relative control DOP853 would step that core at about 0.18 in t.  With the
+floor, a shot at mu = 6 takes 14 of its 64 steps below t = -2, and a shot
+has 40 nodes at mu = 2, 65 at mu = 6 and 72-76 at mu = 12, 18 and 24.
+Against tol = 1e-13 shots, the worst |E - E_ref| over the benchmark's
+sweep lattice is 8.8e-10 (log-power, mu = 4); the 1e-9 sweep check is not
+a bound at every mu, though: on mu = 2, 2.05, ..., 12 the trivial family
+misses by at most 3.5e-11, while 3 of 201 log-power shots miss by more
+than 1e-9, the worst by 2.8e-9 at mu = 3.05.
 
-Every number of a shot (log R, the energies, the mass) is read from the
-state at those two events, so :func:`shoot` skips the dense output by
-default: DOP853's continuous extension costs 3 more state-function calls
-per accepted step, about a fifth of a shot's calls, and SciPy builds it
-anyway on the two steps that hold an event.  The steps, and so every
-number, are the same with or without it.  Only a caller that reads the
-profile between nodes (:func:`physical_profile`, :func:`pde_residual`,
-:func:`comparison_eta0`, ``sol.eta.eval*``) passes ``profile=True``; on a
-profile-free shot these raise ValueError.
+Every number of a shot (log R, the energies, the boundary slope) is read
+from the state at those two events, so :func:`shoot` skips the dense
+output by default: DOP853's continuous extension costs 3 more
+state-function calls per accepted step, about a fifth of a shot's calls,
+and SciPy builds it anyway on the two steps that hold an event.  The
+steps, and so every number, are the same with or without it.  Only a
+caller that reads the profile (:func:`physical_profile`,
+:func:`pde_residual`, :func:`comparison_eta0`, ``sol.eta.eval*``) passes
+``profile=True``; on a profile-free shot these raise ValueError.
 
 :func:`pde_residual` checks a finished shot against the same state function.
 A shot is returned as data; :mod:`mtlab.cli` renders it as JSON or CSV.
@@ -59,8 +65,8 @@ from scipy.special import roots_legendre
 
 from . import profiles as pf
 from .perturbations import PerturbationSpec
-from .radial_ode import (R_START, IntegrationError, NoCrossingError,
-                         RadialSolution, solve)
+from .radial_ode import (IntegrationError, NoCrossingError, RadialSolution,
+                         solve)
 
 __all__ = [
     "ShotSolution",
@@ -92,9 +98,9 @@ class ShotSolution:
 
     Radii and multiplier are stored on log scale: R = r_k^{-1} with
     log lambda = log 4 + 2 log R - mu^2 - 2 log mu, and ``eta`` ends at the
-    boundary event t = log R; it evaluates between its nodes only for a
-    shot taken with ``profile=True``.  ``exp_mass`` is the rescaled
-    accumulated integral used by :func:`functional_value`.
+    boundary event t = log R; it evaluates between its nodes, and on the
+    fitted series below the first one, only for a shot taken with
+    ``profile=True``.
     """
 
     mu: float
@@ -105,7 +111,6 @@ class ShotSolution:
     energy_outer: float
     eta: RadialSolution
     perturbation: PerturbationSpec
-    exp_mass: float
 
 
 def _checked_point(spec: PerturbationSpec, mu: float, u: float):
@@ -127,9 +132,9 @@ def _state(mu: float, spec: PerturbationSpec) -> Callable:
     mu2 = mu * mu
 
     def state(t, y):
-        """(eta, v, energy, mass)' at t = log r.
+        """(eta, v, energy)' at t = log r.
 
-        All rates share e = e^{2t + eta (2 + eta/mu^2)}.  Along the solution
+        Both rates share e = e^{2t + eta (2 + eta/mu^2)}.  Along the solution
         eta stays in [-mu^2, 0], where the exponent eta (2 + eta/mu^2) is
         non-positive; its clamp at 0 and the clamp of the whole exponent at
         50 only bite on wildly overshooting trial steps of the adaptive
@@ -138,11 +143,11 @@ def _state(mu: float, spec: PerturbationSpec) -> Callable:
         """
         eta, v = float(y[0]), float(y[1])
         u = max(mu + eta / mu, 1e-12)
-        hu, gu = _checked_point(spec, mu, u)
+        hu, _ = _checked_point(spec, mu, u)
         q = 1.0 + eta / mu2
         e = math.exp(min(2.0 * t + min(eta * (2.0 + eta / mu2), 0.0), 50.0))
         f = 4.0 * (1.0 + hu) * q * e
-        return np.array([v, -f, TWO_PI * f * q, TWO_PI * (1.0 + gu) * e])
+        return np.array([v, -f, TWO_PI * f * q])
 
     return state
 
@@ -159,21 +164,14 @@ def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11,
     if not (MU_MIN <= mu <= MU_MAX):
         raise ValueError(f"mu={mu} outside supported range [{MU_MIN}, {MU_MAX}]")
     mu2 = mu * mu
-    h_mu, g_mu = _checked_point(spec, mu, mu)
-    one_h = 1.0 + h_mu
-
     # the floor on eta and v cuts the steps in the core, where eta ~ r^2 is
     # exponentially small in t = log r (see the module docstring)
     eta_atol = ETA_ATOL_FACTOR * tol
-    abs_tol = np.array([eta_atol, eta_atol, tol, tol])
-    energy0 = 2.0 * TWO_PI * one_h * R_START * R_START
-    mass0 = 0.5 * TWO_PI * (1.0 + g_mu) * R_START * R_START
-    # mu >= MU_MIN puts the split radius mu^p above R_START
+    abs_tol = np.array([eta_atol, eta_atol, tol])
     t_split = SPLIT_EXPONENT * np.log(mu)
     try:
-        sol = solve(_state(mu, spec), -4.0 * one_h, 0.55 * mu2 + 10.0, tol,
-                    abs_tol, aux={"energy": energy0, "mass": mass0},
-                    level=-mu2, marks=(t_split,), dense=profile)
+        sol = solve(_state(mu, spec), 0.55 * mu2 + 10.0, tol, abs_tol,
+                    aux=("energy",), level=-mu2, marks=(t_split,), dense=profile)
     except NoCrossingError as exc:
         raise EventNotReachedError(
             f"boundary event eta = -mu^2 not reached for mu={mu} "
@@ -193,7 +191,6 @@ def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11,
         energy_outer=energy_total - energy_inner,
         eta=sol,
         perturbation=spec,
-        exp_mass=float(sol.aux("mass", sol.end_state)),
     )
 
 
@@ -202,30 +199,35 @@ def physical_profile(sol: ShotSolution, r_phys):
     r_phys = np.asarray(r_phys, dtype=float)
     if np.any(r_phys <= 0.0) or np.any(r_phys > 1.0):
         raise ValueError("r_phys must lie in (0, 1]")
-    t = np.log(r_phys) + sol.log_R
-    t = np.clip(t, sol.eta.t_min, sol.log_R)
-    eta, _ = sol.eta.eval_t(t)
+    # below the first node eta is the fitted series of the core
+    eta, _ = sol.eta.eval_t(np.minimum(np.log(r_phys) + sol.log_R, sol.log_R))
     return sol.mu + eta / sol.mu
 
 
 def functional_value(sol: ShotSolution) -> float:
     """The perturbed exponential functional int (1+g(u)) e^{u^2} dx.
 
-    Recovered from the rescaled mass integral: the physical prefactor is
-    exp(mu^2 - 2 log R) = 4 / (lambda mu^2 e^{...}), evaluated in log scale.
-    A family that defines only h (no g) has no functional: ValueError.
+    The Pohozaev identity on the unit disk for -Delta u = lambda (1+h(u))
+    u e^{u^2}, whose primitive is ((1+g(u)) e^{u^2} - (1+g(0)))/2, gives it
+    in closed form: pi (1+g(0)) + pi u'(1)^2 / lambda, with u'(1) = v/mu at
+    the boundary event, so pi v^2 / (mu^2 lambda) = pi v^2 e^{mu^2 - 2 log R}
+    / 4 in log scale.  A family that defines only h (no g) has no
+    functional: ValueError.
     """
-    if sol.perturbation.g is None:
-        raise ValueError(f"family {sol.perturbation.name!r} defines no g, "
+    spec = sol.perturbation
+    if spec.g is None:
+        raise ValueError(f"family {spec.name!r} defines no g, "
                          "so the functional is undefined")
-    return float(np.exp(sol.mu ** 2 - 2.0 * sol.log_R) * sol.exp_mass)
+    v = float(sol.eta.end_state[1])
+    return float(np.pi * (1.0 + spec.g(0.0))
+                 + 0.25 * np.pi * v * v * np.exp(sol.mu ** 2 - 2.0 * sol.log_R))
 
 
 def pde_residual(sol: ShotSolution) -> float:
     """Largest per-step miss of the shot's integrated equation.
 
     On each accepted step [t_k, t_{k+1}] the increment of every state
-    (eta, v, energy, mass) on the dense output is compared with the
+    (eta, v, energy) on the dense output is compared with the
     integral of the shot's own state function along that output, taken
     with 8-point Gauss-Legendre quadrature.  Each state's largest miss is
     divided by its integral of |rate| over the whole shot, and the worst

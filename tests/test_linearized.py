@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from mtlab import linearized
 from mtlab import profiles as pf
-from mtlab.linearized import (extract_log_slope, solve_linearized, source_w0,
-                              source_wa, source_z0)
+from mtlab import radial_ode
+from mtlab.linearized import (LINEARIZED_TOL, extract_log_slope, solve_linearized,
+                              source_w0, source_wa, source_z0)
 from mtlab.radial_ode import R_START
 
 RS = np.exp(np.linspace(np.log(1e-3), np.log(1e3), 400))
@@ -96,7 +98,9 @@ def test_r_max_cap():
 
 
 def test_w0_solve_work_is_pinned():
-    # DOP853 at LINEARIZED_TOL takes 70 accepted steps and 1233 source calls
+    # from the fitted start at r = 1e-2, DOP853 at LINEARIZED_TOL takes 60
+    # accepted steps, and the solve makes 1076 source calls with the fit's
+    # (70 steps and 1233 calls from r = 1e-6)
     calls = []
 
     def counted(r):
@@ -104,5 +108,31 @@ def test_w0_solve_work_is_pinned():
         return source_w0(r)
 
     sol = solve_linearized(counted, r_max=2e3)
-    assert len(calls) <= 1500
-    assert len(sol.grid.t_nodes) - 1 <= 100
+    assert len(calls) == sol.nfev <= 1500
+    assert sol.accepted_steps == len(sol.grid.t_nodes) - 1 <= 100
+
+
+def test_r_max_below_the_top_start():
+    # r_max = 5e-3 lies below the ladder's top rung 1e-2, so the solve starts
+    # a rung lower; below that start w0 is the fitted series
+    sol = solve_linearized(source_w0, r_max=5e-3)
+    assert sol.t_min == np.log(1e-3)
+    r = np.exp(np.linspace(np.log(1e-6), np.log(5e-3), 50))
+    u, v = sol.eval(r)
+    assert np.max(np.abs(u - pf.w0(r))) < 1e-12
+    assert np.max(np.abs(v - r * pf.w0_prime(r))) < 1e-12
+
+
+@pytest.mark.parametrize("source", [source_w0, source_z0, source_wa(1.0)],
+                         ids=["w0", "z0", "w_a"])
+def test_start_state_matches_a_tight_solve(monkeypatch, source):
+    # the w0 rates start at r^4 (its source vanishes at the origin), which the
+    # absolute check handles; the start agrees with a solve at tolerance
+    # 1e-13 from r = 1e-9 within the solve's atol
+    sol = solve_linearized(source, r_max=2e3)
+    with monkeypatch.context() as m:
+        m.setattr(radial_ode, "START_LADDER", (1e-9,))
+        m.setattr(linearized, "LINEARIZED_TOL", 1e-13)
+        tight = solve_linearized(source, r_max=2e3)
+    miss = np.abs(sol.eval_state_t(sol.t_min) - tight.eval_state_t(sol.t_min))
+    assert np.all(miss <= LINEARIZED_TOL)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mtlab import profiles as pf
-from mtlab.radial_ode import MIN_RTOL, R_START, NoCrossingError, solve
+from mtlab.radial_ode import (MIN_RTOL, R_START, START_LADDER, NoCrossingError,
+                              solve)
 
 
 def liouville_state(t, y):
@@ -17,15 +18,53 @@ def liouville_state(t, y):
 
 
 def liouville_solve(t_end, rtol=1e-12, atol=1e-12, **kw):
-    return solve(liouville_state, -4.0, t_end, rtol, atol, **kw)
+    return solve(liouville_state, t_end, rtol, atol, **kw)
 
 
 def test_series_start_matches_taylor():
+    # the core of eta0 = -log(1+r^2) is -r^2 + r^4/2 - r^6/3 + ..., which
+    # the fit recovers well enough to start at the top of the ladder
     sol = liouville_solve(np.log(1e3))
-    # eta0 ~ -r^2 with Delta eta0(0) = -4
-    assert sol.t_min == np.log(R_START)
-    assert sol.values[0] == pytest.approx(-1e-12, rel=1e-6)
-    assert sol.r_derivs[0] == pytest.approx(-2e-12, rel=1e-6)
+    r0 = START_LADDER[0]
+    assert sol.t_min == np.log(r0)
+    assert sol.values[0] == pytest.approx(pf.eta0(r0), abs=1e-16)
+    assert sol.r_derivs[0] == pytest.approx(r0 * pf.eta0_prime(r0), abs=1e-16)
+    # below the first node the solution is that series
+    r = np.array([1e-9, 1e-6, 1e-3, 0.5 * r0])
+    u, v = sol.eval(r)
+    np.testing.assert_allclose(u, pf.eta0(r), rtol=1e-12)
+    np.testing.assert_allclose(v, r * pf.eta0_prime(r), rtol=1e-12)
+
+
+def test_nfev_counts_every_state_call():
+    # the start fit's calls and SciPy's; accepted steps are the grid's
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return liouville_state(t, y)
+
+    sol = solve(counted, np.log(1e3), 1e-12, 1e-12, dense=False)
+    assert sol.nfev == len(calls)
+    assert sol.accepted_steps == len(sol.grid.t_nodes) - 1 > 0
+
+
+def test_start_steps_down_past_the_level():
+    # a level crossed before the top rung pushes the start below it: SciPy
+    # cannot see a crossing at its first point
+    sol = liouville_solve(1.0, atol=1e-18, level=-np.log(1.0 + 3e-3 ** 2))
+    assert sol.t_min == np.log(1e-3)
+    assert np.exp(sol.t_event) == pytest.approx(3e-3, rel=1e-9)
+
+
+def test_marks_below_the_start_read_the_series():
+    sol = liouville_solve(np.log(1e3), aux=("mass",), marks=(np.log(1e-4),),
+                          dense=False)
+    state = sol.mark_states[np.log(1e-4)]
+    assert state[0] == pytest.approx(pf.eta0(1e-4), rel=1e-12)
+    # the planar mass 4 pi r^2 / (1+r^2) inside r
+    assert sol.aux("mass", state) == pytest.approx(4.0 * np.pi * 1e-8 / (1.0 + 1e-8),
+                                                   rel=1e-12)
 
 
 def test_liouville_bubble_reproduced():
@@ -39,7 +78,7 @@ def test_liouville_bubble_reproduced():
 def test_aux_state_accumulates_mass():
     # d(mass)/dt = 2 pi r^2 * 4 e^{2 eta}; total planar mass of the bubble
     # is 2 pi int 4 r / (1+r^2)^2 dr = 4 pi
-    sol = liouville_solve(np.log(1e6), aux={"mass": 0.0})
+    sol = liouville_solve(np.log(1e6), aux=("mass",))
     mass = sol.aux("mass", sol.eval_state_t(sol.t_max))
     assert mass == pytest.approx(4.0 * np.pi, abs=1e-8)
 
@@ -55,7 +94,7 @@ def test_marks_without_dense_output():
     # each reached mark records the whole state, read off the continuous
     # extension of its own step; a mark past t_end is absent
     t10 = np.log(10.0)
-    sol = liouville_solve(np.log(1e3), aux={"mass": 0.0}, marks=(t10, 8.0),
+    sol = liouville_solve(np.log(1e3), aux=("mass",), marks=(t10, 8.0),
                           dense=False)
     assert list(sol.mark_states) == [t10]
     state = sol.mark_states[t10]

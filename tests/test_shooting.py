@@ -5,17 +5,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from mtlab import profiles as pf
 from mtlab import radial_ode
 from mtlab.perturbations import (PerturbationSpec, inverse_square_tail,
                                  log_power_family, oscillating_family, trivial)
-from mtlab.radial_ode import R_START, IntegrationError
+from mtlab.radial_ode import R_START, START_LADDER, IntegrationError
 from mtlab.shooting import (SPLIT_EXPONENT, EventNotReachedError,
                             comparison_eta0, functional_value, pde_residual,
                             physical_profile, shoot)
 
 FOUR_PI = 4.0 * np.pi
+TWO_PI = 2.0 * np.pi
 
 
 def test_mu_range_guard():
@@ -75,31 +77,27 @@ def test_energy_against_small_mu_physical_quadrature():
     assert energy == pytest.approx(sol.energy_total, rel=1e-7)
 
 
-def test_functional_value_against_mass_quadrature():
-    sol = shoot(3.0, trivial(), profile=True)
-    t = np.linspace(sol.eta.t_min, sol.log_R, 60_000)
-    eta, _ = sol.eta.eval_t(t)
-    u = 3.0 + eta / 3.0
-    # int e^{u^2} dx over B_1 = 2 pi int e^{u^2 + 2t - 2 log R} dt
-    mass = 2.0 * np.pi * np.trapezoid(
-        np.exp(u * u + 2.0 * t - 2.0 * sol.log_R), t)
-    assert functional_value(sol) == pytest.approx(mass, rel=1e-6)
-
-
 @pytest.mark.parametrize("family", [trivial, log_power_family, oscillating_family])
-@pytest.mark.parametrize("mu", [0.5, 3.0, 12.0, 24.0])
-def test_functional_value_against_pohozaev(family, mu):
-    # Pohozaev on the unit disk for -Delta u = lambda (1+h(u)) u e^{u^2},
-    # whose primitive is ((1+g(u)) e^{u^2} - (1+g(0)))/2, gives
-    # int (1+g(u)) e^{u^2} dx = pi (1+g(0)) + pi u'(1)^2 / lambda; in the
-    # rescaled variables u'(1) = v(log R)/mu with v = r eta', the boundary
-    # node of the shot, so no profile between the nodes is needed
+@pytest.mark.parametrize("mu", [0.5, 3.0, 12.0])
+def test_functional_value_against_mass_quadrature(family, mu):
+    # functional_value is the Pohozaev closed form on the boundary state; the
+    # mass integral itself is an independent route to the same number:
+    # int (1+g(u)) e^{u^2} dx over B_1 = 2 pi int (1+g(u)) e^{u^2 + 2t - 2 log R} dt,
+    # by 8-point Gauss on every step of the dense output and on the core's
+    # series from r = 1e-9 up to the first node
     spec = family()
-    sol = shoot(mu, spec)
-    v = sol.eta.r_derivs[-1]
-    pohozaev = (np.pi * (1.0 + spec.g(0.0))
-                + 0.25 * np.pi * v * v * np.exp(mu * mu - 2.0 * sol.log_R))
-    assert functional_value(sol) == pytest.approx(pohozaev, rel=1e-8)
+    sol = shoot(mu, spec, profile=True)
+    nodes = np.concatenate([np.linspace(np.log(1e-9), sol.eta.t_min, 12)[:-1],
+                            sol.eta.grid.t_nodes])
+    half = 0.5 * np.diff(nodes)
+    x, w = roots_legendre(8)
+    t = ((nodes[:-1] + half)[:, None] + half[:, None] * x).ravel()
+    eta, _ = sol.eta.eval_t(t)
+    u = mu + eta / mu
+    density = (1.0 + spec.g(u)) * np.exp(
+        mu * mu + 2.0 * eta + eta * eta / (mu * mu) + 2.0 * t - 2.0 * sol.log_R)
+    mass = TWO_PI * np.sum(np.repeat(half, len(x)) * np.tile(w, len(half)) * density)
+    assert functional_value(sol) == pytest.approx(mass, rel=1e-6)
 
 
 def test_functional_value_needs_g():
@@ -117,24 +115,58 @@ def test_subcritical_mass_bound():
     assert functional_value(sol) <= np.pi / (1.0 - sol.energy_total / FOUR_PI)
 
 
-@pytest.mark.parametrize("family", [trivial, log_power_family])
-def test_energy_starts_from_its_series_value(family):
-    # the energy inside R_START is 4 pi (1 + h(mu)) R_START^2 to leading order
-    spec = family()
-    sol = shoot(6.0, spec, profile=True)
-    seed = FOUR_PI * (1.0 + spec.h(6.0)) * R_START ** 2
-    energy = sol.eta.aux("energy", sol.eta.eval_state_t(sol.eta.t_min))
-    assert energy == pytest.approx(seed, rel=1e-12)
+def _from_low_start(monkeypatch, r_start, run):
+    """run() with the start ladder cut down to the one radius r_start."""
+    with monkeypatch.context() as m:
+        m.setattr(radial_ode, "START_LADDER", (r_start,))
+        return run()
 
 
-@pytest.mark.parametrize("family", [trivial, log_power_family])
-def test_mass_starts_from_its_series_value(family):
-    # the mass inside R_START is pi (1 + g(mu)) R_START^2 to leading order
+def test_start_steps_down_past_a_kink_of_h(monkeypatch):
+    # h(u) = -a/max(u, 2)^2 has a kink at u = 2, which a start fitted at
+    # r = 1e-2 straddles at mu = 2 + 1e-5 (eta = -2e-5 at r ~ 6e-3): the
+    # series misses there, by about 1e-9 in the energy, so the check sends
+    # the start down the ladder
+    spec = inverse_square_tail(a=2.0)
+    mu = 2.0 + 1e-5
+    sol = shoot(mu, spec, profile=True)
+    assert sol.eta.t_min < np.log(START_LADDER[0])
+    tight = _from_low_start(monkeypatch, R_START,
+                            lambda: shoot(mu, spec, tol=1e-13, profile=True))
+    start = sol.eta.eval_state_t(sol.eta.t_min)
+    miss = np.abs(start - tight.eta.eval_state_t(sol.eta.t_min))
+    assert np.all(miss <= [1e-14, 1e-14, 1e-11])
+    assert abs(sol.energy_total - tight.energy_total) <= 1e-10
+    assert abs(sol.log_R - tight.log_R) <= 1e-10
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.1])
+def test_split_below_the_start_reads_the_series(monkeypatch, mu):
+    # the split radius mu^3 lies below the start (1e-3 at these mu), so the
+    # inner energy comes from the fitted series rather than from an event of
+    # the solve; it matches the tight shot within that shot's energy atol
+    spec = trivial()
+    sol = shoot(mu, spec)
+    assert SPLIT_EXPONENT * np.log(mu) <= sol.eta.t_min
+    tight = _from_low_start(monkeypatch, R_START, lambda: shoot(mu, spec, tol=1e-13))
+    assert abs(sol.energy_inner - tight.energy_inner) <= 1e-13
+    assert abs(sol.energy_total - tight.energy_total) <= 1e-11
+
+
+@pytest.mark.parametrize("family", [
+    trivial, log_power_family, lambda: inverse_square_tail(a=1.3)],
+    ids=["trivial", "log-power", "inverse-square"])
+@pytest.mark.parametrize("mu", [0.05, 2.0, 6.0, 24.0])
+def test_start_state_matches_a_tight_solve(monkeypatch, family, mu):
+    # the fitted start of a default shot against a tol = 1e-13 shot from
+    # r = 1e-9, within each state's atol: 1e-3 tol on (eta, v), tol on the energy
     spec = family()
-    sol = shoot(6.0, spec, profile=True)
-    seed = np.pi * (1.0 + spec.g(6.0)) * R_START ** 2
-    mass = sol.eta.aux("mass", sol.eta.eval_state_t(sol.eta.t_min))
-    assert mass == pytest.approx(seed, rel=1e-12)
+    sol = shoot(mu, spec, profile=True)
+    tight = _from_low_start(monkeypatch, 1e-9,
+                            lambda: shoot(mu, spec, tol=1e-13, profile=True))
+    t0 = sol.eta.t_min
+    miss = np.abs(sol.eta.eval_state_t(t0) - tight.eta.eval_state_t(t0))
+    assert np.all(miss <= [1e-14, 1e-14, 1e-11])
 
 
 @pytest.mark.parametrize("name", ["h", "g"])
@@ -181,8 +213,9 @@ def test_shot_nodes_do_not_grow_like_mu_squared():
 @pytest.mark.parametrize("family", [trivial, log_power_family])
 def test_absolute_floor_coarsens_the_core(family):
     # eta ~ -(1+h(mu)) r^2 decays like e^{2t} at the origin; under pure
-    # relative control on (eta, v) a shot at mu = 6 took 66 of its 120 nodes
-    # below t = -2, under the absolute floor 29 of 84
+    # relative control on (eta, v) a shot at mu = 6 from r = 1e-6 took 66 of
+    # its 120 nodes below t = -2, under the absolute floor 29 of 84, and from
+    # the fitted start at r = 1e-2 it takes 14 of 65
     t = shoot(6.0, family()).eta.grid.t_nodes
     assert np.count_nonzero(t[1:] < -2.0) <= 35
     assert len(t) <= 95
@@ -191,13 +224,30 @@ def test_absolute_floor_coarsens_the_core(family):
 @pytest.mark.parametrize("family", [trivial, log_power_family])
 @pytest.mark.parametrize("mu", [0.05, 1.0, 2.0, 6.0, 12.0, 24.0])
 def test_floored_shot_matches_a_tight_shot(family, mu):
-    # the benchmark's sweep check |E - E_ref| <= 1e-9 against tol = 1e-13;
-    # the boundary event sits where |eta| = mu^2, whose relative control sets
-    # the error of log R, so that bound scales with log R beyond 1
+    # the benchmark's sweep check |E - E_ref| <= 1e-9 against tol = 1e-13
+    # holds at these mu and on the sweep lattice (worst 8.8e-10, log-power
+    # at mu = 4), but not at every mu: on mu = 2, 2.05, ..., 12 the trivial
+    # family misses by at most 3.5e-11, while 3 of 201 log-power shots miss
+    # by more than 1e-9, the worst by 2.8e-9 at mu = 3.05 (see the next test).
+    # The boundary event sits where |eta| = mu^2, whose relative control
+    # sets the error of log R, so that bound scales with log R beyond 1
     spec = family()
     sol, tight = shoot(mu, spec), shoot(mu, spec, tol=1e-13)
     assert abs(sol.energy_total - tight.energy_total) <= 1e-9
     assert abs(sol.log_R - tight.log_R) <= 1e-10 * max(1.0, abs(tight.log_R))
+
+
+@pytest.mark.parametrize("family, bound", [(trivial, 1e-10), (log_power_family, 5e-9)],
+                         ids=["trivial", "log-power"])
+def test_default_tol_energy_between_the_lattice_points(family, bound):
+    # default-tol shots against tol = 1e-13 shots on mu = 2, 2.5, ..., 12.
+    # The log-power family's miss depends on where its steps fall: from the
+    # r = 1e-6 start it was 3.5e-9 at mu = 5.5 (3.3e-11 from the fitted
+    # start), and on this grid it now peaks at 8.6e-10 at mu = 4
+    spec = family()
+    misses = [abs(shoot(mu, spec).energy_total - shoot(mu, spec, tol=1e-13).energy_total)
+              for mu in np.arange(2.0, 12.01, 0.5)]
+    assert max(misses) <= bound
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
@@ -205,7 +255,7 @@ def test_floored_shot_matches_a_tight_shot(family, mu):
 def test_inverse_square_shot_matches_a_tight_shot(a, mu):
     # threshold_a shoots this family; at the default tol it misses a
     # tol = 1e-13 shot by more than the sweep families do (worst measured
-    # 5.8e-10 in E and 3.3e-9 in log R, both at a = 1, mu = 12)
+    # 3.7e-10 in E and 5.0e-10 in log R, both at a = 1, mu = 6)
     spec = inverse_square_tail(a=a)
     sol, tight = shoot(mu, spec), shoot(mu, spec, tol=1e-13)
     assert abs(sol.energy_total - tight.energy_total) <= 1e-9
@@ -238,7 +288,7 @@ def test_profile_free_shot_refuses_profile_reads(profile_free_shot, read):
 def test_profile_does_not_change_the_shot(family, mu):
     # dense output is built after each step and never feeds step control
     plain, dense = shoot(mu, family()), shoot(mu, family(), profile=True)
-    for name in ("log_R", "energy_total", "energy_inner", "exp_mass"):
+    for name in ("log_R", "energy_total", "energy_inner"):
         assert getattr(plain, name) == getattr(dense, name), name
     assert np.array_equal(plain.eta.grid.t_nodes, dense.eta.grid.t_nodes)
     # a boundary event before the split radius leaves all the energy inner:
@@ -295,27 +345,20 @@ def test_pde_residual_rejects_nan_solution(shots):
 
 
 @pytest.mark.parametrize("family", [trivial, log_power_family])
-def test_one_point_call_per_rhs_evaluation(monkeypatch, family):
-    # the state function calls the scalar kernel once per evaluation; one
-    # more call at mu gives the energy and mass seeds at the origin
+def test_one_point_call_per_rhs_evaluation(family):
+    # the state function calls the scalar kernel once per evaluation, the
+    # start fit's included, and a shot makes no other call
     spec = family()
-    calls, nfev = [], []
-    point, solve_ivp = spec.point, radial_ode.solve_ivp
+    calls = []
+    point = spec.point
 
     def counted(u):
         calls.append(u)
         return point(u)
 
-    def recording_solve_ivp(*args, **kwargs):
-        res = solve_ivp(*args, **kwargs)
-        nfev.append(res.nfev)
-        return res
-
     spec.point = counted
-    monkeypatch.setattr(radial_ode, "solve_ivp", recording_solve_ivp)
-    shoot(6.0, spec)
-    assert len(nfev) == 1
-    assert len(calls) == nfev[0] + 1
+    sol = shoot(6.0, spec)
+    assert len(calls) == sol.eta.nfev
     assert calls[0] == 6.0
 
 
