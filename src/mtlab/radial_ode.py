@@ -137,7 +137,7 @@ class RadialSolution:
         below = t < self.t_min
         if not below.any():
             return self._dense(t)
-        y = _series_state(self._series, self.t_min, t)
+        y = _series_state(self._series, self.t_min, np.minimum(t, self.t_min))
         if not below.all():
             y[:, ~below] = self._dense(t[~below])
         return y

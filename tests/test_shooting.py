@@ -77,16 +77,36 @@ def test_energy_against_small_mu_physical_quadrature():
     assert energy == pytest.approx(sol.energy_total, rel=1e-7)
 
 
+def test_functional_value_against_mass_quadrature():
+    # below the first node eval_t reads the core's fitted series, so the
+    # integral still starts at R_START
+    sol = shoot(3.0, trivial(), profile=True)
+    t = np.linspace(np.log(R_START), sol.log_R, 60_000)
+    eta, _ = sol.eta.eval_t(t)
+    u = 3.0 + eta / 3.0
+    # int e^{u^2} dx over B_1 = 2 pi int e^{u^2 + 2t - 2 log R} dt
+    mass = 2.0 * np.pi * np.trapezoid(
+        np.exp(u * u + 2.0 * t - 2.0 * sol.log_R), t)
+    assert functional_value(sol) == pytest.approx(mass, rel=1e-6)
+
+
 @pytest.mark.parametrize("family", [trivial, log_power_family, oscillating_family])
-@pytest.mark.parametrize("mu", [0.5, 3.0, 12.0])
-def test_functional_value_against_mass_quadrature(family, mu):
-    # functional_value is the Pohozaev closed form on the boundary state; the
-    # mass integral itself is an independent route to the same number:
-    # int (1+g(u)) e^{u^2} dx over B_1 = 2 pi int (1+g(u)) e^{u^2 + 2t - 2 log R} dt,
-    # by 8-point Gauss on every step of the dense output and on the core's
-    # series from r = 1e-9 up to the first node
+@pytest.mark.parametrize("mu", [0.5, 3.0, 12.0, 24.0])
+def test_functional_value_against_pohozaev(family, mu):
+    # Pohozaev on the unit disk for -Delta u = lambda (1+h(u)) u e^{u^2},
+    # whose primitive is ((1+g(u)) e^{u^2} - (1+g(0)))/2, gives
+    # int (1+g(u)) e^{u^2} dx = pi (1+g(0)) + pi u'(1)^2 / lambda; in the
+    # rescaled variables u'(1) = v(log R)/mu with v = r eta', the boundary
+    # node of the shot.  functional_value is that closed form, so the mass
+    # integral itself is the independent check: 2 pi int (1+g(u))
+    # e^{u^2 + 2t - 2 log R} dt by 8-point Gauss on every step of the dense
+    # output and on the core's series from r = 1e-9 up to the first node
     spec = family()
     sol = shoot(mu, spec, profile=True)
+    v = sol.eta.r_derivs[-1]
+    pohozaev = (np.pi * (1.0 + spec.g(0.0))
+                + 0.25 * np.pi * v * v * np.exp(mu * mu - 2.0 * sol.log_R))
+    assert functional_value(sol) == pytest.approx(pohozaev, rel=1e-8)
     nodes = np.concatenate([np.linspace(np.log(1e-9), sol.eta.t_min, 12)[:-1],
                             sol.eta.grid.t_nodes])
     half = 0.5 * np.diff(nodes)
