@@ -26,24 +26,26 @@ Newton's method: once sin theta < NEWTON_SWITCH an iteration first tries
 one Newton step on the Lagrangian F - nu (E - alpha), nu = 1 / lambda.
 The Hessian H = F'' and the stiffness A are tridiagonal on the nodes, so
 the bordered KKT step is one banded solve with two right-hand sides,
-O(n); H's bands are three forward differences of the gradient, one per
-colour of nodes c, c+3, c+6, ... (Curtis, Powell & Reid), so no family
-needs h'.  The step is retracted to the sphere by rescaling and kept
-when F does not fall beyond rounding; otherwise the iteration takes its
-conjugate-gradient step.  This safeguard keeps the ascent on the
-maximizer: Newton's method converges to any critical point, and Newton
-steps taken from the flat start at alpha / 4 pi = 0.9 reach one with F
-lower by 5.9.
+O(n); H's bands weight the pointwise f'' at the Gauss points by the
+products of the two nodes' shares, and f'' is one forward difference of
+f'(u) = 2 u (1 + h(u)) e^{u^2}, so no family needs h'.  The step is
+retracted to the sphere by rescaling and kept when F does not fall
+beyond rounding; otherwise the iteration takes its conjugate-gradient
+step.  This safeguard keeps the ascent on the maximizer: Newton's method
+converges to any critical point, and Newton steps taken from the flat
+start at alpha / 4 pi = 0.9 reach one with F lower by 5.9.
 
 The discrete field is piecewise linear in t = log r, for which the
 Dirichlet energy has the exact per-segment form 2 pi (du)^2 / dt and the
 functional is integrated by fixed-order Gauss quadrature per segment plus
 a closed inner cap on [0, r_min].
 
-What depends only on the grid (Gauss points, weights, e^{2t}, stiffnesses
-2 pi / dt, cap area) is a per-grid plan shared by copies of the field, and
-the Riesz solve in flux form is two cumulative sums: a step is loop-free.
-The result is returned as data; :mod:`mtlab.cli` renders it as JSON.
+What depends only on the grid (each Gauss point's interpolation weight
+and its quadrature weight 2 pi w e^{2t}, whole and split between the two
+nodes, the stiffnesses 2 pi / dt and the cap area) is a per-grid plan
+shared by copies of the field, and the Riesz solve in flux form is two
+cumulative sums: a step is loop-free.  The result is returned as data;
+:mod:`mtlab.cli` renders it as JSON.
 """
 
 from __future__ import annotations
@@ -121,8 +123,9 @@ class RadialField:
 
 class _GridPlan(NamedTuple):
     frac: np.ndarray      # barycentric weight of the left node at each Gauss point
-    wq: np.ndarray        # Gauss weights mapped into each segment
-    e2t: np.ndarray       # e^{2t} at each Gauss point (the area element r^2)
+    wf: np.ndarray        # 2 pi e^{2t} times the Gauss weight: F's weight per point
+    wl: np.ndarray        # wf * frac, the left node's share of a point
+    wr: np.ndarray        # wf * (1 - frac), the right node's share of a point
     cap: float            # pi r_min^2, the area of the inner cap
     w: np.ndarray         # segment stiffnesses 2 pi / dt
 
@@ -133,41 +136,48 @@ def _grid_plan(t_nodes: np.ndarray) -> _GridPlan:
     t0, t1 = t_nodes[:-1], t_nodes[1:]
     mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
     tq = mid[:, None] + half[:, None] * x[None, :]
-    wq = half[:, None] * w[None, :]
     frac = (t1[:, None] - tq) / (t1 - t0)[:, None]
-    return _GridPlan(frac=frac, wq=wq, e2t=np.exp(2.0 * tq),
+    wf = 2.0 * np.pi * (half[:, None] * w[None, :]) * np.exp(2.0 * tq)
+    return _GridPlan(frac=frac, wf=wf, wl=wf * frac, wr=wf * (1.0 - frac),
                      cap=np.pi * np.exp(t_nodes[0]) ** 2,
                      w=2.0 * np.pi / np.diff(t_nodes))
+
+
+def _gauss_values(field: RadialField) -> np.ndarray:
+    """u at the Gauss points of every segment, one row per segment."""
+    u = field.values
+    return u[1:, None] + field.plan().frac * (u[:-1] - u[1:])[:, None]
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-segment sums of a * b; einsum skips the product's temporary."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _fprime(u, h):
+    """f'(u) = 2 u (1 + h(u)) e^{u^2}, the pointwise derivative of F's integrand."""
+    return 2.0 * u * (1.0 + h(np.maximum(np.abs(u), 1e-12))) * np.exp(u * u)
 
 
 def functional_value(field: RadialField, spec: PerturbationSpec) -> float:
     """F = int (1+g(u)) e^{u^2} dx, per-segment Gauss plus the inner cap."""
     g = spec.g
     plan = field.plan()
-    frac = plan.frac
-    uq = frac * field.values[:-1, None] + (1.0 - frac) * field.values[1:, None]
-    integrand = (1.0 + g(np.abs(uq))) * np.exp(uq * uq) * plan.e2t
-    val = 2.0 * np.pi * float(np.sum(integrand * plan.wq))
+    uq = _gauss_values(field)
+    val = float(np.sum((1.0 + g(np.abs(uq))) * np.exp(uq * uq) * plan.wf))
     u0 = field.values[0]
     g0 = float(g(np.asarray(abs(u0))))
     return val + plan.cap * (1.0 + g0) * np.exp(u0 * u0)
 
 
 def _functional_gradient(field: RadialField, spec: PerturbationSpec) -> np.ndarray:
-    """Nodal gradient of F; dF/du = 2 u (1 + h(u)) e^{u^2} pointwise."""
-    h = spec.h
+    """Nodal gradient of F; dF/du = f'(u) = 2 u (1 + h(u)) e^{u^2} pointwise."""
     plan = field.plan()
-    frac, wq = plan.frac, plan.wq
-    uq = frac * field.values[:-1, None] + (1.0 - frac) * field.values[1:, None]
-    hu = h(np.maximum(np.abs(uq), 1e-12))
-    fprime = 2.0 * uq * (1.0 + hu) * np.exp(uq * uq) * plan.e2t
+    fprime = _fprime(_gauss_values(field), spec.h)
     grad = np.zeros_like(field.values)
-    grad[:-1] += np.sum(fprime * frac * wq, axis=1)
-    grad[1:] += np.sum(fprime * (1.0 - frac) * wq, axis=1)
-    grad *= 2.0 * np.pi
-    u0 = field.values[0]
-    h0 = float(h(np.asarray(max(abs(u0), 1e-12))))
-    grad[0] += plan.cap * 2.0 * u0 * (1.0 + h0) * np.exp(u0 * u0)
+    grad[:-1] += _row_dot(fprime, plan.wl)
+    grad[1:] += _row_dot(fprime, plan.wr)
+    grad[0] += plan.cap * _fprime(field.values[0], spec.h)
     return grad
 
 
@@ -236,27 +246,26 @@ def _h1_inner(field: RadialField, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(field.plan().w, np.diff(a) * np.diff(b)))
 
 
-def _hessian_bands(field: RadialField, spec: PerturbationSpec,
-                   grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _hessian_bands(field: RadialField,
+                   spec: PerturbationSpec) -> Tuple[np.ndarray, np.ndarray]:
     """(diagonal, off-diagonal) of H = F'' on the free nodes (all but r = 1).
 
-    H is tridiagonal, so nodes c, c+3, c+6, ... share no row: one forward
-    difference of the gradient per colour c reads H[j, j] and H[j+1, j]
-    for every j of that colour (Curtis, Powell & Reid), and no family
-    needs h'.
+    F'' is the pointwise f'' at the Gauss points weighted by the products
+    of the two nodes' shares, frac^2, frac (1 - frac) and (1 - frac)^2,
+    plus the cap at node 0.  f'' is one forward difference of f' at every
+    point, so no family needs h'.
     """
-    u = field.values
-    n = len(u) - 1
-    eps = NEWTON_FD_EPS * max(1.0, float(np.max(np.abs(u))))
-    diag, off = np.empty(n), np.empty(n - 1)
-    probe = field.copy()
-    for c in range(3):
-        probe.values[:] = u
-        probe.values[c:n:3] += eps
-        quotient = (_functional_gradient(probe, spec) - grad) / eps
-        diag[c::3] = quotient[c:n:3]
-        off[c::3] = quotient[c + 1:n:3]
-    return diag, off
+    plan = field.plan()
+    u0 = field.values[0]
+    uq = _gauss_values(field)
+    eps = NEWTON_FD_EPS * max(1.0, float(np.max(np.abs(field.values))))
+    f2 = (_fprime(uq + eps, spec.h) - _fprime(uq, spec.h)) / eps
+    # f'' wf (1 - frac) on the segments whose right node is free
+    right, frac = f2[:-1] * plan.wr[:-1], plan.frac[:-1]
+    diag = _row_dot(f2 * plan.wl, plan.frac)
+    diag[1:] += _row_dot(right, 1.0 - frac)
+    diag[0] += plan.cap * (_fprime(u0 + eps, spec.h) - _fprime(u0, spec.h)) / eps
+    return diag, _row_dot(right, frac)
 
 
 def _newton_trial(field: RadialField, grad: np.ndarray, lam: float,
@@ -270,7 +279,7 @@ def _newton_trial(field: RadialField, grad: np.ndarray, lam: float,
     """
     u, w = field.values, field.plan().w
     nu = 1.0 / lam
-    diag, off = _hessian_bands(field, spec, grad)
+    diag, off = _hessian_bands(field, spec)
     flux = w * (u[:-1] - u[1:])  # A u in flux form, as in _h1_riesz
     b = 2.0 * (flux - np.concatenate(([0.0], flux[:-1])))
     bands = np.zeros((3, len(b)))
@@ -286,15 +295,17 @@ def _newton_trial(field: RadialField, grad: np.ndarray, lam: float,
 
 
 def _ascend(field: RadialField, alpha: float, spec: PerturbationSpec,
-            max_iter: int) -> Tuple[RadialField, float, int, int]:
+            max_iter: int) -> Tuple[RadialField, float, int, int, float, float]:
     """PR+ conjugate-gradient ascent from ``field`` on the sphere E = alpha,
     finished by Newton steps once sin theta < NEWTON_SWITCH.
 
-    Returns (field, F, iterations, F evaluations); raises IntegrationError
-    on NaN/inf.  A Newton trial is kept when it does not lower F beyond
+    Returns (field, F, iterations, F evaluations, lambda, sin theta), the
+    last two measured at the returned field; raises IntegrationError on
+    NaN/inf.  A Newton trial is kept when it does not lower F beyond
     rounding; otherwise the iteration takes the conjugate-gradient step.
     The ascent ends at the stop sin theta < ASCENT_TOL, when the line
-    search finds no step that raises F, or after ``max_iter``.
+    search finds no step that raises F (the field is then the one just
+    measured), or after ``max_iter``.
     """
     _project(field, alpha)
     value = functional_value(field, spec)
@@ -341,7 +352,9 @@ def _ascend(field: RadialField, alpha: float, spec: PerturbationSpec,
             break
         field, value = trial, trial_value
         step *= STEP_GROWTH
-    return field, value, it, evaluations
+    else:  # the last iteration moved the field: measure it again
+        lam, sin_theta = multiplier_estimate_field(field, spec)
+    return field, value, it, evaluations, lam, sin_theta
 
 
 def maximize_subcritical(alpha: float, spec: Optional[PerturbationSpec] = None,
@@ -362,9 +375,8 @@ def maximize_subcritical(alpha: float, spec: Optional[PerturbationSpec] = None,
     if spec.g is None:
         raise ValueError(f"family {spec.name!r} defines no g, "
                          "so the functional is undefined")
-    field, value, its, evals = _ascend(parabolic_start(alpha, n_nodes), alpha,
-                                       spec, max_iter)
-    lam, sin_theta = multiplier_estimate_field(field, spec)
+    field, value, its, evals, lam, sin_theta = _ascend(
+        parabolic_start(alpha, n_nodes), alpha, spec, max_iter)
     return MaximizerResult(field=field, alpha=alpha, value=value,
                            lambda_hat=lam, iterations=its, evaluations=evals,
                            converged=sin_theta < ASCENT_TOL,

@@ -10,9 +10,10 @@ variant, and the inverse-square tail h(t) = -a t^{-2} (t >= R) used to
 probe the critical decay rate.  Every family has a scalar kernel
 ``point(t) -> (h(t), g(t))`` for one float, written in plain ``math``: a
 shot calls it once per right-hand-side evaluation.  The two cutoff
-families write their formula once, as that kernel, and their array ``h``
-and ``g`` vectorize it; the inverse-square tail defines h only, so it has
-no functional F.  ``check_conditions`` samples the two decay
+families write their formula once, over a namespace: ``math`` for that
+kernel and NumPy for their array ``h`` and ``g``, which evaluate it only
+where g is not identically 0; the inverse-square tail defines h only, so
+it has no functional F.  ``check_conditions`` samples the two decay
 conditions (t^2 h(t) -> 0 and the t^4-modulus-of-continuity condition) and
 reports a monotone-trend verdict; ``delta_k`` is the perturbation scale
 entering the expansion of the rescaled solutions.
@@ -81,46 +82,59 @@ def _cutoff_family(a: float, R: float, p: float, core: Callable,
 
     chi is the C-infinity bridge from 0 on [0, 1] to 1 on [2, inf), built
     from e^{-1/y} so results are bit-reproducible; g vanishes on [0, R]
-    and ``core`` (a scalar function, derivative ``core_slope``) is only
-    evaluated at log s >= log R.  ``point`` gives h = g + g'/(2t) and g at
-    one t: on 1 < |t|/R < 2 one evaluation of the two bridge exponentials
-    serves chi and chi', and one of log s and s^{-p} serves g and g'.
-    ``h`` and ``g`` vectorize it; ``h`` is undefined at t = 0 (ValueError).
+    and ``core(lg, xp)`` (derivative ``core_slope(lg, xp)``) is only
+    evaluated at lg = log s >= log R.  The arithmetic is written once, over
+    a namespace xp: ``math`` for ``point``, which gives h = g + g'/(2t) and
+    g at one t, and NumPy for the array ``h`` and ``g``, which evaluate it
+    only where |t| > R.  On 1 < |t|/R < 2 one evaluation of the two bridge
+    exponentials serves chi and chi', and one of log s and s^{-p} serves g
+    and g'.  ``h`` is undefined at t = 0 (ValueError).
     """
+
+    def bridge(x, xp):
+        # a double x in (1, 2) keeps x - 1 and 2 - x above 1e-16
+        d1, d2 = x - 1.0, 2.0 - x
+        up, down = xp.exp(-1.0 / d1), xp.exp(-1.0 / d2)
+        # chi' = (up' down - up down') / (up + down)^2, up' = up / d1^2
+        dchi = (up / d1 ** 2 * down + up * (down / d2 ** 2)) / (up + down) ** 2 / R
+        return up / (up + down), dchi
+
+    def active(s, chi, dchi, xp):
+        lg = xp.log(s)
+        c = core(lg, xp)
+        pw = s ** -p
+        g = a * chi * c * pw
+        # g is even, so g'(t) / (2t) = g'(|t|) / (2|t|)
+        g_prime = a * (dchi * (c * pw) + chi * (core_slope(lg, xp) - p * c) * (pw / s))
+        return g + g_prime / (2.0 * s), g
 
     def point(t):
         s = abs(t)
         x = s / R
         if x <= 1.0:
             return 0.0, 0.0
-        if x < 2.0:
-            # a double x in (1, 2) keeps x - 1 and 2 - x above 1e-16
-            d1, d2 = x - 1.0, 2.0 - x
-            up, down = math.exp(-1.0 / d1), math.exp(-1.0 / d2)
-            chi = up / (up + down)
-            # chi' = (up' down - up down') / (up + down)^2, up' = up / d1^2
-            dchi = (up / d1 ** 2 * down + up * (down / d2 ** 2)) / (up + down) ** 2 / R
-        else:
-            chi, dchi = 1.0, 0.0
-        lg = math.log(s)
-        c = core(lg)
-        pw = s ** -p
-        g = a * chi * c * pw
-        # g is even, so g'(t) / (2t) = g'(|t|) / (2|t|)
-        g_prime = a * (dchi * (c * pw) + chi * (core_slope(lg) - p * c) * (pw / s))
-        return g + g_prime / (2.0 * s), g
+        chi, dchi = bridge(x, math) if x < 2.0 else (1.0, 0.0)
+        return active(s, chi, dchi, math)
 
-    h_all = np.vectorize(lambda t: point(t)[0], otypes=[float])
-    g_all = np.vectorize(lambda t: point(t)[1], otypes=[float])
+    def arrays(t):
+        s = np.abs(np.asarray(t, dtype=float))
+        x = s / R
+        on = ~(x <= 1.0)  # NaN included, as in point
+        # at x >= 2, clipped to the double below 2, e^{-1/(2 - x)} is 0, so
+        # the bridge gives exactly chi = 1 and chi' = 0, as point does
+        chi, dchi = bridge(np.minimum(x[on], np.nextafter(2.0, 0.0)), np)
+        h, g = np.zeros_like(s), np.zeros_like(s)
+        h[on], g[on] = active(s[on], chi, dchi, np)
+        return h, g
 
     def h(t):
         t = np.asarray(t, dtype=float)
         if np.any(t == 0.0):
             raise ValueError("h(t) is undefined at t = 0")
-        return h_all(t)
+        return arrays(t)[0]
 
     def g(t):
-        return g_all(np.asarray(t, dtype=float))
+        return arrays(t)[1]
 
     return point, h, g
 
@@ -146,8 +160,8 @@ def log_power_family(a: float = 1.0, p: float = 3.0, q: float = 0.0,
     if not 2.0 <= R < np.inf:
         raise ValueError(f"need 2 <= R < inf, got R={R}")
 
-    point, h, g = _cutoff_family(a, R, p, lambda lg: lg ** q,
-                                 lambda lg: q * lg ** (q - 1.0))
+    point, h, g = _cutoff_family(a, R, p, lambda lg, xp: lg ** q,
+                                 lambda lg, xp: q * lg ** (q - 1.0))
     return PerturbationSpec(h=h, g=g, point=point, name="log-power",
                             family_params={"a": a, "p": p, "q": q, "R": R})
 
@@ -164,7 +178,8 @@ def oscillating_family(a: float = 1.0, p: float = 3.0,
     if not 0.0 < R < np.inf:
         raise ValueError(f"need 0 < R < inf, got R={R}")
 
-    point, h, g = _cutoff_family(a, R, p, math.cos, lambda lg: -math.sin(lg))
+    point, h, g = _cutoff_family(a, R, p, lambda lg, xp: xp.cos(lg),
+                                 lambda lg, xp: -xp.sin(lg))
     return PerturbationSpec(h=h, g=g, point=point, name="oscillating",
                             family_params={"a": a, "p": p, "R": R})
 

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import jn_zeros
+from scipy.special import jn_zeros, roots_legendre
 
 from mtlab import maximizer, shooting
 from mtlab.analysis import branch_scan
-from mtlab.maximizer import (ASCENT_TOL, RadialField, _functional_gradient,
+from mtlab.maximizer import (ASCENT_TOL, GAUSS_ORDER, NEWTON_FD_EPS,
+                             RadialField, _functional_gradient,
                              _h1_inner, _h1_riesz, _hessian_bands,
                              _newton_trial, _project, _stationarity,
                              maximize_subcritical, multiplier_estimate_field,
@@ -19,6 +20,9 @@ from mtlab.maximizer import (ASCENT_TOL, RadialField, _functional_gradient,
                              functional_value)
 from mtlab.perturbations import PerturbationSpec, log_power_family, trivial
 from mtlab.radial_ode import IntegrationError
+
+# a NaN from a masked-out log or an overflowing exp fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 FOUR_PI = 4.0 * np.pi
 BRANCH_FRACS = (0.5, 0.9, 0.999)
@@ -128,12 +132,14 @@ def test_maximizer_converges_to_the_branch_value(frac, branch_roots):
 @pytest.mark.parametrize("frac", BRANCH_FRACS)
 def test_maximizer_multiplier_matches_the_branch(frac, branch_roots):
     # Carleson-Chang again: the identity multiplier of the stopped field is
-    # the branch's lambda at the same energy, up to the stop and the mesh
+    # the branch's lambda at the same energy, up to the stop and the mesh;
+    # lambda_hat - lambda_branch reads +2.4e-6, +1.3e-7 and +1.6e-7
+    bound = {0.5: 5e-6, 0.9: 5e-7, 0.999: 5e-7}[frac]
     (root,) = branch_roots[frac]
     lam_branch = np.exp(shooting.shoot(root, trivial()).log_lambda)
     res = maximize_subcritical(frac * FOUR_PI, n_nodes=4096, max_iter=600)
     assert res.converged
-    assert abs(res.lambda_hat - lam_branch) <= 1e-5
+    assert abs(res.lambda_hat - lam_branch) <= bound
 
 
 def test_multiplier_error_is_mesh_error_at_the_top_rung(branch_roots):
@@ -156,6 +162,16 @@ def test_ascent_iteration_budget(frac, budget):
     res = maximize_subcritical(frac * FOUR_PI, n_nodes=4096, max_iter=600)
     assert res.converged
     assert res.iterations <= budget
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 8, 600])
+def test_result_measures_the_returned_field(max_iter):
+    # the stop's (lambda, sin theta) come from the ascent's last measurement;
+    # when max_iter ends the ascent after a step, the field is measured again
+    res = maximize_subcritical(0.9 * FOUR_PI, n_nodes=1024, max_iter=max_iter)
+    assert res.converged == (max_iter == 600)
+    assert (res.lambda_hat, res.stationarity) == multiplier_estimate_field(
+        res.field, trivial())
 
 
 def test_rejected_newton_trials_leave_the_conjugate_gradient_path(monkeypatch):
@@ -319,20 +335,60 @@ def test_newton_step_solves_the_kkt_system(data, n_seg):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), n_seg=st.integers(1, 40))
 def test_hessian_bands_match_the_exact_second_derivative(data, n_seg):
-    # trivial family: F'' is (2 + 4 u^2) e^{u^2}, assembled with the same
-    # Gauss weights as F and its gradient, plus the inner cap at node 0
+    # trivial family: F'' is (2 + 4 u^2) e^{u^2}, assembled with the Gauss
+    # rule of F and its gradient, plus the inner cap at node 0
     field = _draw_field(data, n_seg)
-    plan = field.plan()
-    u = field.values
-    uq = plan.frac * u[:-1, None] + (1.0 - plan.frac) * u[1:, None]
-    f2 = 2.0 * np.pi * (2.0 + 4.0 * uq * uq) * np.exp(uq * uq) * plan.e2t * plan.wq
+    t, u = field.t_nodes, field.values
+    x, w = roots_legendre(GAUSS_ORDER)
+    mid, half = 0.5 * (t[:-1] + t[1:]), 0.5 * np.diff(t)
+    tq, wq = mid[:, None] + half[:, None] * x, half[:, None] * w
+    frac = (t[1:, None] - tq) / np.diff(t)[:, None]
+    uq = frac * u[:-1, None] + (1.0 - frac) * u[1:, None]
+    f2 = 2.0 * np.pi * (2.0 + 4.0 * uq * uq) * np.exp(uq * uq) * np.exp(2.0 * tq) * wq
     diag = np.zeros(len(u))
-    diag[:-1] += np.sum(f2 * plan.frac ** 2, axis=1)
-    diag[1:] += np.sum(f2 * (1.0 - plan.frac) ** 2, axis=1)
-    diag[0] += plan.cap * (2.0 + 4.0 * u[0] ** 2) * np.exp(u[0] ** 2)
-    off = np.sum(f2 * plan.frac * (1.0 - plan.frac), axis=1)[:-1]
-    got_diag, got_off = _hessian_bands(field, trivial(),
-                                       _functional_gradient(field, trivial()))
+    diag[:-1] += np.sum(f2 * frac ** 2, axis=1)
+    diag[1:] += np.sum(f2 * (1.0 - frac) ** 2, axis=1)
+    diag[0] += np.pi * np.exp(2.0 * t[0]) * (2.0 + 4.0 * u[0] ** 2) * np.exp(u[0] ** 2)
+    off = np.sum(f2 * frac * (1.0 - frac), axis=1)[:-1]
+    got_diag, got_off = _hessian_bands(field, trivial())
     scale = np.max(np.abs(diag))
     assert np.max(np.abs(got_diag - diag[:-1])) <= 1e-5 * scale
+    assert np.max(np.abs(got_off - off), initial=0.0) <= 1e-5 * scale
+
+
+def _coloured_bands(field, spec):
+    """Reference bands: one forward difference of the nodal gradient per
+    colour c of nodes c, c+3, c+6, ..., which share no row of the
+    tridiagonal H (Curtis, Powell & Reid)."""
+    u = field.values
+    n = len(u) - 1
+    eps = NEWTON_FD_EPS * max(1.0, float(np.max(np.abs(u))))
+    grad = _functional_gradient(field, spec)
+    diag, off = np.empty(n), np.empty(n - 1)
+    probe = field.copy()
+    for c in range(3):
+        probe.values[:] = u
+        probe.values[c:n:3] += eps
+        quotient = (_functional_gradient(probe, spec) - grad) / eps
+        diag[c::3] = quotient[c:n:3]
+        off[c::3] = quotient[c + 1:n:3]
+    return diag, off
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_seg=st.integers(1, 40))
+def test_hessian_bands_match_the_coloured_differences_with_h(data, n_seg):
+    # log-power family (R = 2) with u(r_min) = 3 and u up to 4.5: the Gauss
+    # points cross the cutoff's bridge 2 < u < 4 and its tail, where
+    # h != 0, while the bands never form h'
+    spec = log_power_family(a=1.0, p=3.0)
+    dt = np.array(data.draw(st.lists(st.floats(1e-2, 1.0), min_size=n_seg,
+                                     max_size=n_seg)))
+    u = np.append(3.0, data.draw(st.lists(st.floats(0.1, 4.5), min_size=n_seg,
+                                          max_size=n_seg)))
+    field = RadialField(np.append(-np.cumsum(dt[::-1])[::-1], 0.0), u)
+    diag, off = _coloured_bands(field, spec)
+    got_diag, got_off = _hessian_bands(field, spec)
+    scale = np.max(np.abs(diag))
+    assert np.max(np.abs(got_diag - diag)) <= 1e-5 * scale
     assert np.max(np.abs(got_off - off), initial=0.0) <= 1e-5 * scale

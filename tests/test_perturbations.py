@@ -10,6 +10,9 @@ from mtlab.perturbations import (PerturbationSpec, check_conditions, delta_k,
                                  log_power_family, oscillating_family,
                                  trivial)
 
+# a NaN from a masked-out log or an overflowing exp fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 TS = np.exp(np.linspace(np.log(0.5), np.log(1e5), 500))
 
 # (t, h(t), g(t)) of the cutoff families as evaluated by the NumPy array
@@ -79,7 +82,37 @@ def test_point_agrees_with_the_array_h_and_g(family, a, p, q, R, t):
     h, g = spec.point(t)
     assert isinstance(h, float) and isinstance(g, float)
     assert h == pytest.approx(float(spec.h(t)), rel=1e-15, abs=0.0)
-    assert g == (0.0 if spec.g is None else float(spec.g(t)))
+    # NumPy's pow and exp round apart from the C library's by an ulp
+    assert g == pytest.approx(0.0 if spec.g is None else float(spec.g(t)),
+                              rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", [log_power_family(),
+                                  log_power_family(q=1.5),
+                                  oscillating_family(R=3.0)],
+                         ids=["log-power-q0", "log-power-q1.5", "oscillating"])
+def test_cutoff_arrays_agree_with_point(spec):
+    # x = |t| / R at the bridge's ends, around 1 and 2, inside and beyond
+    # the bridge, at t and -t (g is even); arrays of 0, 1 and 2 dimensions
+    R = spec.family_params["R"]
+    x = np.array([0.5, np.nextafter(1.0, 0.0), 1.0, 1.0 + 1e-15, 1.0 + 1e-9,
+                  1.01, 1.5, 1.99, 2.0 - 1e-9, 2.0 - 1e-15, 2.0,
+                  np.nextafter(2.0, 3.0), 2.01, 10.0, 1e4])
+    t = np.concatenate([x * R, -x * R])
+    ref = np.array([spec.point(float(v)) for v in t])
+    for shape in ((len(t),), (2, len(t) // 2)):
+        h, g = spec.h(t.reshape(shape)), spec.g(t.reshape(shape))
+        assert h.shape == g.shape == shape
+        np.testing.assert_allclose(h.ravel(), ref[:, 0], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(g.ravel(), ref[:, 1], rtol=1e-15, atol=0.0)
+    for v, (h, g) in zip(t, ref):
+        assert np.shape(spec.h(v)) == np.shape(spec.g(v)) == ()
+        assert float(spec.h(v)) == pytest.approx(h, rel=1e-15, abs=0.0)
+        assert float(spec.g(v)) == pytest.approx(g, rel=1e-15, abs=0.0)
+    # shooting.functional_value reads g(0.0); h is undefined there
+    assert spec.g(0.0) == 0.0
+    with pytest.raises(ValueError, match="undefined at t = 0"):
+        spec.h(0.0)
 
 
 @pytest.mark.parametrize("spec", [log_power_family(a=1.0, p=3.0),
