@@ -133,7 +133,7 @@ def test_maximizer_converges_to_the_branch_value(frac, branch_roots):
 def test_maximizer_multiplier_matches_the_branch(frac, branch_roots):
     # Carleson-Chang again: the identity multiplier of the stopped field is
     # the branch's lambda at the same energy, up to the stop and the mesh;
-    # lambda_hat - lambda_branch reads +2.4e-6, +1.3e-7 and +1.6e-7
+    # lambda_hat - lambda_branch reads +2.4e-6, +3.2e-7 and +1.5e-7
     bound = {0.5: 5e-6, 0.9: 5e-7, 0.999: 5e-7}[frac]
     (root,) = branch_roots[frac]
     lam_branch = np.exp(shooting.shoot(root, trivial()).log_lambda)
@@ -143,33 +143,78 @@ def test_maximizer_multiplier_matches_the_branch(frac, branch_roots):
 
 
 def test_multiplier_error_is_mesh_error_at_the_top_rung(branch_roots):
-    # at 0.999 the Newton finish leaves lambda_hat - lambda_branch to the
-    # mesh: one sign and about 4x smaller per node doubling (the stop of a
-    # conjugate-gradient-only ascent flips its sign with the mesh)
-    (root,) = branch_roots[0.999]
-    lam_branch = np.exp(shooting.shoot(root, trivial()).log_lambda)
-    errors = [maximize_subcritical(0.999 * FOUR_PI, n_nodes=n_nodes,
-                                   max_iter=600).lambda_hat - lam_branch
-              for n_nodes in (2048, 4096, 8192)]
-    assert all(np.sign(e) == np.sign(errors[0]) != 0 for e in errors)
-    assert abs(errors[0]) >= 3.0 * abs(errors[1]) >= 9.0 * abs(errors[2])
+    # at 0.9 and 0.999 the Newton finish and the stop at 1e-8 leave
+    # lambda_hat - lambda_branch to the mesh: one sign and about 4x smaller
+    # per node doubling (at 0.9 it reads +1.3e-6, +3.2e-7, +8.0e-8; a stop
+    # at 1e-6 flipped its sign at 8192 nodes)
+    for frac in (0.9, 0.999):
+        (root,) = branch_roots[frac]
+        lam_branch = np.exp(shooting.shoot(root, trivial()).log_lambda)
+        errors = [maximize_subcritical(frac * FOUR_PI, n_nodes=n_nodes,
+                                       max_iter=600).lambda_hat - lam_branch
+                  for n_nodes in (2048, 4096, 8192)]
+        assert all(np.sign(e) == np.sign(errors[0]) != 0 for e in errors), frac
+        assert abs(errors[0]) >= 3.0 * abs(errors[1]) >= 9.0 * abs(errors[2]), frac
 
 
 @pytest.mark.parametrize("frac, budget", zip(BRANCH_FRACS, (10, 18, 30)))
 def test_ascent_iteration_budget(frac, budget):
-    # below the 15, 28 and 46 iterations that the conjugate-gradient ascent
-    # takes without its Newton finish (and 45, 81, 350 for steepest ascent)
+    # totals over both levels, 9, 16 and 25; a single-level ascent takes
+    # 6, 13 and 21, and 15, 28 and 46 without its Newton finish (and 45,
+    # 81, 350 for steepest ascent)
     res = maximize_subcritical(frac * FOUR_PI, n_nodes=4096, max_iter=600)
     assert res.converged
     assert res.iterations <= budget
 
 
-@pytest.mark.parametrize("max_iter", [1, 2, 8, 600])
-def test_result_measures_the_returned_field(max_iter):
+@pytest.mark.parametrize("family", ["trivial", "log-power"])
+def test_nested_levels_leave_the_fine_grid_a_newton_finish(family, monkeypatch):
+    # at 4096 nodes the ascent runs on 512 nodes first; the interpolated
+    # maximizer starts the fine level below NEWTON_SWITCH, so it takes
+    # Newton steps and the stop (3, 3 and 4 iterations, against 6, 13 and
+    # 21 from the parabolic start), and it stops at the single-level
+    # maximizer: F to 7e-15 and lambda_hat to 8.8e-9
+    spec = trivial() if family == "trivial" else log_power_family(a=1.0, p=3.0)
+    levels = []
+    ascend = maximizer._ascend
+
+    def recorded(field, alpha, spec, max_iter):
+        out = ascend(field, alpha, spec, max_iter)
+        levels.append((len(field.t_nodes), out[2]))
+        return out
+
+    monkeypatch.setattr(maximizer, "_ascend", recorded)
+    for frac, fine_budget in zip(BRANCH_FRACS, (3, 3, 4)):
+        levels.clear()
+        nested = maximize_subcritical(frac * FOUR_PI, spec, n_nodes=4096,
+                                      max_iter=600)
+        assert [n for n, _ in levels] == [512, 4096]
+        assert levels[1][1] <= fine_budget
+        assert nested.iterations == levels[0][1] + levels[1][1]
+        with monkeypatch.context() as single_level:
+            single_level.setattr(maximizer, "COARSE_MIN_NODES", 4096)
+            levels.clear()
+            single = maximize_subcritical(frac * FOUR_PI, spec, n_nodes=4096,
+                                          max_iter=600)
+        assert levels == [(4096, single.iterations)]
+        assert nested.converged and single.converged
+        assert abs(nested.value - single.value) <= 1e-12
+        assert abs(nested.lambda_hat - single.lambda_hat) <= 3e-8
+
+
+@pytest.mark.parametrize("n_nodes, max_iter", [
+    pytest.param(1024, 1, id="1"), pytest.param(1024, 2, id="2"),
+    pytest.param(1024, 8, id="8"), pytest.param(1024, 600, id="600"),
+    pytest.param(4096, 5, id="4096-5")])
+def test_result_measures_the_returned_field(n_nodes, max_iter):
     # the stop's (lambda, sin theta) come from the ascent's last measurement;
-    # when max_iter ends the ascent after a step, the field is measured again
-    res = maximize_subcritical(0.9 * FOUR_PI, n_nodes=1024, max_iter=max_iter)
+    # when max_iter ends the ascent after a step, the field is measured
+    # again, and at 4096 nodes the 512-node level uses up a budget of 5,
+    # so the requested grid is measured without an iteration
+    res = maximize_subcritical(0.9 * FOUR_PI, n_nodes=n_nodes, max_iter=max_iter)
     assert res.converged == (max_iter == 600)
+    assert res.iterations <= max_iter
+    assert len(res.field.t_nodes) == n_nodes
     assert (res.lambda_hat, res.stationarity) == multiplier_estimate_field(
         res.field, trivial())
 
