@@ -8,6 +8,8 @@ spaced nodes.
 
 Every subcommand is deterministic: re-running with the same flags writes
 byte-identical data files (fixed grids, fixed summation orders, no RNG).
+The argument parser is built once per process and reused by every
+``main`` call, which holds no state between calls.
 
 Exit codes: 0 success, 2 configuration error (bad flags or parameters),
 3 numerical failure (integration, quadrature or root finding did not
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -259,7 +262,13 @@ def cmd_check_h(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared afterwards.
+
+    Parsing leaves the parser as it was (each call fills a fresh
+    namespace), so one parser serves every ``main`` call in a process.
+    """
     ap = argparse.ArgumentParser(
         prog="mtlab",
         description="Radial critical points of the perturbed Moser-Trudinger "

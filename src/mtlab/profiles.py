@@ -117,7 +117,10 @@ def psi(r):
 def psi0(r):
     """Weight (r^2-1)/(1+r^2)^3 of the log-slope integral formula."""
     r2 = r * r
-    return (r2 - 1.0) / (1.0 + r2) ** 3
+    one = 1.0 + r2
+    # a product, not ``** 3``: NumPy's array pow and the C library's scalar
+    # pow differ in the last bit on some radii, a product rounds alike
+    return (r2 - 1.0) / (one * one * one)
 
 
 def xi(r):

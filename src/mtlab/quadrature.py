@@ -1,10 +1,14 @@
 """Weighted planar integrals of radial functions and the log-slope formula.
 
 ``integrate_plane`` evaluates int_{R^2} f dx = 2 pi int_0^inf f(r) r dr for
-radial integrands that decay at least like log^q(r) / r^4.  The range is
-split at r = 1; the outer part is integrated in the log coordinate and cut
-at ``R_CUT``, beyond which a closed-form majorant C log^4(r) / r^3 bounds
-the remainder.
+radial integrands that decay at least like log^q(r) / r^4.  An integrand is
+a scalar or a vector of integrands: one adaptive Gauss-Kronrod pass
+(``scipy.integrate.quad_vec``) integrates every component on shared
+subintervals, and its error bound is the max norm over the components.
+The range is split at r = 1; the outer part is integrated in the log
+coordinate and cut at ``R_CUT``, beyond which a closed-form majorant
+C log^4(r) / r^3 bounds the remainder.  The majorant samples ``f`` on an
+ndarray of radii, so ``f`` must accept one.
 
 ``beta_from_source`` implements the identity
 
@@ -12,16 +16,17 @@ the remainder.
 
 for the log-slope of solutions of -Delta w = 4 e^{2 eta0}(f + 2w), and
 ``integral_tables`` reproduces the fourteen tabulated weighted integrals
-used in the energy expansions.
+used in the energy expansions, as one vector integrand that evaluates each
+profile once per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad_vec
 from scipy.special import zeta
 
 from . import profiles as pf
@@ -43,12 +48,12 @@ R_CUT = 1e10  # integrate_plane's outer limit; a majorant bounds the rest
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: float
-    abs_error: float
+    value: Union[float, np.ndarray]  # an array for a vector integrand
+    abs_error: Union[float, np.ndarray]
     nodes_used: int
 
     def __post_init__(self):
-        if self.abs_error < 0:
+        if np.any(np.asarray(self.abs_error) < 0):
             raise ValueError("abs_error must be non-negative")
 
 
@@ -65,35 +70,45 @@ def _tail_integral(r_cut: float) -> float:
 def integrate_plane(f: Callable, tol: float = 1e-10) -> QuadratureResult:
     """Planar integral 2 pi int_0^inf f(r) r dr of a radial integrand.
 
+    ``f`` returns a scalar or a 1-D vector of integrands at a float r, and
+    must also accept an ndarray of radii (a vector integrand then returns
+    one row per component), which the tail majorant samples in one call.
+    The components share every adaptive subdivision, so the shared error
+    bound is a max norm over them: a vector integrand gets arrays for
+    ``value`` and ``abs_error``, every entry of the latter the shared bound.
+
     ``f`` must decay at least like log^4(r) / r^4; the remainder beyond
     ``R_CUT`` is bounded by an empirically calibrated majorant and must fit
-    within tol/2, otherwise TailBoundError is raised.  A tolerance that is
-    not positive (NaN included) raises ValueError.
+    within tol/2 for every component, otherwise TailBoundError is raised.
+    A tolerance that is not positive (NaN included) raises ValueError.
     """
     if not tol > 0:
         raise ValueError(f"need a positive tolerance, got tol={tol}")
     # inner disc in the radial variable, outer part in t = log r
-    inner, err_in, info_in = quad(lambda r: f(r) * r, 0.0, 1.0,
-                                  epsabs=tol / (8 * PI), epsrel=1e-13,
-                                  limit=200, full_output=True)[:3]
-    outer, err_out, info_out = quad(
+    inner, err_in, info_in = quad_vec(lambda r: f(r) * r, 0.0, 1.0,
+                                      epsabs=tol / (8 * PI), epsrel=1e-13,
+                                      norm="max", limit=200, full_output=True)
+    outer, err_out, info_out = quad_vec(
         lambda t: f(np.exp(t)) * np.exp(2.0 * t), 0.0, np.log(R_CUT),
-        epsabs=tol / (8 * PI), epsrel=1e-13, limit=400,
-        full_output=True)[:3]
+        epsabs=tol / (8 * PI), epsrel=1e-13, norm="max", limit=400,
+        full_output=True)
 
-    # majorant constant from samples near the cut
+    # majorant constant from samples near the cut, the largest over the
+    # components, so every component's tail fits if this one does
     rs = np.exp(np.linspace(np.log(R_CUT) - np.log(4.0), np.log(R_CUT), 32))
-    fs = np.abs(np.asarray([f(r) for r in rs], dtype=float))
-    c_maj = float(np.max(fs * rs ** 4 / np.log(rs) ** 4))
+    c_maj = float(np.max(np.abs(f(rs)) * rs ** 4 / np.log(rs) ** 4))
     tail = 2.0 * PI * 2.0 * c_maj * _tail_integral(R_CUT)  # factor-2 slack
-    if tail > tol / 2.0:
+    # written so that a NaN fails the test
+    if not tail <= tol / 2.0:
         raise TailBoundError(
             f"tail bound {tail:.3e} beyond R_CUT={R_CUT:.3e} exceeds tol/2={tol / 2:.3e}")
 
     value = 2.0 * PI * (inner + outer)
     abs_error = 2.0 * PI * (err_in + err_out) + tail
-    nodes = int(info_in["neval"] + info_out["neval"])
-    return QuadratureResult(value=value, abs_error=abs_error, nodes_used=nodes)
+    if np.ndim(value):
+        abs_error = np.full(np.shape(value), abs_error)
+    return QuadratureResult(value=value, abs_error=abs_error,
+                            nodes_used=info_in.neval + info_out.neval)
 
 
 def beta_from_source(f: Callable, tol: float = 1e-10) -> float:
@@ -105,55 +120,59 @@ def beta_from_source(f: Callable, tol: float = 1e-10) -> float:
     return -2.0 / PI * res.value
 
 
-# (name, integrand against psi0, closed-form value) -- the first six are
-# unnormalized integrals int psi0 * (...) dx feeding the z0 log-slope; the
-# last eight are (2/pi)-normalized entries of the inverse-square-tail table.
-def _z0slope_entries():
-    e, w = pf.eta0, pf.w0
+def _table_integrand(r):
+    """psi0 times the fourteen table integrands, in ``_table_closed_forms`` order.
+
+    Each profile is evaluated once per radius and shared by the products.
+    """
+    e, w, z = pf.eta0(r), pf.w0(r), pf.zeta0(r)
+    return pf.psi0(r) * np.array([
+        e ** 3, e ** 4, w, w * e, w * e ** 2, w ** 2,
+        z ** 2, -2.0 * w, e, -e ** 2, -z, -4.0 * w * z, -4.0 * e * z,
+        -2.0 * e ** 2 * z])
+
+
+# (name, closed-form value) -- the first six are unnormalized integrals
+# int psi0 * (...) dx feeding the z0 log-slope; the last eight are
+# (2/pi)-normalized entries of the inverse-square-tail table.
+def _table_closed_forms():
     return [
-        ("z0slope_eta0_cubed", lambda r: e(r) ** 3, -21.0 * PI / 4.0),
-        ("z0slope_eta0_fourth", lambda r: e(r) ** 4, 45.0 * PI / 2.0),
-        ("z0slope_w0", lambda r: w(r), PI ** 3 / 18.0 - 7.0 * PI / 12.0),
-        ("z0slope_w0_eta0", lambda r: w(r) * e(r),
+        ("z0slope_eta0_cubed", -21.0 * PI / 4.0),
+        ("z0slope_eta0_fourth", 45.0 * PI / 2.0),
+        ("z0slope_w0", PI ** 3 / 18.0 - 7.0 * PI / 12.0),
+        ("z0slope_w0_eta0",
          (125.0 / 72.0 - 2.0 / 3.0 * ZETA3) * PI - 2.0 / 27.0 * PI ** 3),
-        ("z0slope_w0_eta0_sq", lambda r: w(r) * e(r) ** 2,
+        ("z0slope_w0_eta0_sq",
          (16.0 / 9.0 * ZETA3 - 409.0 / 54.0) * PI + 35.0 / 162.0 * PI ** 3 + PI ** 5 / 45.0),
-        ("z0slope_w0_sq", lambda r: w(r) ** 2,
+        ("z0slope_w0_sq",
          (625.0 / 216.0 - 4.0 / 9.0 * ZETA3) * PI - PI ** 3 / 81.0 - PI ** 5 / 45.0),
-    ]
-
-
-def _tail_table_entries():
-    e, w, z = pf.eta0, pf.w0, pf.zeta0
-    return [
-        ("tail_zeta0_sq", lambda r: z(r) ** 2, 1.0 / 3.0),
-        ("tail_minus_2w0", lambda r: -2.0 * w(r), 7.0 / 3.0 - 2.0 * PI ** 2 / 9.0),
-        ("tail_eta0", lambda r: e(r), -1.0),
-        ("tail_minus_eta0_sq", lambda r: -e(r) ** 2, -3.0),
-        ("tail_minus_zeta0", lambda r: -z(r), 1.0 / 3.0),
-        ("tail_minus_4w0_zeta0", lambda r: -4.0 * w(r) * z(r),
-         -67.0 / 27.0 + 2.0 * PI ** 2 / 9.0),
-        ("tail_minus_4eta0_zeta0", lambda r: -4.0 * e(r) * z(r), -34.0 / 9.0),
-        ("tail_minus_2eta0_sq_zeta0", lambda r: -2.0 * e(r) ** 2 * z(r), 151.0 / 27.0),
+        ("tail_zeta0_sq", 1.0 / 3.0),
+        ("tail_minus_2w0", 7.0 / 3.0 - 2.0 * PI ** 2 / 9.0),
+        ("tail_eta0", -1.0),
+        ("tail_minus_eta0_sq", -3.0),
+        ("tail_minus_zeta0", 1.0 / 3.0),
+        ("tail_minus_4w0_zeta0", -67.0 / 27.0 + 2.0 * PI ** 2 / 9.0),
+        ("tail_minus_4eta0_zeta0", -34.0 / 9.0),
+        ("tail_minus_2eta0_sq_zeta0", 151.0 / 27.0),
     ]
 
 
 def integral_tables(tol: float = 1e-10) -> Dict[str, Tuple[float, QuadratureResult]]:
-    """All fourteen tabulated weighted integrals.
+    """All fourteen tabulated weighted integrals, from one vector quadrature.
 
     Returns a mapping name -> (closed_form_value, QuadratureResult).  Names
     prefixed ``z0slope_`` are unnormalized int psi0 * (...) dx; names prefixed
     ``tail_`` carry the (2/pi) normalization of the inverse-square-tail table.
+    Every entry reports the pass's shared error bound (times 2/pi for the
+    ``tail_`` entries) and its total node count.
     """
+    res = integrate_plane(_table_integrand, tol=tol)
     out: Dict[str, Tuple[float, QuadratureResult]] = {}
-    for name, g, closed in _z0slope_entries():
-        res = integrate_plane(lambda r, g=g: pf.psi0(r) * g(r), tol=tol)
-        out[name] = (closed, res)
-    for name, g, closed in _tail_table_entries():
-        res = integrate_plane(lambda r, g=g: pf.psi0(r) * g(r), tol=tol * PI / 2.0)
+    for i, (name, closed) in enumerate(_table_closed_forms()):
+        scale = 2.0 / PI if name.startswith("tail_") else 1.0
         out[name] = (closed, QuadratureResult(
-            value=2.0 / PI * res.value,
-            abs_error=2.0 / PI * res.abs_error,
+            value=scale * float(res.value[i]),
+            abs_error=scale * float(res.abs_error[i]),
             nodes_used=res.nodes_used))
     return out
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -94,6 +95,37 @@ def test_deterministic(argv, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(argv + ["--output", str(a)]) == EXIT_OK
     assert run(argv + ["--output", str(b)]) == EXIT_OK
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_shared_parser_keeps_no_state(monkeypatch, tmp_path):
+    # main reuses one parser per process: no call may leave a value, an
+    # error or an output byte behind for the next
+    queries = []
+
+    def branch_scan(mus, spec, lambda_queries=(), level_fractions=()):
+        queries.append(lambda_queries)
+        return SimpleNamespace(points=[(3.0, 12.5)])
+
+    monkeypatch.setattr(analysis, "branch_scan", branch_scan)
+    branch = ["branch", "--format", "csv",
+              "--output", str(tmp_path / "branch.csv")]
+    assert run(branch + ["--level", "12.6"]) == EXIT_OK
+    assert run(branch) == EXIT_OK
+    assert queries == [[12.6], ()]
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser().parse_args(["branch"]).level is None
+
+    with pytest.raises(SystemExit) as exc:
+        run(["branch", "--level", "twelve"])
+    assert exc.value.code == EXIT_CONFIG
+    assert run(["profiles", "--n", "0"]) == EXIT_CONFIG
+    assert run(["profiles", "--n", "3",
+                "--output", str(tmp_path / "p.csv")]) == EXIT_OK
+
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["tables", "--output", str(a)]) == EXIT_OK
+    assert run(["tables", "--output", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -113,9 +113,4 @@ def test_float_path_is_the_array_formula(name, r):
     value = fn(float(r))
     assert not isinstance(value, np.ndarray)
     expect = fn(np.array([r]))[0]
-    if name == "psi0":
-        # NumPy raises arrays to the power 3 with its SIMD pow and scalars
-        # with the C library's, which differ in the last bit on some radii
-        assert abs(value - expect) <= abs(np.spacing(expect))
-    else:
-        assert value == expect
+    assert value == expect

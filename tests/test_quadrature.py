@@ -26,8 +26,43 @@ def test_integrate_plane_log_weighted():
 
 
 def test_tail_bound_guards_slow_decay():
-    with pytest.raises(TailBoundError):
-        integrate_plane(lambda r: (1.0 + r * r) ** -1.5, tol=1e-10)
+    # alone, and as one component of a vector whose other component decays
+    slow = [lambda r: (1.0 + r * r) ** -1.5,
+            lambda r: np.array([(1.0 + r * r) ** -3.0, (1.0 + r * r) ** -1.5])]
+    for f in slow:
+        with pytest.raises(TailBoundError):
+            integrate_plane(f, tol=1e-10)
+
+
+def test_vector_integrand_matches_the_scalar_runs():
+    # both closed forms as above; one pass shares the subintervals and
+    # reports the max-norm error bound on every entry
+    fs = [lambda r: (1.0 + r * r) ** -3.0,
+          lambda r: np.log1p(r * r) * (1.0 + r * r) ** -3.0]
+    vec = integrate_plane(lambda r: np.array([f(r) for f in fs]))
+    assert vec.value.shape == vec.abs_error.shape == (2,)
+    assert vec.abs_error[0] == vec.abs_error[1] < 1e-9
+    assert isinstance(vec.nodes_used, int)
+    for f, v, closed in zip(fs, vec.value, (np.pi / 2.0, np.pi / 4.0)):
+        res = integrate_plane(f)
+        assert abs(v - res.value) <= vec.abs_error[0] + res.abs_error
+        assert abs(v - closed) <= vec.abs_error[0]
+
+
+def test_tables_evaluate_each_profile_once_per_node(monkeypatch):
+    # one call per quadrature node plus the majorant's one array call
+    calls = []
+    w0 = pf.w0
+
+    def counted(r):
+        calls.append(r)
+        return w0(r)
+
+    monkeypatch.setattr(pf, "w0", counted)
+    tables = quadrature.integral_tables()
+    nodes = {res.nodes_used for _, res in tables.values()}
+    assert len(nodes) == 1
+    assert len(calls) <= nodes.pop() + 1
 
 
 def test_slope_formula_against_ode_w0():
@@ -44,6 +79,7 @@ def test_slope_formula_against_ode_z0():
 def test_all_table_entries_match_closed_forms(tables):
     for name, (closed, res) in tables.items():
         assert res.value == pytest.approx(closed, rel=1e-8), name
+        assert abs(res.value - closed) <= res.abs_error, name
 
 
 def test_linear_slope_sum(tables):
