@@ -30,6 +30,7 @@ from scipy.integrate import quad_vec
 from scipy.special import zeta
 
 from . import profiles as pf
+from .radial_ode import IntegrationError
 
 __all__ = [
     "QuadratureResult",
@@ -80,7 +81,9 @@ def integrate_plane(f: Callable, tol: float = 1e-10) -> QuadratureResult:
     ``f`` must decay at least like log^4(r) / r^4; the remainder beyond
     ``R_CUT`` is bounded by an empirically calibrated majorant and must fit
     within tol/2 for every component, otherwise TailBoundError is raised.
-    A tolerance that is not positive (NaN included) raises ValueError.
+    A half-range whose adaptive pass stops short of its tolerance raises
+    IntegrationError.  A tolerance that is not positive (NaN included)
+    raises ValueError.
     """
     if not tol > 0:
         raise ValueError(f"need a positive tolerance, got tol={tol}")
@@ -92,6 +95,11 @@ def integrate_plane(f: Callable, tol: float = 1e-10) -> QuadratureResult:
         lambda t: f(np.exp(t)) * np.exp(2.0 * t), 0.0, np.log(R_CUT),
         epsabs=tol / (8 * PI), epsrel=1e-13, norm="max", limit=400,
         full_output=True)
+    for half, info, err in (("inner r < 1", info_in, err_in),
+                            ("outer r > 1", info_out, err_out)):
+        if not info.success:
+            raise IntegrationError(f"quad_vec on the {half} half did not converge: "
+                                   f"{info.message} (error {err:.3e})")
 
     # majorant constant from samples near the cut, the largest over the
     # components, so every component's tail fits if this one does

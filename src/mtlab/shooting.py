@@ -44,9 +44,9 @@ Every number of a shot (log R, the energies, the boundary slope) is read
 from the state at those two events, so :func:`shoot` skips the dense
 output by default: DOP853's continuous extension costs 3 more
 state-function calls per accepted step, about a fifth of a shot's calls,
-and SciPy builds it anyway on the two steps that hold an event.  The
-steps, and so every number, are the same with or without it.  Only a
-caller that reads the profile (:func:`physical_profile`,
+and radial_ode's loop builds it only on the two steps that hold an
+event.  The steps, and so every number, are the same with or without it.
+Only a caller that reads the profile (:func:`physical_profile`,
 :func:`pde_residual`, :func:`comparison_eta0`, ``sol.eta.eval*``) passes
 ``profile=True``; on a profile-free shot these raise ValueError.
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mtlab
-from mtlab import analysis, cli, linearized, maximizer
+from mtlab import analysis, cli, linearized, maximizer, quadrature
 from mtlab.cli import (EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                        main)
 from mtlab.perturbations import PerturbationSpec
@@ -288,6 +288,18 @@ def test_shoot_nan_perturbation_exit_code(monkeypatch, tmp_path, capsys):
     out = tmp_path / "s.json"
     assert run(["shoot", "--mu", "6", "--output", str(out)]) == EXIT_NUMERICAL
     assert "non-finite perturbation" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unconverged_quadrature_exit_code(monkeypatch, tmp_path, capsys):
+    # every table entry given an inner-disc oscillation quad_vec cannot resolve
+    def oscillating(r):
+        return np.multiply.outer(np.ones(14), np.cos(3e3 * r) * (1.0 + r * r) ** -3.0)
+
+    monkeypatch.setattr(quadrature, "_table_integrand", oscillating)
+    out = tmp_path / "t.csv"
+    assert run(["tables", "--output", str(out)]) == EXIT_NUMERICAL
+    assert "did not converge" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from mtlab.linearized import source_w0, source_z0
 from mtlab.quadrature import (TailBoundError, beta1_combination,
                               beta_from_source, integrate_plane,
                               z0_slope_combination)
+from mtlab.radial_ode import IntegrationError
 
 
 def test_integrate_plane_gaussian_like():
@@ -32,6 +33,12 @@ def test_tail_bound_guards_slow_decay():
     for f in slow:
         with pytest.raises(TailBoundError):
             integrate_plane(f, tol=1e-10)
+
+
+def test_unconverged_half_raises():
+    # a fast oscillation on the inner disc exhausts quad_vec's subintervals
+    with pytest.raises(IntegrationError, match="inner r < 1 half did not converge"):
+        integrate_plane(lambda r: np.cos(3e3 * r) * (1.0 + r * r) ** -3.0)
 
 
 def test_vector_integrand_matches_the_scalar_runs():

@@ -2,12 +2,19 @@
 
 import warnings
 
+import re
+
 import numpy as np
 import pytest
+import scipy.integrate
 
 from mtlab import profiles as pf
-from mtlab.radial_ode import (MIN_RTOL, R_START, START_LADDER, NoCrossingError,
-                              solve)
+from mtlab import radial_ode
+from mtlab.linearized import solve_linearized, source_w0
+from mtlab.perturbations import log_power_family, trivial
+from mtlab.radial_ode import (MIN_RTOL, R_START, START_LADDER, IntegrationError,
+                              NoCrossingError, solve)
+from mtlab.shooting import shoot
 
 
 def liouville_state(t, y):
@@ -139,3 +146,99 @@ def test_dense_output_between_nodes():
     mids = 0.5 * (sol.grid.t_nodes[:-1] + sol.grid.t_nodes[1:])
     u, _ = sol.eval_t(mids)
     assert np.max(np.abs(u - pf.eta0(np.exp(mids)))) < 1e-8
+
+
+def _solve_ivp_arguments(monkeypatch, run):
+    """The arguments of every radial_ode.solve_ivp call that run() makes."""
+    calls = []
+    own = radial_ode.solve_ivp
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return own(*args, **kwargs)
+
+    monkeypatch.setattr(radial_ode, "solve_ivp", recording)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _assert_same_as_scipy(args, kwargs):
+    own = radial_ode.solve_ivp(*args, **kwargs)
+    ref = scipy.integrate.solve_ivp(*args, method="DOP853", **kwargs)
+    assert np.array_equal(own.t, ref.t)
+    assert np.array_equal(own.y, ref.y)
+    assert own.nfev == ref.nfev
+    assert own.status == ref.status
+    if ref.t_events is None:
+        assert own.t_events is own.y_events is None
+    else:
+        assert len(own.t_events) == len(ref.t_events)
+        for mine, theirs in zip(own.t_events + own.y_events, ref.t_events + ref.y_events):
+            assert np.array_equal(mine, theirs)
+    if kwargs.get("dense_output"):
+        ts = np.linspace(ref.t[0], ref.t[-1], 50)
+        assert np.array_equal(own.sol(ts), ref.sol(ts))
+    else:
+        assert own.sol is ref.sol is None
+
+
+@pytest.mark.parametrize("profile", [False, True], ids=["plain", "dense"])
+@pytest.mark.parametrize("family", [trivial, log_power_family])
+@pytest.mark.parametrize("mu", [2.0, 6.0, 12.0, 24.0])
+def test_loop_reproduces_scipy_on_shots(monkeypatch, mu, family, profile):
+    # the shot's own state function, start, level and split mark
+    calls = _solve_ivp_arguments(monkeypatch, lambda: shoot(mu, family(), profile=profile))
+    assert len(calls) == 1
+    args, kwargs = calls[0]
+    assert len(kwargs["events"]) == 2 and kwargs["dense_output"] == profile
+    _assert_same_as_scipy(args, kwargs)
+
+
+def test_loop_reproduces_scipy_on_the_linearized_w0_solve(monkeypatch):
+    calls = _solve_ivp_arguments(monkeypatch, lambda: solve_linearized(source_w0, r_max=2e3))
+    assert len(calls) == 1
+    args, kwargs = calls[0]
+    assert kwargs["dense_output"] and kwargs["events"] is None
+    _assert_same_as_scipy(args, kwargs)
+
+
+def test_events_fire_and_end_the_solve_as_in_scipy():
+    # u = -t reaches the terminal level -5 inside the step that also holds
+    # the marks t = 3 and t = 7: the mark before it is recorded, the one
+    # after it is not, as in SciPy
+    def level(t, y):
+        return y[0] + 5.0
+
+    level.terminal = True
+    marks = [lambda t, y: t - 3.0, lambda t, y: t - 7.0]
+    events = marks + [level]
+    args = (lambda t, y: np.array([-1.0, 0.5]), (0.0, 10.0), np.zeros(2))
+    free = radial_ode.solve_ivp(*args, rtol=1e-3, atol=1e-6, events=marks)
+    assert free.t[-2] < 3.0 and free.t[-1] == 10.0  # one step holds all three
+    assert [len(te) for te in free.t_events] == [1, 1]
+    res = radial_ode.solve_ivp(*args, rtol=1e-3, atol=1e-6, events=events)
+    assert np.array_equal(res.t[:-1], free.t[:-1])
+    assert res.status == 1
+    assert [len(te) for te in res.t_events] == [1, 0, 1]
+    assert res.t_events[0][0] == pytest.approx(3.0, abs=1e-12)
+    assert res.t[-1] == res.t_events[2][0] == pytest.approx(5.0, abs=1e-12)
+    assert np.array_equal(res.y[:, -1], res.y_events[2][0])
+    _assert_same_as_scipy(args, {"rtol": 1e-3, "atol": 1e-6, "events": events})
+    # a zero exactly at a node counts on both sides: both steps meeting
+    # there record it, as in SciPy
+    at_node = [lambda t, y: t - free.t[3]]
+    res = radial_ode.solve_ivp(*args, rtol=1e-3, atol=1e-6, events=at_node)
+    assert list(res.t_events[0]) == [free.t[3]] * 2
+    _assert_same_as_scipy(args, {"rtol": 1e-3, "atol": 1e-6, "events": at_node})
+
+
+def test_nonfinite_state_fails_near_where_it_turns():
+    # every step past t = 1 is rejected until the step size underflows
+    def state(t, y):
+        return liouville_state(t, y) if t < 1.0 else np.full(len(y), np.nan)
+
+    with pytest.raises(IntegrationError, match="integration failed near t=") as info:
+        solve(state, 3.0, 1e-10, 1e-10)
+    t_fail = float(re.search(r"t=(\S+) ", str(info.value)).group(1))
+    assert t_fail == pytest.approx(1.0, abs=1e-4)
