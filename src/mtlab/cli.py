@@ -149,11 +149,12 @@ def cmd_beta(args) -> int:
                          f"got r_max={args.r_max}")
     sol = linearized.solve_linearized(linearized.source_z0, r_max=args.r_max)
     slope_ode, spread = linearized.extract_log_slope(sol, r_hi=r_hi)
-    slope_int = quadrature.beta_from_source(linearized.source_z0)
+    integral = quadrature.beta_from_source(linearized.source_z0)
+    slope_int = integral.value
     closed = -6.0 - np.pi ** 2 / 3.0
     _write(args, _csv(["route", "beta", "error_estimate"],
                       [["ode_tail", _fmt(slope_ode), _fmt(spread)],
-                       ["weighted_integral", _fmt(slope_int), _fmt(1e-10)],
+                       ["weighted_integral", _fmt(slope_int), _fmt(integral.abs_error)],
                        ["closed_form", _fmt(closed), _fmt(0.0)]]))
     if abs(slope_ode - slope_int) > spread + 1e-6:
         raise AssertionFailure(

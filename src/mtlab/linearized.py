@@ -81,7 +81,7 @@ def solve_linearized(source: Callable, r_max: float = 1e6) -> RadialSolution:
     def state(t, y):
         r = math.exp(t)
         one = 1.0 + r * r
-        return np.array([y[1], -r * r * (4.0 / (one * one) * (source(r) + 2.0 * y[0]))])
+        return y[1], -r * r * (4.0 / (one * one) * (source(r) + 2.0 * y[0]))
 
     return solve(state, np.log(r_max), LINEARIZED_TOL, LINEARIZED_TOL)
 

@@ -119,13 +119,15 @@ def integrate_plane(f: Callable, tol: float = 1e-10) -> QuadratureResult:
                             nodes_used=info_in.neval + info_out.neval)
 
 
-def beta_from_source(f: Callable, tol: float = 1e-10) -> float:
+def beta_from_source(f: Callable, tol: float = 1e-10) -> QuadratureResult:
     """Log-slope beta of the solution with source f, via the weighted integral.
 
-    beta = -(2/pi) int psi0 f dx with psi0 = (r^2-1)/(1+r^2)^3.
+    beta = -(2/pi) int psi0 f dx with psi0 = (r^2-1)/(1+r^2)^3: the
+    integral's result scaled by -2/pi, its ``abs_error`` by 2/pi.
     """
     res = integrate_plane(lambda r: pf.psi0(r) * f(r), tol=tol * PI / 2.0)
-    return -2.0 / PI * res.value
+    return QuadratureResult(value=-2.0 / PI * res.value, abs_error=2.0 / PI * res.abs_error,
+                            nodes_used=res.nodes_used)
 
 
 def _table_integrand(r):

@@ -23,8 +23,9 @@ lower on its ladder when the check fails: at mu = 0.05 the series of the
 core converges only for r below about mu, and the start drops to 1e-3.
 A split radius below the start is read off that series.  The state
 function calls the family's scalar kernel ``point`` once per evaluation,
-the fit's included, in plain ``math`` on Python floats, and raises
-IntegrationError when it returns a non-finite value (a NaN would
+the fit's included, in plain ``math`` on Python floats, returns its rates
+as a tuple of floats for radial_ode's float stepper, and raises
+IntegrationError when the kernel returns a non-finite value (a NaN would
 otherwise stall the stepper).  The functional needs no state of its own:
 :func:`functional_value` is the Pohozaev closed form on the boundary state.
 
@@ -33,9 +34,11 @@ tolerance tol, and eta and v the floor ETA_ATOL_FACTOR tol = 1e-3 tol.
 Near the origin eta ~ -(1+h(mu)) r^2 decays like e^{2t}, and under pure
 relative control DOP853 would step that core at about 0.18 in t.  With the
 floor, a shot at mu = 6 takes 14 of its 64 steps below t = -2, and a shot
-has 40 nodes at mu = 2, 65 at mu = 6 and 72-76 at mu = 12, 18 and 24.
-Against tol = 1e-13 shots, the worst |E - E_ref| over the benchmark's
-sweep lattice is 8.8e-10 (log-power, mu = 4); the 1e-9 sweep check is not
+(trivial and log-power family) has 40 nodes at mu = 2, 65-66 at mu = 6,
+75 at mu = 12, 74-76 at mu = 18 and 73-74 at mu = 24.  Against
+tol = 1e-13 shots, the worst |E - E_ref| over the benchmark's sweep
+lattice is 8.6e-10, and 8.8e-10 against its stored references (both
+log-power, mu = 4), 1.2e-10 below the 1e-9 sweep check; that check is not
 a bound at every mu, though: on mu = 2, 2.05, ..., 12 the trivial family
 misses by at most 3.5e-11, while 3 of 201 log-power shots miss by more
 than 1e-9, the worst by 2.8e-9 at mu = 3.05.
@@ -141,13 +144,13 @@ def _state(mu: float, spec: PerturbationSpec) -> Callable:
         integrator (eta < -2 mu^2, or t far past the boundary event), and
         keep ``math.exp`` below overflow.
         """
-        eta, v = float(y[0]), float(y[1])
+        eta, v = y[0], y[1]
         u = max(mu + eta / mu, 1e-12)
         hu, _ = _checked_point(spec, mu, u)
         q = 1.0 + eta / mu2
         e = math.exp(min(2.0 * t + min(eta * (2.0 + eta / mu2), 0.0), 50.0))
         f = 4.0 * (1.0 + hu) * q * e
-        return np.array([v, -f, TWO_PI * f * q])
+        return v, -f, TWO_PI * f * q
 
     return state
 

@@ -48,7 +48,7 @@ def test_criterion_02_first_order_tail_slope():
 def test_criterion_03_second_order_slope_two_routes():
     sol = solve_linearized(source_z0, r_max=1e6)
     slope_ode, spread = extract_log_slope(sol)
-    slope_int = beta_from_source(source_z0)
+    slope_int = beta_from_source(source_z0).value
     assert slope_ode == pytest.approx(Z0_SLOPE, abs=1e-3)
     assert slope_int == pytest.approx(Z0_SLOPE, abs=1e-6)
     assert abs(slope_ode - slope_int) <= spread + 1e-6

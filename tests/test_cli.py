@@ -49,6 +49,18 @@ def test_beta_routes_agree(tmp_path):
         betas["closed_form"], abs=1e-6)
 
 
+def test_beta_prints_the_quadrature_error_bound(tmp_path):
+    # the weighted_integral row's estimate is the quadrature's own bound,
+    # scaled by 2/pi like the value, and it covers the miss to the closed form
+    out = tmp_path / "b.csv"
+    assert run(["beta", "--output", str(out)]) == EXIT_OK
+    rows = {r[0]: r for r in (line.split(",") for line in out.read_text().splitlines()[1:])}
+    bound = quadrature.beta_from_source(linearized.source_z0).abs_error
+    assert float(rows["weighted_integral"][2]) == bound
+    miss = abs(float(rows["weighted_integral"][1]) - float(rows["closed_form"][1]))
+    assert miss <= bound
+
+
 @pytest.mark.parametrize("r_max", ["-1", "1e4"])
 def test_beta_rejects_r_max_below_the_slope_window(monkeypatch, capsys, r_max):
     # rejected before the solve, by a message that names r_max, and with no
@@ -175,7 +187,7 @@ def test_config_error_exit_code(capsys):
     assert run(["shoot", "--mu", "100"]) == EXIT_CONFIG
     # a NaN tolerance or radius is rejected before the integrator starts
     assert run(["shoot", "--mu", "6", "--tol", "nan"]) == EXIT_CONFIG
-    # so is one below SciPy's floor 100 eps, which SciPy would run at instead
+    # so is one below the floor 100 eps, where the error estimate is rounding noise
     capsys.readouterr()
     assert run(["shoot", "--mu", "6", "--tol", "1e-15"]) == EXIT_CONFIG
     assert "rtol=1e-15" in capsys.readouterr().err

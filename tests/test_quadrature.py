@@ -74,12 +74,12 @@ def test_tables_evaluate_each_profile_once_per_node(monkeypatch):
 
 def test_slope_formula_against_ode_w0():
     # the w0 source must give slope -2 (its tail is -2 log r)
-    beta = beta_from_source(source_w0)
+    beta = beta_from_source(source_w0).value
     assert beta == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_slope_formula_against_ode_z0():
-    beta = beta_from_source(source_z0)
+    beta = beta_from_source(source_z0).value
     assert beta == pytest.approx(-6.0 - np.pi ** 2 / 3.0, abs=1e-6)
 
 
