@@ -107,7 +107,7 @@ def energy_scan(mu_list: Sequence[float], spec: PerturbationSpec,
     if not len(mu_list):
         raise ValueError("empty mu grid: nothing to scan")
     if not tol >= MIN_RTOL:
-        raise ValueError(f"need tol at or above SciPy's floor 100 eps = "
+        raise ValueError(f"need tol at or above the floor 100 eps = "
                          f"{MIN_RTOL:.3g}, got tol={tol:g}")
     mus, cs, inner, outer, energies = [], [], [], [], []
     failures: Dict[float, str] = {}

@@ -103,7 +103,7 @@ def extract_log_slope(sol: RadialSolution, r_lo: float = 1e3,
         raise ValueError(f"need n_samples >= 1, got n_samples={n_samples}")
     if r_hi < 100.0 * r_lo:
         raise ValueError("need r_hi >= 100 * r_lo for a meaningful tail")
-    if np.log(r_hi) > sol.t_max + 1e-12:
+    if not np.log(r_hi) <= sol.t_max:
         raise ValueError("solution not defined up to r_hi")
     t = np.linspace(np.log(r_lo), np.log(r_hi), n_samples)
     _, v = sol.eval_t(t)

@@ -37,32 +37,37 @@ arrays that small (the stage products, the state arrays, the norms) was
 about three quarters of each right-hand-side evaluation under SciPy's
 stepper.  So each attempt writes its 11 stages out as ``dop853.f`` does,
 one comprehension over the state lists per stage, with the tableau read
-from SciPy's ``DOP853`` class, and keeps SciPy's controller, event rule
-and continuous extension (each piece a SciPy ``Dop853DenseOutput``).  The
-numbers are not bit-identical to ``scipy.integrate.solve_ivp``: the error
-estimate cancels to about 1e-5 of its terms, so another summation order
-moves the step sizes a little.  The tests bound the difference (one step
-within 4 eps of SciPy's, whole solves within a few rtol).  The loop keeps
-SciPy's name so that code wrapping ``radial_ode.solve_ivp`` (the
-benchmark's tracer, a test counting calls) still sees every solve;
-:func:`solve` looks the name up at call time for that reason.
+from SciPy's ``DOP853`` class, and keeps SciPy's controller and continuous
+extension (each piece a SciPy ``Dop853DenseOutput``).  The numbers are
+not bit-identical to ``scipy.integrate.solve_ivp``: the error estimate
+cancels to about 1e-5 of its terms, so another summation order moves the
+step sizes a little.  The tests bound the difference (one step within
+4 eps of SciPy's, whole solves within a few rtol).  Of SciPy's event
+machinery the loop keeps only the two stops that :func:`solve` asks for:
+a level, whose first crossing ends the solve, and marks, at which it
+records the state; a step that fails raises IntegrationError on the spot.
+It keeps SciPy's name, ``solve_ivp``, so that code wrapping
+``radial_ode.solve_ivp`` (the benchmark's tracer, a test counting calls)
+still sees every solve; :func:`solve` looks the name up at call time for
+that reason.
 
 Dense output (the pair's continuous extension, which ``eval*`` read
 between nodes) is optional because it is not free: DOP853 builds it from
 3 extra right-hand-side evaluations per accepted step, about a fifth of
 a solve's work.  Without it the loop builds the extension only on the
-steps that hold an event, so the state at the level crossing and at each
-requested mark t is exact either way, and the accepted steps are the same.
+steps that hold the crossing or a mark, so the state at the level crossing
+and at each requested mark t is the same either way, and so are the
+accepted steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution, OdeSolver
+from scipy.integrate import DOP853, OdeSolution
 from scipy.integrate._ivp.common import select_initial_step
 from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput
 from scipy.optimize import brentq
@@ -86,7 +91,7 @@ CHECKS_PER_DECADE = 2  # log-spaced radii per decade at which a fit is checked
 # the floor on rtol: below it the error estimate, which cancels to about
 # 1e-5 of its terms, is rounding noise (SciPy's DOP853 runs at it instead)
 MIN_RTOL = 100.0 * np.finfo(float).eps
-EVENT_XTOL = 4.0 * np.finfo(float).eps  # brentq's xtol and rtol on event roots, SciPy's
+EVENT_XTOL = 4.0 * np.finfo(float).eps  # brentq's xtol and rtol on the crossing, SciPy's
 
 # DOP853's tableau as Python floats, read from SciPy's class: stage s of a
 # step reads the earlier stages _STAGES[s - 1], the solution and both error
@@ -139,12 +144,13 @@ class RadialSolution:
     ``eval*`` interpolate between nodes with the integrator's continuous
     extension (the dense output of the Runge-Kutta pair) and evaluate the
     fitted series below the first node; a solve without dense output
-    raises ValueError there.  ``end_state`` is the whole state
-    (u, r*u', aux...) at the last node, the level crossing when there is
-    one, and ``mark_states`` maps each requested mark t that the solve
-    reached to the whole state there.  ``nfev`` counts the state-function
-    calls, those of the start fit included, and ``accepted_steps`` the
-    steps DOP853 took.
+    raises ValueError there, and so does a t past ``t_max`` or a NaN t,
+    where the last step's extension would extrapolate quietly.
+    ``end_state`` is the whole state (u, r*u', aux...) at the last node,
+    the level crossing when there is one, and ``mark_states`` maps each
+    requested mark t that the solve reached to the whole state there.
+    ``nfev`` counts the state-function calls, those of the start fit
+    included, and ``accepted_steps`` the steps DOP853 took.
     """
 
     def __init__(self, grid: LogRadialGrid, values, r_derivs, dense,
@@ -178,6 +184,9 @@ class RadialSolution:
                              "between the nodes: shoot(..., profile=True) or "
                              "solve(..., dense=True) keeps it")
         t = np.asarray(t, dtype=float)
+        if not np.all(t <= self.t_max):
+            raise ValueError(f"t = {np.max(t)!r} lies past the end of the solution, "
+                             f"t_max = {self.t_max!r}")
         below = t < self.t_min
         if not below.any():
             return self._dense(t)
@@ -202,21 +211,21 @@ class RadialSolution:
 
 
 class IvpResult(NamedTuple):
-    """What :func:`solve_ivp` returns, under ``scipy.integrate.solve_ivp``'s names."""
+    """What :func:`solve_ivp` returns: the nodes (the crossing last) and
+    their states, one row per state, the extension with ``dense_output``,
+    the crossing (None without one) and the state at each reached mark."""
 
     t: np.ndarray
     y: np.ndarray
     sol: Optional[OdeSolution]
-    t_events: Optional[List[np.ndarray]]
-    y_events: Optional[List[np.ndarray]]
+    t_event: Optional[float]
+    mark_states: Dict[float, np.ndarray]
     nfev: int
-    status: int  # 0 reached t_span's end, 1 a terminal event, -1 failed
-    message: Optional[str]  # the stepper's failure message, else None
 
 
 def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol, dense_output: bool = False,
-              events: Optional[Sequence[Callable]] = None) -> IvpResult:
-    """``scipy.integrate.solve_ivp(method="DOP853")`` on Python floats.
+              marks: Sequence[float] = (), level: Optional[float] = None) -> IvpResult:
+    """DOP853 on Python floats from t_span[0] to t_span[1], or to u = level.
 
     ``fun(t, y)`` gets the state as a list of floats and returns a sequence
     of as many rates; a first call that returns another number raises
@@ -225,13 +234,14 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol, dense_output: bool =
     ``dop853.f``, one comprehension over the state per stage, and the
     controller is SciPy's: its initial step, its safety factor and error
     exponent, growth between MIN_FACTOR and MAX_FACTOR, none right after a
-    rejection, and failure below a 10-ulp step.  After each step every
-    event is evaluated at the new node, and one whose sign changes (SciPy's
-    two-sided rule, a zero at either end included) fires: only then, or on
-    every step with ``dense_output``, is the step's continuous extension
-    built, and ``brentq`` at SciPy's tolerance finds the roots on it.  They
-    are taken in order of t, and a ``terminal`` one ends the solve there,
-    dropping any later root.
+    rejection, and IntegrationError below a 10-ulp step.  The solve stops
+    at the first step on which y[0] - level changes sign (two-sided, so a
+    zero at either node counts): ``brentq`` at EVENT_XTOL finds the
+    crossing on the step's continuous extension, and the crossing becomes
+    the last node.  Each mark m in (t_old, t] of a step, t the crossing
+    when the step holds one, records the state at m on that extension.
+    Only such a step, or every step with ``dense_output``, builds the
+    extension.
     """
     t, tf = map(float, t_span)
     if not t < tf:
@@ -256,20 +266,18 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol, dense_output: bool =
      b0, b5, b6, b7, b8, b9, b10, b11) = _AB
     e5_0, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11 = _E5
     e3_0, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11 = _E3
-    events = events or ()
-    g = [float(event(t, y)) for event in events]
-    t_events = [[] for _ in events]
-    y_events = [[] for _ in events]
+    g = None if level is None else y[0] - level
     ts, ys, pieces = [t], [y], []
-    status = message = None
-    while status is None:
+    t_event = None
+    mark_states: Dict[float, np.ndarray] = {}
+    while True:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
-                status, message = -1, OdeSolver.TOO_SMALL_STEP
-                break
+                raise IntegrationError(f"integration failed near t={t:.6g} (r={np.exp(t):.6g}): "
+                                       f"the step fell below 10 ulp of t")
             t_new = min(t + h_abs, tf)
             h = h_abs = t_new - t
             k0 = f
@@ -332,41 +340,29 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol, dense_output: bool =
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
-        if status == -1:
-            break
         t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
-        if t == tf:
-            status = 0
-        stages = (k0, k5, k6, k7, k8, k9, k10, k11, f)
-        sol = None
-        if dense_output:
-            sol = _dense_piece(fun, t_old, t, y_old, y, stages)
+        crossed = False
+        if level is not None:
+            g_old, g = g, y[0] - level
+            crossed = g_old <= 0.0 <= g or g_old >= 0.0 >= g
+        inside = [m for m in marks if t_old < m <= t]
+        if dense_output or crossed or inside:
+            sol = _dense_piece(fun, t_old, t, y_old, y, (k0, k5, k6, k7, k8, k9, k10, k11, f))
             nfev += 3
-            pieces.append(sol)
-        g_new = [float(event(t, y)) for event in events]
-        fired = [i for i, (a, b) in enumerate(zip(g, g_new))
-                 if a <= 0.0 <= b or a >= 0.0 >= b]
-        g = g_new
-        if fired:
-            if sol is None:
-                sol = _dense_piece(fun, t_old, t, y_old, y, stages)
-                nfev += 3
-            roots = sorted((brentq(lambda s, e=events[i]: e(s, sol(s)), t_old, t,
-                                   xtol=EVENT_XTOL, rtol=EVENT_XTOL), i) for i in fired)
-            for root, i in roots:
-                t_events[i].append(root)
-                y_events[i].append(sol(root))
-                if getattr(events[i], "terminal", False):
-                    status, t, y = 1, root, y_events[i][-1]
-                    break
+            if dense_output:
+                pieces.append(sol)
+        if crossed:
+            t = t_event = brentq(lambda s: sol(s)[0] - level, t_old, t,
+                                 xtol=EVENT_XTOL, rtol=EVENT_XTOL)
+            y = sol(t)
+        mark_states.update((m, sol(m)) for m in inside if m <= t)
         ts.append(t)
         ys.append(y)
+        if crossed or t == tf:
+            break
     ts = np.array(ts)
-    return IvpResult(
-        ts, np.array(ys).T, OdeSolution(ts, pieces) if dense_output else None,
-        [np.asarray(te) for te in t_events] if events else None,
-        [np.asarray(ye) for ye in y_events] if events else None,
-        nfev, status, message)
+    return IvpResult(ts, np.array(ys).T, OdeSolution(ts, pieces) if dense_output else None,
+                     t_event, mark_states, nfev)
 
 
 def _dense_piece(fun: Callable, t_old: float, t: float, y_old, y, stages) -> Dop853DenseOutput:
@@ -424,7 +420,7 @@ def _fit_start(fun: Callable, t0: float, n_states: int) -> np.ndarray:
     ts = t0 + 0.5 * np.log(_FIT_S)
     for _ in range(FIT_SWEEPS):
         y = _series_state(d, t0, ts)
-        rates = np.array([fun(t, y[:, j]) for j, t in enumerate(ts)])
+        rates = np.array([fun(t, col) for t, col in zip(ts.tolist(), y.T.tolist())])
         d[0] = _U_INV @ rates[:, 1]
         d[1] = 2.0 * _ORDERS * d[0]
         d[2:] = (_RATE_INV @ rates[:, 2:]).T
@@ -444,8 +440,8 @@ def _start_holds(fun: Callable, d: np.ndarray, t0: float, atol,
     if level is not None and not np.all((y[0] - level) * -level > 0.0):
         return False
     fitted = _series_state(2.0 * _ORDERS * d, t0, ts)
-    return all(np.all(np.abs(fun(t, y[:, j]) - fitted[:, j]) <= atol)
-               for j, t in enumerate(ts))
+    return all(np.all(np.abs(fun(t, col) - fitted_col) <= atol)
+               for t, col, fitted_col in zip(ts.tolist(), y.T.tolist(), fitted.T))
 
 
 def solve(fun: Callable, t_end: float, rtol: float, atol,
@@ -457,15 +453,15 @@ def solve(fun: Callable, t_end: float, rtol: float, atol,
     (v, e^{2t} Delta u, rates of the auxiliary states).  ``aux`` names the
     states after (u, v); every state vanishes at the origin, and the start
     is fitted to the core as the module docstring says, and ``fun`` gets
-    the state as a list of floats there, as an ndarray in the start fit.
+    the state as a list of floats, in the start fit as in the stepper.
     The stepper is this module's DOP853 on floats, :func:`solve_ivp`; the
     name is looked up at each call, so a wrapper patched over it sees every
     solve (the benchmark's tracer counts solves that way until it reads the
     counts off the result).  With a ``level`` the crossing is located by
     root-finding on the continuous extension of its step, and a missing
     crossing raises NoCrossingError (distinct from integrator failure).
-    Each t in ``marks`` is located the same way, as an event that does not
-    stop the solve, or read off the series when it lies below the start.
+    Each t in ``marks`` is read off the extension of the step that holds
+    it, or off the series when it lies at or below the start.
     ``dense=False`` skips the dense output.  An ``rtol`` below MIN_RTOL
     raises ValueError: there the error estimate is rounding noise.
     """
@@ -488,28 +484,12 @@ def solve(fun: Callable, t_end: float, rtol: float, atol,
         d = _fit_start(counted, t0, 2 + len(aux))
         if t0 == rungs[-1] or _start_holds(counted, d, t0, atol, level):
             break
-    above = [m for m in marks if m > t0]
-    events = [lambda t, y, m=m: t - m for m in above]
-    if level is not None:
-        def crossing(t, y):
-            return y[0] - level
-
-        crossing.terminal = True
-        events.append(crossing)
     res = solve_ivp(fun, (t0, t_end), d.sum(axis=1), rtol=rtol, atol=atol,
-                    dense_output=dense, events=events or None)
-    if res.status == -1:
-        raise IntegrationError(
-            f"integration failed near t={res.t[-1]:.6g} (r={np.exp(res.t[-1]):.6g}): "
-            f"{res.message}")
-    t_event = None
-    if level is not None:
-        if res.status != 1:
-            raise NoCrossingError(f"u never reached level {level} before t_end={t_end}")
-        t_event = float(res.t_events[-1][0])
-    reached = {m: ys[0] for m, ys in zip(above, res.y_events or ()) if len(ys)}
-    marked = {m: _series_state(d, t0, m) if m <= t0 else reached[m]
-              for m in marks if m <= t0 or m in reached}
+                    dense_output=dense, marks=marks, level=level)
+    if level is not None and res.t_event is None:
+        raise NoCrossingError(f"u never reached level {level} before t_end={t_end}")
+    marked = {m: _series_state(d, t0, m) if m <= t0 else res.mark_states[m]
+              for m in marks if m <= t0 or m in res.mark_states}
     return RadialSolution(LogRadialGrid(res.t), res.y[0], res.y[1], res.sol,
-                          aux, t_event, res.y[:, -1], marked, d,
+                          aux, res.t_event, res.y[:, -1], marked, d,
                           fit_calls + res.nfev, len(res.t) - 1)

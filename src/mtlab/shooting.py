@@ -44,14 +44,15 @@ misses by at most 3.5e-11, while 3 of 201 log-power shots miss by more
 than 1e-9, the worst by 2.8e-9 at mu = 3.05.
 
 Every number of a shot (log R, the energies, the boundary slope) is read
-from the state at those two events, so :func:`shoot` skips the dense
+from the state at those two stops, so :func:`shoot` skips the dense
 output by default: DOP853's continuous extension costs 3 more
 state-function calls per accepted step, about a fifth of a shot's calls,
-and radial_ode's loop builds it only on the two steps that hold an
-event.  The steps, and so every number, are the same with or without it.
-Only a caller that reads the profile (:func:`physical_profile`,
-:func:`pde_residual`, :func:`comparison_eta0`, ``sol.eta.eval*``) passes
-``profile=True``; on a profile-free shot these raise ValueError.
+and radial_ode's loop builds it only on the two steps that hold the
+crossing or the mark.  The steps, and so every number, are the same
+with or without it.
+Only a caller that reads the profile (:func:`pde_residual`,
+:func:`comparison_eta0`, ``sol.eta.eval*``) passes ``profile=True``; on a
+profile-free shot these raise ValueError.
 
 :func:`pde_residual` checks a finished shot against the same state function.
 A shot is returned as data; :mod:`mtlab.cli` renders it as JSON or CSV.
@@ -75,7 +76,6 @@ __all__ = [
     "ShotSolution",
     "EventNotReachedError",
     "shoot",
-    "physical_profile",
     "functional_value",
     "pde_residual",
     "comparison_eta0",
@@ -195,16 +195,6 @@ def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11,
         eta=sol,
         perturbation=spec,
     )
-
-
-def physical_profile(sol: ShotSolution, r_phys):
-    """u at physical radius r in (0, 1]: u = mu + eta(r * R) / mu."""
-    r_phys = np.asarray(r_phys, dtype=float)
-    if np.any(r_phys <= 0.0) or np.any(r_phys > 1.0):
-        raise ValueError("r_phys must lie in (0, 1]")
-    # below the first node eta is the fitted series of the core
-    eta, _ = sol.eta.eval_t(np.minimum(np.log(r_phys) + sol.log_R, sol.log_R))
-    return sol.mu + eta / sol.mu
 
 
 def functional_value(sol: ShotSolution) -> float:

@@ -43,7 +43,7 @@ def test_energy_scan_rejects_tol_below_the_floor(monkeypatch, trivial_spec, tol)
         raise AssertionError("shoot called")
 
     monkeypatch.setattr(analysis, "shoot", no_shot)
-    with pytest.raises(ValueError, match="SciPy's floor"):
+    with pytest.raises(ValueError, match="the floor 100 eps"):
         energy_scan([6.0, 7.0], trivial_spec, tol=tol)
 
 

@@ -263,7 +263,7 @@ def test_scan_rejects_tol_below_the_floor(monkeypatch, capsys, tol):
                 "--tol", tol]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "SciPy's floor" in captured.err and f"tol={tol}" in captured.err
+    assert "the floor 100 eps" in captured.err and f"tol={tol}" in captured.err
 
 
 def test_numerical_failure_exit_code(capsys):

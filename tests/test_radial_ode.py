@@ -127,7 +127,7 @@ def test_bad_tolerances_rejected():
         liouville_solve(1.0, atol=np.array([1e-12, -1e-12]))
 
 
-def test_rtol_below_scipy_floor_rejected():
+def test_rtol_below_the_floor_rejected():
     # below 100 eps the error estimate is rounding noise (SciPy's DOP853
     # replaces such an rtol by 100 eps with only a warning)
     with pytest.raises(ValueError, match="rtol"):
@@ -143,6 +143,17 @@ def test_solve_rejects_nonfinite_inputs():
                {"t_end": np.nan}, {"t_end": np.inf}, {"t_end": np.log(R_START)}):
         with pytest.raises(ValueError):
             liouville_solve(**kw)
+
+
+def test_eval_refuses_t_past_the_end():
+    # the last step's extension runs on past t_max and would extrapolate
+    # quietly: read at r = 1e6, a solve to r = 1e3 gave a finite number
+    sol = liouville_solve(np.log(1e3))
+    assert sol.eval_t(sol.t_max)[0] == pytest.approx(pf.eta0(1e3), rel=1e-10)
+    for read in (lambda: sol.eval(1e6), lambda: sol.eval_t([0.0, sol.t_max + 1e-9]),
+                 lambda: sol.eval_state_t(np.nan)):
+        with pytest.raises(ValueError, match="t_max"):
+            read()
 
 
 def test_dense_output_between_nodes():
@@ -170,21 +181,45 @@ def _solve_ivp_arguments(monkeypatch, run):
 EPS = np.finfo(float).eps
 
 
+def _scipy_events(marks=(), level=None):
+    """radial_ode.solve_ivp's marks and level as SciPy events, the level terminal."""
+    events = [lambda t, y, m=m: t - m for m in marks]
+    if level is not None:
+        def crossing(t, y):
+            return y[0] - level
+
+        crossing.terminal = True
+        events.append(crossing)
+    return events or None
+
+
 def _solved_with_scipy(args, kwargs):
     """radial_ode.solve_ivp and SciPy's solve_ivp on the same arguments.
 
-    Exact on what the steps cannot move: the status, the number of roots
-    of each event, and which results exist.
+    Exact on what the steps cannot move: whether the level ends the solve,
+    which marks are reached, and which results exist.
     """
     own = radial_ode.solve_ivp(*args, **kwargs)
-    ref = scipy.integrate.solve_ivp(*args, method="DOP853", **kwargs)
-    assert own.status == ref.status
-    if ref.t_events is None:
-        assert own.t_events is own.y_events is None
-    else:
-        assert [len(te) for te in own.t_events] == [len(te) for te in ref.t_events]
+    stops = {k: kwargs[k] for k in ("marks", "level") if k in kwargs}
+    rest = {k: v for k, v in kwargs.items() if k not in stops}
+    ref = scipy.integrate.solve_ivp(*args, method="DOP853", events=_scipy_events(**stops),
+                                    **rest)
+    assert (own.t_event is not None) == (ref.status == 1)
+    reached = {m for m, te in zip(stops.get("marks", ()), ref.t_events or ()) if len(te)}
+    assert set(own.mark_states) == reached
     assert (own.sol is None) == (ref.sol is None) == (not kwargs.get("dense_output"))
     return own, ref
+
+
+def _scipy_stops(own, ref, marks):
+    """(radial_ode's t, SciPy's t, radial_ode's state, SciPy's state) at each stop."""
+    stops = []
+    for m, state in own.mark_states.items():
+        i = list(marks).index(m)
+        stops.append((m, ref.t_events[i][0], state, ref.y_events[i][0]))
+    if own.t_event is not None:
+        stops.append((own.t_event, ref.t_events[-1][0], own.y[:, -1], ref.y_events[-1][0]))
+    return stops
 
 
 def _assert_whole_solve_near_scipy(args, kwargs):
@@ -193,8 +228,8 @@ def _assert_whole_solve_near_scipy(args, kwargs):
     own, ref = _solved_with_scipy(args, kwargs)
     rtol = kwargs["rtol"]
     y_max = np.max(np.abs(ref.y), axis=1)
-    for mine, theirs in zip(own.t_events or (), ref.t_events or ()):
-        assert np.all(np.abs(mine - theirs) <= rtol * np.maximum(1.0, np.abs(theirs)))
+    for mine, theirs, _, _ in _scipy_stops(own, ref, kwargs.get("marks", ())):
+        assert abs(mine - theirs) <= rtol * max(1.0, abs(theirs))
     assert np.all(np.abs(own.y[:, -1] - ref.y[:, -1]) <= 10.0 * rtol * y_max)
     if kwargs.get("dense_output"):
         ts = np.linspace(ref.t[0], ref.t[-1], 50)
@@ -225,7 +260,7 @@ def test_each_step_is_scipys_dop853_step(monkeypatch, mu):
     calls = _solve_ivp_arguments(monkeypatch, lambda: shoot(mu, trivial()))
     (fun, t_span, y0), kwargs = calls[0]
     res = radial_ode.solve_ivp(fun, t_span, y0, kwargs["rtol"], kwargs["atol"],
-                               events=kwargs["events"])
+                               marks=kwargs["marks"], level=kwargs["level"])
     K = np.empty((DOP853.n_stages + 1, len(y0)))
     for i in range(len(res.t) - 2):  # the last node is the boundary event
         t, y = float(res.t[i]), res.y[:, i]
@@ -244,7 +279,8 @@ def test_loop_reproduces_scipy_on_shots(monkeypatch, mu, family, profile):
     calls = _solve_ivp_arguments(monkeypatch, lambda: shoot(mu, family(), profile=profile))
     assert len(calls) == 1
     args, kwargs = calls[0]
-    assert len(kwargs["events"]) == 2 and kwargs["dense_output"] == profile
+    assert kwargs["level"] == -mu ** 2 and len(kwargs["marks"]) == 1
+    assert kwargs["dense_output"] == profile
     _assert_whole_solve_near_scipy(args, kwargs)
 
 
@@ -252,50 +288,61 @@ def test_loop_reproduces_scipy_on_the_linearized_w0_solve(monkeypatch):
     calls = _solve_ivp_arguments(monkeypatch, lambda: solve_linearized(source_w0, r_max=2e3))
     assert len(calls) == 1
     args, kwargs = calls[0]
-    assert kwargs["dense_output"] and kwargs["events"] is None
+    assert kwargs["dense_output"] and not kwargs["marks"] and kwargs["level"] is None
     _assert_whole_solve_near_scipy(args, kwargs)
 
 
-def _assert_steps_within_eps_of_scipy(args, kwargs):
+def _assert_steps_within_eps_of_scipy(args, kwargs, extensions_skipped=0):
+    # extensions_skipped: steps on which SciPy builds the continuous
+    # extension for a mark and radial_ode does not, 3 calls each
     own, ref = _solved_with_scipy(args, kwargs)
-    assert own.t.shape == ref.t.shape and own.nfev == ref.nfev
+    assert own.t.shape == ref.t.shape and own.nfev == ref.nfev - 3 * extensions_skipped
     assert np.all(np.abs(own.t - ref.t) <= 4.0 * EPS * np.maximum(1.0, np.abs(ref.t)))
     y_max = np.max(np.abs(ref.y), axis=1)
     assert np.all(np.abs(own.y - ref.y) <= 4.0 * EPS * y_max[:, None])
-    for mine, theirs, y_mine, y_theirs in zip(own.t_events, ref.t_events,
-                                              own.y_events, ref.y_events):
-        assert np.all(np.abs(mine - theirs) <= 4.0 * EPS * np.maximum(1.0, np.abs(theirs)))
-        assert np.all(np.abs(y_mine - y_theirs).reshape(-1, len(y_max)) <= 4.0 * EPS * y_max)
+    for mine, theirs, y_mine, y_theirs in _scipy_stops(own, ref, kwargs.get("marks", ())):
+        assert abs(mine - theirs) <= 4.0 * EPS * max(1.0, abs(theirs))
+        assert np.all(np.abs(y_mine - y_theirs) <= 4.0 * EPS * y_max)
 
 
 def test_events_fire_and_end_the_solve_as_in_scipy():
-    # u = -t reaches the terminal level -5 inside the step that also holds
-    # the marks t = 3 and t = 7: the mark before it is recorded, the one
-    # after it is not, as in SciPy
-    def level(t, y):
-        return y[0] + 5.0
-
-    level.terminal = True
-    marks = [lambda t, y: t - 3.0, lambda t, y: t - 7.0]
-    events = marks + [level]
+    # u = -t reaches the level -5 inside the step that also holds the marks
+    # t = 3 and t = 7: the mark before the crossing is recorded, the one
+    # after it is not, as in SciPy with the level a terminal event
     args = (lambda t, y: (-1.0, 0.5), (0.0, 10.0), np.zeros(2))
-    free = radial_ode.solve_ivp(*args, rtol=1e-3, atol=1e-6, events=marks)
+    tols = {"rtol": 1e-3, "atol": 1e-6}
+    free = radial_ode.solve_ivp(*args, **tols, marks=(3.0, 7.0))
     assert free.t[-2] < 3.0 and free.t[-1] == 10.0  # one step holds all three
-    assert [len(te) for te in free.t_events] == [1, 1]
-    res = radial_ode.solve_ivp(*args, rtol=1e-3, atol=1e-6, events=events)
+    assert list(free.mark_states) == [3.0, 7.0] and free.t_event is None
+    stopped = {**tols, "marks": (3.0, 7.0), "level": -5.0}
+    res = radial_ode.solve_ivp(*args, **stopped)
     assert np.array_equal(res.t[:-1], free.t[:-1])
-    assert res.status == 1
-    assert [len(te) for te in res.t_events] == [1, 0, 1]
-    assert res.t_events[0][0] == pytest.approx(3.0, abs=1e-12)
-    assert res.t[-1] == res.t_events[2][0] == pytest.approx(5.0, abs=1e-12)
-    assert np.array_equal(res.y[:, -1], res.y_events[2][0])
-    _assert_steps_within_eps_of_scipy(args, {"rtol": 1e-3, "atol": 1e-6, "events": events})
-    # a zero exactly at a node counts on both sides: both steps meeting
-    # there record it, as in SciPy
-    at_node = [lambda t, y: t - free.t[3]]
-    res = radial_ode.solve_ivp(*args, rtol=1e-3, atol=1e-6, events=at_node)
-    assert list(res.t_events[0]) == [free.t[3]] * 2
-    _assert_steps_within_eps_of_scipy(args, {"rtol": 1e-3, "atol": 1e-6, "events": at_node})
+    assert list(res.mark_states) == [3.0]
+    assert res.mark_states[3.0] == pytest.approx([-3.0, 1.5], abs=1e-12)
+    assert res.t[-1] == res.t_event == pytest.approx(5.0, abs=1e-12)
+    assert res.y[0, -1] == pytest.approx(-5.0, abs=1e-12)
+    _assert_steps_within_eps_of_scipy(args, stopped)
+    # a level met exactly at a node ends the solve there
+    on_node = {**tols, "level": float(free.y[0, 3])}
+    res = radial_ode.solve_ivp(*args, **on_node)
+    assert res.t_event == free.t[3] and np.array_equal(res.t, free.t[:4])
+    _assert_steps_within_eps_of_scipy(args, on_node)
+    # a mark exactly at a node is recorded once, by the step that ends
+    # there; SciPy's two-sided rule fires on both steps meeting at the node
+    # and builds one more extension
+    at_node = {**tols, "marks": (free.t[3],)}
+    res = radial_ode.solve_ivp(*args, **at_node)
+    assert list(res.mark_states) == [free.t[3]]
+    _assert_steps_within_eps_of_scipy(args, at_node, extensions_skipped=1)
+
+
+def test_mark_state_is_the_dense_output_there():
+    # a mark strictly inside a step reads the piece of the continuous
+    # extension that eval_state_t reads there
+    t10 = np.log(10.0)
+    sol = liouville_solve(np.log(1e3), aux=("mass",), marks=(t10,))
+    assert not np.any(sol.grid.t_nodes == t10)
+    assert np.array_equal(sol.mark_states[t10], sol.eval_state_t(t10))
 
 
 @pytest.mark.parametrize("rate", [

@@ -14,7 +14,7 @@ from mtlab.perturbations import (PerturbationSpec, inverse_square_tail,
 from mtlab.radial_ode import R_START, START_LADDER, IntegrationError
 from mtlab.shooting import (SPLIT_EXPONENT, EventNotReachedError,
                             comparison_eta0, functional_value, pde_residual,
-                            physical_profile, shoot)
+                            shoot)
 
 FOUR_PI = 4.0 * np.pi
 TWO_PI = 2.0 * np.pi
@@ -37,19 +37,19 @@ def test_boundary_event_and_multiplier(shots):
 
 
 def test_physical_profile_endpoints(shots):
-    sol = shots[6.0]
+    # u = mu + eta / mu at physical radius r, i.e. at t = log r + log R;
     # r = 1e-12 still maps to a rescaled radius ~ 4e-5 (R is huge)
-    u = physical_profile(sol, np.array([1e-12, 1.0]))
+    sol = shots[6.0]
+    eta, _ = sol.eta.eval_t(np.log([1e-12, 1.0]) + sol.log_R)
+    u = sol.mu + eta / sol.mu
     assert u[0] == pytest.approx(6.0, abs=1e-8)   # center value
     assert u[1] == pytest.approx(0.0, abs=1e-8)   # boundary zero
-    with pytest.raises(ValueError):
-        physical_profile(sol, 1.5)
 
 
 def test_profile_monotone_decreasing(shots):
     sol = shots[8.0]
-    r = np.exp(np.linspace(np.log(1e-5), 0.0, 300))
-    u = physical_profile(sol, r)
+    eta, _ = sol.eta.eval_t(np.linspace(np.log(1e-5), 0.0, 300) + sol.log_R)
+    u = sol.mu + eta / sol.mu
     assert np.all(np.diff(u) <= 1e-12)
     assert np.all(u >= -1e-12)
 
@@ -291,11 +291,9 @@ def profile_free_shot():
     lambda sol: sol.eta.eval_state_t(1.0),
     lambda sol: sol.eta.eval_t(1.0),
     lambda sol: sol.eta.eval(2.0),
-    lambda sol: physical_profile(sol, 0.5),
     pde_residual,
     comparison_eta0,
-], ids=["eval_state_t", "eval_t", "eval", "physical_profile",
-        "pde_residual", "comparison_eta0"])
+], ids=["eval_state_t", "eval_t", "eval", "pde_residual", "comparison_eta0"])
 def test_profile_free_shot_refuses_profile_reads(profile_free_shot, read):
     with pytest.raises(ValueError, match=r"profile=True"):
         read(profile_free_shot)
