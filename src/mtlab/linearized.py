@@ -11,9 +11,12 @@ is computable by a weighted planar integral (see :mod:`mtlab.quadrature`),
 giving an independent cross-check.
 
 The sources of w0, z0 and w_a, like the profiles they are built from,
-take a float or a float ndarray: a float gives a scalar, with no 0-d
-array built on the way, and the solver's state calls them on one float
-per evaluation.
+take a float or a float ndarray: a float gives a NumPy scalar (the
+profiles' ufuncs return one), with no 0-d array built on the way, and the
+solver's state calls them on one float per evaluation.  The state converts
+that scalar to a float once, so its rates, and every stage of the float
+stepper after them, are Python floats (a NumPy scalar would turn every
+stage's arithmetic into NumPy-scalar arithmetic, several times slower).
 """
 
 from __future__ import annotations
@@ -65,7 +68,8 @@ def solve_linearized(source: Callable, r_max: float = 1e6) -> RadialSolution:
     """Solve -Delta w = 4 e^{2 eta0}(source(r) + 2 w), w(0) = w'(0) = 0.
 
     ``source`` is a radial rule with at most log^4 growth; the state calls
-    it on one float r per evaluation, the fit of the start included: the
+    it on one float r per evaluation, the fit of the start included, and
+    converts what it returns to a float: the
     solve starts from the core's fitted series at the largest radius of
     ``radial_ode.START_LADDER`` below r_max that passes its check.  An
     r_max outside (R_START, 1e8], NaN included, raises ValueError before
@@ -81,7 +85,7 @@ def solve_linearized(source: Callable, r_max: float = 1e6) -> RadialSolution:
     def state(t, y):
         r = math.exp(t)
         one = 1.0 + r * r
-        return y[1], -r * r * (4.0 / (one * one) * (source(r) + 2.0 * y[0]))
+        return y[1], -r * r * (4.0 / (one * one) * (float(source(r)) + 2.0 * y[0]))
 
     return solve(state, np.log(r_max), LINEARIZED_TOL, LINEARIZED_TOL)
 

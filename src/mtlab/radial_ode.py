@@ -7,10 +7,10 @@ coordinate t = log r with v = r u'(r),
 
 :func:`solve` integrates the Cauchy problem u(0) = u'(0) = 0 to t_end or
 to the first crossing of a level.  The caller supplies one state function
-of t for the whole state (u, v, aux...), so each right-hand-side
-evaluation shares its work between the equation and the auxiliary
-quadrature states (e.g. running energy integrals), which share the same
-error control and vanish at the origin.  The stepper is DOP853 (Hairer,
+of t for the whole state (u, v, q...), so each right-hand-side evaluation
+shares its work between the equation and any quadrature states q (e.g. a
+running energy integral, state 2 of a shot), which share the same error
+control and vanish at the origin.  The stepper is DOP853 (Hairer,
 Norsett & Wanner, Solving ODEs I, sec. II.10), an embedded Runge-Kutta
 pair of order 8(5,3), the only pair used: on the linearized solves at
 tolerance 1e-12 it takes a fifth of RK45's accepted steps and a little
@@ -38,14 +38,14 @@ about three quarters of each right-hand-side evaluation under SciPy's
 stepper.  So each attempt writes its 11 stages out as ``dop853.f`` does,
 one comprehension over the state lists per stage, with the tableau read
 from SciPy's ``DOP853`` class, and keeps SciPy's controller and continuous
-extension (each piece a SciPy ``Dop853DenseOutput``).  The numbers are
-not bit-identical to ``scipy.integrate.solve_ivp``: the error estimate
-cancels to about 1e-5 of its terms, so another summation order moves the
-step sizes a little.  The tests bound the difference (one step within
-4 eps of SciPy's, whole solves within a few rtol).  Of SciPy's event
-machinery the loop keeps only the two stops that :func:`solve` asks for:
-a level, whose first crossing ends the solve, and marks, at which it
-records the state; a step that fails raises IntegrationError on the spot.
+extension.  The numbers are not bit-identical to
+``scipy.integrate.solve_ivp``: the error estimate cancels to about 1e-5 of
+its terms, so another summation order moves the step sizes a little.  The
+tests bound the difference (one step within 4 eps of SciPy's, whole
+solves within a few rtol).  Of SciPy's event machinery the loop keeps
+only the two stops that :func:`solve` asks for: a level, whose first
+crossing ends the solve, and marks, at which it records the state; a step
+that fails raises IntegrationError on the spot.
 It keeps SciPy's name, ``solve_ivp``, so that code wrapping
 ``radial_ode.solve_ivp`` (the benchmark's tracer, a test counting calls)
 still sees every solve; :func:`solve` looks the name up at call time for
@@ -54,22 +54,33 @@ that reason.
 Dense output (the pair's continuous extension, which ``eval*`` read
 between nodes) is optional because it is not free: DOP853 builds it from
 3 extra right-hand-side evaluations per accepted step, about a fifth of
-a solve's work.  Without it the loop builds the extension only on the
-steps that hold the crossing or a mark, so the state at the level crossing
-and at each requested mark t is the same either way, and so are the
-accepted steps.
+a solve's work.  With it the loop keeps each accepted step's 12 stage
+rows, and at the end of the solve builds one :class:`ContinuousExtension`:
+the Horner coefficients of every step from one stacked product with
+DOP853's D, evaluated by ``searchsorted`` and SciPy's Horner form,
+vectorized over the points.  That gives the bits of SciPy's
+``OdeSolution`` of ``Dop853DenseOutput`` pieces with the same
+coefficients, without SciPy's cost of a piece per step on 2-3-float rows:
+on the linearized w0 solve to r = 1e6 (68 steps) dense output adds about
+9 us per step, its 3 state calls included, where SciPy's pieces added
+22-40 (best of 30 solves on a 2-vCPU host).  With or without it, the step that holds the crossing or a mark
+gets its extension on Python floats, and the root search for the crossing
+evaluates only u on it; its numbers are the container's, so the state at
+the level crossing and at each requested mark t is the same either way,
+and so are the accepted steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution
+from scipy.integrate import DOP853
 from scipy.integrate._ivp.common import select_initial_step
-from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.optimize import brentq
 
 __all__ = [
@@ -146,22 +157,21 @@ class RadialSolution:
     fitted series below the first node; a solve without dense output
     raises ValueError there, and so does a t past ``t_max`` or a NaN t,
     where the last step's extension would extrapolate quietly.
-    ``end_state`` is the whole state (u, r*u', aux...) at the last node,
-    the level crossing when there is one, and ``mark_states`` maps each
-    requested mark t that the solve reached to the whole state there.
-    ``nfev`` counts the state-function calls, those of the start fit
-    included, and ``accepted_steps`` the steps DOP853 took.
+    ``end_state`` is the whole state (u, r*u', quadrature states...) at the
+    last node, the level crossing when there is one, and ``mark_states``
+    maps each requested mark t that the solve reached to the whole state
+    there.  ``nfev`` counts the state-function calls, those of the start
+    fit included, and ``accepted_steps`` the steps DOP853 took.
     """
 
-    def __init__(self, grid: LogRadialGrid, values, r_derivs, dense,
-                 aux_names: Sequence[str], t_event: Optional[float],
+    def __init__(self, grid: LogRadialGrid, values, r_derivs,
+                 dense: Optional[ContinuousExtension], t_event: Optional[float],
                  end_state, mark_states: Dict[float, np.ndarray],
                  series: np.ndarray, nfev: int, accepted_steps: int):
         self.grid = grid
         self.values = values
         self.r_derivs = r_derivs
         self._dense = dense
-        self._aux_names = tuple(aux_names)
         self.t_event = t_event
         self.end_state = end_state
         self.mark_states = mark_states
@@ -178,7 +188,7 @@ class RadialSolution:
         return float(self.grid.t_nodes[-1])
 
     def eval_state_t(self, t):
-        """Dense evaluation of the whole state (u, r*u', aux...) at t = log r."""
+        """Dense evaluation of the whole state (u, r*u', ...) at t = log r."""
         if self._dense is None:
             raise ValueError("solved without dense output, so there is no profile "
                              "between the nodes: shoot(..., profile=True) or "
@@ -205,9 +215,37 @@ class RadialSolution:
         r = np.asarray(r, dtype=float)
         return self.eval_t(np.log(r))
 
-    def aux(self, name: str, state):
-        """The auxiliary integral ``name`` read from a whole state."""
-        return state[2 + self._aux_names.index(name)]
+
+class ContinuousExtension:
+    """DOP853's continuous extension over every accepted step of a solve.
+
+    Step i starts at node ``ts[i]`` with state ``y_old[i]`` and has the
+    step size ``h[i]`` (past the last node when a crossing cut the step
+    short) and Horner coefficients ``F[i]``, of shape (steps, 7, states).
+    A point t reads the step that ``searchsorted(ts, t, 'left') - 1``
+    picks, clipped to the steps, so a node reads the step that ends there,
+    and evaluates SciPy's Horner form in SciPy's order, vectorized over the
+    points: the same numbers as an ``OdeSolution`` of ``Dop853DenseOutput``
+    pieces with the same coefficients.  Like it, a scalar t gives the
+    state, shape (states,), and m points give shape (states, m).
+    """
+
+    def __init__(self, ts: np.ndarray, h: np.ndarray, y_old: np.ndarray, F: np.ndarray):
+        self.ts = ts
+        self.h = h
+        self.y_old = y_old
+        self.F = F
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.h) - 1)
+        x = ((t - self.ts[i]) / self.h[i])[..., None]
+        x1 = 1.0 - x
+        F = self.F[i]
+        y = (0.0 + F[..., 6, :]) * x
+        for row, factor in ((5, x1), (4, x), (3, x1), (2, x), (1, x1), (0, x)):
+            y = (y + F[..., row, :]) * factor
+        return (y + self.y_old[i]).T
 
 
 class IvpResult(NamedTuple):
@@ -217,7 +255,7 @@ class IvpResult(NamedTuple):
 
     t: np.ndarray
     y: np.ndarray
-    sol: Optional[OdeSolution]
+    sol: Optional[ContinuousExtension]
     t_event: Optional[float]
     mark_states: Dict[float, np.ndarray]
     nfev: int
@@ -240,8 +278,10 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol, dense_output: bool =
     crossing on the step's continuous extension, and the crossing becomes
     the last node.  Each mark m in (t_old, t] of a step, t the crossing
     when the step holds one, records the state at m on that extension.
-    Only such a step, or every step with ``dense_output``, builds the
-    extension.
+    Only such a step, or every step with ``dense_output``, takes the
+    extension's 3 extra stages; such a step evaluates its extension on
+    floats, and ``dense_output`` keeps every step's in one
+    :class:`ContinuousExtension`, built once the solve ends.
     """
     t, tf = map(float, t_span)
     if not t < tf:
@@ -253,8 +293,10 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol, dense_output: bool =
     f = fun(t, y)
     if len(f) != n:
         raise ValueError(f"the state function returned {len(f)} rates for {n} states")
-    h_abs = float(select_initial_step(fun, t, np.array(y), tf, np.inf, np.asarray(f, dtype=float),
-                                      1.0, DOP853.error_estimator_order, rtol, np.array(atol)))
+    # SciPy's rule calls fun once on NumPy values, so fun gets them as floats
+    h_abs = float(select_initial_step(lambda s, z: fun(float(s), z.tolist()), t, np.array(y), tf,
+                                      np.inf, np.asarray(f, dtype=float), 1.0,
+                                      DOP853.error_estimator_order, rtol, np.array(atol)))
     nfev = 2  # f and the initial step's trial rate
     c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = _C
     (a1_0, a2_0, a2_1, a3_0, a3_2, a4_0, a4_2, a4_3, a5_0, a5_3, a5_4,
@@ -267,7 +309,8 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol, dense_output: bool =
     e5_0, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11 = _E5
     e3_0, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11 = _E3
     g = None if level is None else y[0] - level
-    ts, ys, pieces = [t], [y], []
+    ts, ys = [t], [y]
+    hs, stages = [], []  # with dense_output: each step's size, and all steps' stage rows
     t_event = None
     mark_states: Dict[float, np.ndarray] = {}
     while True:
@@ -347,31 +390,49 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol, dense_output: bool =
             crossed = g_old <= 0.0 <= g or g_old >= 0.0 >= g
         inside = [m for m in marks if t_old < m <= t]
         if dense_output or crossed or inside:
-            sol = _dense_piece(fun, t_old, t, y_old, y, (k0, k5, k6, k7, k8, k9, k10, k11, f))
+            K = _extra_stages(fun, t_old, h, y_old, (k0, k5, k6, k7, k8, k9, k10, k11, f))
             nfev += 3
             if dense_output:
-                pieces.append(sol)
-        if crossed:
-            t = t_event = brentq(lambda s: sol(s)[0] - level, t_old, t,
-                                 xtol=EVENT_XTOL, rtol=EVENT_XTOL)
-            y = sol(t)
-        mark_states.update((m, sol(m)) for m in inside if m <= t)
+                hs.append(h)
+                stages.extend(K)
+        if crossed or inside:
+            # this step's extension on floats, one column (state at t_old and
+            # its 7 coefficients) per state: the crossing's root search
+            # evaluates only u's, at 4-6 points on a shot
+            columns = list(zip(y_old, *_coefficients(h, np.array(y_old), np.array(y),
+                                                      np.array(K)).tolist()))
+            if crossed:
+                y_step = y
+                t = t_event = brentq(lambda s: _horner((s - t_old) / h, *columns[0]) - level,
+                                     t_old, t, xtol=EVENT_XTOL, rtol=EVENT_XTOL)
+                y = [_horner((t - t_old) / h, *column) for column in columns]
+            mark_states.update((m, np.array([_horner((m - t_old) / h, *column)
+                                             for column in columns]))
+                               for m in inside if m <= t)
         ts.append(t)
         ys.append(y)
         if crossed or t == tf:
             break
     ts = np.array(ts)
-    return IvpResult(ts, np.array(ys).T, OdeSolution(ts, pieces) if dense_output else None,
-                     t_event, mark_states, nfev)
+    ys = np.array(ys)
+    sol = None
+    if dense_output:
+        ends = ys[1:].copy()
+        if t_event is not None:
+            ends[-1] = y_step
+        h = np.array(hs)
+        K = np.fromiter(chain.from_iterable(stages), float, n * len(stages)).reshape(-1, 12, n)
+        sol = ContinuousExtension(ts, h, ys[:-1], _coefficients(h, ys[:-1], ends, K))
+    return IvpResult(ts, ys.T, sol, t_event, mark_states, nfev)
 
 
-def _dense_piece(fun: Callable, t_old: float, t: float, y_old, y, stages) -> Dop853DenseOutput:
-    """SciPy's continuous extension of the accepted DOP853 step [t_old, t].
+def _extra_stages(fun: Callable, t_old: float, h: float, y_old, stages) -> list:
+    """The stage rows that the continuous extension of the step [t_old, t_old + h] reads.
 
-    ``stages`` holds the step's stages 0 and 5-11 and the rate at t
-    (stage 12); the three extra stages are written out as in the step.
+    ``stages`` holds the step's stages 0 and 5-11 and the rate at its end
+    (stage 12); the three extra stages 13-15 are written out as in the
+    step, and all twelve come back in the order of ``_DENSE``.
     """
-    h = t - t_old
     k0, k5, k6, k7, k8, k9, k10, k11, k12 = stages
     c13, c14, c15 = _C_EXTRA
     (a13_0, a13_6, a13_7, a13_8, a13_9, a13_10, a13_11, a13_12,
@@ -392,15 +453,35 @@ def _dense_piece(fun: Callable, t_old: float, t: float, y_old, y, stages) -> Dop
                                          + a15_14 * q14)
                                 for p, q0, q5, q6, q7, q8, q12, q13, q14
                                 in zip(y_old, k0, k5, k6, k7, k8, k12, k13, k14)])
-    y_old = np.array(y_old)
-    dy = np.array(y) - y_old
-    K = np.array([k0, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15], dtype=float)
-    F = np.empty((7, len(dy)))
-    F[0] = dy
-    F[1] = h * K[0] - dy
-    F[2] = 2.0 * dy - h * (K[8] + K[0])
-    F[3:] = h * _D @ K
-    return Dop853DenseOutput(t_old, t, y_old, F)
+    return [k0, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15]
+
+
+def _coefficients(h, y_old: np.ndarray, y: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """SciPy's Horner coefficients F, shape (..., 7, states), of the extension.
+
+    Of one step from y_old over h to y, K its rows from :func:`_extra_stages`,
+    or of a stack of steps (h of shape (steps,)): the stacked product with
+    ``_D`` gives each step the bits that it gives the step alone.
+    """
+    h = np.asarray(h)[..., None]
+    dy = y - y_old
+    F = np.empty(K.shape[:-2] + (7, K.shape[-1]))
+    F[..., 0, :] = dy
+    F[..., 1, :] = h * K[..., 0, :] - dy
+    F[..., 2, :] = 2.0 * dy - h * (K[..., 8, :] + K[..., 0, :])
+    F[..., 3:, :] = h[..., None] * _D @ K
+    return F
+
+
+def _horner(x: float, p: float, f0, f1, f2, f3, f4, f5, f6) -> float:
+    """One state of a step's extension at x = (t - t_old) / h, on floats.
+
+    p is the state at t_old and f0-f6 its Horner coefficients; the
+    operations are SciPy's, in its order, so the bits are those of
+    ``Dop853DenseOutput`` and :class:`ContinuousExtension`.
+    """
+    x1 = 1.0 - x
+    return (((((((0.0 + f6) * x + f5) * x1 + f4) * x + f3) * x1 + f2) * x + f1) * x1 + f0) * x + p
 
 
 def _series_state(series: np.ndarray, t0: float, t):
@@ -409,18 +490,21 @@ def _series_state(series: np.ndarray, t0: float, t):
     return np.tensordot(series, s[..., None] ** _ORDERS, axes=([1], [-1]))
 
 
-def _fit_start(fun: Callable, t0: float, n_states: int) -> np.ndarray:
+def _fit_start(fun: Callable, t0: float) -> np.ndarray:
     """Scaled series coefficients d (state, m) of the core at t0 = log r0.
 
     Each sweep evaluates the state function on the current series at the
     three fit radii and solves for the coefficients whose rates match it;
-    the v row is tied to the u row by v = r u'.
+    the v row is tied to the u row by v = r u'.  The first sweep passes
+    the zero series as (u, v) = (0, 0) alone, and the number of rates that
+    the state function returns sets the number of states.
     """
-    d = np.zeros((n_states, 3))
     ts = t0 + 0.5 * np.log(_FIT_S)
+    d = None
     for _ in range(FIT_SWEEPS):
-        y = _series_state(d, t0, ts)
-        rates = np.array([fun(t, col) for t, col in zip(ts.tolist(), y.T.tolist())])
+        cols = [[0.0, 0.0]] * 3 if d is None else _series_state(d, t0, ts).T.tolist()
+        rates = np.array([fun(t, col) for t, col in zip(ts.tolist(), cols)])
+        d = np.empty((rates.shape[1], 3))
         d[0] = _U_INV @ rates[:, 1]
         d[1] = 2.0 * _ORDERS * d[0]
         d[2:] = (_RATE_INV @ rates[:, 2:]).T
@@ -445,15 +529,16 @@ def _start_holds(fun: Callable, d: np.ndarray, t0: float, atol,
 
 
 def solve(fun: Callable, t_end: float, rtol: float, atol,
-          aux: Sequence[str] = (), level: Optional[float] = None,
-          marks: Sequence[float] = (), dense: bool = True) -> RadialSolution:
+          level: Optional[float] = None, marks: Sequence[float] = (),
+          dense: bool = True) -> RadialSolution:
     """Integrate from the fitted start to t_end, or to the first crossing u = level.
 
-    ``fun(t, y)`` returns dy/dt for the state y = (u, v, aux...):
-    (v, e^{2t} Delta u, rates of the auxiliary states).  ``aux`` names the
-    states after (u, v); every state vanishes at the origin, and the start
-    is fitted to the core as the module docstring says, and ``fun`` gets
-    the state as a list of floats, in the start fit as in the stepper.
+    ``fun(t, y)`` returns dy/dt for the state y = (u, v, q...):
+    (v, e^{2t} Delta u) and the rates of any quadrature states q, running
+    integrals whose rates depend on t, u and v alone; the number of rates
+    sets the number of states.  Every state vanishes at the origin, the
+    start is fitted to the core as the module docstring says, and ``fun``
+    gets the state as a list of floats, in the start fit as in the stepper.
     The stepper is this module's DOP853 on floats, :func:`solve_ivp`; the
     name is looked up at each call, so a wrapper patched over it sees every
     solve (the benchmark's tracer counts solves that way until it reads the
@@ -481,7 +566,7 @@ def solve(fun: Callable, t_end: float, rtol: float, atol,
 
     rungs = [np.log(r) for r in START_LADDER if np.log(r) < t_end]
     for t0 in rungs:
-        d = _fit_start(counted, t0, 2 + len(aux))
+        d = _fit_start(counted, t0)
         if t0 == rungs[-1] or _start_holds(counted, d, t0, atol, level):
             break
     res = solve_ivp(fun, (t0, t_end), d.sum(axis=1), rtol=rtol, atol=atol,
@@ -490,6 +575,5 @@ def solve(fun: Callable, t_end: float, rtol: float, atol,
         raise NoCrossingError(f"u never reached level {level} before t_end={t_end}")
     marked = {m: _series_state(d, t0, m) if m <= t0 else res.mark_states[m]
               for m in marks if m <= t0 or m in res.mark_states}
-    return RadialSolution(LogRadialGrid(res.t), res.y[0], res.y[1], res.sol,
-                          aux, res.t_event, res.y[:, -1], marked, d,
-                          fit_calls + res.nfev, len(res.t) - 1)
+    return RadialSolution(LogRadialGrid(res.t), res.y[0], res.y[1], res.sol, res.t_event,
+                          res.y[:, -1], marked, d, fit_calls + res.nfev, len(res.t) - 1)

@@ -13,10 +13,11 @@ mu = 24).  The supported range ends at MU_MAX = 24, a fixed constant
 rather than a precision limit.
 
 The Dirichlet energy equals the integral of lambda (1+h(u)) u^2 e^{u^2}
-over the disk, accumulated in rescaled coordinates as an auxiliary ODE
-state.  It is integrated by one :func:`mtlab.radial_ode.solve` call with
-DOP853, no cap on the step in t = log r, the boundary event as its level
-and the split radius t = SPLIT_EXPONENT log mu as its mark.  The solve
+over the disk, accumulated in rescaled coordinates as a quadrature state,
+state 2 of the solve.  It is integrated by one
+:func:`mtlab.radial_ode.solve` call with DOP853, no cap on the step in
+t = log r, the boundary event as its level and the split radius
+t = SPLIT_EXPONENT log mu as its mark.  The solve
 fits the start to the analytic core itself (an even series in r, checked
 against this state function; see :mod:`mtlab.radial_ode`) at r = 1e-2, or
 lower on its ladder when the check fails: at mu = 0.05 the series of the
@@ -174,17 +175,17 @@ def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11,
     t_split = SPLIT_EXPONENT * np.log(mu)
     try:
         sol = solve(_state(mu, spec), 0.55 * mu2 + 10.0, tol, abs_tol,
-                    aux=("energy",), level=-mu2, marks=(t_split,), dense=profile)
+                    level=-mu2, marks=(t_split,), dense=profile)
     except NoCrossingError as exc:
         raise EventNotReachedError(
             f"boundary event eta = -mu^2 not reached for mu={mu} "
             f"(family {spec.name})") from exc
 
     log_R = sol.t_event
-    energy_total = float(sol.aux("energy", sol.end_state))
+    energy_total = float(sol.end_state[2])
     # a split radius past the boundary leaves the whole energy inner
     split = sol.mark_states.get(t_split, sol.end_state)
-    energy_inner = float(sol.aux("energy", split))
+    energy_inner = float(split[2])
     return ShotSolution(
         mu=mu,
         log_R=log_R,

@@ -8,12 +8,12 @@ import re
 import numpy as np
 import pytest
 import scipy.integrate
-from scipy.integrate import DOP853
-from scipy.integrate._ivp.rk import rk_step
+from scipy.integrate import DOP853, OdeSolution
+from scipy.integrate._ivp.rk import Dop853DenseOutput, rk_step
 
 from mtlab import profiles as pf
 from mtlab import radial_ode
-from mtlab.linearized import solve_linearized, source_w0
+from mtlab.linearized import solve_linearized, source_w0, source_wa, source_z0
 from mtlab.perturbations import log_power_family, trivial
 from mtlab.radial_ode import (MIN_RTOL, R_START, START_LADDER, IntegrationError,
                               NoCrossingError, solve)
@@ -21,14 +21,19 @@ from mtlab.shooting import shoot
 
 
 def liouville_state(t, y):
-    # -Delta eta = 4 e^{2 eta}, solution eta0 = -log(1+r^2); a third state,
-    # when present, accumulates the planar mass 2 pi int 4 e^{2 eta} r^2 dt
+    # -Delta eta = 4 e^{2 eta}, solution eta0 = -log(1+r^2)
     f = 4.0 * np.exp(2.0 * t + 2.0 * min(y[0], 0.0))
-    return np.array([y[1], -f, 2.0 * np.pi * f])[:len(y)]
+    return np.array([y[1], -f])
 
 
-def liouville_solve(t_end, rtol=1e-12, atol=1e-12, **kw):
-    return solve(liouville_state, t_end, rtol, atol, **kw)
+def liouville_mass_state(t, y):
+    # a third state accumulates the planar mass 2 pi int 4 e^{2 eta} r^2 dt
+    f = 4.0 * np.exp(2.0 * t + 2.0 * min(y[0], 0.0))
+    return np.array([y[1], -f, 2.0 * np.pi * f])
+
+
+def liouville_solve(t_end, rtol=1e-12, atol=1e-12, mass=False, **kw):
+    return solve(liouville_mass_state if mass else liouville_state, t_end, rtol, atol, **kw)
 
 
 def test_series_start_matches_taylor():
@@ -68,13 +73,11 @@ def test_start_steps_down_past_the_level():
 
 
 def test_marks_below_the_start_read_the_series():
-    sol = liouville_solve(np.log(1e3), aux=("mass",), marks=(np.log(1e-4),),
-                          dense=False)
+    sol = liouville_solve(np.log(1e3), mass=True, marks=(np.log(1e-4),), dense=False)
     state = sol.mark_states[np.log(1e-4)]
     assert state[0] == pytest.approx(pf.eta0(1e-4), rel=1e-12)
     # the planar mass 4 pi r^2 / (1+r^2) inside r
-    assert sol.aux("mass", state) == pytest.approx(4.0 * np.pi * 1e-8 / (1.0 + 1e-8),
-                                                   rel=1e-12)
+    assert state[2] == pytest.approx(4.0 * np.pi * 1e-8 / (1.0 + 1e-8), rel=1e-12)
 
 
 def test_liouville_bubble_reproduced():
@@ -88,8 +91,8 @@ def test_liouville_bubble_reproduced():
 def test_aux_state_accumulates_mass():
     # d(mass)/dt = 2 pi r^2 * 4 e^{2 eta}; total planar mass of the bubble
     # is 2 pi int 4 r / (1+r^2)^2 dr = 4 pi
-    sol = liouville_solve(np.log(1e6), aux=("mass",))
-    mass = sol.aux("mass", sol.eval_state_t(sol.t_max))
+    sol = liouville_solve(np.log(1e6), mass=True)
+    mass = sol.eval_state_t(sol.t_max)[2]
     assert mass == pytest.approx(4.0 * np.pi, abs=1e-8)
 
 
@@ -104,12 +107,11 @@ def test_marks_without_dense_output():
     # each reached mark records the whole state, read off the continuous
     # extension of its own step; a mark past t_end is absent
     t10 = np.log(10.0)
-    sol = liouville_solve(np.log(1e3), aux=("mass",), marks=(t10, 8.0),
-                          dense=False)
+    sol = liouville_solve(np.log(1e3), mass=True, marks=(t10, 8.0), dense=False)
     assert list(sol.mark_states) == [t10]
     state = sol.mark_states[t10]
     assert state[0] == pytest.approx(pf.eta0(10.0), abs=1e-10)
-    assert sol.aux("mass", state) == pytest.approx(4.0 * np.pi * 100.0 / 101.0, rel=1e-9)
+    assert state[2] == pytest.approx(4.0 * np.pi * 100.0 / 101.0, rel=1e-9)
     assert sol.end_state[0] == sol.values[-1]
     with pytest.raises(ValueError, match="dense output"):
         sol.eval_t(t10)
@@ -337,16 +339,103 @@ def test_events_fire_and_end_the_solve_as_in_scipy():
 
 
 def test_mark_state_is_the_dense_output_there():
-    # a mark strictly inside a step reads the piece of the continuous
-    # extension that eval_state_t reads there
+    # a mark strictly inside a step, and the level crossing, read the piece
+    # of the continuous extension that eval_state_t reads there: the event
+    # step's extension on floats has the container's bits, and a solve
+    # without dense output gives the same nodes, marks and crossing
     t10 = np.log(10.0)
-    sol = liouville_solve(np.log(1e3), aux=("mass",), marks=(t10,))
+    kwargs = {"mass": True, "marks": (t10,), "level": -np.log(1e4)}
+    sol = liouville_solve(20.0, **kwargs)
     assert not np.any(sol.grid.t_nodes == t10)
+    assert np.exp(sol.t_event) == pytest.approx(np.sqrt(1e4 - 1.0), rel=1e-10)
     assert np.array_equal(sol.mark_states[t10], sol.eval_state_t(t10))
+    assert np.array_equal(sol.end_state, sol.eval_state_t(sol.t_event))
+    plain = liouville_solve(20.0, dense=False, **kwargs)
+    assert np.array_equal(plain.grid.t_nodes, sol.grid.t_nodes)
+    assert np.array_equal(plain.mark_states[t10], sol.mark_states[t10])
+    assert np.array_equal(plain.end_state, sol.end_state)
+
+
+def _peak_rate(t):
+    # a rate of t alone, whose peak at t = 1 makes the controller reject steps
+    return 1.0 / (1e-4 + (t - 1.0) ** 2), math.cos(3.0 * t)
+
+
+def test_dense_container_is_scipys_extension_of_the_same_steps():
+    # rates of t alone fix every stage from the step's t_old and h, so SciPy's
+    # pieces can be rebuilt from the nodes: a Dop853DenseOutput per step, its
+    # F from that step's own product with D, in an OdeSolution over the
+    # nodes, gives the stacked container's bits at every point
+    res = radial_ode.solve_ivp(lambda t, y: _peak_rate(t), (0.0, 2.0), np.zeros(2),
+                               rtol=1e-6, atol=1e-12, dense_output=True)
+    ts, ext = res.t, res.sol
+    assert len(ts) > 10
+    pieces = []
+    k_end = _peak_rate(ts[0])  # stage 0 is the rate at the end of the step before
+    for i, h in enumerate(ext.h):
+        t_old = ts[i]
+        times = ([t_old + c * h for c in DOP853.C[5:]] + [t_old + h]
+                 + [t_old + c * h for c in DOP853.C_EXTRA])
+        K = np.array([k_end] + [_peak_rate(t) for t in times])
+        k_end = K[8]
+        dy = res.y[:, i + 1] - res.y[:, i]
+        F = np.empty((7, 2))
+        F[0] = dy
+        F[1] = h * K[0] - dy
+        F[2] = 2.0 * dy - h * (K[8] + K[0])
+        F[3:] = h * DOP853.D[:, radial_ode._DENSE] @ K
+        pieces.append(Dop853DenseOutput(t_old, t_old + h, res.y[:, i], F))
+    ref = OdeSolution(ts, pieces)
+    rng = np.random.default_rng(0)
+    unsorted = rng.uniform(ts[0], ts[-1], 200)
+    for t in (unsorted, ts, ts[::-1], np.array([ts[-1]]), np.array([-0.5, 2.5])):
+        assert ext(t).shape == (2, len(t))
+        assert np.array_equal(ext(t), ref(t))
+    for t in (*unsorted[:5], ts[3], ts[-1], -0.5):
+        assert ext(t).shape == (2,)
+        assert np.array_equal(ext(t), ref(t))
+
+
+def _rates_checked_for_floats(monkeypatch, run):
+    """Run run() with every radial_ode.solve_ivp state function checked: it
+    gets t and each state as a float and returns each rate as a float."""
+    own = radial_ode.solve_ivp
+    calls = []
+
+    def checked_solve(fun, *args, **kwargs):
+        def checked(t, y):
+            rates = fun(t, y)
+            calls.append(t)
+            assert type(t) is float and type(y) is list
+            assert all(type(p) is float for p in y), y
+            assert all(type(rate) is float for rate in rates), rates
+            return rates
+
+        return own(checked, *args, **kwargs)
+
+    monkeypatch.setattr(radial_ode, "solve_ivp", checked_solve)
+    run()
+    return len(calls)
+
+
+@pytest.mark.parametrize("source", [source_w0, source_z0, source_wa(0.7)],
+                         ids=["w0", "z0", "w_a"])
+def test_linearized_solves_step_on_floats(monkeypatch, source):
+    # the sources give NumPy scalars on a float; the state converts once
+    assert type(source(2.0)) is not float
+    assert _rates_checked_for_floats(monkeypatch, lambda: solve_linearized(source)) > 1000
+
+
+@pytest.mark.parametrize("profile", [False, True], ids=["plain", "dense"])
+@pytest.mark.parametrize("family", [trivial, log_power_family])
+def test_shots_step_on_floats(monkeypatch, family, profile):
+    for mu in (2.0, 12.0):
+        assert _rates_checked_for_floats(
+            monkeypatch, lambda: shoot(mu, family(), profile=profile)) > 500
 
 
 @pytest.mark.parametrize("rate", [
-    lambda t: (1.0 / (1e-4 + (t - 1.0) ** 2), math.cos(3.0 * t)),  # 10 rejections
+    _peak_rate,  # 10 rejections
     lambda t: (0.0, 0.0),  # a zero error estimate grows every step tenfold
 ], ids=["peak", "zero"])
 def test_step_sizes_follow_scipys_controller(rate):

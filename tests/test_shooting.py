@@ -205,7 +205,7 @@ def test_energy_concentrates_like_the_bubble(shots):
     # Liouville bubble's 4 pi R^2 / (1 + R^2)
     R = 100.0
     eta = shots[12.0].eta
-    energy = float(eta.aux("energy", eta.eval_state_t(np.log(R))))
+    energy = float(eta.eval_state_t(np.log(R))[2])
     assert abs(energy - FOUR_PI * (1.0 - 1.0 / (1.0 + R ** 2))) < 5e-3
 
 
