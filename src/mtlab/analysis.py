@@ -28,7 +28,7 @@ from . import profiles as pf
 from .linearized import solve_linearized, source_z0
 from .perturbations import PerturbationSpec, delta_k, trivial
 from .radial_ode import MIN_RTOL, IntegrationError
-from .shooting import EventNotReachedError, pde_residual, shoot
+from .shooting import MU_MAX, MU_MIN, EventNotReachedError, pde_residual, shoot
 
 __all__ = [
     "SLACK",
@@ -67,8 +67,9 @@ class ExpansionScan:
 
     ``window`` is the asymptotic window (widened by slack) that applies to
     the scanned family, and ``window_ok`` flags each mu against it; the
-    caller decides whether to treat failures as errors.  Shoot failures are
-    recorded in ``failures`` and the scan continues.
+    caller decides whether to treat failures as errors.  A shot that never
+    reaches its boundary event is recorded in ``failures`` and the scan
+    continues.
     """
 
     mu_values: np.ndarray
@@ -97,15 +98,24 @@ def _window_for(spec: PerturbationSpec) -> Tuple[float, float]:
     return lo - s, hi + s
 
 
+def _check_supported(mus: Sequence[float]) -> None:
+    """ValueError unless every mu lies in shoot's range [MU_MIN, MU_MAX] (a NaN fails)."""
+    for mu in mus:
+        if not MU_MIN <= mu <= MU_MAX:
+            raise ValueError(f"the mu grid holds {mu:g}, outside the supported range "
+                             f"[{MU_MIN}, {MU_MAX}]")
+
+
 def energy_scan(mu_list: Sequence[float], spec: PerturbationSpec,
                 tol: float = 1e-11) -> ExpansionScan:
     """Shoot each mu and collect the energy coefficients.
 
-    An empty ``mu_list`` or a ``tol`` below MIN_RTOL (NaN included) raises
-    ValueError before any shot.
+    An empty ``mu_list``, a mu outside [MU_MIN, MU_MAX] or a ``tol`` below
+    MIN_RTOL (NaN included) raises ValueError before any shot.
     """
     if not len(mu_list):
         raise ValueError("empty mu grid: nothing to scan")
+    _check_supported(mu_list)
     if not tol >= MIN_RTOL:
         raise ValueError(f"need tol at or above the floor 100 eps = "
                          f"{MIN_RTOL:.3g}, got tol={tol:g}")
@@ -114,7 +124,7 @@ def energy_scan(mu_list: Sequence[float], spec: PerturbationSpec,
     for mu in sorted(mu_list):
         try:
             sol = shoot(mu, spec, tol=tol)
-        except (EventNotReachedError, ValueError) as exc:
+        except EventNotReachedError as exc:
             failures[float(mu)] = str(exc)
             continue
         mu4 = mu ** 4
@@ -164,7 +174,7 @@ def residual_hierarchy(mu: float,
     if spec is None:
         spec = trivial()
     perturbed = spec.name != "trivial"
-    sol = shoot(mu, spec, profile=True)
+    sol = shoot(mu, spec)
     z0 = _z0_solution()
     mu2, mu4 = mu ** 2, mu ** 4
 
@@ -286,16 +296,19 @@ def branch_scan(mu_grid: Sequence[float], spec: Optional[PerturbationSpec] = Non
     and a note.
     ``level_fractions`` adds queries at Lambda = 4 pi + f (Lambda* - 4 pi),
     resolved after Lambda* is known (f = 0.5 is the midpoint level of the
-    multiplicity theorem).  A grid shot that fails or returns a non-finite
-    energy is recorded in ``failures`` and left out of the branch; if no
-    grid shot succeeds, ``IntegrationError`` names them all.  An empty
-    ``mu_grid``, or a non-finite entry of ``lambda_queries`` or
-    ``level_fractions``, raises ValueError before any shot.
+    multiplicity theorem).  A grid shot that never reaches its boundary
+    event or returns a non-finite energy is recorded in ``failures`` and
+    left out of the branch; if no grid shot succeeds, ``IntegrationError``
+    names them all.  An empty
+    ``mu_grid``, a mu outside [MU_MIN, MU_MAX], or a non-finite entry of
+    ``lambda_queries`` or ``level_fractions``, raises ValueError before any
+    shot.
     """
     if spec is None:
         spec = trivial()
     if not len(mu_grid):
         raise ValueError("empty mu grid: no branch to sample")
+    _check_supported(mu_grid)
     for name, values in (("lambda_queries", lambda_queries),
                          ("level_fractions", level_fractions)):
         if not np.all(np.isfinite(np.asarray(values, dtype=float))):
@@ -311,7 +324,7 @@ def branch_scan(mu_grid: Sequence[float], spec: Optional[PerturbationSpec] = Non
     for i, mu in enumerate(mus):
         try:
             energies[i] = E(mu)
-        except (EventNotReachedError, ValueError) as exc:
+        except EventNotReachedError as exc:
             failures[float(mu)] = str(exc)
             continue
         if not np.isfinite(energies[i]):
@@ -379,5 +392,5 @@ def verify_branch_root(mu: float, lam: float,
     """Fresh shoot at a claimed root: (|E - Lambda|, flux-form PDE residual)."""
     if spec is None:
         spec = trivial()
-    sol = shoot(mu, spec, profile=True)
+    sol = shoot(mu, spec)
     return abs(sol.energy_total - lam), pde_residual(sol)

@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 LINEARIZED_TOL = 1e-12  # relative and absolute tolerance of solve_linearized
+SLOPE_R_LO = 1e3  # bottom of extract_log_slope's window
+SLOPE_SAMPLES = 64  # log-spaced radii that extract_log_slope reads
 
 
 def source_w0(r):
@@ -90,26 +92,24 @@ def solve_linearized(source: Callable, r_max: float = 1e6) -> RadialSolution:
     return solve(state, np.log(r_max), LINEARIZED_TOL, LINEARIZED_TOL)
 
 
-def extract_log_slope(sol: RadialSolution, r_lo: float = 1e3,
-                      r_hi: float = 1e6, n_samples: int = 64):
+def extract_log_slope(sol: RadialSolution, r_hi: float = 1e6):
     """Estimate beta in w(r) = beta log r + O(1) from the tail of r w'(r).
 
     Returns (beta_hat, error_estimate); beta_hat is the median of r w'(r)
-    over log-spaced samples in [r_lo, r_hi], the error estimate is the
-    half-spread of the central 80% of the samples.  A non-finite or
-    non-positive r_lo or r_hi, or n_samples < 1, raises ValueError.
+    over SLOPE_SAMPLES log-spaced samples in [SLOPE_R_LO, r_hi], the error
+    estimate is the half-spread of the central 80% of the samples.  A
+    non-finite or non-positive r_hi, or one below 100 SLOPE_R_LO, raises
+    ValueError.
     """
-    # written so that a NaN fails each test
-    for name, value in (("r_lo", r_lo), ("r_hi", r_hi)):
-        if not 0.0 < value < np.inf:
-            raise ValueError(f"need 0 < {name} < inf, got {name}={value}")
-    if not n_samples >= 1:
-        raise ValueError(f"need n_samples >= 1, got n_samples={n_samples}")
-    if r_hi < 100.0 * r_lo:
-        raise ValueError("need r_hi >= 100 * r_lo for a meaningful tail")
+    # written so that a NaN fails the test
+    if not 0.0 < r_hi < np.inf:
+        raise ValueError(f"need 0 < r_hi < inf, got r_hi={r_hi}")
+    if r_hi < 100.0 * SLOPE_R_LO:
+        raise ValueError(f"need r_hi >= 100 SLOPE_R_LO = {100.0 * SLOPE_R_LO:g} for a "
+                         f"meaningful tail, got r_hi={r_hi}")
     if not np.log(r_hi) <= sol.t_max:
         raise ValueError("solution not defined up to r_hi")
-    t = np.linspace(np.log(r_lo), np.log(r_hi), n_samples)
+    t = np.linspace(np.log(SLOPE_R_LO), np.log(r_hi), SLOPE_SAMPLES)
     _, v = sol.eval_t(t)
     beta_hat = float(np.median(v))
     lo, hi = np.quantile(v, [0.1, 0.9])

@@ -51,23 +51,27 @@ It keeps SciPy's name, ``solve_ivp``, so that code wrapping
 still sees every solve; :func:`solve` looks the name up at call time for
 that reason.
 
-Dense output (the pair's continuous extension, which ``eval*`` read
-between nodes) is optional because it is not free: DOP853 builds it from
-3 extra right-hand-side evaluations per accepted step, about a fifth of
-a solve's work.  With it the loop keeps each accepted step's 12 stage
-rows, and at the end of the solve builds one :class:`ContinuousExtension`:
-the Horner coefficients of every step from one stacked product with
-DOP853's D, evaluated by ``searchsorted`` and SciPy's Horner form,
+Every solution evaluates between its nodes on the pair's continuous
+extension, its dense output, which ``eval*`` read.  DOP853 builds it from
+3 extra right-hand-side evaluations per accepted step, about a fifth of a
+solve's work, and most solves never read it: every number of a shot comes
+from the state at its two stops.  So the loop keeps each accepted step's
+size and its stage rows, and the solve's :class:`ContinuousExtension`
+builds itself the first time it is read: the 3 extra stages of every
+step, then the Horner coefficients of every step from one stacked product
+with DOP853's D, evaluated by ``searchsorted`` and SciPy's Horner form,
 vectorized over the points.  That gives the bits of SciPy's
 ``OdeSolution`` of ``Dop853DenseOutput`` pieces with the same
 coefficients, without SciPy's cost of a piece per step on 2-3-float rows:
-on the linearized w0 solve to r = 1e6 (68 steps) dense output adds about
+on the linearized w0 solve to r = 1e6 (68 steps) the extension adds about
 9 us per step, its 3 state calls included, where SciPy's pieces added
-22-40 (best of 30 solves on a 2-vCPU host).  With or without it, the step that holds the crossing or a mark
-gets its extension on Python floats, and the root search for the crossing
-evaluates only u on it; its numbers are the container's, so the state at
-the level crossing and at each requested mark t is the same either way,
-and so are the accepted steps.
+22-40 (best of 30 solves on a 2-vCPU host).  The step that holds the
+crossing or a mark gets its extension on Python floats inside the loop,
+and the root search for the crossing evaluates only u on it; its numbers
+are the container's, so the state at the level crossing and at each
+requested mark t is the one that ``eval_state_t`` reads there.  The
+extension's calls are not the stepper's: ``solve_ivp``'s ``nfev`` leaves
+them out, and ``RadialSolution.nfev`` counts them once they are made.
 """
 
 from __future__ import annotations
@@ -153,31 +157,36 @@ class RadialSolution:
     """Samples of a radial function u and of v = r u'(r) on a log grid.
 
     ``eval*`` interpolate between nodes with the integrator's continuous
-    extension (the dense output of the Runge-Kutta pair) and evaluate the
-    fitted series below the first node; a solve without dense output
-    raises ValueError there, and so does a t past ``t_max`` or a NaN t,
-    where the last step's extension would extrapolate quietly.
+    extension (the dense output of the Runge-Kutta pair), built on the
+    first read, and evaluate the fitted series below the first node; a t
+    past ``t_max`` or a NaN t raises ValueError, where the last step's
+    extension would extrapolate quietly.
     ``end_state`` is the whole state (u, r*u', quadrature states...) at the
     last node, the level crossing when there is one, and ``mark_states``
     maps each requested mark t that the solve reached to the whole state
     there.  ``nfev`` counts the state-function calls, those of the start
-    fit included, and ``accepted_steps`` the steps DOP853 took.
+    fit included and those of the extension once it is built, and
+    ``accepted_steps`` the steps DOP853 took.
     """
 
     def __init__(self, grid: LogRadialGrid, values, r_derivs,
-                 dense: Optional[ContinuousExtension], t_event: Optional[float],
+                 extension: ContinuousExtension, t_event: Optional[float],
                  end_state, mark_states: Dict[float, np.ndarray],
                  series: np.ndarray, nfev: int, accepted_steps: int):
         self.grid = grid
         self.values = values
         self.r_derivs = r_derivs
-        self._dense = dense
+        self._extension = extension
         self.t_event = t_event
         self.end_state = end_state
         self.mark_states = mark_states
         self._series = series
-        self.nfev = nfev
+        self._nfev = nfev
         self.accepted_steps = accepted_steps
+
+    @property
+    def nfev(self) -> int:
+        return self._nfev + self._extension.nfev
 
     @property
     def t_min(self) -> float:
@@ -189,20 +198,16 @@ class RadialSolution:
 
     def eval_state_t(self, t):
         """Dense evaluation of the whole state (u, r*u', ...) at t = log r."""
-        if self._dense is None:
-            raise ValueError("solved without dense output, so there is no profile "
-                             "between the nodes: shoot(..., profile=True) or "
-                             "solve(..., dense=True) keeps it")
         t = np.asarray(t, dtype=float)
         if not np.all(t <= self.t_max):
             raise ValueError(f"t = {np.max(t)!r} lies past the end of the solution, "
                              f"t_max = {self.t_max!r}")
         below = t < self.t_min
         if not below.any():
-            return self._dense(t)
+            return self._extension(t)
         y = _series_state(self._series, self.t_min, np.minimum(t, self.t_min))
         if not below.all():
-            y[:, ~below] = self._dense(t[~below])
+            y[:, ~below] = self._extension(t[~below])
         return y
 
     def eval_t(self, t):
@@ -219,24 +224,41 @@ class RadialSolution:
 class ContinuousExtension:
     """DOP853's continuous extension over every accepted step of a solve.
 
+    It is made from what the stepper kept: the state function, the nodes
+    ``ts`` and their states ``ys`` (lists of floats, the crossing last when
+    there is one), the end state ``y_end`` of the last step (past the
+    crossing when one cut the step short), and each step's size and stage
+    rows (stages 0 and 5-11 and the rate at the step's end).  The first
+    call takes the 3 extra stages of every step, on floats as in the step,
+    and the Horner coefficients ``F`` of all steps, shape (steps, 7,
+    states), from one stacked product; it then drops the state function
+    and the rows, and ``nfev`` counts those 3 calls per step.
     Step i starts at node ``ts[i]`` with state ``y_old[i]`` and has the
-    step size ``h[i]`` (past the last node when a crossing cut the step
-    short) and Horner coefficients ``F[i]``, of shape (steps, 7, states).
-    A point t reads the step that ``searchsorted(ts, t, 'left') - 1``
-    picks, clipped to the steps, so a node reads the step that ends there,
-    and evaluates SciPy's Horner form in SciPy's order, vectorized over the
-    points: the same numbers as an ``OdeSolution`` of ``Dop853DenseOutput``
-    pieces with the same coefficients.  Like it, a scalar t gives the
-    state, shape (states,), and m points give shape (states, m).
+    step size ``h[i]``.  A point t reads the step that
+    ``searchsorted(ts, t, 'left') - 1`` picks, clipped to the steps, so a
+    node reads the step that ends there, and evaluates SciPy's Horner form
+    in SciPy's order, vectorized over the points: the same numbers as an
+    ``OdeSolution`` of ``Dop853DenseOutput`` pieces with the same
+    coefficients.  Like it, a scalar t gives the state, shape (states,),
+    and m points give shape (states, m).
     """
 
-    def __init__(self, ts: np.ndarray, h: np.ndarray, y_old: np.ndarray, F: np.ndarray):
-        self.ts = ts
-        self.h = h
-        self.y_old = y_old
-        self.F = F
+    def __init__(self, fun: Callable, ts: list, ys: list, y_end: list, hs: list, rows: list):
+        self._kept = (fun, ts, ys, y_end, hs, rows)
+        self.nfev = 0
+
+    def _build(self) -> None:
+        fun, ts, ys, y_end, hs, rows = self._kept
+        K = chain.from_iterable(chain.from_iterable(
+            _extra_stages(fun, *step) for step in zip(ts, hs, ys, rows)))
+        K = np.fromiter(K, float, 12 * len(y_end) * len(hs)).reshape(len(hs), 12, -1)
+        self.ts, self.h, self.y_old = np.array(ts), np.array(hs), np.array(ys[:-1])
+        self.F = _coefficients(self.h, self.y_old, np.array(ys[1:-1] + [y_end]), K)
+        self.nfev, self._kept = 3 * len(hs), None
 
     def __call__(self, t):
+        if self._kept is not None:
+            self._build()
         t = np.asarray(t, dtype=float)
         i = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.h) - 1)
         x = ((t - self.ts[i]) / self.h[i])[..., None]
@@ -250,18 +272,19 @@ class ContinuousExtension:
 
 class IvpResult(NamedTuple):
     """What :func:`solve_ivp` returns: the nodes (the crossing last) and
-    their states, one row per state, the extension with ``dense_output``,
-    the crossing (None without one) and the state at each reached mark."""
+    their states, one row per state, the extension (built on its first
+    call), the crossing (None without one), the state at each reached mark
+    and the stepper's state-function calls."""
 
     t: np.ndarray
     y: np.ndarray
-    sol: Optional[ContinuousExtension]
+    sol: ContinuousExtension
     t_event: Optional[float]
     mark_states: Dict[float, np.ndarray]
     nfev: int
 
 
-def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol, dense_output: bool = False,
+def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol,
               marks: Sequence[float] = (), level: Optional[float] = None) -> IvpResult:
     """DOP853 on Python floats from t_span[0] to t_span[1], or to u = level.
 
@@ -278,10 +301,11 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol, dense_output: bool =
     crossing on the step's continuous extension, and the crossing becomes
     the last node.  Each mark m in (t_old, t] of a step, t the crossing
     when the step holds one, records the state at m on that extension.
-    Only such a step, or every step with ``dense_output``, takes the
-    extension's 3 extra stages; such a step evaluates its extension on
-    floats, and ``dense_output`` keeps every step's in one
-    :class:`ContinuousExtension`, built once the solve ends.
+    Only such a step takes the extension's 3 extra stages in the loop, and
+    evaluates its extension on floats.  Every step keeps its size and its
+    stage rows for the solve's :class:`ContinuousExtension`, which takes
+    the extra stages of every step on its first call; ``nfev`` counts the
+    loop's calls alone.
     """
     t, tf = map(float, t_span)
     if not t < tf:
@@ -310,7 +334,7 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol, dense_output: bool =
     e3_0, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11 = _E3
     g = None if level is None else y[0] - level
     ts, ys = [t], [y]
-    hs, stages = [], []  # with dense_output: each step's size, and all steps' stage rows
+    hs, rows = [], []  # each accepted step's size, and its stage rows for the extension
     t_event = None
     mark_states: Dict[float, np.ndarray] = {}
     while True:
@@ -384,21 +408,19 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol, dense_output: bool =
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
         t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        hs.append(h)
+        rows.append((k0, k5, k6, k7, k8, k9, k10, k11, f))
         crossed = False
         if level is not None:
             g_old, g = g, y[0] - level
             crossed = g_old <= 0.0 <= g or g_old >= 0.0 >= g
         inside = [m for m in marks if t_old < m <= t]
-        if dense_output or crossed or inside:
-            K = _extra_stages(fun, t_old, h, y_old, (k0, k5, k6, k7, k8, k9, k10, k11, f))
-            nfev += 3
-            if dense_output:
-                hs.append(h)
-                stages.extend(K)
         if crossed or inside:
             # this step's extension on floats, one column (state at t_old and
             # its 7 coefficients) per state: the crossing's root search
             # evaluates only u's, at 4-6 points on a shot
+            K = _extra_stages(fun, t_old, h, y_old, rows[-1])
+            nfev += 3
             columns = list(zip(y_old, *_coefficients(h, np.array(y_old), np.array(y),
                                                       np.array(K)).tolist()))
             if crossed:
@@ -413,17 +435,8 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol, dense_output: bool =
         ys.append(y)
         if crossed or t == tf:
             break
-    ts = np.array(ts)
-    ys = np.array(ys)
-    sol = None
-    if dense_output:
-        ends = ys[1:].copy()
-        if t_event is not None:
-            ends[-1] = y_step
-        h = np.array(hs)
-        K = np.fromiter(chain.from_iterable(stages), float, n * len(stages)).reshape(-1, 12, n)
-        sol = ContinuousExtension(ts, h, ys[:-1], _coefficients(h, ys[:-1], ends, K))
-    return IvpResult(ts, ys.T, sol, t_event, mark_states, nfev)
+    sol = ContinuousExtension(fun, ts, ys, y_step if crossed else y, hs, rows)
+    return IvpResult(np.array(ts), np.array(ys).T, sol, t_event, mark_states, nfev)
 
 
 def _extra_stages(fun: Callable, t_old: float, h: float, y_old, stages) -> list:
@@ -529,8 +542,7 @@ def _start_holds(fun: Callable, d: np.ndarray, t0: float, atol,
 
 
 def solve(fun: Callable, t_end: float, rtol: float, atol,
-          level: Optional[float] = None, marks: Sequence[float] = (),
-          dense: bool = True) -> RadialSolution:
+          level: Optional[float] = None, marks: Sequence[float] = ()) -> RadialSolution:
     """Integrate from the fitted start to t_end, or to the first crossing u = level.
 
     ``fun(t, y)`` returns dy/dt for the state y = (u, v, q...):
@@ -546,9 +558,10 @@ def solve(fun: Callable, t_end: float, rtol: float, atol,
     root-finding on the continuous extension of its step, and a missing
     crossing raises NoCrossingError (distinct from integrator failure).
     Each t in ``marks`` is read off the extension of the step that holds
-    it, or off the series when it lies at or below the start.
-    ``dense=False`` skips the dense output.  An ``rtol`` below MIN_RTOL
-    raises ValueError: there the error estimate is rounding noise.
+    it, or off the series when it lies at or below the start.  The
+    solution's continuous extension is built on its first read.  An
+    ``rtol`` below MIN_RTOL raises ValueError: there the error estimate is
+    rounding noise.
     """
     # written so that a NaN fails each test: the stepper never finishes on one
     if not (rtol > 0 and np.all(np.asarray(atol) > 0) and np.log(R_START) < t_end < np.inf):
@@ -570,7 +583,7 @@ def solve(fun: Callable, t_end: float, rtol: float, atol,
         if t0 == rungs[-1] or _start_holds(counted, d, t0, atol, level):
             break
     res = solve_ivp(fun, (t0, t_end), d.sum(axis=1), rtol=rtol, atol=atol,
-                    dense_output=dense, marks=marks, level=level)
+                    marks=marks, level=level)
     if level is not None and res.t_event is None:
         raise NoCrossingError(f"u never reached level {level} before t_end={t_end}")
     marked = {m: _series_state(d, t0, m) if m <= t0 else res.mark_states[m]

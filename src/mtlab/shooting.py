@@ -45,15 +45,12 @@ misses by at most 3.5e-11, while 3 of 201 log-power shots miss by more
 than 1e-9, the worst by 2.8e-9 at mu = 3.05.
 
 Every number of a shot (log R, the energies, the boundary slope) is read
-from the state at those two stops, so :func:`shoot` skips the dense
-output by default: DOP853's continuous extension costs 3 more
-state-function calls per accepted step, about a fifth of a shot's calls,
-and radial_ode's loop builds it only on the two steps that hold the
-crossing or the mark.  The steps, and so every number, are the same
-with or without it.
-Only a caller that reads the profile (:func:`pde_residual`,
-:func:`comparison_eta0`, ``sol.eta.eval*``) passes ``profile=True``; on a
-profile-free shot these raise ValueError.
+from the state at those two stops.  DOP853's continuous extension, which
+the profile between the nodes needs, costs 3 more state-function calls
+per accepted step, about a fifth of a shot's calls, so radial_ode builds
+it on the first read of ``sol.eta`` (by :func:`pde_residual`,
+:func:`comparison_eta0` or ``sol.eta.eval*``), and a shot that nobody
+reads never pays for it.  Reading it changes no number of the shot.
 
 :func:`pde_residual` checks a finished shot against the same state function.
 A shot is returned as data; :mod:`mtlab.cli` renders it as JSON or CSV.
@@ -103,8 +100,7 @@ class ShotSolution:
     Radii and multiplier are stored on log scale: R = r_k^{-1} with
     log lambda = log 4 + 2 log R - mu^2 - 2 log mu, and ``eta`` ends at the
     boundary event t = log R; it evaluates between its nodes, and on the
-    fitted series below the first one, only for a shot taken with
-    ``profile=True``.
+    fitted series below the first one.
     """
 
     mu: float
@@ -156,14 +152,11 @@ def _state(mu: float, spec: PerturbationSpec) -> Callable:
     return state
 
 
-def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11,
-          profile: bool = False) -> ShotSolution:
+def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11) -> ShotSolution:
     """Integrate to the boundary event and accumulate energy splits.
 
     The inner energy is taken over the rescaled ball of radius mu^p with
     p = SPLIT_EXPONENT (p > 2 required for the inner/outer expansion).
-    ``profile=True`` keeps the dense output, so that ``eta`` can be
-    evaluated between nodes.
     """
     if not (MU_MIN <= mu <= MU_MAX):
         raise ValueError(f"mu={mu} outside supported range [{MU_MIN}, {MU_MAX}]")
@@ -175,7 +168,7 @@ def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11,
     t_split = SPLIT_EXPONENT * np.log(mu)
     try:
         sol = solve(_state(mu, spec), 0.55 * mu2 + 10.0, tol, abs_tol,
-                    level=-mu2, marks=(t_split,), dense=profile)
+                    level=-mu2, marks=(t_split,))
     except NoCrossingError as exc:
         raise EventNotReachedError(
             f"boundary event eta = -mu^2 not reached for mu={mu} "

@@ -24,7 +24,7 @@ def trivial_spec():
 @pytest.fixture(scope="session")
 def shots(trivial_spec):
     """Unperturbed shots at the standard center values, keyed by mu."""
-    return {mu: shoot(mu, trivial_spec, profile=True) for mu in (6.0, 8.0, 10.0, 12.0)}
+    return {mu: shoot(mu, trivial_spec) for mu in (6.0, 8.0, 10.0, 12.0)}
 
 
 @pytest.fixture(scope="session")

@@ -128,7 +128,7 @@ def test_criterion_09_critical_tail_threshold():
 def test_criterion_10_profile_below_bubble(shots):
     for mu in (6.0, 10.0):
         for spec in (trivial(), inverse_square_tail(a=1.0)):
-            sol = shots[mu] if spec.name == "trivial" else shoot(mu, spec, profile=True)
+            sol = shots[mu] if spec.name == "trivial" else shoot(mu, spec)
             assert comparison_eta0(sol).holds
 
 

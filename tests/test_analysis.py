@@ -30,9 +30,16 @@ def test_energy_scan_window_shift_inverse_square():
     assert lo == pytest.approx(-0.5, abs=1e-12)
 
 
-def test_energy_scan_records_failures(trivial_spec):
-    scan = energy_scan([6.0, 30.0], trivial_spec)
-    assert 30.0 in scan.failures
+def test_energy_scan_records_failures(monkeypatch, trivial_spec):
+    # a shot that misses its boundary event is recorded and the scan goes on
+    def shoot_or_miss(mu, spec, tol):
+        if mu == 7.0:
+            raise EventNotReachedError(f"no event at mu={mu}")
+        return shoot(mu, spec, tol=tol)
+
+    monkeypatch.setattr(analysis, "shoot", shoot_or_miss)
+    scan = energy_scan([6.0, 7.0], trivial_spec)
+    assert scan.failures == {7.0: "no event at mu=7.0"}
     assert list(scan.mu_values) == [6.0]
 
 

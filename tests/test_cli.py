@@ -16,6 +16,7 @@ from mtlab import analysis, cli, linearized, maximizer, quadrature
 from mtlab.cli import (EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                        main)
 from mtlab.perturbations import PerturbationSpec
+from mtlab.shooting import EventNotReachedError
 
 
 def run(args):
@@ -266,20 +267,48 @@ def test_scan_rejects_tol_below_the_floor(monkeypatch, capsys, tol):
     assert "the floor 100 eps" in captured.err and f"tol={tol}" in captured.err
 
 
-def test_numerical_failure_exit_code(capsys):
+def test_numerical_failure_exit_code(monkeypatch, capsys):
+    # every shot above mu = 6 misses its boundary event
+    shoot = analysis.shoot
+
+    def shoot_or_miss(mu, spec, **kwargs):
+        if mu > 6.0:
+            raise EventNotReachedError(f"boundary event not reached for mu={mu}")
+        return shoot(mu, spec, **kwargs)
+
+    monkeypatch.setattr(analysis, "shoot", shoot_or_miss)
     # the scan writes the rows it has, then reports the failed mu
-    assert run(["scan", "--mu-from", "6", "--mu-to", "30",
+    assert run(["scan", "--mu-from", "6", "--mu-to", "12",
                 "--steps", "2"]) == EXIT_NUMERICAL
     captured = capsys.readouterr()
     out = captured.out.splitlines()
     assert out[0] == "mu,E,c,inner_coeff,outer_coeff,in_window"
     assert len(out) == 2
     # the failure names each failed mu with its reason
-    assert "scan failed at mu = 30 (mu=30.0 outside supported range" in captured.err
-    # no branch grid shot succeeds: every center value is out of range
-    assert run(["branch", "--mu-from", "30", "--mu-to", "40",
+    assert "scan failed at mu = 12 (boundary event not reached for mu=12.0)" in captured.err
+    # no branch grid shot succeeds
+    assert run(["branch", "--mu-from", "8", "--mu-to", "10",
                 "--steps", "3"]) == EXIT_NUMERICAL
     assert "every grid shot failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, mu", [
+    (["branch", "--mu-from", "1.5", "--mu-to", "30", "--steps", "5", "--format", "csv"], "30"),
+    (["branch", "--mu-from", "2", "--mu-to", "nan", "--steps", "3"], "nan"),
+    (["scan", "--mu-from", "20", "--mu-to", "30", "--steps", "3"], "25"),
+    (["scan", "--mu-from", "0.01", "--mu-to", "6", "--steps", "3"], "0.01"),
+], ids=["branch-top", "branch-nan", "scan-top", "scan-bottom"])
+def test_mu_grid_outside_the_range_is_a_configuration_error(monkeypatch, capsys, argv, mu):
+    # found before any shot, like `mtlab shoot --mu 30`, instead of a
+    # branch that drops the point quietly or a scan that calls it numerical
+    def no_shot(*args, **kwargs):
+        raise AssertionError("shoot called")
+
+    monkeypatch.setattr(analysis, "shoot", no_shot)
+    assert run(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"holds {mu}, outside the supported range [0.05, 24.0]" in captured.err
 
 
 def test_maximize_nan_functional_exit_code(monkeypatch, tmp_path, capsys):

@@ -59,9 +59,15 @@ def test_nfev_counts_every_state_call():
         calls.append(t)
         return liouville_state(t, y)
 
-    sol = solve(counted, np.log(1e3), 1e-12, 1e-12, dense=False)
+    sol = solve(counted, np.log(1e3), 1e-12, 1e-12)
     assert sol.nfev == len(calls)
     assert sol.accepted_steps == len(sol.grid.t_nodes) - 1 > 0
+    # the first read builds the continuous extension, 3 calls per step
+    unread = sol.nfev
+    sol.eval_t(0.0)
+    assert sol.nfev == len(calls) == unread + 3 * sol.accepted_steps
+    sol.eval_t(sol.grid.t_nodes)
+    assert sol.nfev == len(calls) == unread + 3 * sol.accepted_steps
 
 
 def test_start_steps_down_past_the_level():
@@ -73,7 +79,7 @@ def test_start_steps_down_past_the_level():
 
 
 def test_marks_below_the_start_read_the_series():
-    sol = liouville_solve(np.log(1e3), mass=True, marks=(np.log(1e-4),), dense=False)
+    sol = liouville_solve(np.log(1e3), mass=True, marks=(np.log(1e-4),))
     state = sol.mark_states[np.log(1e-4)]
     assert state[0] == pytest.approx(pf.eta0(1e-4), rel=1e-12)
     # the planar mass 4 pi r^2 / (1+r^2) inside r
@@ -105,16 +111,15 @@ def test_event_location():
 
 def test_marks_without_dense_output():
     # each reached mark records the whole state, read off the continuous
-    # extension of its own step; a mark past t_end is absent
+    # extension of its own step while the solution is not yet read; a mark
+    # past t_end is absent
     t10 = np.log(10.0)
-    sol = liouville_solve(np.log(1e3), mass=True, marks=(t10, 8.0), dense=False)
+    sol = liouville_solve(np.log(1e3), mass=True, marks=(t10, 8.0))
     assert list(sol.mark_states) == [t10]
     state = sol.mark_states[t10]
     assert state[0] == pytest.approx(pf.eta0(10.0), abs=1e-10)
     assert state[2] == pytest.approx(4.0 * np.pi * 100.0 / 101.0, rel=1e-9)
     assert sol.end_state[0] == sol.values[-1]
-    with pytest.raises(ValueError, match="dense output"):
-        sol.eval_t(t10)
 
 
 def test_missing_event_raises():
@@ -196,20 +201,20 @@ def _scipy_events(marks=(), level=None):
 
 
 def _solved_with_scipy(args, kwargs):
-    """radial_ode.solve_ivp and SciPy's solve_ivp on the same arguments.
+    """radial_ode.solve_ivp and SciPy's solve_ivp, with its dense output, on
+    the same arguments.
 
-    Exact on what the steps cannot move: whether the level ends the solve,
-    which marks are reached, and which results exist.
+    Exact on what the steps cannot move: whether the level ends the solve
+    and which marks are reached.
     """
     own = radial_ode.solve_ivp(*args, **kwargs)
     stops = {k: kwargs[k] for k in ("marks", "level") if k in kwargs}
     rest = {k: v for k, v in kwargs.items() if k not in stops}
     ref = scipy.integrate.solve_ivp(*args, method="DOP853", events=_scipy_events(**stops),
-                                    **rest)
+                                    dense_output=True, **rest)
     assert (own.t_event is not None) == (ref.status == 1)
     reached = {m for m, te in zip(stops.get("marks", ()), ref.t_events or ()) if len(te)}
     assert set(own.mark_states) == reached
-    assert (own.sol is None) == (ref.sol is None) == (not kwargs.get("dense_output"))
     return own, ref
 
 
@@ -233,9 +238,8 @@ def _assert_whole_solve_near_scipy(args, kwargs):
     for mine, theirs, _, _ in _scipy_stops(own, ref, kwargs.get("marks", ())):
         assert abs(mine - theirs) <= rtol * max(1.0, abs(theirs))
     assert np.all(np.abs(own.y[:, -1] - ref.y[:, -1]) <= 10.0 * rtol * y_max)
-    if kwargs.get("dense_output"):
-        ts = np.linspace(ref.t[0], ref.t[-1], 50)
-        assert np.all(np.abs(own.sol(ts) - ref.sol(ts)) <= 20.0 * rtol * y_max[:, None])
+    ts = np.linspace(ref.t[0], ref.t[-1], 50)
+    assert np.all(np.abs(own.sol(ts) - ref.sol(ts)) <= 20.0 * rtol * y_max[:, None])
     assert abs(len(own.t) - len(ref.t)) <= 0.1 * (len(ref.t) - 1)
 
 
@@ -273,16 +277,14 @@ def test_each_step_is_scipys_dop853_step(monkeypatch, mu):
         assert np.all(np.abs(res.y[:, i + 1] - y_new) <= 4.0 * EPS * terms), (mu, i)
 
 
-@pytest.mark.parametrize("profile", [False, True], ids=["plain", "dense"])
 @pytest.mark.parametrize("family", [trivial, log_power_family])
 @pytest.mark.parametrize("mu", [2.0, 6.0, 12.0, 24.0])
-def test_loop_reproduces_scipy_on_shots(monkeypatch, mu, family, profile):
+def test_loop_reproduces_scipy_on_shots(monkeypatch, mu, family):
     # the shot's own state function, start, level and split mark
-    calls = _solve_ivp_arguments(monkeypatch, lambda: shoot(mu, family(), profile=profile))
+    calls = _solve_ivp_arguments(monkeypatch, lambda: shoot(mu, family()))
     assert len(calls) == 1
     args, kwargs = calls[0]
     assert kwargs["level"] == -mu ** 2 and len(kwargs["marks"]) == 1
-    assert kwargs["dense_output"] == profile
     _assert_whole_solve_near_scipy(args, kwargs)
 
 
@@ -290,15 +292,22 @@ def test_loop_reproduces_scipy_on_the_linearized_w0_solve(monkeypatch):
     calls = _solve_ivp_arguments(monkeypatch, lambda: solve_linearized(source_w0, r_max=2e3))
     assert len(calls) == 1
     args, kwargs = calls[0]
-    assert kwargs["dense_output"] and not kwargs["marks"] and kwargs["level"] is None
+    assert not kwargs["marks"] and kwargs["level"] is None
     _assert_whole_solve_near_scipy(args, kwargs)
 
 
-def _assert_steps_within_eps_of_scipy(args, kwargs, extensions_skipped=0):
-    # extensions_skipped: steps on which SciPy builds the continuous
-    # extension for a mark and radial_ode does not, 3 calls each
+def _assert_steps_within_eps_of_scipy(args, kwargs):
+    # SciPy's dense output takes 3 calls on every step; radial_ode's loop
+    # takes them only on a step that holds a stop, and its extension takes
+    # them on every step, on the first read
     own, ref = _solved_with_scipy(args, kwargs)
-    assert own.t.shape == ref.t.shape and own.nfev == ref.nfev - 3 * extensions_skipped
+    steps = len(ref.t) - 1
+    stop_steps = {int(np.searchsorted(own.t, m)) for m in own.mark_states}
+    stop_steps |= {steps} if own.t_event is not None else set()
+    assert own.t.shape == ref.t.shape
+    assert own.nfev == ref.nfev - 3 * steps + 3 * len(stop_steps)
+    own.sol(own.t)
+    assert own.sol.nfev == 3 * steps
     assert np.all(np.abs(own.t - ref.t) <= 4.0 * EPS * np.maximum(1.0, np.abs(ref.t)))
     y_max = np.max(np.abs(ref.y), axis=1)
     assert np.all(np.abs(own.y - ref.y) <= 4.0 * EPS * y_max[:, None])
@@ -330,30 +339,24 @@ def test_events_fire_and_end_the_solve_as_in_scipy():
     assert res.t_event == free.t[3] and np.array_equal(res.t, free.t[:4])
     _assert_steps_within_eps_of_scipy(args, on_node)
     # a mark exactly at a node is recorded once, by the step that ends
-    # there; SciPy's two-sided rule fires on both steps meeting at the node
-    # and builds one more extension
+    # there (SciPy's two-sided rule fires on both steps meeting at the node)
     at_node = {**tols, "marks": (free.t[3],)}
     res = radial_ode.solve_ivp(*args, **at_node)
     assert list(res.mark_states) == [free.t[3]]
-    _assert_steps_within_eps_of_scipy(args, at_node, extensions_skipped=1)
+    _assert_steps_within_eps_of_scipy(args, at_node)
 
 
 def test_mark_state_is_the_dense_output_there():
     # a mark strictly inside a step, and the level crossing, read the piece
     # of the continuous extension that eval_state_t reads there: the event
-    # step's extension on floats has the container's bits, and a solve
-    # without dense output gives the same nodes, marks and crossing
+    # step's extension on floats, taken before the solution is read, has
+    # the container's bits
     t10 = np.log(10.0)
-    kwargs = {"mass": True, "marks": (t10,), "level": -np.log(1e4)}
-    sol = liouville_solve(20.0, **kwargs)
+    sol = liouville_solve(20.0, mass=True, marks=(t10,), level=-np.log(1e4))
     assert not np.any(sol.grid.t_nodes == t10)
     assert np.exp(sol.t_event) == pytest.approx(np.sqrt(1e4 - 1.0), rel=1e-10)
     assert np.array_equal(sol.mark_states[t10], sol.eval_state_t(t10))
     assert np.array_equal(sol.end_state, sol.eval_state_t(sol.t_event))
-    plain = liouville_solve(20.0, dense=False, **kwargs)
-    assert np.array_equal(plain.grid.t_nodes, sol.grid.t_nodes)
-    assert np.array_equal(plain.mark_states[t10], sol.mark_states[t10])
-    assert np.array_equal(plain.end_state, sol.end_state)
 
 
 def _peak_rate(t):
@@ -367,9 +370,10 @@ def test_dense_container_is_scipys_extension_of_the_same_steps():
     # F from that step's own product with D, in an OdeSolution over the
     # nodes, gives the stacked container's bits at every point
     res = radial_ode.solve_ivp(lambda t, y: _peak_rate(t), (0.0, 2.0), np.zeros(2),
-                               rtol=1e-6, atol=1e-12, dense_output=True)
+                               rtol=1e-6, atol=1e-12)
     ts, ext = res.t, res.sol
     assert len(ts) > 10
+    ext(ts[0])  # the first read builds the container
     pieces = []
     k_end = _peak_rate(ts[0])  # stage 0 is the rate at the end of the step before
     for i, h in enumerate(ext.h):
@@ -411,7 +415,9 @@ def _rates_checked_for_floats(monkeypatch, run):
             assert all(type(rate) is float for rate in rates), rates
             return rates
 
-        return own(checked, *args, **kwargs)
+        res = own(checked, *args, **kwargs)
+        res.sol(res.t[0])  # the extension's extra stages are checked too
+        return res
 
     monkeypatch.setattr(radial_ode, "solve_ivp", checked_solve)
     run()
@@ -426,12 +432,10 @@ def test_linearized_solves_step_on_floats(monkeypatch, source):
     assert _rates_checked_for_floats(monkeypatch, lambda: solve_linearized(source)) > 1000
 
 
-@pytest.mark.parametrize("profile", [False, True], ids=["plain", "dense"])
 @pytest.mark.parametrize("family", [trivial, log_power_family])
-def test_shots_step_on_floats(monkeypatch, family, profile):
+def test_shots_step_on_floats(monkeypatch, family):
     for mu in (2.0, 12.0):
-        assert _rates_checked_for_floats(
-            monkeypatch, lambda: shoot(mu, family(), profile=profile)) > 500
+        assert _rates_checked_for_floats(monkeypatch, lambda: shoot(mu, family())) > 500
 
 
 @pytest.mark.parametrize("rate", [
@@ -444,7 +448,8 @@ def test_step_sizes_follow_scipys_controller(rate):
     # rejections included, and nodes within a fraction of rtol
     args = (lambda t, y: rate(t), (0.0, 2.0), np.zeros(2))
     own, ref = _solved_with_scipy(args, {"rtol": 1e-6, "atol": 1e-12})
-    assert own.nfev == ref.nfev and own.t.shape == ref.t.shape
+    own.sol(own.t)
+    assert own.nfev + own.sol.nfev == ref.nfev and own.t.shape == ref.t.shape
     assert np.all(np.abs(own.t - ref.t) <= 1e-6)
     assert np.all(np.abs(own.y - ref.y) <= 1e-5 * np.max(np.abs(ref.y), axis=1)[:, None])
 

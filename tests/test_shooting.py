@@ -69,7 +69,7 @@ def test_energy_against_small_mu_physical_quadrature():
     gradient integral 2 pi int (u')^2 r dr is computable from the dense
     profile by plain quadrature.
     """
-    sol = shoot(3.0, trivial(), profile=True)
+    sol = shoot(3.0, trivial())
     t = np.linspace(sol.eta.t_min, sol.log_R, 60_000)
     _, v = sol.eta.eval_t(t)
     # |grad u|^2 dx = 2 pi (u')^2 r dr = 2 pi (v/mu)^2 dt in log radius
@@ -80,7 +80,7 @@ def test_energy_against_small_mu_physical_quadrature():
 def test_functional_value_against_mass_quadrature():
     # below the first node eval_t reads the core's fitted series, so the
     # integral still starts at R_START
-    sol = shoot(3.0, trivial(), profile=True)
+    sol = shoot(3.0, trivial())
     t = np.linspace(np.log(R_START), sol.log_R, 60_000)
     eta, _ = sol.eta.eval_t(t)
     u = 3.0 + eta / 3.0
@@ -102,7 +102,7 @@ def test_functional_value_against_pohozaev(family, mu):
     # e^{u^2 + 2t - 2 log R} dt by 8-point Gauss on every step of the dense
     # output and on the core's series from r = 1e-9 up to the first node
     spec = family()
-    sol = shoot(mu, spec, profile=True)
+    sol = shoot(mu, spec)
     v = sol.eta.r_derivs[-1]
     pohozaev = (np.pi * (1.0 + spec.g(0.0))
                 + 0.25 * np.pi * v * v * np.exp(mu * mu - 2.0 * sol.log_R))
@@ -149,10 +149,10 @@ def test_start_steps_down_past_a_kink_of_h(monkeypatch):
     # the start down the ladder
     spec = inverse_square_tail(a=2.0)
     mu = 2.0 + 1e-5
-    sol = shoot(mu, spec, profile=True)
+    sol = shoot(mu, spec)
     assert sol.eta.t_min < np.log(START_LADDER[0])
     tight = _from_low_start(monkeypatch, R_START,
-                            lambda: shoot(mu, spec, tol=1e-13, profile=True))
+                            lambda: shoot(mu, spec, tol=1e-13))
     start = sol.eta.eval_state_t(sol.eta.t_min)
     miss = np.abs(start - tight.eta.eval_state_t(sol.eta.t_min))
     assert np.all(miss <= [1e-14, 1e-14, 1e-11])
@@ -181,9 +181,9 @@ def test_start_state_matches_a_tight_solve(monkeypatch, family, mu):
     # the fitted start of a default shot against a tol = 1e-13 shot from
     # r = 1e-9, within each state's atol: 1e-3 tol on (eta, v), tol on the energy
     spec = family()
-    sol = shoot(mu, spec, profile=True)
+    sol = shoot(mu, spec)
     tight = _from_low_start(monkeypatch, 1e-9,
-                            lambda: shoot(mu, spec, tol=1e-13, profile=True))
+                            lambda: shoot(mu, spec, tol=1e-13))
     t0 = sol.eta.t_min
     miss = np.abs(sol.eta.eval_state_t(t0) - tight.eta.eval_state_t(t0))
     assert np.all(miss <= [1e-14, 1e-14, 1e-11])
@@ -221,7 +221,7 @@ def test_pde_residual_small():
     # the flux-form residual stays near the tolerance across the sweep range
     for family in (trivial, log_power_family):
         for mu in (3.45, 5.1, 6.0, 12.0, 24.0):
-            assert pde_residual(shoot(mu, family(), profile=True)) <= 1e-7
+            assert pde_residual(shoot(mu, family())) <= 1e-7
 
 
 def test_shot_nodes_do_not_grow_like_mu_squared():
@@ -282,57 +282,55 @@ def test_inverse_square_shot_matches_a_tight_shot(a, mu):
     assert abs(sol.log_R - tight.log_R) <= 1e-8
 
 
-@pytest.fixture(scope="module")
-def profile_free_shot():
-    return shoot(6.0, trivial())
-
-
-@pytest.mark.parametrize("read", [
-    lambda sol: sol.eta.eval_state_t(1.0),
-    lambda sol: sol.eta.eval_t(1.0),
-    lambda sol: sol.eta.eval(2.0),
-    pde_residual,
-    comparison_eta0,
-], ids=["eval_state_t", "eval_t", "eval", "pde_residual", "comparison_eta0"])
-def test_profile_free_shot_refuses_profile_reads(profile_free_shot, read):
-    with pytest.raises(ValueError, match=r"profile=True"):
-        read(profile_free_shot)
-
-
 @pytest.mark.parametrize("family", [
     trivial, log_power_family, lambda: inverse_square_tail(a=1.3)],
     ids=["trivial", "log-power", "inverse-square"])
 @pytest.mark.parametrize("mu", [0.5, 2.0, 6.0, 24.0])
 def test_profile_does_not_change_the_shot(family, mu):
-    # dense output is built after each step and never feeds step control
-    plain, dense = shoot(mu, family()), shoot(mu, family(), profile=True)
-    for name in ("log_R", "energy_total", "energy_inner"):
-        assert getattr(plain, name) == getattr(dense, name), name
-    assert np.array_equal(plain.eta.grid.t_nodes, dense.eta.grid.t_nodes)
+    # the continuous extension is built on the first read and never feeds
+    # the steps: a read shot keeps the numbers of an unread one
+    read, unread = shoot(mu, family()), shoot(mu, family())
+    pde_residual(read)
+    for name in ("log_R", "energy_total", "energy_inner", "energy_outer"):
+        assert getattr(read, name) == getattr(unread, name), name
+    assert read.eta.accepted_steps == unread.eta.accepted_steps
+    assert np.array_equal(read.eta.grid.t_nodes, unread.eta.grid.t_nodes)
+    assert np.array_equal(read.eta.end_state, unread.eta.end_state)
+    assert read.eta.mark_states.keys() == unread.eta.mark_states.keys()
+    for t in read.eta.mark_states:
+        assert np.array_equal(read.eta.mark_states[t], unread.eta.mark_states[t])
     # a boundary event before the split radius leaves all the energy inner:
     # at mu = 2 it does for trivial and log-power (log R = 1.93 < 3 log 2)
-    split_first = SPLIT_EXPONENT * np.log(mu) < plain.log_R
-    assert (plain.energy_inner == plain.energy_total) != split_first
+    split_first = SPLIT_EXPONENT * np.log(mu) < read.log_R
+    assert (read.energy_inner == read.energy_total) != split_first
 
 
 @pytest.mark.parametrize("mu", [1.0, 3.0, 12.0, 24.0])
 def test_profile_free_shot_skips_the_dense_output_calls(monkeypatch, mu):
     # DOP853's continuous extension costs 3 state-function calls per accepted
-    # step; a profile-free shot pays them only on the two steps holding the
-    # split mark and the boundary event
-    nfev = []
+    # step: the stepper pays them only on the two steps holding the split
+    # mark and the boundary event, 12 calls per attempt besides and 2 to
+    # start, and the shot's first read pays them on every step, once
+    results = []
     solve_ivp = radial_ode.solve_ivp
 
     def recording_solve_ivp(*args, **kwargs):
-        res = solve_ivp(*args, **kwargs)
-        nfev.append(res.nfev)
-        return res
+        results.append(solve_ivp(*args, **kwargs))
+        return results[-1]
 
     monkeypatch.setattr(radial_ode, "solve_ivp", recording_solve_ivp)
-    plain = shoot(mu, trivial())
-    shoot(mu, trivial(), profile=True)
-    steps = len(plain.eta.grid.t_nodes) - 1
-    assert nfev[1] - nfev[0] == 3 * (steps - 2)
+    spec = trivial()
+    calls = []
+    point = spec.point
+    spec.point = lambda u: calls.append(u) or point(u)
+    sol = shoot(mu, spec)
+    (res,) = results
+    assert (res.nfev - 2 - 3 * 2) % 12 == 0
+    assert sol.eta.nfev == len(calls) > res.nfev
+    unread, steps = sol.eta.nfev, sol.eta.accepted_steps
+    for _ in range(2):
+        sol.eta.eval_state_t(sol.eta.grid.t_nodes)
+        assert sol.eta.nfev == len(calls) == unread + 3 * steps
 
 
 def _with_dense_output(sol, eval_state_t):
