@@ -229,17 +229,21 @@ def _scipy_stops(own, ref, marks):
     return stops
 
 
-def _assert_whole_solve_near_scipy(args, kwargs):
+def _assert_whole_solve_near_scipy(args, kwargs, read=True):
     # the error estimate cancels to ~1e-5 of its terms, so another summation
-    # order moves every step a little: bounds in units of the tolerance
+    # order moves every step a little: bounds in units of the tolerance;
+    # read=False leaves the extension unread and checks it was never built
     own, ref = _solved_with_scipy(args, kwargs)
     rtol = kwargs["rtol"]
     y_max = np.max(np.abs(ref.y), axis=1)
     for mine, theirs, _, _ in _scipy_stops(own, ref, kwargs.get("marks", ())):
         assert abs(mine - theirs) <= rtol * max(1.0, abs(theirs))
     assert np.all(np.abs(own.y[:, -1] - ref.y[:, -1]) <= 10.0 * rtol * y_max)
-    ts = np.linspace(ref.t[0], ref.t[-1], 50)
-    assert np.all(np.abs(own.sol(ts) - ref.sol(ts)) <= 20.0 * rtol * y_max[:, None])
+    if read:
+        ts = np.linspace(ref.t[0], ref.t[-1], 50)
+        assert np.all(np.abs(own.sol(ts) - ref.sol(ts)) <= 20.0 * rtol * y_max[:, None])
+    else:
+        assert own.sol.nfev == 0
     assert abs(len(own.t) - len(ref.t)) <= 0.1 * (len(ref.t) - 1)
 
 
@@ -277,15 +281,17 @@ def test_each_step_is_scipys_dop853_step(monkeypatch, mu):
         assert np.all(np.abs(res.y[:, i + 1] - y_new) <= 4.0 * EPS * terms), (mu, i)
 
 
+@pytest.mark.parametrize("read", [False, True], ids=["plain", "dense"])
 @pytest.mark.parametrize("family", [trivial, log_power_family])
 @pytest.mark.parametrize("mu", [2.0, 6.0, 12.0, 24.0])
-def test_loop_reproduces_scipy_on_shots(monkeypatch, mu, family):
-    # the shot's own state function, start, level and split mark
+def test_loop_reproduces_scipy_on_shots(monkeypatch, mu, family, read):
+    # the shot's own state function, start, level and split mark; "plain"
+    # leaves the solution unread, "dense" also reads its extension
     calls = _solve_ivp_arguments(monkeypatch, lambda: shoot(mu, family()))
     assert len(calls) == 1
     args, kwargs = calls[0]
     assert kwargs["level"] == -mu ** 2 and len(kwargs["marks"]) == 1
-    _assert_whole_solve_near_scipy(args, kwargs)
+    _assert_whole_solve_near_scipy(args, kwargs, read)
 
 
 def test_loop_reproduces_scipy_on_the_linearized_w0_solve(monkeypatch):
@@ -400,9 +406,11 @@ def test_dense_container_is_scipys_extension_of_the_same_steps():
         assert np.array_equal(ext(t), ref(t))
 
 
-def _rates_checked_for_floats(monkeypatch, run):
+def _rates_checked_for_floats(monkeypatch, run, read=True):
     """Run run() with every radial_ode.solve_ivp state function checked: it
-    gets t and each state as a float and returns each rate as a float."""
+    gets t and each state as a float and returns each rate as a float.
+    read=True reads each solve's extension inside the checked call, so its
+    extra stages are checked too."""
     own = radial_ode.solve_ivp
     calls = []
 
@@ -416,7 +424,8 @@ def _rates_checked_for_floats(monkeypatch, run):
             return rates
 
         res = own(checked, *args, **kwargs)
-        res.sol(res.t[0])  # the extension's extra stages are checked too
+        if read:
+            res.sol(res.t[0])
         return res
 
     monkeypatch.setattr(radial_ode, "solve_ivp", checked_solve)
@@ -432,10 +441,13 @@ def test_linearized_solves_step_on_floats(monkeypatch, source):
     assert _rates_checked_for_floats(monkeypatch, lambda: solve_linearized(source)) > 1000
 
 
+@pytest.mark.parametrize("read", [False, True], ids=["plain", "dense"])
 @pytest.mark.parametrize("family", [trivial, log_power_family])
-def test_shots_step_on_floats(monkeypatch, family):
+def test_shots_step_on_floats(monkeypatch, family, read):
+    # "plain" checks the stepper alone, "dense" also the extension's stages
     for mu in (2.0, 12.0):
-        assert _rates_checked_for_floats(monkeypatch, lambda: shoot(mu, family())) > 500
+        assert _rates_checked_for_floats(
+            monkeypatch, lambda: shoot(mu, family()), read) > 500
 
 
 @pytest.mark.parametrize("rate", [
