@@ -43,9 +43,10 @@ extension.  The numbers are not bit-identical to
 its terms, so another summation order moves the step sizes a little.  The
 tests bound the difference (one step within 4 eps of SciPy's, whole
 solves within a few rtol).  Of SciPy's event machinery the loop keeps
-only the two stops that :func:`solve` asks for: a level, whose first
-crossing ends the solve, and marks, at which it records the state; a step
-that fails raises IntegrationError on the spot.
+only the one stop that :func:`solve` asks for, a level, whose first
+crossing ends the solve; a step that fails raises IntegrationError on
+the spot, and so does a step size that is not finite (SciPy's initial
+step is NaN when the state function is NaN at the start).
 It keeps SciPy's name, ``solve_ivp``, so that code wrapping
 ``radial_ode.solve_ivp`` (the benchmark's tracer, a test counting calls)
 still sees every solve; :func:`solve` looks the name up at call time for
@@ -54,32 +55,36 @@ that reason.
 Every solution evaluates between its nodes on the pair's continuous
 extension, its dense output, which ``eval*`` read.  DOP853 builds it from
 3 extra right-hand-side evaluations per accepted step, about a fifth of a
-solve's work, and most solves never read it: every number of a shot comes
-from the state at its two stops.  So the loop keeps each accepted step's
-size and its stage rows, and the solve's :class:`ContinuousExtension`
-builds itself the first time it is read: the 3 extra stages of every
-step, then the Horner coefficients of every step from one stacked product
-with DOP853's D, evaluated by ``searchsorted`` and SciPy's Horner form,
-vectorized over the points.  That gives the bits of SciPy's
-``OdeSolution`` of ``Dop853DenseOutput`` pieces with the same
-coefficients, without SciPy's cost of a piece per step on 2-3-float rows:
-on the linearized w0 solve to r = 1e6 (68 steps) the extension adds about
-9 us per step, its 3 state calls included, where SciPy's pieces added
-22-40 (best of 30 solves on a 2-vCPU host).  The step that holds the
-crossing or a mark gets its extension on Python floats inside the loop,
-and the root search for the crossing evaluates only u on it; its numbers
-are the container's, so the state at the level crossing and at each
-requested mark t is the one that ``eval_state_t`` reads there.  The
-extension's calls are not the stepper's: ``solve_ivp``'s ``nfev`` leaves
-them out, and ``RadialSolution.nfev`` counts them once they are made.
+solve's work, and most solves never read it between nodes: a shot reads
+it at one point, its split radius.  So the loop keeps each accepted
+step's start, size, states and stage rows, and the solve's
+:class:`ContinuousExtension` reads a scalar t off its own step alone, on
+Python floats, until an array of points is read.  That read builds the
+container: the 3 extra stages of every step, then the Horner coefficients
+of every step from one stacked product with DOP853's D, evaluated by
+``searchsorted`` and SciPy's Horner form, vectorized over the points.
+That gives the bits of SciPy's ``OdeSolution`` of ``Dop853DenseOutput``
+pieces with the same coefficients, without SciPy's cost of a piece per
+step on 2-3-float rows: on the linearized w0 solve to r = 1e6 (68 steps)
+the container adds about 9 us per step, its 3 state calls included, where
+SciPy's pieces added 22-40 (best of 30 solves on a 2-vCPU host).  One
+helper, :func:`_step_reader`, makes a step's float reader from its 3
+extra stages and its coefficients, with the container's numbers.  The
+root search for the crossing evaluates the crossing step's reader, and
+a scalar read makes each step's reader at most once and keeps it, the
+crossing step's included, so the state at the crossing and at any t is
+the one that the container reads there.  The extension's calls are not
+the stepper's: ``solve_ivp``'s ``nfev`` leaves them out, the crossing
+step's 3 apart, and ``RadialSolution.nfev`` counts them as they are made.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Dict, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -157,29 +162,28 @@ class RadialSolution:
     """Samples of a radial function u and of v = r u'(r) on a log grid.
 
     ``eval*`` interpolate between nodes with the integrator's continuous
-    extension (the dense output of the Runge-Kutta pair), built on the
-    first read, and evaluate the fitted series below the first node; a t
+    extension (the dense output of the Runge-Kutta pair): a scalar t reads
+    its own step on floats until the first read of an array builds the
+    whole extension, with the same numbers either way.  They evaluate the
+    fitted series below the first node; a t
     past ``t_max`` or a NaN t raises ValueError, where the last step's
     extension would extrapolate quietly.
     ``end_state`` is the whole state (u, r*u', quadrature states...) at the
-    last node, the level crossing when there is one, and ``mark_states``
-    maps each requested mark t that the solve reached to the whole state
-    there.  ``nfev`` counts the state-function calls, those of the start
-    fit included and those of the extension once it is built, and
-    ``accepted_steps`` the steps DOP853 took.
+    last node, the level crossing when there is one.  ``nfev`` counts the
+    state-function calls, those of the start fit included and those of the
+    extension as its reads make them, and ``accepted_steps`` the steps
+    DOP853 took.
     """
 
     def __init__(self, grid: LogRadialGrid, values, r_derivs,
                  extension: ContinuousExtension, t_event: Optional[float],
-                 end_state, mark_states: Dict[float, np.ndarray],
-                 series: np.ndarray, nfev: int, accepted_steps: int):
+                 end_state, series: np.ndarray, nfev: int, accepted_steps: int):
         self.grid = grid
         self.values = values
         self.r_derivs = r_derivs
         self._extension = extension
         self.t_event = t_event
         self.end_state = end_state
-        self.mark_states = mark_states
         self._series = series
         self._nfev = nfev
         self.accepted_steps = accepted_steps
@@ -224,39 +228,49 @@ class RadialSolution:
 class ContinuousExtension:
     """DOP853's continuous extension over every accepted step of a solve.
 
-    It is made from what the stepper kept: the state function, the nodes
-    ``ts`` and their states ``ys`` (lists of floats, the crossing last when
-    there is one), the end state ``y_end`` of the last step (past the
-    crossing when one cut the step short), and each step's size and stage
-    rows (stages 0 and 5-11 and the rate at the step's end).  The first
-    call takes the 3 extra stages of every step, on floats as in the step,
-    and the Horner coefficients ``F`` of all steps, shape (steps, 7,
-    states), from one stacked product; it then drops the state function
-    and the rows, and ``nfev`` counts those 3 calls per step.
-    Step i starts at node ``ts[i]`` with state ``y_old[i]`` and has the
-    step size ``h[i]``.  A point t reads the step that
-    ``searchsorted(ts, t, 'left') - 1`` picks, clipped to the steps, so a
-    node reads the step that ends there, and evaluates SciPy's Horner form
-    in SciPy's order, vectorized over the points: the same numbers as an
-    ``OdeSolution`` of ``Dop853DenseOutput`` pieces with the same
-    coefficients.  Like it, a scalar t gives the state, shape (states,),
-    and m points give shape (states, m).
+    It is made from what the stepper kept: the state function and, for
+    each step, its start t_old, size h, start and end states (lists of
+    floats; a crossing does not cut the step short here) and stage rows
+    (stages 0 and 5-11 and the rate at the step's end), with the float
+    readers of :func:`_step_reader` already made, by step.  A point t reads
+    the step that ``searchsorted(ts, t, 'left') - 1`` picks, clipped to the
+    steps, so a node reads the step that ends there.  Until an array is
+    read, a scalar t reads that step's float reader, made on its first
+    read and kept.  The first array read builds the container: the 3 extra
+    stages of every step, on floats as in the step, and the Horner
+    coefficients ``F`` of all steps, shape (steps, 7, states), from one
+    stacked product; it then drops the state function, the steps and the
+    readers.  Step i starts at ``ts[i]`` with state ``y_old[i]`` and has
+    the step size ``h[i]``; every point evaluates SciPy's Horner form in
+    SciPy's order: the same numbers as an ``OdeSolution`` of
+    ``Dop853DenseOutput`` pieces with the same coefficients, whichever
+    path reads it.  Like it, a scalar t gives the state, shape (states,),
+    and m points give shape (states, m).  ``nfev`` counts the calls made
+    here, 3 per reader and 3 per step of the build.
     """
 
-    def __init__(self, fun: Callable, ts: list, ys: list, y_end: list, hs: list, rows: list):
-        self._kept = (fun, ts, ys, y_end, hs, rows)
+    def __init__(self, fun: Callable, steps: list, readers: dict):
+        self._kept = (fun, steps, readers)
         self.nfev = 0
 
     def _build(self) -> None:
-        fun, ts, ys, y_end, hs, rows = self._kept
+        fun, steps, _ = self._kept
+        ts, hs, ys, ends, rows = zip(*steps)
         K = chain.from_iterable(chain.from_iterable(
             _extra_stages(fun, *step) for step in zip(ts, hs, ys, rows)))
-        K = np.fromiter(K, float, 12 * len(y_end) * len(hs)).reshape(len(hs), 12, -1)
-        self.ts, self.h, self.y_old = np.array(ts), np.array(hs), np.array(ys[:-1])
-        self.F = _coefficients(self.h, self.y_old, np.array(ys[1:-1] + [y_end]), K)
-        self.nfev, self._kept = 3 * len(hs), None
+        K = np.fromiter(K, float, 12 * len(ys[0]) * len(hs)).reshape(len(hs), 12, -1)
+        self.ts, self.h, self.y_old = np.array(ts), np.array(hs), np.array(ys)
+        self.F = _coefficients(self.h, self.y_old, np.array(ends), K)
+        self.nfev, self._kept = self.nfev + 3 * len(hs), None
 
     def __call__(self, t):
+        if self._kept is not None and np.ndim(t) == 0:
+            fun, steps, readers = self._kept
+            i = min(max(bisect_left(steps, t, key=lambda step: step[0]) - 1, 0), len(steps) - 1)
+            if i not in readers:
+                readers[i] = _step_reader(fun, *steps[i])
+                self.nfev += 3
+            return np.array(readers[i](float(t)))
         if self._kept is not None:
             self._build()
         t = np.asarray(t, dtype=float)
@@ -272,20 +286,19 @@ class ContinuousExtension:
 
 class IvpResult(NamedTuple):
     """What :func:`solve_ivp` returns: the nodes (the crossing last) and
-    their states, one row per state, the extension (built on its first
-    call), the crossing (None without one), the state at each reached mark
-    and the stepper's state-function calls."""
+    their states, one row per state, the extension (read as its docstring
+    says), the crossing (None without one) and the stepper's state-function
+    calls, the crossing step's 3 extra stages included."""
 
     t: np.ndarray
     y: np.ndarray
     sol: ContinuousExtension
     t_event: Optional[float]
-    mark_states: Dict[float, np.ndarray]
     nfev: int
 
 
 def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol,
-              marks: Sequence[float] = (), level: Optional[float] = None) -> IvpResult:
+              level: Optional[float] = None) -> IvpResult:
     """DOP853 on Python floats from t_span[0] to t_span[1], or to u = level.
 
     ``fun(t, y)`` gets the state as a list of floats and returns a sequence
@@ -295,17 +308,15 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol,
     ``dop853.f``, one comprehension over the state per stage, and the
     controller is SciPy's: its initial step, its safety factor and error
     exponent, growth between MIN_FACTOR and MAX_FACTOR, none right after a
-    rejection, and IntegrationError below a 10-ulp step.  The solve stops
-    at the first step on which y[0] - level changes sign (two-sided, so a
-    zero at either node counts): ``brentq`` at EVENT_XTOL finds the
-    crossing on the step's continuous extension, and the crossing becomes
-    the last node.  Each mark m in (t_old, t] of a step, t the crossing
-    when the step holds one, records the state at m on that extension.
-    Only such a step takes the extension's 3 extra stages in the loop, and
-    evaluates its extension on floats.  Every step keeps its size and its
-    stage rows for the solve's :class:`ContinuousExtension`, which takes
-    the extra stages of every step on its first call; ``nfev`` counts the
-    loop's calls alone.
+    rejection, and IntegrationError below a 10-ulp step or on a step size
+    that is not finite.  The solve stops at the first step on which
+    y[0] - level changes sign (two-sided, so a zero at either node counts):
+    ``brentq`` at EVENT_XTOL finds the crossing on that step's float reader
+    (:func:`_step_reader`, its 3 extra stages the only ones the loop
+    takes), and the crossing becomes the last node.  Every step keeps its
+    size and its stage rows for the solve's :class:`ContinuousExtension`,
+    which keeps the crossing step's reader; ``nfev`` counts the loop's
+    calls alone.
     """
     t, tf = map(float, t_span)
     if not t < tf:
@@ -334,17 +345,17 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol,
     e3_0, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11 = _E3
     g = None if level is None else y[0] - level
     ts, ys = [t], [y]
-    hs, rows = [], []  # each accepted step's size, and its stage rows for the extension
+    steps = []  # each accepted step's start, size, states and stage rows, for the extension
     t_event = None
-    mark_states: Dict[float, np.ndarray] = {}
+    readers = {}  # the crossing step's reader, for the extension
     while True:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN fails it: SciPy's initial step on a NaN rate
                 raise IntegrationError(f"integration failed near t={t:.6g} (r={np.exp(t):.6g}): "
-                                       f"the step fell below 10 ulp of t")
+                                       f"the step fell below 10 ulp of t or is not finite")
             t_new = min(t + h_abs, tf)
             h = h_abs = t_new - t
             k0 = f
@@ -408,35 +419,21 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol,
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
         t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
-        hs.append(h)
-        rows.append((k0, k5, k6, k7, k8, k9, k10, k11, f))
-        crossed = False
+        steps.append((t_old, h, y_old, y, (k0, k5, k6, k7, k8, k9, k10, k11, f)))
         if level is not None:
             g_old, g = g, y[0] - level
-            crossed = g_old <= 0.0 <= g or g_old >= 0.0 >= g
-        inside = [m for m in marks if t_old < m <= t]
-        if crossed or inside:
-            # this step's extension on floats, one column (state at t_old and
-            # its 7 coefficients) per state: the crossing's root search
-            # evaluates only u's, at 4-6 points on a shot
-            K = _extra_stages(fun, t_old, h, y_old, rows[-1])
-            nfev += 3
-            columns = list(zip(y_old, *_coefficients(h, np.array(y_old), np.array(y),
-                                                      np.array(K)).tolist()))
-            if crossed:
-                y_step = y
-                t = t_event = brentq(lambda s: _horner((s - t_old) / h, *columns[0]) - level,
-                                     t_old, t, xtol=EVENT_XTOL, rtol=EVENT_XTOL)
-                y = [_horner((t - t_old) / h, *column) for column in columns]
-            mark_states.update((m, np.array([_horner((m - t_old) / h, *column)
-                                             for column in columns]))
-                               for m in inside if m <= t)
+            if g_old <= 0.0 <= g or g_old >= 0.0 >= g:
+                read = readers[len(steps) - 1] = _step_reader(fun, *steps[-1])
+                nfev += 3
+                t = t_event = brentq(lambda s: read(s)[0] - level, t_old, t,
+                                     xtol=EVENT_XTOL, rtol=EVENT_XTOL)
+                y = read(t)
         ts.append(t)
         ys.append(y)
-        if crossed or t == tf:
+        if t_event is not None or t == tf:
             break
-    sol = ContinuousExtension(fun, ts, ys, y_step if crossed else y, hs, rows)
-    return IvpResult(np.array(ts), np.array(ys).T, sol, t_event, mark_states, nfev)
+    sol = ContinuousExtension(fun, steps, readers)
+    return IvpResult(np.array(ts), np.array(ys).T, sol, t_event, nfev)
 
 
 def _extra_stages(fun: Callable, t_old: float, h: float, y_old, stages) -> list:
@@ -486,15 +483,26 @@ def _coefficients(h, y_old: np.ndarray, y: np.ndarray, K: np.ndarray) -> np.ndar
     return F
 
 
-def _horner(x: float, p: float, f0, f1, f2, f3, f4, f5, f6) -> float:
-    """One state of a step's extension at x = (t - t_old) / h, on floats.
+def _step_reader(fun: Callable, t_old: float, h: float, y_old: list, y: list, stages) -> Callable:
+    """The continuous extension of the step [t_old, t_old + h] from y_old to y, on floats.
 
-    p is the state at t_old and f0-f6 its Horner coefficients; the
-    operations are SciPy's, in its order, so the bits are those of
-    ``Dop853DenseOutput`` and :class:`ContinuousExtension`.
+    It takes the step's 3 extra stages (:func:`_extra_stages`) and its
+    Horner coefficients (:func:`_coefficients`), and reads the whole state
+    at a t as a list of floats.  The operations are SciPy's, in its order,
+    so the bits are those of ``Dop853DenseOutput`` and of the
+    :class:`ContinuousExtension` container.
     """
-    x1 = 1.0 - x
-    return (((((((0.0 + f6) * x + f5) * x1 + f4) * x + f3) * x1 + f2) * x + f1) * x1 + f0) * x + p
+    K = _extra_stages(fun, t_old, h, y_old, stages)
+    columns = list(zip(y_old, *_coefficients(h, np.array(y_old), np.array(y),
+                                              np.array(K)).tolist()))
+
+    def read(t: float) -> list:
+        x = (t - t_old) / h
+        x1 = 1.0 - x
+        return [(((((((0.0 + f6) * x + f5) * x1 + f4) * x + f3) * x1 + f2) * x + f1) * x1 + f0) * x
+                + p for p, f0, f1, f2, f3, f4, f5, f6 in columns]
+
+    return read
 
 
 def _series_state(series: np.ndarray, t0: float, t):
@@ -542,7 +550,7 @@ def _start_holds(fun: Callable, d: np.ndarray, t0: float, atol,
 
 
 def solve(fun: Callable, t_end: float, rtol: float, atol,
-          level: Optional[float] = None, marks: Sequence[float] = ()) -> RadialSolution:
+          level: Optional[float] = None) -> RadialSolution:
     """Integrate from the fitted start to t_end, or to the first crossing u = level.
 
     ``fun(t, y)`` returns dy/dt for the state y = (u, v, q...):
@@ -557,13 +565,11 @@ def solve(fun: Callable, t_end: float, rtol: float, atol,
     counts off the result).  With a ``level`` the crossing is located by
     root-finding on the continuous extension of its step, and a missing
     crossing raises NoCrossingError (distinct from integrator failure).
-    Each t in ``marks`` is read off the extension of the step that holds
-    it, or off the series when it lies at or below the start.  The
-    solution's continuous extension is built on its first read.  An
-    ``rtol`` below MIN_RTOL raises ValueError: there the error estimate is
-    rounding noise.
+    A scalar read of the solution evaluates only its own step's extension;
+    the first read of an array builds the whole extension.  An ``rtol`` below
+    MIN_RTOL raises ValueError: there the error estimate is rounding noise.
     """
-    # written so that a NaN fails each test: the stepper never finishes on one
+    # written so that a NaN fails each test, before the stepper starts
     if not (rtol > 0 and np.all(np.asarray(atol) > 0) and np.log(R_START) < t_end < np.inf):
         raise ValueError(f"need positive tolerances and a finite t_end above "
                          f"log R_START, got rtol={rtol}, atol={atol}, t_end={t_end}")
@@ -582,11 +588,8 @@ def solve(fun: Callable, t_end: float, rtol: float, atol,
         d = _fit_start(counted, t0)
         if t0 == rungs[-1] or _start_holds(counted, d, t0, atol, level):
             break
-    res = solve_ivp(fun, (t0, t_end), d.sum(axis=1), rtol=rtol, atol=atol,
-                    marks=marks, level=level)
+    res = solve_ivp(fun, (t0, t_end), d.sum(axis=1), rtol=rtol, atol=atol, level=level)
     if level is not None and res.t_event is None:
         raise NoCrossingError(f"u never reached level {level} before t_end={t_end}")
-    marked = {m: _series_state(d, t0, m) if m <= t0 else res.mark_states[m]
-              for m in marks if m <= t0 or m in res.mark_states}
     return RadialSolution(LogRadialGrid(res.t), res.y[0], res.y[1], res.sol, res.t_event,
-                          res.y[:, -1], marked, d, fit_calls + res.nfev, len(res.t) - 1)
+                          res.y[:, -1], d, fit_calls + res.nfev, len(res.t) - 1)

@@ -16,8 +16,7 @@ The Dirichlet energy equals the integral of lambda (1+h(u)) u^2 e^{u^2}
 over the disk, accumulated in rescaled coordinates as a quadrature state,
 state 2 of the solve.  It is integrated by one
 :func:`mtlab.radial_ode.solve` call with DOP853, no cap on the step in
-t = log r, the boundary event as its level and the split radius
-t = SPLIT_EXPONENT log mu as its mark.  The solve
+t = log r and the boundary event as its level.  The solve
 fits the start to the analytic core itself (an even series in r, checked
 against this state function; see :mod:`mtlab.radial_ode`) at r = 1e-2, or
 lower on its ladder when the check fails: at mu = 0.05 the series of the
@@ -26,9 +25,11 @@ A split radius below the start is read off that series.  The state
 function calls the family's scalar kernel ``point`` once per evaluation,
 the fit's included, in plain ``math`` on Python floats, returns its rates
 as a tuple of floats for radial_ode's float stepper, and raises
-IntegrationError when the kernel returns a non-finite value (a NaN would
-otherwise stall the stepper).  The functional needs no state of its own:
-:func:`functional_value` is the Pohozaev closed form on the boundary state.
+IntegrationError when the kernel returns a non-finite value: at once,
+naming mu, the family and u, where the stepper alone raises only after
+rejecting its step down to 10 ulp and names none of them.  The
+functional needs no state of its own: :func:`functional_value` is the
+Pohozaev closed form on the boundary state.
 
 Every state has the relative tolerance tol.  The energy has the absolute
 tolerance tol, and eta and v the floor ETA_ATOL_FACTOR tol = 1e-3 tol.
@@ -45,12 +46,16 @@ misses by at most 3.5e-11, while 3 of 201 log-power shots miss by more
 than 1e-9, the worst by 2.8e-9 at mu = 3.05.
 
 Every number of a shot (log R, the energies, the boundary slope) is read
-from the state at those two stops.  DOP853's continuous extension, which
-the profile between the nodes needs, costs 3 more state-function calls
-per accepted step, about a fifth of a shot's calls, so radial_ode builds
-it on the first read of ``sol.eta`` (by :func:`pde_residual`,
-:func:`comparison_eta0` or ``sol.eta.eval*``), and a shot that nobody
-reads never pays for it.  Reading it changes no number of the shot.
+from the state at the boundary event and, for the inner energy, at the
+split radius t = SPLIT_EXPONENT log mu, one scalar read of the solution.
+DOP853's continuous extension, which the profile between the nodes
+needs, costs 3 more state-function calls per accepted step, about a
+fifth of a shot's calls.  So that scalar read takes only its own step's
+3 (none when the split lies in the boundary event's step, whose
+extension the event's root search already made), and radial_ode builds
+the rest on the first array read of ``sol.eta`` (by :func:`pde_residual`,
+:func:`comparison_eta0` or ``sol.eta.eval*``); a shot that nobody reads
+never pays for it.  Reading it changes no number of the shot.
 
 :func:`pde_residual` checks a finished shot against the same state function.
 A shot is returned as data; :mod:`mtlab.cli` renders it as JSON or CSV.
@@ -114,7 +119,11 @@ class ShotSolution:
 
 
 def _checked_point(spec: PerturbationSpec, mu: float, u: float):
-    """(h(u), g(u)) from the family's scalar kernel, checked to be finite."""
+    """(h(u), g(u)) from the family's scalar kernel, checked to be finite.
+
+    radial_ode raises on a NaN rate too, but past the start only after
+    rejecting the step down to 10 ulp, and without mu, the family or u.
+    """
     hu, gu = spec.point(u)
     if not math.isfinite(hu + gu):
         raise IntegrationError(
@@ -156,7 +165,9 @@ def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11) -> ShotSolution
     """Integrate to the boundary event and accumulate energy splits.
 
     The inner energy is taken over the rescaled ball of radius mu^p with
-    p = SPLIT_EXPONENT (p > 2 required for the inner/outer expansion).
+    p = SPLIT_EXPONENT (p > 2 required for the inner/outer expansion): the
+    energy state read at t = p log mu, off the series below the start, and
+    the whole energy when that radius lies past the boundary event.
     """
     if not (MU_MIN <= mu <= MU_MAX):
         raise ValueError(f"mu={mu} outside supported range [{MU_MIN}, {MU_MAX}]")
@@ -167,8 +178,7 @@ def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11) -> ShotSolution
     abs_tol = np.array([eta_atol, eta_atol, tol])
     t_split = SPLIT_EXPONENT * np.log(mu)
     try:
-        sol = solve(_state(mu, spec), 0.55 * mu2 + 10.0, tol, abs_tol,
-                    level=-mu2, marks=(t_split,))
+        sol = solve(_state(mu, spec), 0.55 * mu2 + 10.0, tol, abs_tol, level=-mu2)
     except NoCrossingError as exc:
         raise EventNotReachedError(
             f"boundary event eta = -mu^2 not reached for mu={mu} "
@@ -177,7 +187,7 @@ def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11) -> ShotSolution
     log_R = sol.t_event
     energy_total = float(sol.end_state[2])
     # a split radius past the boundary leaves the whole energy inner
-    split = sol.mark_states.get(t_split, sol.end_state)
+    split = sol.eval_state_t(t_split) if t_split <= sol.t_max else sol.end_state
     energy_inner = float(split[2])
     return ShotSolution(
         mu=mu,

@@ -1,9 +1,13 @@
 """Log-radius initial-value integration against closed-form solutions."""
 
 import math
-import warnings
-
+import os
 import re
+import subprocess
+import sys
+import textwrap
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +15,14 @@ import scipy.integrate
 from scipy.integrate import DOP853, OdeSolution
 from scipy.integrate._ivp.rk import Dop853DenseOutput, rk_step
 
+import mtlab
 from mtlab import profiles as pf
 from mtlab import radial_ode
 from mtlab.linearized import solve_linearized, source_w0, source_wa, source_z0
 from mtlab.perturbations import log_power_family, trivial
 from mtlab.radial_ode import (MIN_RTOL, R_START, START_LADDER, IntegrationError,
                               NoCrossingError, solve)
-from mtlab.shooting import shoot
+from mtlab.shooting import SPLIT_EXPONENT, shoot
 
 
 def liouville_state(t, y):
@@ -62,12 +67,16 @@ def test_nfev_counts_every_state_call():
     sol = solve(counted, np.log(1e3), 1e-12, 1e-12)
     assert sol.nfev == len(calls)
     assert sol.accepted_steps == len(sol.grid.t_nodes) - 1 > 0
-    # the first read builds the continuous extension, 3 calls per step
+    # a scalar read takes its own step's 3 extra stages; the first array
+    # read builds the continuous extension, 3 calls per step
     unread = sol.nfev
     sol.eval_t(0.0)
-    assert sol.nfev == len(calls) == unread + 3 * sol.accepted_steps
-    sol.eval_t(sol.grid.t_nodes)
-    assert sol.nfev == len(calls) == unread + 3 * sol.accepted_steps
+    assert sol.nfev == len(calls) == unread + 3
+    for _ in range(2):
+        sol.eval_t(sol.grid.t_nodes)
+        assert sol.nfev == len(calls) == unread + 3 + 3 * sol.accepted_steps
+    sol.eval_t(1.0)
+    assert sol.nfev == len(calls) == unread + 3 + 3 * sol.accepted_steps
 
 
 def test_start_steps_down_past_the_level():
@@ -78,9 +87,12 @@ def test_start_steps_down_past_the_level():
     assert np.exp(sol.t_event) == pytest.approx(3e-3, rel=1e-9)
 
 
-def test_marks_below_the_start_read_the_series():
-    sol = liouville_solve(np.log(1e3), mass=True, marks=(np.log(1e-4),))
-    state = sol.mark_states[np.log(1e-4)]
+def test_reads_below_the_start_give_the_series_state():
+    # the whole state, quadrature included, and no state-function call
+    sol = liouville_solve(np.log(1e3), mass=True)
+    unread = sol.nfev
+    state = sol.eval_state_t(np.log(1e-4))
+    assert sol.t_min > np.log(1e-4) and sol.nfev == unread
     assert state[0] == pytest.approx(pf.eta0(1e-4), rel=1e-12)
     # the planar mass 4 pi r^2 / (1+r^2) inside r
     assert state[2] == pytest.approx(4.0 * np.pi * 1e-8 / (1.0 + 1e-8), rel=1e-12)
@@ -109,16 +121,30 @@ def test_event_location():
     assert sol.t_max == sol.t_event
 
 
-def test_marks_without_dense_output():
-    # each reached mark records the whole state, read off the continuous
-    # extension of its own step while the solution is not yet read; a mark
-    # past t_end is absent
+def test_scalar_read_of_an_unread_solution():
+    # a scalar read of a solution whose container is not built evaluates
+    # its own step's extension on floats: 3 calls on a new step, none on a
+    # step already read, and no build (which would take 3 per step); it
+    # has the container's bits, read before the build or after it
     t10 = np.log(10.0)
-    sol = liouville_solve(np.log(1e3), mass=True, marks=(t10, 8.0))
-    assert list(sol.mark_states) == [t10]
-    state = sol.mark_states[t10]
+    sol = liouville_solve(np.log(1e3), mass=True)
+    unread, nodes = sol.nfev, sol.grid.t_nodes
+    state = sol.eval_state_t(t10)
     assert state[0] == pytest.approx(pf.eta0(10.0), abs=1e-10)
     assert state[2] == pytest.approx(4.0 * np.pi * 100.0 / 101.0, rel=1e-9)
+    assert sol.nfev == unread + 3
+    i = int(np.searchsorted(nodes, t10))  # the step [nodes[i - 1], nodes[i]]
+    assert nodes[i - 1] < t10 < nodes[i]
+    same_step = (0.5 * (nodes[i - 1] + t10), nodes[i])  # a node reads the step ending there
+    next_step = 0.5 * (nodes[i] + nodes[i + 1])
+    points = (t10, *same_step, t10, next_step, sol.t_max)
+    before = [sol.eval_state_t(t) for t in points]
+    assert sol.nfev == unread + 3 * 3
+    assert np.array_equal(before[0], state) and np.array_equal(before[3], state)
+    after = sol.eval_state_t(np.array(points)).T  # the first array read builds
+    assert sol.nfev == unread + 3 * 3 + 3 * sol.accepted_steps
+    assert np.array_equal(np.array(before), after)
+    assert all(np.array_equal(sol.eval_state_t(t), y) for t, y in zip(points, before))
     assert sol.end_state[0] == sol.values[-1]
 
 
@@ -145,7 +171,7 @@ def test_rtol_below_the_floor_rejected():
 
 
 def test_solve_rejects_nonfinite_inputs():
-    # a NaN passes a plain `<= 0` check and the stepper then never finishes
+    # a NaN passes a plain `<= 0` check; each is refused before the stepper starts
     for kw in ({"t_end": 1.0, "rtol": np.nan}, {"t_end": 1.0, "atol": np.nan},
                {"t_end": np.nan}, {"t_end": np.inf}, {"t_end": np.log(R_START)}):
         with pytest.raises(ValueError):
@@ -189,7 +215,8 @@ EPS = np.finfo(float).eps
 
 
 def _scipy_events(marks=(), level=None):
-    """radial_ode.solve_ivp's marks and level as SciPy events, the level terminal."""
+    """Reads at the marks and radial_ode.solve_ivp's level as SciPy events,
+    the level terminal."""
     events = [lambda t, y, m=m: t - m for m in marks]
     if level is not None:
         def crossing(t, y):
@@ -200,50 +227,57 @@ def _scipy_events(marks=(), level=None):
     return events or None
 
 
-def _solved_with_scipy(args, kwargs):
+def _solved_with_scipy(args, kwargs, marks=()):
     """radial_ode.solve_ivp and SciPy's solve_ivp, with its dense output, on
-    the same arguments.
+    the same arguments, SciPy with an event at each mark t.
 
     Exact on what the steps cannot move: whether the level ends the solve
-    and which marks are reached.
+    and which marks lie on the solution, those SciPy's events find.
     """
     own = radial_ode.solve_ivp(*args, **kwargs)
-    stops = {k: kwargs[k] for k in ("marks", "level") if k in kwargs}
-    rest = {k: v for k, v in kwargs.items() if k not in stops}
-    ref = scipy.integrate.solve_ivp(*args, method="DOP853", events=_scipy_events(**stops),
-                                    dense_output=True, **rest)
+    rest = {k: v for k, v in kwargs.items() if k != "level"}
+    ref = scipy.integrate.solve_ivp(*args, method="DOP853", dense_output=True, **rest,
+                                    events=_scipy_events(marks, kwargs.get("level")))
     assert (own.t_event is not None) == (ref.status == 1)
-    reached = {m for m, te in zip(stops.get("marks", ()), ref.t_events or ()) if len(te)}
-    assert set(own.mark_states) == reached
+    reached = [m for m, te in zip(marks, ref.t_events or ()) if len(te)]
+    assert reached == [m for m in marks if own.t[0] < m <= own.t[-1]]
     return own, ref
 
 
 def _scipy_stops(own, ref, marks):
-    """(radial_ode's t, SciPy's t, radial_ode's state, SciPy's state) at each stop."""
-    stops = []
-    for m, state in own.mark_states.items():
-        i = list(marks).index(m)
-        stops.append((m, ref.t_events[i][0], state, ref.y_events[i][0]))
+    """(radial_ode's t, SciPy's t, radial_ode's state, SciPy's state) at each
+    mark on the solution, radial_ode's read by one scalar read each, and at
+    the crossing."""
+    stops = [(m, ref.t_events[i][0], own.sol(m), ref.y_events[i][0])
+             for i, m in enumerate(marks) if len(ref.t_events[i])]
     if own.t_event is not None:
         stops.append((own.t_event, ref.t_events[-1][0], own.y[:, -1], ref.y_events[-1][0]))
     return stops
 
 
-def _assert_whole_solve_near_scipy(args, kwargs, read=True):
+def _new_steps(own, marks):
+    """How many steps the reads at the marks on the solution take the extra
+    stages of: one each, less the crossing step's, which the loop took."""
+    steps = {int(np.searchsorted(own.t, m)) for m in marks if own.t[0] < m <= own.t[-1]}
+    return len(steps - ({len(own.t) - 1} if own.t_event is not None else set()))
+
+
+def _assert_whole_solve_near_scipy(args, kwargs, read=True, marks=()):
     # the error estimate cancels to ~1e-5 of its terms, so another summation
     # order moves every step a little: bounds in units of the tolerance;
-    # read=False leaves the extension unread and checks it was never built
-    own, ref = _solved_with_scipy(args, kwargs)
+    # read=False reads the marks alone and checks the container was never built
+    own, ref = _solved_with_scipy(args, kwargs, marks)
     rtol = kwargs["rtol"]
     y_max = np.max(np.abs(ref.y), axis=1)
-    for mine, theirs, _, _ in _scipy_stops(own, ref, kwargs.get("marks", ())):
+    for mine, theirs, y_mine, y_theirs in _scipy_stops(own, ref, marks):
         assert abs(mine - theirs) <= rtol * max(1.0, abs(theirs))
+        assert np.all(np.abs(y_mine - y_theirs) <= 10.0 * rtol * y_max)
     assert np.all(np.abs(own.y[:, -1] - ref.y[:, -1]) <= 10.0 * rtol * y_max)
     if read:
         ts = np.linspace(ref.t[0], ref.t[-1], 50)
         assert np.all(np.abs(own.sol(ts) - ref.sol(ts)) <= 20.0 * rtol * y_max[:, None])
     else:
-        assert own.sol.nfev == 0
+        assert own.sol.nfev == 3 * _new_steps(own, marks)
     assert abs(len(own.t) - len(ref.t)) <= 0.1 * (len(ref.t) - 1)
 
 
@@ -270,7 +304,7 @@ def test_each_step_is_scipys_dop853_step(monkeypatch, mu):
     calls = _solve_ivp_arguments(monkeypatch, lambda: shoot(mu, trivial()))
     (fun, t_span, y0), kwargs = calls[0]
     res = radial_ode.solve_ivp(fun, t_span, y0, kwargs["rtol"], kwargs["atol"],
-                               marks=kwargs["marks"], level=kwargs["level"])
+                               level=kwargs["level"])
     K = np.empty((DOP853.n_stages + 1, len(y0)))
     for i in range(len(res.t) - 2):  # the last node is the boundary event
         t, y = float(res.t[i]), res.y[:, i]
@@ -285,84 +319,94 @@ def test_each_step_is_scipys_dop853_step(monkeypatch, mu):
 @pytest.mark.parametrize("family", [trivial, log_power_family])
 @pytest.mark.parametrize("mu", [2.0, 6.0, 12.0, 24.0])
 def test_loop_reproduces_scipy_on_shots(monkeypatch, mu, family, read):
-    # the shot's own state function, start, level and split mark; "plain"
-    # leaves the solution unread, "dense" also reads its extension
+    # the shot's own state function, start and level, and its read at the
+    # split radius; "plain" reads only that, "dense" also the extension
     calls = _solve_ivp_arguments(monkeypatch, lambda: shoot(mu, family()))
     assert len(calls) == 1
     args, kwargs = calls[0]
-    assert kwargs["level"] == -mu ** 2 and len(kwargs["marks"]) == 1
-    _assert_whole_solve_near_scipy(args, kwargs, read)
+    assert kwargs == {"rtol": kwargs["rtol"], "atol": kwargs["atol"], "level": -mu ** 2}
+    _assert_whole_solve_near_scipy(args, kwargs, read, marks=(SPLIT_EXPONENT * np.log(mu),))
 
 
 def test_loop_reproduces_scipy_on_the_linearized_w0_solve(monkeypatch):
     calls = _solve_ivp_arguments(monkeypatch, lambda: solve_linearized(source_w0, r_max=2e3))
     assert len(calls) == 1
     args, kwargs = calls[0]
-    assert not kwargs["marks"] and kwargs["level"] is None
+    assert kwargs["level"] is None
     _assert_whole_solve_near_scipy(args, kwargs)
 
 
-def _assert_steps_within_eps_of_scipy(args, kwargs):
+def _assert_steps_within_eps_of_scipy(args, kwargs, marks=()):
     # SciPy's dense output takes 3 calls on every step; radial_ode's loop
-    # takes them only on a step that holds a stop, and its extension takes
-    # them on every step, on the first read
-    own, ref = _solved_with_scipy(args, kwargs)
+    # takes them only on the crossing step, a scalar read at a mark on
+    # another step takes them there, and the extension takes them on every
+    # step on the first array read
+    own, ref = _solved_with_scipy(args, kwargs, marks)
     steps = len(ref.t) - 1
-    stop_steps = {int(np.searchsorted(own.t, m)) for m in own.mark_states}
-    stop_steps |= {steps} if own.t_event is not None else set()
     assert own.t.shape == ref.t.shape
-    assert own.nfev == ref.nfev - 3 * steps + 3 * len(stop_steps)
+    assert own.nfev == ref.nfev - 3 * steps + 3 * (own.t_event is not None)
+    stops = _scipy_stops(own, ref, marks)
+    assert own.sol.nfev == 3 * _new_steps(own, marks)
     own.sol(own.t)
-    assert own.sol.nfev == 3 * steps
+    assert own.sol.nfev == 3 * _new_steps(own, marks) + 3 * steps
     assert np.all(np.abs(own.t - ref.t) <= 4.0 * EPS * np.maximum(1.0, np.abs(ref.t)))
     y_max = np.max(np.abs(ref.y), axis=1)
     assert np.all(np.abs(own.y - ref.y) <= 4.0 * EPS * y_max[:, None])
-    for mine, theirs, y_mine, y_theirs in _scipy_stops(own, ref, kwargs.get("marks", ())):
+    for mine, theirs, y_mine, y_theirs in stops:
         assert abs(mine - theirs) <= 4.0 * EPS * max(1.0, abs(theirs))
         assert np.all(np.abs(y_mine - y_theirs) <= 4.0 * EPS * y_max)
 
 
 def test_events_fire_and_end_the_solve_as_in_scipy():
-    # u = -t reaches the level -5 inside the step that also holds the marks
-    # t = 3 and t = 7: the mark before the crossing is recorded, the one
-    # after it is not, as in SciPy with the level a terminal event
+    # u = -t reaches the level -5 inside the step that also holds t = 3 and
+    # t = 7: a read at t = 3 gives the state there, while t = 7 lies past
+    # the crossing, where the solution ends and a read raises, as SciPy's
+    # event there does not fire with the level a terminal event
     args = (lambda t, y: (-1.0, 0.5), (0.0, 10.0), np.zeros(2))
     tols = {"rtol": 1e-3, "atol": 1e-6}
-    free = radial_ode.solve_ivp(*args, **tols, marks=(3.0, 7.0))
+    free = radial_ode.solve_ivp(*args, **tols)
     assert free.t[-2] < 3.0 and free.t[-1] == 10.0  # one step holds all three
-    assert list(free.mark_states) == [3.0, 7.0] and free.t_event is None
-    stopped = {**tols, "marks": (3.0, 7.0), "level": -5.0}
+    assert free.t_event is None
+    assert free.sol(7.0) == pytest.approx([-7.0, 3.5], abs=1e-12)
+    _assert_steps_within_eps_of_scipy(args, tols, marks=(3.0, 7.0))
+    stopped = {**tols, "level": -5.0}
     res = radial_ode.solve_ivp(*args, **stopped)
     assert np.array_equal(res.t[:-1], free.t[:-1])
-    assert list(res.mark_states) == [3.0]
-    assert res.mark_states[3.0] == pytest.approx([-3.0, 1.5], abs=1e-12)
     assert res.t[-1] == res.t_event == pytest.approx(5.0, abs=1e-12)
     assert res.y[0, -1] == pytest.approx(-5.0, abs=1e-12)
-    _assert_steps_within_eps_of_scipy(args, stopped)
+    sol = radial_ode.RadialSolution(radial_ode.LogRadialGrid(res.t), res.y[0], res.y[1],
+                                    res.sol, res.t_event, res.y[:, -1], np.zeros((2, 3)),
+                                    res.nfev, len(res.t) - 1)
+    assert sol.eval_state_t(3.0) == pytest.approx([-3.0, 1.5], abs=1e-12)
+    with pytest.raises(ValueError, match="t_max"):
+        sol.eval_state_t(7.0)
+    _assert_steps_within_eps_of_scipy(args, stopped, marks=(3.0, 7.0))
     # a level met exactly at a node ends the solve there
     on_node = {**tols, "level": float(free.y[0, 3])}
     res = radial_ode.solve_ivp(*args, **on_node)
     assert res.t_event == free.t[3] and np.array_equal(res.t, free.t[:4])
     _assert_steps_within_eps_of_scipy(args, on_node)
-    # a mark exactly at a node is recorded once, by the step that ends
-    # there (SciPy's two-sided rule fires on both steps meeting at the node)
-    at_node = {**tols, "marks": (free.t[3],)}
-    res = radial_ode.solve_ivp(*args, **at_node)
-    assert list(res.mark_states) == [free.t[3]]
-    _assert_steps_within_eps_of_scipy(args, at_node)
+    # a read exactly at a node reads the step that ends there (SciPy's
+    # two-sided rule fires its event on both steps meeting at the node)
+    _assert_steps_within_eps_of_scipy(args, tols, marks=(free.t[3],))
 
 
-def test_mark_state_is_the_dense_output_there():
-    # a mark strictly inside a step, and the level crossing, read the piece
-    # of the continuous extension that eval_state_t reads there: the event
-    # step's extension on floats, taken before the solution is read, has
-    # the container's bits
+def test_crossing_step_reader_is_the_dense_output_there():
+    # the level crossing is read off its step's extension on floats, which
+    # the solution keeps: a read in that step costs no call, and it and
+    # the crossing have the container's bits, as has a read strictly inside
+    # another step
     t10 = np.log(10.0)
-    sol = liouville_solve(20.0, mass=True, marks=(t10,), level=-np.log(1e4))
-    assert not np.any(sol.grid.t_nodes == t10)
+    sol = liouville_solve(20.0, mass=True, level=-np.log(1e4))
+    nodes, unread = sol.grid.t_nodes, sol.nfev
     assert np.exp(sol.t_event) == pytest.approx(np.sqrt(1e4 - 1.0), rel=1e-10)
-    assert np.array_equal(sol.mark_states[t10], sol.eval_state_t(t10))
-    assert np.array_equal(sol.end_state, sol.eval_state_t(sol.t_event))
+    t_last = 0.5 * (nodes[-2] + nodes[-1])
+    points = (t_last, sol.t_event, t10)
+    before = [sol.eval_state_t(t) for t in points]
+    assert sol.nfev == unread + 3  # t10's step alone
+    assert not np.any(nodes == t10) and t10 < nodes[-2]
+    assert np.array_equal(before[1], sol.end_state)
+    assert np.array_equal(np.array(before), sol.eval_state_t(np.array(points)).T)
 
 
 def _peak_rate(t):
@@ -379,10 +423,9 @@ def test_dense_container_is_scipys_extension_of_the_same_steps():
                                rtol=1e-6, atol=1e-12)
     ts, ext = res.t, res.sol
     assert len(ts) > 10
-    ext(ts[0])  # the first read builds the container
     pieces = []
     k_end = _peak_rate(ts[0])  # stage 0 is the rate at the end of the step before
-    for i, h in enumerate(ext.h):
+    for i, h in enumerate(np.diff(ts)):  # the loop's h is t_new - t
         t_old = ts[i]
         times = ([t_old + c * h for c in DOP853.C[5:]] + [t_old + h]
                  + [t_old + c * h for c in DOP853.C_EXTRA])
@@ -398,19 +441,23 @@ def test_dense_container_is_scipys_extension_of_the_same_steps():
     ref = OdeSolution(ts, pieces)
     rng = np.random.default_rng(0)
     unsorted = rng.uniform(ts[0], ts[-1], 200)
+    scalars = (*unsorted[:5], ts[3], ts[-1], -0.5)
+    # scalar reads before the build read each step's extension on floats
+    before = [ext(t) for t in scalars]
+    assert 0 < ext.nfev < 3 * (len(ts) - 1)
     for t in (unsorted, ts, ts[::-1], np.array([ts[-1]]), np.array([-0.5, 2.5])):
         assert ext(t).shape == (2, len(t))
         assert np.array_equal(ext(t), ref(t))
-    for t in (*unsorted[:5], ts[3], ts[-1], -0.5):
-        assert ext(t).shape == (2,)
-        assert np.array_equal(ext(t), ref(t))
+    for t, y in zip(scalars, before):
+        assert ext(t).shape == y.shape == (2,)
+        assert np.array_equal(ext(t), ref(t)) and np.array_equal(y, ref(t))
 
 
 def _rates_checked_for_floats(monkeypatch, run, read=True):
     """Run run() with every radial_ode.solve_ivp state function checked: it
     gets t and each state as a float and returns each rate as a float.
-    read=True reads each solve's extension inside the checked call, so its
-    extra stages are checked too."""
+    read=True reads each solve's extension at its nodes inside the checked
+    call, so the extra stages of every step are checked too."""
     own = radial_ode.solve_ivp
     calls = []
 
@@ -425,7 +472,7 @@ def _rates_checked_for_floats(monkeypatch, run, read=True):
 
         res = own(checked, *args, **kwargs)
         if read:
-            res.sol(res.t[0])
+            res.sol(res.t)
         return res
 
     monkeypatch.setattr(radial_ode, "solve_ivp", checked_solve)
@@ -489,3 +536,35 @@ def test_nonfinite_state_fails_near_where_it_turns():
         solve(state, 3.0, 1e-10, 1e-10)
     t_fail = float(re.search(r"t=(\S+) ", str(info.value)).group(1))
     assert t_fail == pytest.approx(1.0, abs=1e-4)
+
+
+_NONFINITE_STARTS = textwrap.dedent("""
+    import math
+    from mtlab import radial_ode
+    from mtlab.linearized import solve_linearized, source_wa
+
+    def nan_below(t, y):
+        return (math.nan, math.nan) if t < -10.0 else (y[1], -math.exp(2.0 * t))
+
+    for solve in (lambda: solve_linearized(source_wa(float("nan")), r_max=10.0),
+                  lambda: radial_ode.solve(lambda t, y: (math.nan, math.nan), 1.0, 1e-10, 1e-12),
+                  lambda: radial_ode.solve(nan_below, 1.0, 1e-10, 1e-12)):
+        try:
+            solve()
+        except radial_ode.IntegrationError as exc:
+            print(exc)
+""")
+
+
+def test_nonfinite_start_raises_instead_of_hanging():
+    # a state that is NaN at the start makes SciPy's initial step NaN, which
+    # a plain `h < min_step` test lets through to reject forever; a child
+    # process with a timeout turns such a hang into a failure
+    src = str(Path(mtlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _NONFINITE_STARTS], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3 and all("not finite" in line for line in lines), lines

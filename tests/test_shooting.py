@@ -296,9 +296,10 @@ def test_profile_does_not_change_the_shot(family, mu):
     assert read.eta.accepted_steps == unread.eta.accepted_steps
     assert np.array_equal(read.eta.grid.t_nodes, unread.eta.grid.t_nodes)
     assert np.array_equal(read.eta.end_state, unread.eta.end_state)
-    assert read.eta.mark_states.keys() == unread.eta.mark_states.keys()
-    for t in read.eta.mark_states:
-        assert np.array_equal(read.eta.mark_states[t], unread.eta.mark_states[t])
+    # the split read off the built container and off its step's kept reader
+    t_split = SPLIT_EXPONENT * np.log(mu)
+    if t_split <= read.eta.t_max:
+        assert np.array_equal(read.eta.eval_state_t(t_split), unread.eta.eval_state_t(t_split))
     # a boundary event before the split radius leaves all the energy inner:
     # at mu = 2 it does for trivial and log-power (log R = 1.93 < 3 log 2)
     split_first = SPLIT_EXPONENT * np.log(mu) < read.log_R
@@ -308,29 +309,54 @@ def test_profile_does_not_change_the_shot(family, mu):
 @pytest.mark.parametrize("mu", [1.0, 3.0, 12.0, 24.0])
 def test_profile_free_shot_skips_the_dense_output_calls(monkeypatch, mu):
     # DOP853's continuous extension costs 3 state-function calls per accepted
-    # step: the stepper pays them only on the two steps holding the split
-    # mark and the boundary event, 12 calls per attempt besides and 2 to
-    # start, and the shot's first read pays them on every step, once
-    results = []
-    solve_ivp = radial_ode.solve_ivp
-
-    def recording_solve_ivp(*args, **kwargs):
-        results.append(solve_ivp(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(radial_ode, "solve_ivp", recording_solve_ivp)
-    spec = trivial()
-    calls = []
-    point = spec.point
-    spec.point = lambda u: calls.append(u) or point(u)
-    sol = shoot(mu, spec)
-    (res,) = results
-    assert (res.nfev - 2 - 3 * 2) % 12 == 0
-    assert sol.eta.nfev == len(calls) > res.nfev
+    # step: the stepper pays them only on the step holding the boundary
+    # event, 12 calls per attempt besides and 2 to start, the read at the
+    # split radius on its own step (at these mu another one), and the
+    # shot's first array read on every step, once
+    sol, res, fit_calls, calls = _recorded_shot(monkeypatch, mu, trivial())
+    assert (res.nfev - 2 - 3) % 12 == 0
+    assert res.sol.nfev == 3
+    assert sol.eta.nfev == len(calls) == fit_calls + res.nfev + 3
     unread, steps = sol.eta.nfev, sol.eta.accepted_steps
     for _ in range(2):
         sol.eta.eval_state_t(sol.eta.grid.t_nodes)
         assert sol.eta.nfev == len(calls) == unread + 3 * steps
+
+
+def _recorded_shot(monkeypatch, mu, spec):
+    """(the shot, its solve_ivp result, the number of kernel calls made
+    before the stepper, and the list of all kernel calls), one kernel call
+    per state-function call."""
+    calls, results = [], []
+    point, solve_ivp = spec.point, radial_ode.solve_ivp
+    spec.point = lambda u: calls.append(u) or point(u)
+
+    def recording_solve_ivp(*args, **kwargs):
+        results.append(len(calls))
+        results.append(solve_ivp(*args, **kwargs))
+        return results[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(radial_ode, "solve_ivp", recording_solve_ivp)
+        sol = shoot(mu, spec)
+    fit_calls, res = results
+    return sol, res, fit_calls, calls
+
+
+@pytest.mark.parametrize("family, mus", [
+    (trivial, [2.32, 2.35, 2.37]),
+    (log_power_family, [2.32, 2.34, 2.36, 2.38, 2.40, 2.42])], ids=["trivial", "log-power"])
+def test_split_in_the_event_step_reads_its_kept_extension(monkeypatch, family, mus):
+    # at these mu the split radius lies in the step that holds the boundary
+    # event, whose extension the event's root search made on floats: the
+    # read reuses it, so the shot makes no call past the start's and the
+    # stepper's (3 more without the reuse), and it has the container's bits
+    for mu in mus:
+        sol, res, fit_calls, calls = _recorded_shot(monkeypatch, mu, family())
+        t_split, nodes = SPLIT_EXPONENT * np.log(mu), sol.eta.grid.t_nodes
+        assert nodes[-2] < t_split < sol.log_R, mu
+        assert sol.eta.nfev == len(calls) == fit_calls + res.nfev and res.sol.nfev == 0
+        assert sol.energy_inner == sol.eta.eval_state_t(np.array([t_split]))[2, 0]
 
 
 def _with_dense_output(sol, eval_state_t):
