@@ -110,15 +110,15 @@ def energy_scan(mu_list: Sequence[float], spec: PerturbationSpec,
                 tol: float = 1e-11) -> ExpansionScan:
     """Shoot each mu and collect the energy coefficients.
 
-    An empty ``mu_list``, a mu outside [MU_MIN, MU_MAX] or a ``tol`` below
-    MIN_RTOL (NaN included) raises ValueError before any shot.
+    An empty ``mu_list``, a mu outside [MU_MIN, MU_MAX] or a ``tol``
+    outside [MIN_RTOL, 1) (NaN included) raises ValueError before any shot.
     """
     if not len(mu_list):
         raise ValueError("empty mu grid: nothing to scan")
     _check_supported(mu_list)
-    if not tol >= MIN_RTOL:
+    if not MIN_RTOL <= tol < 1:
         raise ValueError(f"need tol at or above the floor 100 eps = "
-                         f"{MIN_RTOL:.3g}, got tol={tol:g}")
+                         f"{MIN_RTOL:.3g} and below 1, got tol={tol:g}")
     mus, cs, inner, outer, energies = [], [], [], [], []
     failures: Dict[float, str] = {}
     for mu in sorted(mu_list):

@@ -305,7 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("residuals", help="profile-hierarchy residuals")
+    p = sub.add_parser(
+        "residuals", help="profile-hierarchy residuals",
+        description="Profile-hierarchy residuals at each mu.  The CSV prints 17 "
+                    "digits, but at the default shot tolerance sup_z_err holds "
+                    "only 5-7 significant digits (fewer as mu grows) and "
+                    "phi_over_xi 7-9; the rest is shot error.")
     p.add_argument("--mu", type=float, nargs="+", required=True)
     _add_family_flags(p)
     p.set_defaults(func=cmd_residuals)

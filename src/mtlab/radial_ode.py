@@ -568,11 +568,14 @@ def solve(fun: Callable, t_end: float, rtol: float, atol,
     A scalar read of the solution evaluates only its own step's extension;
     the first read of an array builds the whole extension.  An ``rtol`` below
     MIN_RTOL raises ValueError: there the error estimate is rounding noise.
+    So do an ``rtol`` of 1 or more and an infinite ``atol``, which accept
+    every step.
     """
     # written so that a NaN fails each test, before the stepper starts
-    if not (rtol > 0 and np.all(np.asarray(atol) > 0) and np.log(R_START) < t_end < np.inf):
-        raise ValueError(f"need positive tolerances and a finite t_end above "
-                         f"log R_START, got rtol={rtol}, atol={atol}, t_end={t_end}")
+    if not (0 < rtol < 1 and 0 < np.min(atol) and np.max(atol) < np.inf
+            and np.log(R_START) < t_end < np.inf):
+        raise ValueError(f"need 0 < rtol < 1, finite positive atol and a finite t_end "
+                         f"above log R_START, got rtol={rtol}, atol={atol}, t_end={t_end}")
     if not rtol >= MIN_RTOL:
         raise ValueError(f"rtol={rtol:g} is below the floor 100 eps = {MIN_RTOL:.3g}, "
                          f"where the error estimate is rounding noise")

@@ -43,9 +43,10 @@ def test_energy_scan_records_failures(monkeypatch, trivial_spec):
     assert list(scan.mu_values) == [6.0]
 
 
-@pytest.mark.parametrize("tol", [1e-15, 0.0, -1e-11, float("nan")])
+@pytest.mark.parametrize("tol", [1e-15, 0.0, -1e-11, float("nan"), 1.0, float("inf")])
 def test_energy_scan_rejects_tol_below_the_floor(monkeypatch, trivial_spec, tol):
-    # rejected before any shot instead of recorded as a failure per mu
+    # rejected before any shot instead of recorded as a failure per mu; so is
+    # a tol of 1 or more, which accepts every step
     def no_shot(*args, **kwargs):
         raise AssertionError("shoot called")
 

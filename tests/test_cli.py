@@ -188,6 +188,11 @@ def test_config_error_exit_code(capsys):
     assert run(["shoot", "--mu", "100"]) == EXIT_CONFIG
     # a NaN tolerance or radius is rejected before the integrator starts
     assert run(["shoot", "--mu", "6", "--tol", "nan"]) == EXIT_CONFIG
+    # and so are tolerances of 1 or more, which accept every step
+    for tol in ("1", "2", "inf"):
+        assert run(["shoot", "--mu", "12", "--tol", tol]) == EXIT_CONFIG
+    assert run(["scan", "--mu-from", "2", "--mu-to", "3", "--steps", "2",
+                "--tol", "inf"]) == EXIT_CONFIG
     # so is one below the floor 100 eps, where the error estimate is rounding noise
     capsys.readouterr()
     assert run(["shoot", "--mu", "6", "--tol", "1e-15"]) == EXIT_CONFIG

@@ -1,5 +1,6 @@
 """Log-radius initial-value integration against closed-form solutions."""
 
+import inspect
 import math
 import os
 import re
@@ -170,10 +171,27 @@ def test_rtol_below_the_floor_rejected():
         liouville_solve(1.0, rtol=MIN_RTOL)
 
 
+def test_scipy_internals_have_the_shape_the_stepper_uses():
+    # solve_ivp calls SciPy's private initial-step rule with positional
+    # arguments and steps with the private controller constants of its RK
+    # module; a SciPy that changes either fails here by name (checked with
+    # SciPy 1.17.1, whose rule takes t_bound and max_step)
+    names = list(inspect.signature(radial_ode.select_initial_step).parameters)
+    assert names == ["fun", "t0", "y0", "t_bound", "max_step", "f0", "direction",
+                     "order", "rtol", "atol"], f"SciPy {scipy.__version__}: {names}"
+    constants = (radial_ode.SAFETY, radial_ode.MIN_FACTOR, radial_ode.MAX_FACTOR)
+    assert constants == (0.9, 0.2, 10), f"SciPy {scipy.__version__}: {constants}"
+
+
 def test_solve_rejects_nonfinite_inputs():
-    # a NaN passes a plain `<= 0` check; each is refused before the stepper starts
+    # a NaN passes a plain `<= 0` check; each is refused before the stepper
+    # starts, as are an rtol of 1 or more and an infinite atol, which would
+    # accept every step
     for kw in ({"t_end": 1.0, "rtol": np.nan}, {"t_end": 1.0, "atol": np.nan},
-               {"t_end": np.nan}, {"t_end": np.inf}, {"t_end": np.log(R_START)}):
+               {"t_end": np.nan}, {"t_end": np.inf}, {"t_end": np.log(R_START)},
+               {"t_end": 1.0, "rtol": 1.0}, {"t_end": 1.0, "rtol": 2.0},
+               {"t_end": 1.0, "rtol": np.inf}, {"t_end": 1.0, "atol": np.inf},
+               {"t_end": 1.0, "atol": np.array([1e-12, np.inf])}):
         with pytest.raises(ValueError):
             liouville_solve(**kw)
 
