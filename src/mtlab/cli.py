@@ -142,13 +142,12 @@ def cmd_tables(args) -> int:
 
 
 def cmd_beta(args) -> int:
-    r_hi = 1e6  # top of the slope window: the solve must reach it
     # written so that a NaN fails the test
-    if not r_hi <= args.r_max:
-        raise ValueError(f"need r_max >= {r_hi:g}, the top of the slope window, "
-                         f"got r_max={args.r_max}")
+    if not linearized.SLOPE_R_HI <= args.r_max:
+        raise ValueError(f"need r_max >= {linearized.SLOPE_R_HI:g}, the top of the slope "
+                         f"window, got r_max={args.r_max}")
     sol = linearized.solve_linearized(linearized.source_z0, r_max=args.r_max)
-    slope_ode, spread = linearized.extract_log_slope(sol, r_hi=r_hi)
+    slope_ode, spread = linearized.extract_log_slope(sol)
     integral = quadrature.beta_from_source(linearized.source_z0)
     slope_int = integral.value
     closed = -6.0 - np.pi ** 2 / 3.0

@@ -39,6 +39,7 @@ __all__ = [
 
 LINEARIZED_TOL = 1e-12  # relative and absolute tolerance of solve_linearized
 SLOPE_R_LO = 1e3  # bottom of extract_log_slope's window
+SLOPE_R_HI = 1e6  # top of extract_log_slope's window: the solve must reach it
 SLOPE_SAMPLES = 64  # log-spaced radii that extract_log_slope reads
 
 
@@ -92,24 +93,17 @@ def solve_linearized(source: Callable, r_max: float = 1e6) -> RadialSolution:
     return solve(state, np.log(r_max), LINEARIZED_TOL, LINEARIZED_TOL)
 
 
-def extract_log_slope(sol: RadialSolution, r_hi: float = 1e6):
+def extract_log_slope(sol: RadialSolution):
     """Estimate beta in w(r) = beta log r + O(1) from the tail of r w'(r).
 
     Returns (beta_hat, error_estimate); beta_hat is the median of r w'(r)
-    over SLOPE_SAMPLES log-spaced samples in [SLOPE_R_LO, r_hi], the error
-    estimate is the half-spread of the central 80% of the samples.  A
-    non-finite or non-positive r_hi, or one below 100 SLOPE_R_LO, raises
-    ValueError.
+    over SLOPE_SAMPLES log-spaced samples in [SLOPE_R_LO, SLOPE_R_HI], the
+    error estimate is the half-spread of the central 80% of the samples.
+    A solution that ends below SLOPE_R_HI raises ValueError.
     """
-    # written so that a NaN fails the test
-    if not 0.0 < r_hi < np.inf:
-        raise ValueError(f"need 0 < r_hi < inf, got r_hi={r_hi}")
-    if r_hi < 100.0 * SLOPE_R_LO:
-        raise ValueError(f"need r_hi >= 100 SLOPE_R_LO = {100.0 * SLOPE_R_LO:g} for a "
-                         f"meaningful tail, got r_hi={r_hi}")
-    if not np.log(r_hi) <= sol.t_max:
-        raise ValueError("solution not defined up to r_hi")
-    t = np.linspace(np.log(SLOPE_R_LO), np.log(r_hi), SLOPE_SAMPLES)
+    if not np.log(SLOPE_R_HI) <= sol.t_max:
+        raise ValueError(f"solution not defined up to SLOPE_R_HI = {SLOPE_R_HI:g}")
+    t = np.linspace(np.log(SLOPE_R_LO), np.log(SLOPE_R_HI), SLOPE_SAMPLES)
     _, v = sol.eval_t(t)
     beta_hat = float(np.median(v))
     lo, hi = np.quantile(v, [0.1, 0.9])

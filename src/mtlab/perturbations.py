@@ -8,12 +8,12 @@ function g; the Euler-Lagrange equation only sees the combination
 Built-in families: the smooth-cutoff log-power family, its oscillating
 variant, and the inverse-square tail h(t) = -a t^{-2} (t >= R) used to
 probe the critical decay rate.  Every family has a scalar kernel
-``point(t) -> (h(t), g(t))`` for one float, written in plain ``math``: a
-shot calls it once per right-hand-side evaluation.  The two cutoff
-families write their formula once, over a namespace: ``math`` for that
-kernel and NumPy for their array ``h`` and ``g``, which evaluate it only
-where g is not identically 0; the inverse-square tail defines h only, so
-it has no functional F.  ``check_conditions`` samples the two decay
+``point(t) -> h(t)`` for one float, written in plain ``math``: a shot
+calls it once per right-hand-side evaluation and never reads g.  The two
+cutoff families write their formula once, over a namespace: ``math`` for
+that kernel and NumPy for their array ``h`` and ``g``, which evaluate it
+only where g is not identically 0; the inverse-square tail defines h
+only, so it has no functional F.  ``check_conditions`` samples the two decay
 conditions (t^2 h(t) -> 0 and the t^4-modulus-of-continuity condition) and
 reports a monotone-trend verdict; ``delta_k`` is the perturbation scale
 entering the expansion of the rescaled solutions.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -47,17 +47,17 @@ CONDITION_SAMPLES = 25  # t values sampled by check_conditions
 class PerturbationSpec:
     """An (h, optionally g) perturbation with cached bounds.
 
-    ``h`` and ``g`` take arrays; ``point(t) -> (h(t), g(t))`` takes one
-    float t > 0 and returns two floats, with 0.0 for the g part of a
-    family without g.  Every spec passes its own ``point``: shots call
-    only it, while the maximizer and the checkers call the arrays.
+    ``h`` and ``g`` take arrays; ``point(t) -> h(t)`` takes one float
+    t > 0 and returns h(t) as a float.  Every spec passes its own
+    ``point``: shots call only it, while the maximizer, the checkers and
+    ``shooting.functional_value`` call the arrays.
     ``h`` must be total on (0, inf); ``sup_h`` / ``inf_h`` are computed
     on a fixed log grid plus the zero tail limit, so they are
     reproducible.
     """
 
     h: Callable
-    point: Callable[[float], Tuple[float, float]]
+    point: Callable[[float], float]
     g: Optional[Callable] = None
     name: str = "custom"
     family_params: Dict = field(default_factory=dict)
@@ -84,8 +84,8 @@ def _cutoff_family(a: float, R: float, p: float, core: Callable,
     from e^{-1/y} so results are bit-reproducible; g vanishes on [0, R]
     and ``core(lg, xp)`` (derivative ``core_slope(lg, xp)``) is only
     evaluated at lg = log s >= log R.  The arithmetic is written once, over
-    a namespace xp: ``math`` for ``point``, which gives h = g + g'/(2t) and
-    g at one t, and NumPy for the array ``h`` and ``g``, which evaluate it
+    a namespace xp: ``math`` for ``point``, which gives h = g + g'/(2t) at
+    one t, and NumPy for the array ``h`` and ``g``, which evaluate it
     only where |t| > R.  On 1 < |t|/R < 2 one evaluation of the two bridge
     exponentials serves chi and chi', and one of log s and s^{-p} serves g
     and g'.  ``h`` is undefined at t = 0 (ValueError).
@@ -112,9 +112,9 @@ def _cutoff_family(a: float, R: float, p: float, core: Callable,
         s = abs(t)
         x = s / R
         if x <= 1.0:
-            return 0.0, 0.0
+            return 0.0
         chi, dchi = bridge(x, math) if x < 2.0 else (1.0, 0.0)
-        return active(s, chi, dchi, math)
+        return active(s, chi, dchi, math)[0]
 
     def arrays(t):
         s = np.abs(np.asarray(t, dtype=float))
@@ -143,7 +143,7 @@ def trivial() -> PerturbationSpec:
     """The unperturbed functional: g = h = 0."""
     zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     return PerturbationSpec(h=zero, g=zero, name="trivial",
-                            point=lambda t: (0.0, 0.0))
+                            point=lambda t: 0.0)
 
 
 def log_power_family(a: float = 1.0, p: float = 3.0, q: float = 0.0,
@@ -199,7 +199,7 @@ def inverse_square_tail(a: float = 1.0, R: Optional[float] = None) -> Perturbati
         t = np.asarray(t, dtype=float)
         return -a / np.maximum(t, R) ** 2
 
-    return PerturbationSpec(h=h, point=lambda t: (-a / max(t, R) ** 2, 0.0),
+    return PerturbationSpec(h=h, point=lambda t: -a / max(t, R) ** 2,
                             name="inverse-square",
                             family_params={"a": a, "R": R})
 

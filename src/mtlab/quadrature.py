@@ -45,6 +45,7 @@ __all__ = [
 PI = np.pi
 ZETA3 = float(zeta(3.0))
 R_CUT = 1e10  # integrate_plane's outer limit; a majorant bounds the rest
+BETA_TOL = 1e-10  # beta_from_source's absolute tolerance on beta
 
 
 @dataclass(frozen=True)
@@ -82,11 +83,12 @@ def integrate_plane(f: Callable, tol: float = 1e-10) -> QuadratureResult:
     ``R_CUT`` is bounded by an empirically calibrated majorant and must fit
     within tol/2 for every component, otherwise TailBoundError is raised.
     A half-range whose adaptive pass stops short of its tolerance raises
-    IntegrationError.  A tolerance that is not positive (NaN included)
-    raises ValueError.
+    IntegrationError.  A tolerance that is not finite and positive (NaN
+    included) raises ValueError.
     """
-    if not tol > 0:
-        raise ValueError(f"need a positive tolerance, got tol={tol}")
+    # written so that a NaN fails the test
+    if not 0 < tol < np.inf:
+        raise ValueError(f"need a finite positive tolerance, got tol={tol}")
     # inner disc in the radial variable, outer part in t = log r
     inner, err_in, info_in = quad_vec(lambda r: f(r) * r, 0.0, 1.0,
                                       epsabs=tol / (8 * PI), epsrel=1e-13,
@@ -119,13 +121,14 @@ def integrate_plane(f: Callable, tol: float = 1e-10) -> QuadratureResult:
                             nodes_used=info_in.neval + info_out.neval)
 
 
-def beta_from_source(f: Callable, tol: float = 1e-10) -> QuadratureResult:
+def beta_from_source(f: Callable) -> QuadratureResult:
     """Log-slope beta of the solution with source f, via the weighted integral.
 
     beta = -(2/pi) int psi0 f dx with psi0 = (r^2-1)/(1+r^2)^3: the
-    integral's result scaled by -2/pi, its ``abs_error`` by 2/pi.
+    integral's result scaled by -2/pi, its ``abs_error`` by 2/pi, at the
+    tolerance BETA_TOL on beta.
     """
-    res = integrate_plane(lambda r: pf.psi0(r) * f(r), tol=tol * PI / 2.0)
+    res = integrate_plane(lambda r: pf.psi0(r) * f(r), tol=BETA_TOL * PI / 2.0)
     return QuadratureResult(value=-2.0 / PI * res.value, abs_error=2.0 / PI * res.abs_error,
                             nodes_used=res.nodes_used)
 

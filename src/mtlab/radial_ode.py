@@ -58,24 +58,25 @@ extension, its dense output, which ``eval*`` read.  DOP853 builds it from
 solve's work, and most solves never read it between nodes: a shot reads
 it at one point, its split radius.  So the loop keeps each accepted
 step's start, size, states and stage rows, and the solve's
-:class:`ContinuousExtension` reads a scalar t off its own step alone, on
-Python floats, until an array of points is read.  That read builds the
-container: the 3 extra stages of every step, then the Horner coefficients
-of every step from one stacked product with DOP853's D, evaluated by
-``searchsorted`` and SciPy's Horner form, vectorized over the points.
-That gives the bits of SciPy's ``OdeSolution`` of ``Dop853DenseOutput``
-pieces with the same coefficients, without SciPy's cost of a piece per
-step on 2-3-float rows: on the linearized w0 solve to r = 1e6 (68 steps)
-the container adds about 9 us per step, its 3 state calls included, where
-SciPy's pieces added 22-40 (best of 30 solves on a 2-vCPU host).  One
-helper, :func:`_step_reader`, makes a step's float reader from its 3
-extra stages and its coefficients, with the container's numbers.  The
-root search for the crossing evaluates the crossing step's reader, and
-a scalar read makes each step's reader at most once and keeps it, the
-crossing step's included, so the state at the crossing and at any t is
-the one that the container reads there.  The extension's calls are not
-the stepper's: ``solve_ivp``'s ``nfev`` leaves them out, the crossing
-step's 3 apart, and ``RadialSolution.nfev`` counts them as they are made.
+:class:`ContinuousExtension` reads every point, a scalar t or one of an
+array, off its own step alone, on Python floats.  One helper,
+:func:`_step_reader`, makes a step's reader from its 3 extra stages and
+its Horner coefficients (one product with DOP853's D) on the step's
+first read, and the extension keeps it; the readers evaluate SciPy's
+Horner form in SciPy's order, so they give the bits of SciPy's
+``OdeSolution`` of ``Dop853DenseOutput`` pieces with the same
+coefficients.  A point then costs about 1.7 us, where a NumPy evaluation
+vectorized over the points of all steps cost about 0.2 us (the 667
+nodes and Gauss points of a shot's PDE residual at mu = 12, 2-vCPU
+host).  So a read that touches every step, such as that residual, costs
+more than it would on one container of all steps, and a read that
+touches few costs less: the 64 slope radii of ``mtlab beta`` lie on 12
+of the z0 solve's 72 steps, and only those 12 take their extra stages.
+The root search for the crossing evaluates the crossing step's reader,
+which the extension keeps, so the state at the crossing and at any t is
+the one that a read gives there.  The extension's calls are not the
+stepper's: ``solve_ivp``'s ``nfev`` leaves them out, the crossing step's
+3 apart, and ``RadialSolution.nfev`` counts them as they are made.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -162,12 +162,11 @@ class RadialSolution:
     """Samples of a radial function u and of v = r u'(r) on a log grid.
 
     ``eval*`` interpolate between nodes with the integrator's continuous
-    extension (the dense output of the Runge-Kutta pair): a scalar t reads
-    its own step on floats until the first read of an array builds the
-    whole extension, with the same numbers either way.  They evaluate the
-    fitted series below the first node; a t
-    past ``t_max`` or a NaN t raises ValueError, where the last step's
-    extension would extrapolate quietly.
+    extension (the dense output of the Runge-Kutta pair): every t, scalar
+    or in an array, reads its own step on floats.  They evaluate the
+    fitted series below the first node; a t past ``t_max`` or a NaN t
+    raises ValueError, where the last step's extension would extrapolate
+    quietly.
     ``end_state`` is the whole state (u, r*u', quadrature states...) at the
     last node, the level crossing when there is one.  ``nfev`` counts the
     state-function calls, those of the start fit included and those of the
@@ -228,60 +227,38 @@ class RadialSolution:
 class ContinuousExtension:
     """DOP853's continuous extension over every accepted step of a solve.
 
-    It is made from what the stepper kept: the state function and, for
-    each step, its start t_old, size h, start and end states (lists of
-    floats; a crossing does not cut the step short here) and stage rows
-    (stages 0 and 5-11 and the rate at the step's end), with the float
-    readers of :func:`_step_reader` already made, by step.  A point t reads
-    the step that ``searchsorted(ts, t, 'left') - 1`` picks, clipped to the
-    steps, so a node reads the step that ends there.  Until an array is
-    read, a scalar t reads that step's float reader, made on its first
-    read and kept.  The first array read builds the container: the 3 extra
-    stages of every step, on floats as in the step, and the Horner
-    coefficients ``F`` of all steps, shape (steps, 7, states), from one
-    stacked product; it then drops the state function, the steps and the
-    readers.  Step i starts at ``ts[i]`` with state ``y_old[i]`` and has
-    the step size ``h[i]``; every point evaluates SciPy's Horner form in
-    SciPy's order: the same numbers as an ``OdeSolution`` of
-    ``Dop853DenseOutput`` pieces with the same coefficients, whichever
-    path reads it.  Like it, a scalar t gives the state, shape (states,),
-    and m points give shape (states, m).  ``nfev`` counts the calls made
-    here, 3 per reader and 3 per step of the build.
+    It is made from what the stepper kept: the state function, the nodes
+    and, for each step, its start t_old, size h, start and end states
+    (lists of floats; a crossing does not cut the step short here) and
+    stage rows (stages 0 and 5-11 and the rate at the step's end), with
+    the float readers of :func:`_step_reader` already made, by step.  A
+    point t reads the step that ``bisect_left(nodes, t) - 1`` picks,
+    clipped to the steps, so a node reads the step that ends there.  Every
+    point, a scalar t or one of an array, reads that step's float reader,
+    made on the step's first read and kept, in SciPy's Horner form and
+    order: the same numbers as an ``OdeSolution`` of ``Dop853DenseOutput``
+    pieces with the same coefficients.  Like it, a scalar t gives the
+    state, shape (states,), and m points give shape (states, m).
+    ``nfev`` counts the calls made here, 3 per reader.
     """
 
-    def __init__(self, fun: Callable, steps: list, readers: dict):
-        self._kept = (fun, steps, readers)
+    def __init__(self, fun: Callable, nodes: list, steps: list, readers: dict):
+        self._fun, self._nodes, self._steps, self._readers = fun, nodes, steps, readers
         self.nfev = 0
 
-    def _build(self) -> None:
-        fun, steps, _ = self._kept
-        ts, hs, ys, ends, rows = zip(*steps)
-        K = chain.from_iterable(chain.from_iterable(
-            _extra_stages(fun, *step) for step in zip(ts, hs, ys, rows)))
-        K = np.fromiter(K, float, 12 * len(ys[0]) * len(hs)).reshape(len(hs), 12, -1)
-        self.ts, self.h, self.y_old = np.array(ts), np.array(hs), np.array(ys)
-        self.F = _coefficients(self.h, self.y_old, np.array(ends), K)
-        self.nfev, self._kept = self.nfev + 3 * len(hs), None
+    def _read(self, t: float) -> list:
+        i = min(max(bisect_left(self._nodes, t) - 1, 0), len(self._steps) - 1)
+        read = self._readers.get(i)
+        if read is None:
+            read = self._readers[i] = _step_reader(self._fun, *self._steps[i])
+            self.nfev += 3
+        return read(t)
 
     def __call__(self, t):
-        if self._kept is not None and np.ndim(t) == 0:
-            fun, steps, readers = self._kept
-            i = min(max(bisect_left(steps, t, key=lambda step: step[0]) - 1, 0), len(steps) - 1)
-            if i not in readers:
-                readers[i] = _step_reader(fun, *steps[i])
-                self.nfev += 3
-            return np.array(readers[i](float(t)))
-        if self._kept is not None:
-            self._build()
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.h) - 1)
-        x = ((t - self.ts[i]) / self.h[i])[..., None]
-        x1 = 1.0 - x
-        F = self.F[i]
-        y = (0.0 + F[..., 6, :]) * x
-        for row, factor in ((5, x1), (4, x), (3, x1), (2, x), (1, x1), (0, x)):
-            y = (y + F[..., row, :]) * factor
-        return (y + self.y_old[i]).T
+        if np.ndim(t) == 0:
+            return np.array(self._read(float(t)))
+        ys = [self._read(s) for s in np.asarray(t, dtype=float).tolist()]
+        return np.array(ys).reshape(-1, len(self._steps[0][2])).T
 
 
 class IvpResult(NamedTuple):
@@ -432,7 +409,7 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol,
         ys.append(y)
         if t_event is not None or t == tf:
             break
-    sol = ContinuousExtension(fun, steps, readers)
+    sol = ContinuousExtension(fun, ts, steps, readers)
     return IvpResult(np.array(ts), np.array(ys).T, sol, t_event, nfev)
 
 
@@ -466,20 +443,18 @@ def _extra_stages(fun: Callable, t_old: float, h: float, y_old, stages) -> list:
     return [k0, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15]
 
 
-def _coefficients(h, y_old: np.ndarray, y: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """SciPy's Horner coefficients F, shape (..., 7, states), of the extension.
+def _coefficients(h: float, y_old: np.ndarray, y: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """SciPy's Horner coefficients F, shape (7, states), of one step's extension.
 
-    Of one step from y_old over h to y, K its rows from :func:`_extra_stages`,
-    or of a stack of steps (h of shape (steps,)): the stacked product with
-    ``_D`` gives each step the bits that it gives the step alone.
+    Of the step from y_old over h to y, K its rows from :func:`_extra_stages`:
+    the product with ``_D`` that SciPy's ``Dop853DenseOutput`` is given.
     """
-    h = np.asarray(h)[..., None]
     dy = y - y_old
-    F = np.empty(K.shape[:-2] + (7, K.shape[-1]))
-    F[..., 0, :] = dy
-    F[..., 1, :] = h * K[..., 0, :] - dy
-    F[..., 2, :] = 2.0 * dy - h * (K[..., 8, :] + K[..., 0, :])
-    F[..., 3:, :] = h[..., None] * _D @ K
+    F = np.empty((7, K.shape[1]))
+    F[0] = dy
+    F[1] = h * K[0] - dy
+    F[2] = 2.0 * dy - h * (K[8] + K[0])
+    F[3:] = h * _D @ K
     return F
 
 
@@ -489,8 +464,7 @@ def _step_reader(fun: Callable, t_old: float, h: float, y_old: list, y: list, st
     It takes the step's 3 extra stages (:func:`_extra_stages`) and its
     Horner coefficients (:func:`_coefficients`), and reads the whole state
     at a t as a list of floats.  The operations are SciPy's, in its order,
-    so the bits are those of ``Dop853DenseOutput`` and of the
-    :class:`ContinuousExtension` container.
+    so the bits are those of ``Dop853DenseOutput``.
     """
     K = _extra_stages(fun, t_old, h, y_old, stages)
     columns = list(zip(y_old, *_coefficients(h, np.array(y_old), np.array(y),
@@ -565,11 +539,10 @@ def solve(fun: Callable, t_end: float, rtol: float, atol,
     counts off the result).  With a ``level`` the crossing is located by
     root-finding on the continuous extension of its step, and a missing
     crossing raises NoCrossingError (distinct from integrator failure).
-    A scalar read of the solution evaluates only its own step's extension;
-    the first read of an array builds the whole extension.  An ``rtol`` below
-    MIN_RTOL raises ValueError: there the error estimate is rounding noise.
-    So do an ``rtol`` of 1 or more and an infinite ``atol``, which accept
-    every step.
+    A read of the solution evaluates only the extensions of the steps that
+    its points lie on.  An ``rtol`` below MIN_RTOL raises ValueError: there
+    the error estimate is rounding noise.  So do an ``rtol`` of 1 or more
+    and an infinite ``atol``, which accept every step.
     """
     # written so that a NaN fails each test, before the stepper starts
     if not (0 < rtol < 1 and 0 < np.min(atol) and np.max(atol) < np.inf

@@ -22,12 +22,13 @@ against this state function; see :mod:`mtlab.radial_ode`) at r = 1e-2, or
 lower on its ladder when the check fails: at mu = 0.05 the series of the
 core converges only for r below about mu, and the start drops to 1e-3.
 A split radius below the start is read off that series.  The state
-function calls the family's scalar kernel ``point`` once per evaluation,
-the fit's included, in plain ``math`` on Python floats, returns its rates
-as a tuple of floats for radial_ode's float stepper, and raises
-IntegrationError when the kernel returns a non-finite value: at once,
-naming mu, the family and u, where the stepper alone raises only after
-rejecting its step down to 10 ulp and names none of them.  The
+function calls the family's scalar kernel ``point``, which gives h(u)
+alone (a shot never reads g), once per evaluation, the fit's included,
+in plain ``math`` on Python floats, returns its rates as a tuple of
+floats for radial_ode's float stepper, and raises IntegrationError when
+h is not finite: at once, naming mu, the family and u, where the stepper
+alone raises only after rejecting its step down to 10 ulp and names
+none of them.  The
 functional needs no state of its own: :func:`functional_value` is the
 Pohozaev closed form on the boundary state.
 
@@ -52,10 +53,11 @@ DOP853's continuous extension, which the profile between the nodes
 needs, costs 3 more state-function calls per accepted step, about a
 fifth of a shot's calls.  So that scalar read takes only its own step's
 3 (none when the split lies in the boundary event's step, whose
-extension the event's root search already made), and radial_ode builds
-the rest on the first array read of ``sol.eta`` (by :func:`pde_residual`,
-:func:`comparison_eta0` or ``sol.eta.eval*``); a shot that nobody reads
-never pays for it.  Reading it changes no number of the shot.
+extension the event's root search already made), and a later read of
+``sol.eta`` (by :func:`pde_residual`, :func:`comparison_eta0` or
+``sol.eta.eval*``) takes 3 on each step that it is the first to touch; a
+step that nobody reads never pays for it.  Reading it changes no number
+of the shot.
 
 :func:`pde_residual` checks a finished shot against the same state function.
 A shot is returned as data; :mod:`mtlab.cli` renders it as JSON or CSV.
@@ -118,20 +120,6 @@ class ShotSolution:
     perturbation: PerturbationSpec
 
 
-def _checked_point(spec: PerturbationSpec, mu: float, u: float):
-    """(h(u), g(u)) from the family's scalar kernel, checked to be finite.
-
-    radial_ode raises on a NaN rate too, but past the start only after
-    rejecting the step down to 10 ulp, and without mu, the family or u.
-    """
-    hu, gu = spec.point(u)
-    if not math.isfinite(hu + gu):
-        raise IntegrationError(
-            f"non-finite perturbation (h, g) = ({hu}, {gu}) at u={u} "
-            f"(mu={mu}, family {spec.name})")
-    return hu, gu
-
-
 def _state(mu: float, spec: PerturbationSpec) -> Callable:
     """The state function of a shot at center value mu.
 
@@ -139,6 +127,7 @@ def _state(mu: float, spec: PerturbationSpec) -> Callable:
     against it, so the equation is written once.
     """
     mu2 = mu * mu
+    point = spec.point
 
     def state(t, y):
         """(eta, v, energy)' at t = log r.
@@ -152,7 +141,10 @@ def _state(mu: float, spec: PerturbationSpec) -> Callable:
         """
         eta, v = y[0], y[1]
         u = max(mu + eta / mu, 1e-12)
-        hu, _ = _checked_point(spec, mu, u)
+        hu = point(u)
+        if not math.isfinite(hu):
+            raise IntegrationError(f"non-finite perturbation h = {hu} at u={u} "
+                                   f"(mu={mu}, family {spec.name})")
         q = 1.0 + eta / mu2
         e = math.exp(min(2.0 * t + min(eta * (2.0 + eta / mu2), 0.0), 50.0))
         f = 4.0 * (1.0 + hu) * q * e
@@ -209,15 +201,20 @@ def functional_value(sol: ShotSolution) -> float:
     in closed form: pi (1+g(0)) + pi u'(1)^2 / lambda, with u'(1) = v/mu at
     the boundary event, so pi v^2 / (mu^2 lambda) = pi v^2 e^{mu^2 - 2 log R}
     / 4 in log scale.  A family that defines only h (no g) has no
-    functional: ValueError.
+    functional: ValueError.  This is the one place where a shot's g
+    enters a result, so a non-finite value raises IntegrationError.
     """
     spec = sol.perturbation
     if spec.g is None:
         raise ValueError(f"family {spec.name!r} defines no g, "
                          "so the functional is undefined")
     v = float(sol.eta.end_state[1])
-    return float(np.pi * (1.0 + spec.g(0.0))
-                 + 0.25 * np.pi * v * v * np.exp(sol.mu ** 2 - 2.0 * sol.log_R))
+    value = float(np.pi * (1.0 + spec.g(0.0))
+                  + 0.25 * np.pi * v * v * np.exp(sol.mu ** 2 - 2.0 * sol.log_R))
+    if not math.isfinite(value):
+        raise IntegrationError(f"non-finite functional value {value} "
+                               f"(mu={sol.mu}, family {spec.name})")
+    return value
 
 
 def pde_residual(sol: ShotSolution) -> float:

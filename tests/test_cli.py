@@ -203,10 +203,13 @@ def test_config_error_exit_code(capsys):
     assert run(["maximize", "--alpha", "6", "--n-nodes", "0"]) == EXIT_CONFIG
     assert run(["maximize", "--alpha", "6", "--max-iter", "0"]) == EXIT_CONFIG
     assert run(["check-h", "--family", "log-power", "--p", "1.5"]) == EXIT_CONFIG
-    # a quadrature tolerance must be positive, and the condition grid must
-    # run forward from t = 10 to a finite end
+    # a quadrature tolerance must be finite and positive, and the condition
+    # grid must run forward from t = 10 to a finite end
     assert run(["tables", "--tol", "nan"]) == EXIT_CONFIG
     assert run(["tables", "--tol", "0"]) == EXIT_CONFIG
+    capsys.readouterr()
+    assert run(["tables", "--tol", "inf"]) == EXIT_CONFIG
+    assert "tol=inf" in capsys.readouterr().err
     assert run(["check-h", "--t-max", "nan"]) == EXIT_CONFIG
     assert run(["check-h", "--t-max", "5"]) == EXIT_CONFIG
     # profile radii must satisfy 0 < r_min <= r_max < inf
@@ -318,7 +321,7 @@ def test_mu_grid_outside_the_range_is_a_configuration_error(monkeypatch, capsys,
 
 def test_maximize_nan_functional_exit_code(monkeypatch, tmp_path, capsys):
     nan_g = PerturbationSpec(h=np.zeros_like, g=lambda t: np.full_like(t, np.nan),
-                             point=lambda t: (0.0, np.nan))
+                             point=lambda t: 0.0)
     monkeypatch.setattr(cli, "_family", lambda args: nan_g)
     out = tmp_path / "m.json"
     assert run(["maximize", "--alpha", "6.0", "--n-nodes", "256",
@@ -328,9 +331,9 @@ def test_maximize_nan_functional_exit_code(monkeypatch, tmp_path, capsys):
 
 
 def test_shoot_nan_perturbation_exit_code(monkeypatch, tmp_path, capsys):
-    nan_g = PerturbationSpec(h=np.zeros_like, g=lambda t: np.full_like(t, np.nan),
-                             point=lambda t: (0.0, np.nan))
-    monkeypatch.setattr(cli, "_family", lambda args: nan_g)
+    # a shot calls the scalar h alone, so its NaN is what fails the shot
+    nan_h = PerturbationSpec(h=np.zeros_like, g=np.zeros_like, point=lambda t: np.nan)
+    monkeypatch.setattr(cli, "_family", lambda args: nan_h)
     out = tmp_path / "s.json"
     assert run(["shoot", "--mu", "6", "--output", str(out)]) == EXIT_NUMERICAL
     assert "non-finite perturbation" in capsys.readouterr().err

@@ -69,18 +69,10 @@ def test_tail_family_difference_slope_is_linear_in_a(a):
 
 
 def test_extract_log_slope_validates_range():
+    # the window ends at SLOPE_R_HI = 1e6, beyond this solution
     sol = solve_linearized(source_w0, r_max=1e4)
-    with pytest.raises(ValueError):
-        extract_log_slope(sol, r_hi=1e4)  # window too narrow
-    with pytest.raises(ValueError):
-        extract_log_slope(sol, r_hi=1e6)  # beyond the solution
-
-
-@pytest.mark.parametrize("r_hi", [np.nan, np.inf, -1.0], ids=["r_hi-nan", "r_hi-inf", "r_hi-neg"])
-def test_extract_log_slope_rejects_bad_window(r_hi):
-    sol = solve_linearized(source_w0, r_max=2e3)
-    with pytest.raises(ValueError, match=f"r_hi={r_hi}"):
-        extract_log_slope(sol, r_hi=r_hi)
+    with pytest.raises(ValueError, match="SLOPE_R_HI"):
+        extract_log_slope(sol)
 
 
 def test_r_max_cap():

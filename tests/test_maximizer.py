@@ -254,7 +254,7 @@ def test_perturbed_maximization_increases_value():
 def test_ascent_fails_loudly_on_nan_g():
     # a NaN functional value used to end the line search as "converged"
     spec = PerturbationSpec(h=np.zeros_like, g=lambda t: np.full_like(t, np.nan),
-                            point=lambda t: (0.0, np.nan))
+                            point=lambda t: 0.0)
     with pytest.raises(IntegrationError, match="non-finite functional value"):
         maximize_subcritical(0.5 * FOUR_PI, spec, n_nodes=256)
 

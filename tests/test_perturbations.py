@@ -16,8 +16,8 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 TS = np.exp(np.linspace(np.log(0.5), np.log(1e5), 500))
 
 # (t, h(t), g(t)) of the cutoff families as evaluated by the NumPy array
-# formula that the scalar kernel replaced, at t = R, 1.01R, 1.5R, 1.99R,
-# 2R, 10 and 1e4 (R = 2)
+# formula that the scalar kernel of h replaced, at t = R, 1.01R, 1.5R,
+# 1.99R, 2R, 10 and 1e4 (R = 2)
 CUTOFF_VALUES = {
     "log-power-q0": (log_power_family, {}, [
         (2.0, 0.0, 0.0),
@@ -63,9 +63,10 @@ def test_smooth_cutoff_shape():
 @pytest.mark.parametrize("name", sorted(CUTOFF_VALUES))
 def test_point_matches_the_array_formula_it_replaced(name):
     family, params, values = CUTOFF_VALUES[name]
-    point = family(**params).point
+    spec = family(**params)
     for t, h, g in values:
-        assert point(t) == pytest.approx((h, g), rel=1e-13, abs=0.0), t
+        assert spec.point(t) == pytest.approx(h, rel=1e-13, abs=0.0), t
+        assert float(spec.g(t)) == pytest.approx(g, rel=1e-13, abs=0.0), t
 
 
 @settings(max_examples=150, deadline=None)
@@ -79,19 +80,33 @@ def test_point_agrees_with_the_array_h_and_g(family, a, p, q, R, t):
             "log-power": lambda: log_power_family(a=a, p=p, q=q, R=R),
             "oscillating": lambda: oscillating_family(a=a, p=p, R=R),
             "inverse-square": lambda: inverse_square_tail(a=a)}[family]()
-    h, g = spec.point(t)
-    assert isinstance(h, float) and isinstance(g, float)
-    assert h == pytest.approx(float(spec.h(t)), rel=1e-15, abs=0.0)
+    h = spec.point(t)
+    assert isinstance(h, float)
     # NumPy's pow and exp round apart from the C library's by an ulp
-    assert g == pytest.approx(0.0 if spec.g is None else float(spec.g(t)),
-                              rel=1e-15, abs=0.0)
+    assert h == pytest.approx(float(spec.h(t)), rel=1e-15, abs=0.0)
+    if family in ("log-power", "oscillating"):
+        # the array g: 0 up to R, and its formula with chi = 1 from 2R on
+        g = float(spec.g(t))
+        if t <= R:
+            assert g == 0.0
+        else:
+            core = np.log(t) ** q if family == "log-power" else np.cos(np.log(t))
+            tail = a * core * t ** -p
+            if t >= 2.0 * R:
+                assert g == pytest.approx(tail, rel=1e-15, abs=0.0)
+            else:
+                assert 0.0 <= g / tail <= 1.0 + 1e-15  # chi, rounded
+    elif family == "trivial":
+        assert float(spec.g(t)) == 0.0
+    else:
+        assert spec.g is None
 
 
-@pytest.mark.parametrize("spec", [log_power_family(),
-                                  log_power_family(q=1.5),
-                                  oscillating_family(R=3.0)],
+@pytest.mark.parametrize("name, spec", [("log-power-q0", log_power_family()),
+                                        ("log-power-q1.5", log_power_family(q=1.5)),
+                                        ("oscillating", oscillating_family(R=3.0))],
                          ids=["log-power-q0", "log-power-q1.5", "oscillating"])
-def test_cutoff_arrays_agree_with_point(spec):
+def test_cutoff_arrays_agree_with_point(name, spec):
     # x = |t| / R at the bridge's ends, around 1 and 2, inside and beyond
     # the bridge, at t and -t (g is even); arrays of 0, 1 and 2 dimensions
     R = spec.family_params["R"]
@@ -100,15 +115,19 @@ def test_cutoff_arrays_agree_with_point(spec):
                   np.nextafter(2.0, 3.0), 2.01, 10.0, 1e4])
     t = np.concatenate([x * R, -x * R])
     ref = np.array([spec.point(float(v)) for v in t])
+    g_ref = np.array([float(spec.g(v)) for v in t])
     for shape in ((len(t),), (2, len(t) // 2)):
         h, g = spec.h(t.reshape(shape)), spec.g(t.reshape(shape))
         assert h.shape == g.shape == shape
-        np.testing.assert_allclose(h.ravel(), ref[:, 0], rtol=1e-15, atol=0.0)
-        np.testing.assert_allclose(g.ravel(), ref[:, 1], rtol=1e-15, atol=0.0)
-    for v, (h, g) in zip(t, ref):
+        np.testing.assert_allclose(h.ravel(), ref, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(g.ravel(), g_ref, rtol=1e-15, atol=0.0)
+    for v, h in zip(t, ref):
         assert np.shape(spec.h(v)) == np.shape(spec.g(v)) == ()
         assert float(spec.h(v)) == pytest.approx(h, rel=1e-15, abs=0.0)
-        assert float(spec.g(v)) == pytest.approx(g, rel=1e-15, abs=0.0)
+    # the array g of the tabulated family against the table
+    family, params, values = CUTOFF_VALUES[name]
+    t_tab, _, g_tab = np.array(values).T
+    np.testing.assert_allclose(family(**params).g(t_tab), g_tab, rtol=1e-13, atol=0.0)
     # shooting.functional_value reads g(0.0); h is undefined there
     assert spec.g(0.0) == 0.0
     with pytest.raises(ValueError, match="undefined at t = 0"):
@@ -167,7 +186,7 @@ def test_inverse_square_tail_range():
 def test_sup_inf_bounds_guard():
     with pytest.raises(ValueError):
         PerturbationSpec(h=lambda t: -1.5 * np.ones_like(np.asarray(t)),
-                         point=lambda t: (-1.5, 0.0))
+                         point=lambda t: -1.5)
 
 
 def test_conditions_log_power_satisfied():

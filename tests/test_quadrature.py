@@ -35,6 +35,14 @@ def test_tail_bound_guards_slow_decay():
             integrate_plane(f, tol=1e-10)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
+def test_integrate_plane_needs_a_finite_positive_tol(tol):
+    # an infinite tolerance would accept any error bound; each is refused,
+    # by value, before the quadrature
+    with pytest.raises(ValueError, match=f"tol={tol}"):
+        integrate_plane(lambda r: (1.0 + r * r) ** -3.0, tol=tol)
+
+
 def test_unconverged_half_raises():
     # a fast oscillation on the inner disc exhausts quad_vec's subintervals
     with pytest.raises(IntegrationError, match="inner r < 1 half did not converge"):

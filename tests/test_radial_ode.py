@@ -68,16 +68,16 @@ def test_nfev_counts_every_state_call():
     sol = solve(counted, np.log(1e3), 1e-12, 1e-12)
     assert sol.nfev == len(calls)
     assert sol.accepted_steps == len(sol.grid.t_nodes) - 1 > 0
-    # a scalar read takes its own step's 3 extra stages; the first array
-    # read builds the continuous extension, 3 calls per step
+    # a read takes the 3 extra stages of each step that it is the first to
+    # touch: the scalar its own step's, the nodes every step's but that one
     unread = sol.nfev
     sol.eval_t(0.0)
     assert sol.nfev == len(calls) == unread + 3
     for _ in range(2):
         sol.eval_t(sol.grid.t_nodes)
-        assert sol.nfev == len(calls) == unread + 3 + 3 * sol.accepted_steps
+        assert sol.nfev == len(calls) == unread + 3 * sol.accepted_steps
     sol.eval_t(1.0)
-    assert sol.nfev == len(calls) == unread + 3 + 3 * sol.accepted_steps
+    assert sol.nfev == len(calls) == unread + 3 * sol.accepted_steps
 
 
 def test_start_steps_down_past_the_level():
@@ -123,10 +123,10 @@ def test_event_location():
 
 
 def test_scalar_read_of_an_unread_solution():
-    # a scalar read of a solution whose container is not built evaluates
-    # its own step's extension on floats: 3 calls on a new step, none on a
-    # step already read, and no build (which would take 3 per step); it
-    # has the container's bits, read before the build or after it
+    # a scalar read of an unread solution evaluates its own step's
+    # extension on floats: 3 calls on a new step, none on a step already
+    # read; an array of the same points reads the same readers, so it adds
+    # no call and gives the same bits
     t10 = np.log(10.0)
     sol = liouville_solve(np.log(1e3), mass=True)
     unread, nodes = sol.nfev, sol.grid.t_nodes
@@ -142,11 +142,43 @@ def test_scalar_read_of_an_unread_solution():
     before = [sol.eval_state_t(t) for t in points]
     assert sol.nfev == unread + 3 * 3
     assert np.array_equal(before[0], state) and np.array_equal(before[3], state)
-    after = sol.eval_state_t(np.array(points)).T  # the first array read builds
-    assert sol.nfev == unread + 3 * 3 + 3 * sol.accepted_steps
+    after = sol.eval_state_t(np.array(points)).T
+    assert sol.nfev == unread + 3 * 3
     assert np.array_equal(np.array(before), after)
     assert all(np.array_equal(sol.eval_state_t(t), y) for t, y in zip(points, before))
     assert sol.end_state[0] == sol.values[-1]
+
+
+def _step_read_at(nodes, t):
+    """The step that a read at t takes: a node reads the step ending there."""
+    return min(max(int(np.searchsorted(nodes, t, side="left")) - 1, 0), len(nodes) - 2)
+
+
+@pytest.mark.parametrize("level", [None, -np.log(1e4)], ids=["free", "crossing"])
+def test_each_step_takes_its_extra_stages_once_in_any_read_order(level):
+    # whatever the order of scalar and array reads, the extension takes
+    # the 3 extra stages of each step on the first read that touches it
+    # (the crossing step's come with the stepper's calls), and every point
+    # reads the same bits before and after the other reads
+    sol = liouville_solve(20.0 if level else np.log(1e3), mass=True, level=level)
+    nodes, unread = sol.grid.t_nodes, sol.nfev
+    kept = {len(nodes) - 2} if level is not None else set()
+    rng = np.random.default_rng(3)
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    reads = [mids[2], mids[1:4], np.array([]), nodes[::-1], mids[-1], nodes[5],
+             rng.uniform(nodes[0], nodes[-1], 40), mids]
+    steps, first = set(), {}
+    for t in reads + reads[::-1]:
+        y = sol.eval_state_t(t)
+        assert y.shape == (3,) + np.shape(t)
+        points = np.atleast_1d(t)
+        steps.update(_step_read_at(nodes, p) for p in points)
+        assert sol.nfev == unread + 3 * len(steps - kept)
+        for p, y_p in zip(points, y.reshape(3, -1).T):
+            assert np.array_equal(first.setdefault(p, y_p), y_p), p
+    assert steps == set(range(len(nodes) - 1))
+    u, v = sol.eval_t(np.array([]))
+    assert u.shape == v.shape == (0,)
 
 
 def test_missing_event_raises():
@@ -283,7 +315,8 @@ def _new_steps(own, marks):
 def _assert_whole_solve_near_scipy(args, kwargs, read=True, marks=()):
     # the error estimate cancels to ~1e-5 of its terms, so another summation
     # order moves every step a little: bounds in units of the tolerance;
-    # read=False reads the marks alone and checks the container was never built
+    # read=False reads the marks alone and checks that no other step took
+    # its extra stages
     own, ref = _solved_with_scipy(args, kwargs, marks)
     rtol = kwargs["rtol"]
     y_max = np.max(np.abs(ref.y), axis=1)
@@ -357,16 +390,17 @@ def test_loop_reproduces_scipy_on_the_linearized_w0_solve(monkeypatch):
 def _assert_steps_within_eps_of_scipy(args, kwargs, marks=()):
     # SciPy's dense output takes 3 calls on every step; radial_ode's loop
     # takes them only on the crossing step, a scalar read at a mark on
-    # another step takes them there, and the extension takes them on every
-    # step on the first array read
+    # another step takes them there, and a read of every node takes them
+    # on each step that has none yet
     own, ref = _solved_with_scipy(args, kwargs, marks)
     steps = len(ref.t) - 1
+    crossed = own.t_event is not None
     assert own.t.shape == ref.t.shape
-    assert own.nfev == ref.nfev - 3 * steps + 3 * (own.t_event is not None)
+    assert own.nfev == ref.nfev - 3 * steps + 3 * crossed
     stops = _scipy_stops(own, ref, marks)
     assert own.sol.nfev == 3 * _new_steps(own, marks)
     own.sol(own.t)
-    assert own.sol.nfev == 3 * _new_steps(own, marks) + 3 * steps
+    assert own.sol.nfev == 3 * (steps - crossed)
     assert np.all(np.abs(own.t - ref.t) <= 4.0 * EPS * np.maximum(1.0, np.abs(ref.t)))
     y_max = np.max(np.abs(ref.y), axis=1)
     assert np.all(np.abs(own.y - ref.y) <= 4.0 * EPS * y_max[:, None])
@@ -412,8 +446,8 @@ def test_events_fire_and_end_the_solve_as_in_scipy():
 def test_crossing_step_reader_is_the_dense_output_there():
     # the level crossing is read off its step's extension on floats, which
     # the solution keeps: a read in that step costs no call, and it and
-    # the crossing have the container's bits, as has a read strictly inside
-    # another step
+    # the crossing, like a read strictly inside another step, give the
+    # bits that an array read of the same points gives
     t10 = np.log(10.0)
     sol = liouville_solve(20.0, mass=True, level=-np.log(1e4))
     nodes, unread = sol.grid.t_nodes, sol.nfev
@@ -436,7 +470,7 @@ def test_dense_container_is_scipys_extension_of_the_same_steps():
     # rates of t alone fix every stage from the step's t_old and h, so SciPy's
     # pieces can be rebuilt from the nodes: a Dop853DenseOutput per step, its
     # F from that step's own product with D, in an OdeSolution over the
-    # nodes, gives the stacked container's bits at every point
+    # nodes, gives the extension's bits at every point, scalar or in an array
     res = radial_ode.solve_ivp(lambda t, y: _peak_rate(t), (0.0, 2.0), np.zeros(2),
                                rtol=1e-6, atol=1e-12)
     ts, ext = res.t, res.sol
@@ -460,7 +494,7 @@ def test_dense_container_is_scipys_extension_of_the_same_steps():
     rng = np.random.default_rng(0)
     unsorted = rng.uniform(ts[0], ts[-1], 200)
     scalars = (*unsorted[:5], ts[3], ts[-1], -0.5)
-    # scalar reads before the build read each step's extension on floats
+    # scalar reads before any array read take only their own steps' stages
     before = [ext(t) for t in scalars]
     assert 0 < ext.nfev < 3 * (len(ts) - 1)
     for t in (unsorted, ts, ts[::-1], np.array([ts[-1]]), np.array([-0.5, 2.5])):

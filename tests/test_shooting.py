@@ -191,13 +191,25 @@ def test_start_state_matches_a_tight_solve(monkeypatch, family, mu):
 
 @pytest.mark.parametrize("name", ["h", "g"])
 def test_nan_perturbation_raises_integration_error(name):
-    # a NaN from h or g would stall the adaptive stepper; the state function
-    # refuses it.  The spec checks only the array h when built, so the NaN
-    # comes from point, which is all a shot calls
-    nan = {"h": (np.nan, 0.0), "g": (0.0, np.nan)}[name]
-    spec = PerturbationSpec(h=np.zeros_like, g=np.zeros_like, point=lambda t: nan)
-    with pytest.raises(IntegrationError, match=r"mu=6\.0"):
+    # a NaN h would stall the adaptive stepper; the state function refuses
+    # it.  The spec checks only the array h when built, so the NaN comes
+    # from point, which is all a shot calls: a NaN h of its own, or the
+    # NaN h = g + g'/(2t) of a NaN g
+    g = {"h": np.zeros_like, "g": lambda t: np.full_like(t, np.nan)}[name]
+    spec = PerturbationSpec(h=np.zeros_like, g=g, point=lambda t: np.nan)
+    with pytest.raises(IntegrationError, match=r"non-finite perturbation h = nan .*mu=6\.0"):
         shoot(6.0, spec)
+
+
+def test_nan_g_fails_the_functional_alone():
+    # a shot never reads g, so a NaN g with a finite h leaves it whole; the
+    # functional, the one place g enters a result, refuses it
+    spec = PerturbationSpec(h=np.zeros_like, point=lambda t: 0.0,
+                            g=lambda t: np.full_like(np.asarray(t, dtype=float), np.nan))
+    sol = shoot(6.0, spec)
+    assert sol.energy_total == shoot(6.0, trivial()).energy_total
+    with pytest.raises(IntegrationError, match="non-finite functional value nan"):
+        functional_value(sol)
 
 
 def test_energy_concentrates_like_the_bubble(shots):
@@ -296,7 +308,7 @@ def test_profile_does_not_change_the_shot(family, mu):
     assert read.eta.accepted_steps == unread.eta.accepted_steps
     assert np.array_equal(read.eta.grid.t_nodes, unread.eta.grid.t_nodes)
     assert np.array_equal(read.eta.end_state, unread.eta.end_state)
-    # the split read off the built container and off its step's kept reader
+    # the split read again after the residual's read, and on a fresh shot
     t_split = SPLIT_EXPONENT * np.log(mu)
     if t_split <= read.eta.t_max:
         assert np.array_equal(read.eta.eval_state_t(t_split), unread.eta.eval_state_t(t_split))
@@ -311,8 +323,8 @@ def test_profile_free_shot_skips_the_dense_output_calls(monkeypatch, mu):
     # DOP853's continuous extension costs 3 state-function calls per accepted
     # step: the stepper pays them only on the step holding the boundary
     # event, 12 calls per attempt besides and 2 to start, the read at the
-    # split radius on its own step (at these mu another one), and the
-    # shot's first array read on every step, once
+    # split radius on its own step (at these mu another one), and a read
+    # of every node on each of the other steps, once
     sol, res, fit_calls, calls = _recorded_shot(monkeypatch, mu, trivial())
     assert (res.nfev - 2 - 3) % 12 == 0
     assert res.sol.nfev == 3
@@ -320,7 +332,7 @@ def test_profile_free_shot_skips_the_dense_output_calls(monkeypatch, mu):
     unread, steps = sol.eta.nfev, sol.eta.accepted_steps
     for _ in range(2):
         sol.eta.eval_state_t(sol.eta.grid.t_nodes)
-        assert sol.eta.nfev == len(calls) == unread + 3 * steps
+        assert sol.eta.nfev == len(calls) == unread + 3 * (steps - 2)
 
 
 def _recorded_shot(monkeypatch, mu, spec):
@@ -350,7 +362,7 @@ def test_split_in_the_event_step_reads_its_kept_extension(monkeypatch, family, m
     # at these mu the split radius lies in the step that holds the boundary
     # event, whose extension the event's root search made on floats: the
     # read reuses it, so the shot makes no call past the start's and the
-    # stepper's (3 more without the reuse), and it has the container's bits
+    # stepper's (3 more without the reuse), and an array read gives its bits
     for mu in mus:
         sol, res, fit_calls, calls = _recorded_shot(monkeypatch, mu, family())
         t_split, nodes = SPLIT_EXPONENT * np.log(mu), sol.eta.grid.t_nodes
@@ -434,6 +446,6 @@ def test_vanishing_nonlinearity_misses_event():
     from mtlab.perturbations import PerturbationSpec
     weak = PerturbationSpec(
         h=lambda t: np.full_like(np.asarray(t, dtype=float), -1.0 + 5e-13),
-        point=lambda t: (-1.0 + 5e-13, 0.0), name="near-degenerate")
+        point=lambda t: -1.0 + 5e-13, name="near-degenerate")
     with pytest.raises(EventNotReachedError):
         shoot(0.05, weak, tol=1e-9)
