@@ -36,9 +36,20 @@ Python floats.  A shot's state is 3 floats, and NumPy's per-call cost on
 arrays that small (the stage products, the state arrays, the norms) was
 about three quarters of each right-hand-side evaluation under SciPy's
 stepper.  So each attempt writes its 11 stages out as ``dop853.f`` does,
-one comprehension over the state lists per stage, with the tableau read
-from SciPy's ``DOP853`` class, and keeps SciPy's controller and continuous
-extension.  The numbers are not bit-identical to
+and keeps SciPy's controller and continuous extension.  Even on floats,
+a loop over the state per stage (one comprehension over ``zip(y, k0,
+...)`` each) cost more than the equation: the state calls of a mu = 12
+shot, replayed alone, were about 30% of the shot (trivial family) and
+40% (log-power).  So the attempt is straight-line code with one local
+per state and the tableau's floats as literals, and so are the dense
+output's 3 extra stages and its Horner reader.  Hand-written copies for
+2 and 3 states would be a fork; instead :func:`_source` writes the code
+from the couplings of the tableau (``_STAGES``, ``_SOLUTION``,
+``_EXTRA``) and SciPy's ``DOP853`` class, and :func:`_compiled` compiles
+it once per state count, in about 2-3 ms, on first use.  Each expression
+keeps the operands and the order of a loop over the states, so the bits
+are those of that loop; the state calls are now about half of a mu = 12
+shot (47% trivial, 60% log-power).  The numbers are not bit-identical to
 ``scipy.integrate.solve_ivp``: the error estimate cancels to about 1e-5 of
 its terms, so another summation order moves the step sizes a little.  The
 tests bound the difference (one step within 4 eps of SciPy's, whole
@@ -59,13 +70,13 @@ solve's work, and most solves never read it between nodes: a shot reads
 it at one point, its split radius.  So the loop keeps each accepted
 step's start, size, states and stage rows, and the solve's
 :class:`ContinuousExtension` reads every point, a scalar t or one of an
-array, off its own step alone, on Python floats.  One helper,
-:func:`_step_reader`, makes a step's reader from its 3 extra stages and
-its Horner coefficients (one product with DOP853's D) on the step's
-first read, and the extension keeps it; the readers evaluate SciPy's
+array, off its own step alone, on Python floats.  The generated reader
+factory makes a step's reader from its 3 extra stages and its Horner
+coefficients (:func:`_coefficients`, one product with DOP853's D) on the
+step's first read, and the extension keeps it; the readers evaluate SciPy's
 Horner form in SciPy's order, so they give the bits of SciPy's
 ``OdeSolution`` of ``Dop853DenseOutput`` pieces with the same
-coefficients.  A point then costs about 1.7 us, where a NumPy evaluation
+coefficients.  A point then costs about 1.3 us, where a NumPy evaluation
 vectorized over the points of all steps cost about 0.2 us (the 667
 nodes and Gauss points of a shot's PDE residual at mu = 12, 2-vCPU
 host).  So a read that touches every step, such as that residual, costs
@@ -113,10 +124,10 @@ CHECKS_PER_DECADE = 2  # log-spaced radii per decade at which a fit is checked
 MIN_RTOL = 100.0 * np.finfo(float).eps
 EVENT_XTOL = 4.0 * np.finfo(float).eps  # brentq's xtol and rtol on the crossing, SciPy's
 
-# DOP853's tableau as Python floats, read from SciPy's class: stage s of a
-# step reads the earlier stages _STAGES[s - 1], the solution and both error
-# estimates read _SOLUTION, and the dense output's extra stages 13-15 read
-# _EXTRA; every other coefficient is zero (dop853.f writes the same pattern)
+# the couplings of DOP853's tableau (SciPy's class): stage s of a step reads
+# the earlier stages _STAGES[s - 1], the solution and both error estimates
+# read _SOLUTION, and the dense output's extra stages 13-15 read _EXTRA;
+# every other coefficient is zero (dop853.f writes the same pattern)
 _STAGES = ((0,), (0, 1), (0, 2), (0, 2, 3), (0, 3, 4), (0, 3, 4, 5), (0, 3, 4, 5, 6),
            (0, 3, 4, 5, 6, 7), (0, 3, 4, 5, 6, 7, 8), (0, 3, 4, 5, 6, 7, 8, 9),
            (0, 3, 4, 5, 6, 7, 8, 9, 10))
@@ -124,13 +135,6 @@ _SOLUTION = (0, 5, 6, 7, 8, 9, 10, 11)
 _EXTRA = ((0, 6, 7, 8, 9, 10, 11, 12), (0, 5, 6, 7, 10, 11, 12, 13),
           (0, 5, 6, 7, 8, 12, 13, 14))
 _DENSE = (0, *range(5, 16))  # the stages that the dense output's D reads
-_AB = tuple([float(DOP853.A[s, j]) for s, row in enumerate(_STAGES, 1) for j in row]
-            + [float(DOP853.B[j]) for j in _SOLUTION])
-_C = tuple(map(float, DOP853.C[1:]))
-_E5 = tuple(float(DOP853.E5[j]) for j in _SOLUTION)
-_E3 = tuple(float(DOP853.E3[j]) for j in _SOLUTION)
-_A_EXTRA = tuple(float(DOP853.A_EXTRA[s, j]) for s, row in enumerate(_EXTRA) for j in row)
-_C_EXTRA = tuple(map(float, DOP853.C_EXTRA))
 _D = DOP853.D[:, _DENSE]
 _ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 
@@ -231,7 +235,8 @@ class ContinuousExtension:
     and, for each step, its start t_old, size h, start and end states
     (lists of floats; a crossing does not cut the step short here) and
     stage rows (stages 0 and 5-11 and the rate at the step's end), with
-    the float readers of :func:`_step_reader` already made, by step.  A
+    the float readers already made, by step, and the reader factory that
+    :func:`_compiled` made for the state count.  A
     point t reads the step that ``bisect_left(nodes, t) - 1`` picks,
     clipped to the steps, so a node reads the step that ends there.  Every
     point, a scalar t or one of an array, reads that step's float reader,
@@ -242,15 +247,17 @@ class ContinuousExtension:
     ``nfev`` counts the calls made here, 3 per reader.
     """
 
-    def __init__(self, fun: Callable, nodes: list, steps: list, readers: dict):
+    def __init__(self, fun: Callable, nodes: list, steps: list, readers: dict,
+                 make_reader: Callable):
         self._fun, self._nodes, self._steps, self._readers = fun, nodes, steps, readers
+        self._make_reader = make_reader
         self.nfev = 0
 
     def _read(self, t: float) -> list:
         i = min(max(bisect_left(self._nodes, t) - 1, 0), len(self._steps) - 1)
         read = self._readers.get(i)
         if read is None:
-            read = self._readers[i] = _step_reader(self._fun, *self._steps[i])
+            read = self._readers[i] = self._make_reader(self._fun, *self._steps[i])
             self.nfev += 3
         return read(t)
 
@@ -279,17 +286,18 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol,
     """DOP853 on Python floats from t_span[0] to t_span[1], or to u = level.
 
     ``fun(t, y)`` gets the state as a list of floats and returns a sequence
-    of as many rates; a first call that returns another number raises
+    of as many rates; a call that returns another number raises
     ValueError, as does a ``t_span`` that does not increase.  Each attempt
-    is SciPy's DOP853 step with its 11 stages written out as in
-    ``dop853.f``, one comprehension over the state per stage, and the
-    controller is SciPy's: its initial step, its safety factor and error
-    exponent, growth between MIN_FACTOR and MAX_FACTOR, none right after a
-    rejection, and IntegrationError below a 10-ulp step or on a step size
-    that is not finite.  The solve stops at the first step on which
-    y[0] - level changes sign (two-sided, so a zero at either node counts):
-    ``brentq`` at EVENT_XTOL finds the crossing on that step's float reader
-    (:func:`_step_reader`, its 3 extra stages the only ones the loop
+    is SciPy's DOP853 step, run by the straight-line float code that
+    :func:`_compiled` makes for the state count: its 11 stages as in
+    ``dop853.f``, the solution, the rate at the step's end and both error
+    sums.  The controller is SciPy's: its initial step, its safety factor
+    and error exponent, growth between MIN_FACTOR and MAX_FACTOR, none
+    right after a rejection, and IntegrationError below a 10-ulp step or
+    on a step size that is not finite.  The solve stops at the first step
+    on which y[0] - level changes sign (two-sided, so a zero at either
+    node counts): ``brentq`` at EVENT_XTOL finds the crossing on that
+    step's float reader (its 3 extra stages the only ones the loop
     takes), and the crossing becomes the last node.  Every step keeps its
     size and its stage rows for the solve's :class:`ContinuousExtension`,
     which keeps the crossing step's reader; ``nfev`` counts the loop's
@@ -304,22 +312,13 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol,
     atol = [float(a) for a in np.broadcast_to(atol, n)]
     f = fun(t, y)
     if len(f) != n:
-        raise ValueError(f"the state function returned {len(f)} rates for {n} states")
+        raise _rate_count_error(f, n)
     # SciPy's rule calls fun once on NumPy values, so fun gets them as floats
     h_abs = float(select_initial_step(lambda s, z: fun(float(s), z.tolist()), t, np.array(y), tf,
                                       np.inf, np.asarray(f, dtype=float), 1.0,
                                       DOP853.error_estimator_order, rtol, np.array(atol)))
     nfev = 2  # f and the initial step's trial rate
-    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = _C
-    (a1_0, a2_0, a2_1, a3_0, a3_2, a4_0, a4_2, a4_3, a5_0, a5_3, a5_4,
-     a6_0, a6_3, a6_4, a6_5, a7_0, a7_3, a7_4, a7_5, a7_6,
-     a8_0, a8_3, a8_4, a8_5, a8_6, a8_7,
-     a9_0, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8,
-     a10_0, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9,
-     a11_0, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10,
-     b0, b5, b6, b7, b8, b9, b10, b11) = _AB
-    e5_0, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11 = _E5
-    e3_0, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11 = _E3
+    attempt, make_reader = _compiled(n)
     g = None if level is None else y[0] - level
     ts, ys = [t], [y]
     steps = []  # each accepted step's start, size, states and stage rows, for the extension
@@ -335,57 +334,8 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol,
                                        f"the step fell below 10 ulp of t or is not finite")
             t_new = min(t + h_abs, tf)
             h = h_abs = t_new - t
-            k0 = f
-            k1 = fun(t + c1 * h, [p + h * (a1_0 * q0) for p, q0 in zip(y, k0)])
-            k2 = fun(t + c2 * h, [p + h * (a2_0 * q0 + a2_1 * q1)
-                                  for p, q0, q1 in zip(y, k0, k1)])
-            k3 = fun(t + c3 * h, [p + h * (a3_0 * q0 + a3_2 * q2)
-                                  for p, q0, q2 in zip(y, k0, k2)])
-            k4 = fun(t + c4 * h, [p + h * (a4_0 * q0 + a4_2 * q2 + a4_3 * q3)
-                                  for p, q0, q2, q3 in zip(y, k0, k2, k3)])
-            k5 = fun(t + c5 * h, [p + h * (a5_0 * q0 + a5_3 * q3 + a5_4 * q4)
-                                  for p, q0, q3, q4 in zip(y, k0, k3, k4)])
-            k6 = fun(t + c6 * h, [p + h * (a6_0 * q0 + a6_3 * q3 + a6_4 * q4 + a6_5 * q5)
-                                  for p, q0, q3, q4, q5 in zip(y, k0, k3, k4, k5)])
-            k7 = fun(t + c7 * h, [p + h * (a7_0 * q0 + a7_3 * q3 + a7_4 * q4 + a7_5 * q5
-                                           + a7_6 * q6)
-                                  for p, q0, q3, q4, q5, q6 in zip(y, k0, k3, k4, k5, k6)])
-            k8 = fun(t + c8 * h, [p + h * (a8_0 * q0 + a8_3 * q3 + a8_4 * q4 + a8_5 * q5
-                                           + a8_6 * q6 + a8_7 * q7)
-                                  for p, q0, q3, q4, q5, q6, q7
-                                  in zip(y, k0, k3, k4, k5, k6, k7)])
-            k9 = fun(t + c9 * h, [p + h * (a9_0 * q0 + a9_3 * q3 + a9_4 * q4 + a9_5 * q5
-                                           + a9_6 * q6 + a9_7 * q7 + a9_8 * q8)
-                                  for p, q0, q3, q4, q5, q6, q7, q8
-                                  in zip(y, k0, k3, k4, k5, k6, k7, k8)])
-            k10 = fun(t + c10 * h, [p + h * (a10_0 * q0 + a10_3 * q3 + a10_4 * q4 + a10_5 * q5
-                                             + a10_6 * q6 + a10_7 * q7 + a10_8 * q8
-                                             + a10_9 * q9)
-                                    for p, q0, q3, q4, q5, q6, q7, q8, q9
-                                    in zip(y, k0, k3, k4, k5, k6, k7, k8, k9)])
-            k11 = fun(t + c11 * h, [p + h * (a11_0 * q0 + a11_3 * q3 + a11_4 * q4 + a11_5 * q5
-                                             + a11_6 * q6 + a11_7 * q7 + a11_8 * q8
-                                             + a11_9 * q9 + a11_10 * q10)
-                                    for p, q0, q3, q4, q5, q6, q7, q8, q9, q10
-                                    in zip(y, k0, k3, k4, k5, k6, k7, k8, k9, k10)])
-            y_new = [p + h * (b0 * q0 + b5 * q5 + b6 * q6 + b7 * q7 + b8 * q8 + b9 * q9
-                              + b10 * q10 + b11 * q11)
-                     for p, q0, q5, q6, q7, q8, q9, q10, q11
-                     in zip(y, k0, k5, k6, k7, k8, k9, k10, k11)]
-            f_new = fun(t + h, y_new)
+            y_new, f_new, stages, norm5, norm3 = attempt(fun, t, h, y, f, atol, rtol)
             nfev += 12
-            # SciPy's error norm of the pair: the 5th- and 3rd-order estimates,
-            # each a root mean square in units of atol + rtol max(|y|, |y_new|)
-            norm5 = norm3 = 0.0
-            for a, p, q, q0, q5, q6, q7, q8, q9, q10, q11 in zip(
-                    atol, y, y_new, k0, k5, k6, k7, k8, k9, k10, k11):
-                s = a + max(abs(p), abs(q)) * rtol
-                e = (e5_0 * q0 + e5_5 * q5 + e5_6 * q6 + e5_7 * q7 + e5_8 * q8 + e5_9 * q9
-                     + e5_10 * q10 + e5_11 * q11) / s
-                norm5 += e * e
-                e = (e3_0 * q0 + e3_5 * q5 + e3_6 * q6 + e3_7 * q7 + e3_8 * q8 + e3_9 * q9
-                     + e3_10 * q10 + e3_11 * q11) / s
-                norm3 += e * e
             denom = norm5 + 0.01 * norm3
             error_norm = h * norm5 / math.sqrt(denom * n) if denom else 0.0
             if error_norm < 1.0:
@@ -396,11 +346,11 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol,
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
         t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
-        steps.append((t_old, h, y_old, y, (k0, k5, k6, k7, k8, k9, k10, k11, f)))
+        steps.append((t_old, h, y_old, y, stages))
         if level is not None:
             g_old, g = g, y[0] - level
             if g_old <= 0.0 <= g or g_old >= 0.0 >= g:
-                read = readers[len(steps) - 1] = _step_reader(fun, *steps[-1])
+                read = readers[len(steps) - 1] = make_reader(fun, *steps[-1])
                 nfev += 3
                 t = t_event = brentq(lambda s: read(s)[0] - level, t_old, t,
                                      xtol=EVENT_XTOL, rtol=EVENT_XTOL)
@@ -409,45 +359,21 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol,
         ys.append(y)
         if t_event is not None or t == tf:
             break
-    sol = ContinuousExtension(fun, ts, steps, readers)
+    sol = ContinuousExtension(fun, ts, steps, readers, make_reader)
     return IvpResult(np.array(ts), np.array(ys).T, sol, t_event, nfev)
 
 
-def _extra_stages(fun: Callable, t_old: float, h: float, y_old, stages) -> list:
-    """The stage rows that the continuous extension of the step [t_old, t_old + h] reads.
-
-    ``stages`` holds the step's stages 0 and 5-11 and the rate at its end
-    (stage 12); the three extra stages 13-15 are written out as in the
-    step, and all twelve come back in the order of ``_DENSE``.
-    """
-    k0, k5, k6, k7, k8, k9, k10, k11, k12 = stages
-    c13, c14, c15 = _C_EXTRA
-    (a13_0, a13_6, a13_7, a13_8, a13_9, a13_10, a13_11, a13_12,
-     a14_0, a14_5, a14_6, a14_7, a14_10, a14_11, a14_12, a14_13,
-     a15_0, a15_5, a15_6, a15_7, a15_8, a15_12, a15_13, a15_14) = _A_EXTRA
-    k13 = fun(t_old + c13 * h, [p + h * (a13_0 * q0 + a13_6 * q6 + a13_7 * q7 + a13_8 * q8
-                                         + a13_9 * q9 + a13_10 * q10 + a13_11 * q11
-                                         + a13_12 * q12)
-                                for p, q0, q6, q7, q8, q9, q10, q11, q12
-                                in zip(y_old, k0, k6, k7, k8, k9, k10, k11, k12)])
-    k14 = fun(t_old + c14 * h, [p + h * (a14_0 * q0 + a14_5 * q5 + a14_6 * q6 + a14_7 * q7
-                                         + a14_10 * q10 + a14_11 * q11 + a14_12 * q12
-                                         + a14_13 * q13)
-                                for p, q0, q5, q6, q7, q10, q11, q12, q13
-                                in zip(y_old, k0, k5, k6, k7, k10, k11, k12, k13)])
-    k15 = fun(t_old + c15 * h, [p + h * (a15_0 * q0 + a15_5 * q5 + a15_6 * q6 + a15_7 * q7
-                                         + a15_8 * q8 + a15_12 * q12 + a15_13 * q13
-                                         + a15_14 * q14)
-                                for p, q0, q5, q6, q7, q8, q12, q13, q14
-                                in zip(y_old, k0, k5, k6, k7, k8, k12, k13, k14)])
-    return [k0, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15]
+def _rate_count_error(rates, n: int) -> ValueError:
+    """The error for a state function that returned ``rates`` for n states."""
+    return ValueError(f"the state function returned {len(rates)} rates for {n} states")
 
 
 def _coefficients(h: float, y_old: np.ndarray, y: np.ndarray, K: np.ndarray) -> np.ndarray:
     """SciPy's Horner coefficients F, shape (7, states), of one step's extension.
 
-    Of the step from y_old over h to y, K its rows from :func:`_extra_stages`:
-    the product with ``_D`` that SciPy's ``Dop853DenseOutput`` is given.
+    Of the step from y_old over h to y, K its rows in the order of
+    ``_DENSE``: the product with ``_D`` that SciPy's ``Dop853DenseOutput``
+    is given.
     """
     dy = y - y_old
     F = np.empty((7, K.shape[1]))
@@ -458,25 +384,87 @@ def _coefficients(h: float, y_old: np.ndarray, y: np.ndarray, K: np.ndarray) -> 
     return F
 
 
-def _step_reader(fun: Callable, t_old: float, h: float, y_old: list, y: list, stages) -> Callable:
-    """The continuous extension of the step [t_old, t_old + h] from y_old to y, on floats.
+def _source(n: int) -> str:
+    """Python source of DOP853's attempt and step reader for n states.
 
-    It takes the step's 3 extra stages (:func:`_extra_stages`) and its
-    Horner coefficients (:func:`_coefficients`), and reads the whole state
-    at a t as a list of floats.  The operations are SciPy's, in its order,
-    so the bits are those of ``Dop853DenseOutput``.
+    Each writes the stages out with one local per state: ``k5_1`` is state
+    1 of stage 5, ``y_1`` of the step's start.  The coefficients are the
+    tableau's floats as repr literals, taken only from SciPy's class and
+    the couplings above, so each expression is the one a loop over the
+    states would evaluate, operand for operand.
+
+    ``attempt(fun, t, h, y, k0, atol, rtol)`` takes one step of size h
+    from (t, y), k0 the rate there, and returns the end state, the rate
+    there (stage 12), the stage rows that the extension reads and SciPy's
+    two error sums, of the squares of the 5th- and 3rd-order estimates in
+    units of atol + rtol max(|y|, |y_new|).  ``reader(fun, t, h, y_old, y, stages)``
+    takes a step's 3 extra stages 13-15 and its Horner coefficients
+    (:func:`_coefficients`), and returns the step's reader: the whole state
+    at a point, as a list of floats, by SciPy's operations in its order,
+    so the bits are those of ``Dop853DenseOutput``.  A stage whose rates
+    do not unpack into n locals raises ValueError naming their number.
     """
-    K = _extra_stages(fun, t_old, h, y_old, stages)
-    columns = list(zip(y_old, *_coefficients(h, np.array(y_old), np.array(y),
-                                              np.array(K)).tolist()))
+    states = range(n)
 
-    def read(t: float) -> list:
-        x = (t - t_old) / h
-        x1 = 1.0 - x
-        return [(((((((0.0 + f6) * x + f5) * x1 + f4) * x + f3) * x1 + f2) * x + f1) * x1 + f0) * x
-                + p for p, f0, f1, f2, f3, f4, f5, f6 in columns]
+    def locals_of(row):
+        return "".join(f"{row}_{i}, " for i in states)
 
-    return read
+    def unpack(row):
+        return ["try:", f"    {locals_of(row)}= {row}", "except ValueError:",
+                f"    raise _rate_count_error({row}, {n}) from None"]
+
+    def stage(s, c, coefficients, couplings):
+        y = ", ".join(f"y_{i} + h * ("
+                      + " + ".join(f"{float(coefficients[j])!r} * k{j}_{i}" for j in couplings)
+                      + ")" for i in states)
+        return [f"k{s} = fun(t + {float(c)!r} * h, [{y}])", *unpack(f"k{s}")]
+
+    def weighted(weights, i):
+        return " + ".join(f"{float(weights[j])!r} * k{j}_{i}" for j in _SOLUTION)
+
+    kept = ", ".join(f"k{j}" for j in _DENSE[:9])  # the stage rows that a step keeps
+
+    attempt = [f"{locals_of('y')}= y", f"{locals_of('k0')}= k0", f"{locals_of('a')}= atol"]
+    for s, row in enumerate(_STAGES, 1):
+        attempt += stage(s, DOP853.C[s], DOP853.A[s], row)
+    attempt += [f"z_{i} = y_{i} + h * ({weighted(DOP853.B, i)})" for i in states]
+    attempt += [f"y_new = [{locals_of('z')}]", "k12 = fun(t + h, y_new)", *unpack("k12"),
+                "norm5 = norm3 = 0.0"]
+    for i in states:
+        attempt += [f"s = a_{i} + max(abs(y_{i}), abs(z_{i})) * rtol",
+                    f"e = ({weighted(DOP853.E5, i)}) / s", "norm5 += e * e",
+                    f"e = ({weighted(DOP853.E3, i)}) / s", "norm3 += e * e"]
+    attempt.append(f"return y_new, k12, ({kept}), norm5, norm3")
+
+    reader = [f"{kept} = stages", f"{locals_of('y')}= y_old"]
+    reader += [f"{locals_of(f'k{j}')}= k{j}" for j in _DENSE[:9]]
+    for s, row in enumerate(_EXTRA):
+        reader += stage(13 + s, DOP853.C_EXTRA[s], DOP853.A_EXTRA[s], row)
+    coefficients = "), (".join(locals_of(f"f{m}") for m in range(7))
+    rows = ", ".join(f"k{j}" for j in _DENSE)
+    horner = ", ".join(f"(((((((0.0 + f6_{i}) * x + f5_{i}) * x1 + f4_{i}) * x + f3_{i}) * x1"
+                       f" + f2_{i}) * x + f1_{i}) * x1 + f0_{i}) * x + y_{i}" for i in states)
+    reader += [f"({coefficients}) = _coefficients(h, np.array(y_old), np.array(y), "
+               f"np.array([{rows}])).tolist()",
+               "def read(at):", "    x = (at - t) / h", "    x1 = 1.0 - x",
+               f"    return [{horner}]", "return read"]
+    return "\n".join(["def attempt(fun, t, h, y, k0, atol, rtol):", *map("    {}".format, attempt),
+                      "def reader(fun, t, h, y_old, y, stages):", *map("    {}".format, reader)])
+
+
+_COMPILED = {}  # state count -> (attempt, reader) compiled from _source
+
+
+def _compiled(n: int) -> tuple:
+    """The attempt and the step reader factory of :func:`_source` for n
+    states, compiled on first use and kept for the process."""
+    code = _COMPILED.get(n)
+    if code is None:
+        namespace = {"np": np, "_coefficients": _coefficients,
+                     "_rate_count_error": _rate_count_error}
+        exec(compile(_source(n), f"<DOP853 for {n} states>", "exec"), namespace)
+        code = _COMPILED[n] = namespace["attempt"], namespace["reader"]
+    return code
 
 
 def _series_state(series: np.ndarray, t0: float, t):

@@ -223,7 +223,8 @@ def pde_residual(sol: ShotSolution) -> float:
     On each accepted step [t_k, t_{k+1}] the increment of every state
     (eta, v, energy) on the dense output is compared with the
     integral of the shot's own state function along that output, taken
-    with 8-point Gauss-Legendre quadrature.  Each state's largest miss is
+    with 8-point Gauss-Legendre quadrature, the state function called on
+    Python floats as in the shot.  Each state's largest miss is
     divided by its integral of |rate| over the whole shot, and the worst
     state's ratio is returned.  No term is weighted by e^{-2t} or by the
     Laplacian, so the residual does not underflow at large mu.  A
@@ -237,7 +238,7 @@ def pde_residual(sol: ShotSolution) -> float:
     x, w = roots_legendre(8)
     ts = (nodes[:-1] + half)[:, None] + half[:, None] * x
     ys = sol.eta.eval_state_t(np.concatenate([nodes, ts.ravel()]))
-    rates = np.array([state(t, y) for t, y in zip(ts.ravel(), ys[:, n:].T)])
+    rates = np.array([state(t, y) for t, y in zip(ts.ravel().tolist(), ys[:, n:].T.tolist())])
     rates = rates.reshape(*ts.shape, -1)  # (step, Gauss point, state)
     flux = np.einsum("k,j,kjs->ks", half, w, rates)
     scale = np.einsum("k,j,kjs->s", half, w, np.abs(rates))

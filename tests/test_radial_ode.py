@@ -366,6 +366,64 @@ def test_each_step_is_scipys_dop853_step(monkeypatch, mu):
         assert np.all(np.abs(res.y[:, i + 1] - y_new) <= 4.0 * EPS * terms), (mu, i)
 
 
+def _coupled_rates(t, y):
+    # a state function of any width that couples each state to the next
+    n = len(y)
+    return tuple(math.sin(y[(i + 1) % n]) - 0.5 * y[i] + math.cos((i + 1) * t)
+                 for i in range(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_width_steps_and_reads_as_scipy(monkeypatch, n):
+    # the code generated for n states, compiled once: every accepted step
+    # lands within 4 eps of SciPy's rk_step from the same (t, y, f, h), and
+    # so do the inputs of the step's 3 extra stages against SciPy's; its
+    # reads are the bits of a Dop853DenseOutput on the same stage rows
+    built = []
+    source = radial_ode._source
+    monkeypatch.setattr(radial_ode, "_source", lambda m: built.append(m) or source(m))
+    monkeypatch.delitem(radial_ode._COMPILED, n, raising=False)
+    calls = []
+
+    def fun(t, y):
+        calls.append((t, y, _coupled_rates(t, y)))
+        return calls[-1][2]
+
+    res = radial_ode.solve_ivp(fun, (0.0, 6.0), 0.1 * np.arange(1.0, n + 1.0),
+                               rtol=1e-8, atol=1e-10)
+    assert len(res.t) > 10 and res.y.shape == (n, len(res.t))
+    K = np.zeros((16, n))
+    for i, (t_old, h, y_old, y, stages) in enumerate(res.sol._steps):
+        y_old, y = np.array(y_old), np.array(y)
+        y_new, _ = rk_step(lambda t, z: np.array(_coupled_rates(t, z)), t_old, y_old,
+                           np.array(stages[0]), h, DOP853.A, DOP853.B, DOP853.C, K[:13])
+        terms = np.abs(y_old) + abs(h) * np.abs(DOP853.B) @ np.abs(K[:12])
+        assert np.all(np.abs(y - y_new) <= 4.0 * EPS * terms), i
+        points = t_old + h * np.array([0.1, 0.5, 0.9])
+        del calls[:]
+        reads = res.sol(points)
+        assert len(calls) == 3
+        K[list(radial_ode._DENSE[:9])] = stages
+        for s, (t, z, rates) in enumerate(calls, 13):
+            assert t == t_old + DOP853.C_EXTRA[s - 13] * h
+            a = DOP853.A_EXTRA[s - 13, :s]
+            terms = np.abs(y_old) + abs(h) * np.abs(a) @ np.abs(K[:s])
+            assert np.all(np.abs(z - (y_old + K[:s].T @ a * h)) <= 4.0 * EPS * terms), i
+            K[s] = rates
+        dy = y - y_old
+        F = np.empty((7, n))
+        F[0] = dy
+        F[1] = h * K[0] - dy
+        F[2] = 2.0 * dy - h * (K[12] + K[0])
+        F[3:] = h * DOP853.D[:, radial_ode._DENSE] @ K[list(radial_ode._DENSE)]
+        piece = Dop853DenseOutput(t_old, t_old + h, y_old, F)
+        assert np.array_equal(reads, piece(points)) and np.array_equal(res.sol(t_old + h),
+                                                                       piece(t_old + h))
+    again = radial_ode.solve_ivp(fun, (0.0, 6.0), 0.1 * np.arange(1.0, n + 1.0),
+                                 rtol=1e-8, atol=1e-10)
+    assert np.array_equal(again.y, res.y) and built == [n]
+
+
 @pytest.mark.parametrize("read", [False, True], ids=["plain", "dense"])
 @pytest.mark.parametrize("family", [trivial, log_power_family])
 @pytest.mark.parametrize("mu", [2.0, 6.0, 12.0, 24.0])
@@ -567,10 +625,37 @@ def test_step_sizes_follow_scipys_controller(rate):
 
 @pytest.mark.parametrize("rates", [1, 3])
 def test_wrong_number_of_rates_rejected(rates):
-    # zip over the state would silently drop or ignore the odd rates
+    # a first call that returns another number of rates than states fails
     with pytest.raises(ValueError, match="rates"):
         radial_ode.solve_ivp(lambda t, y: (1.0,) * rates, (0.0, 1.0), np.zeros(2),
                              rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("rates", [1, 3])
+def test_rate_count_changing_later_is_rejected(rates):
+    # a state function whose number of rates changes on its 5th call, stage
+    # 3 of the first attempt, fails there
+    calls = 0
+
+    def fun(t, y):
+        nonlocal calls
+        calls += 1
+        return (math.cos(t),) * (2 if calls < 5 else rates)
+
+    with pytest.raises(ValueError, match=f"returned {rates} rates for 2 states"):
+        radial_ode.solve_ivp(fun, (0.0, 10.0), np.zeros(2), rtol=1e-6, atol=1e-9)
+    assert calls == 5
+
+
+@pytest.mark.parametrize("rates", [1, 3])
+def test_rate_count_changing_in_a_read_is_rejected(rates):
+    # the extension's extra stages unpack their rates as the steps' do
+    count = [2]
+    res = radial_ode.solve_ivp(lambda t, y: (math.cos(t),) * count[0], (0.0, 10.0),
+                               np.zeros(2), rtol=1e-6, atol=1e-9)
+    count[0] = rates
+    with pytest.raises(ValueError, match=f"returned {rates} rates for 2 states"):
+        res.sol(0.5)
 
 
 @pytest.mark.parametrize("t_span", [(1.0, 1.0), (1.0, 0.0)])

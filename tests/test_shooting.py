@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -15,9 +16,23 @@ from mtlab.radial_ode import R_START, START_LADDER, IntegrationError
 from mtlab.shooting import (SPLIT_EXPONENT, EventNotReachedError,
                             comparison_eta0, functional_value, pde_residual,
                             shoot)
+from pin_shot_bits import PINNED, shot_bits
 
 FOUR_PI = 4.0 * np.pi
 TWO_PI = 2.0 * np.pi
+
+
+def test_shot_bits_are_pinned():
+    """Every pinned number of the sweep lattice's shots and of the w0 and z0
+    solves is the one that tests/pin_shot_bits.py wrote, bit for bit.
+
+    The values come from this platform's libm (``math.exp``, ``np.log``...)
+    and its NumPy: on another platform a last bit may move, and rerunning
+    the script there pins that platform's values.
+    """
+    pinned = json.loads(PINNED.read_text())
+    assert shot_bits(pinned["mus"], pinned["families"]) == {
+        key: pinned[key] for key in ("shots", "linearized")}
 
 
 def test_mu_range_guard():
