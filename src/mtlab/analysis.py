@@ -179,28 +179,29 @@ def residual_hierarchy(mu: float,
     mu2, mu4 = mu ** 2, mu ** 4
 
     def hierarchy_err(r_hi, n=600):
-        """Radii plus (eta - eta0 - w0/mu^2, same - z0/mu^4) samples."""
+        """Radii plus (eta - eta0, same - w0/mu^2, same - z0/mu^4) samples and
+        the z0 reads."""
         t = np.linspace(np.log(1e-3), min(np.log(r_hi), sol.log_R), n)
         r = np.exp(t)
         eta, _ = sol.eta.eval_t(t)
         d1 = eta - pf.eta0(r) - pf.w0(r) / mu2
         z0_vals, _ = z0.eval_t(np.minimum(t, z0.t_max))
         d2 = d1 - z0_vals / mu4
-        return r, eta - pf.eta0(r), d1, d2
+        return r, eta - pf.eta0(r), d1, d2, z0_vals
 
-    r, d_w, d1, d2 = hierarchy_err(10.0)
+    r, d_w, d1, _, z0_vals = hierarchy_err(10.0)
     sup_w_err = float(np.max(np.abs(mu2 * d_w - pf.w0(r))))
-    sup_z_err = float(np.max(np.abs(mu4 * d1 - z0.eval_t(np.log(r))[0])))
+    sup_z_err = float(np.max(np.abs(mu4 * d1 - z0_vals)))
 
     if perturbed:
         delta = delta_k(mu, spec)
         h_mu = float(spec.h(np.asarray(mu)))
-        r, _, _, d2 = hierarchy_err(mu4, n=2000)
+        r, _, _, d2, _ = hierarchy_err(mu4, n=2000)
         phi = (d2 - h_mu * pf.zeta0(r)) / delta
         phi_over_xi = float(np.max(np.abs(phi) / pf.xi(r)))
     else:
         delta = mu ** -6.0
-        r, _, _, d2 = hierarchy_err(min(np.exp(mu), 1e6), n=2000)
+        r, _, _, d2, _ = hierarchy_err(min(np.exp(mu), 1e6), n=2000)
         phi_over_xi = float(np.max(np.abs(mu ** 6 * d2) / pf.xi(r)))
     return ResidualReport(mu=mu, sup_w_err=sup_w_err, sup_z_err=sup_z_err,
                           phi_over_xi=phi_over_xi, perturbed=perturbed,

@@ -13,10 +13,11 @@ giving an independent cross-check.
 The sources of w0, z0 and w_a, like the profiles they are built from,
 take a float or a float ndarray: a float gives a NumPy scalar (the
 profiles' ufuncs return one), with no 0-d array built on the way, and the
-solver's state calls them on one float per evaluation.  The state converts
-that scalar to a float once, so its rates, and every stage of the float
-stepper after them, are Python floats (a NumPy scalar would turn every
-stage's arithmetic into NumPy-scalar arithmetic, several times slower).
+solver's state, ``state(t, w, v)``, calls them on one float per
+evaluation.  The state converts that scalar to a float once, so its
+rates, and every stage of the float stepper after them, are Python
+floats (a NumPy scalar would turn every stage's arithmetic into
+NumPy-scalar arithmetic, several times slower).
 """
 
 from __future__ import annotations
@@ -85,10 +86,10 @@ def solve_linearized(source: Callable, r_max: float = 1e6) -> RadialSolution:
                          f"starts below r_max, at R_START at the lowest), "
                          f"got r_max={r_max}")
 
-    def state(t, y):
+    def state(t, w, v):
         r = math.exp(t)
         one = 1.0 + r * r
-        return y[1], -r * r * (4.0 / (one * one) * (float(source(r)) + 2.0 * y[0]))
+        return v, -r * r * (4.0 / (one * one) * (float(source(r)) + 2.0 * w))
 
     return solve(state, np.log(r_max), LINEARIZED_TOL, LINEARIZED_TOL)
 

@@ -7,11 +7,15 @@ coordinate t = log r with v = r u'(r),
 
 :func:`solve` integrates the Cauchy problem u(0) = u'(0) = 0 to t_end or
 to the first crossing of a level.  The caller supplies one state function
-of t for the whole state (u, v, q...), so each right-hand-side evaluation
-shares its work between the equation and any quadrature states q (e.g. a
-running energy integral, state 2 of a shot), which share the same error
-control and vanish at the origin.  The stepper is DOP853 (Hairer,
-Norsett & Wanner, Solving ODEs I, sec. II.10), an embedded Runge-Kutta
+``fun(t, u, v)`` that returns the rates of the whole state (u, v, q...),
+so each right-hand-side evaluation shares its work between the equation
+and any quadrature states q (e.g. a running energy integral, state 2 of
+a shot), which share the same error control and vanish at the origin.
+A quadrature is a running integral of t, u and v, so no rate reads q, and
+the call passes u and v alone: a stage builds the inputs of those two
+states and no others, while every state still enters the step's
+solution, its error norm and its dense output.  The stepper is DOP853
+(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10), an embedded Runge-Kutta
 pair of order 8(5,3), the only pair used: on the linearized solves at
 tolerance 1e-12 it takes a fifth of RK45's accepted steps and a little
 over half its right-hand-side evaluations.
@@ -48,8 +52,15 @@ from the couplings of the tableau (``_STAGES``, ``_SOLUTION``,
 ``_EXTRA``) and SciPy's ``DOP853`` class, and :func:`_compiled` compiles
 it once per state count, in about 2-3 ms, on first use.  Each expression
 keeps the operands and the order of a loop over the states, so the bits
-are those of that loop; the state calls are now about half of a mu = 12
-shot (47% trivial, 60% log-power).  The numbers are not bit-identical to
+are those of that loop.  That left the state calls at about half of a
+mu = 12 shot (42-45% trivial, 50-57% log-power, replayed alone), paying
+for a list around each stage's state and for the inputs of the energy
+state, which no rate reads.  With the ``(t, u, v)`` call, and the shot
+kernel's clamps written as comparisons, a trivial shot at mu = 12 takes
+1.2 ms instead of 1.8-1.9 ms and its state calls 31% of it (0.35 us a
+call), and a log-power shot 1.8 ms instead of 2.4-2.7 ms and its calls
+about half (0.8 us, 0.5 of them in the family's ``point``), on a 2-vCPU
+host.  The numbers are not bit-identical to
 ``scipy.integrate.solve_ivp``: the error estimate cancels to about 1e-5 of
 its terms, so another summation order moves the step sizes a little.  The
 tests bound the difference (one step within 4 eps of SciPy's, whole
@@ -285,9 +296,12 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol,
               level: Optional[float] = None) -> IvpResult:
     """DOP853 on Python floats from t_span[0] to t_span[1], or to u = level.
 
-    ``fun(t, y)`` gets the state as a list of floats and returns a sequence
-    of as many rates; a call that returns another number raises
-    ValueError, as does a ``t_span`` that does not increase.  Each attempt
+    ``fun(t, u, v)`` gets t and the first two states as floats and returns
+    a sequence of the rates of every state, as many as y0 holds, 2 or
+    more: the rates depend on t, u and v alone, so the states after v are
+    quadratures, whose stage inputs are never built.  A call that returns
+    another number of rates raises ValueError, as do fewer than 2 states
+    and a ``t_span`` that does not increase.  Each attempt
     is SciPy's DOP853 step, run by the straight-line float code that
     :func:`_compiled` makes for the state count: its 11 stages as in
     ``dop853.f``, the solution, the rate at the step's end and both error
@@ -309,13 +323,16 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol,
     rtol = float(rtol)
     y = [float(p) for p in y0]
     n = len(y)
+    if n < 2:
+        raise ValueError(f"the state function takes (t, u, v), so it needs 2 states or more, "
+                         f"got {n}")
     atol = [float(a) for a in np.broadcast_to(atol, n)]
-    f = fun(t, y)
+    f = fun(t, y[0], y[1])
     if len(f) != n:
         raise _rate_count_error(f, n)
     # SciPy's rule calls fun once on NumPy values, so fun gets them as floats
-    h_abs = float(select_initial_step(lambda s, z: fun(float(s), z.tolist()), t, np.array(y), tf,
-                                      np.inf, np.asarray(f, dtype=float), 1.0,
+    h_abs = float(select_initial_step(lambda s, z: fun(float(s), float(z[0]), float(z[1])), t,
+                                      np.array(y), tf, np.inf, np.asarray(f, dtype=float), 1.0,
                                       DOP853.error_estimator_order, rtol, np.array(atol)))
     nfev = 2  # f and the initial step's trial rate
     attempt, make_reader = _compiled(n)
@@ -391,7 +408,10 @@ def _source(n: int) -> str:
     1 of stage 5, ``y_1`` of the step's start.  The coefficients are the
     tableau's floats as repr literals, taken only from SciPy's class and
     the couplings above, so each expression is the one a loop over the
-    states would evaluate, operand for operand.
+    states would evaluate, operand for operand.  A stage builds the inputs
+    of states 0 and 1 alone and calls ``fun(t + c h, u, v)``, and so does
+    the end rate on z_0 and z_1; the other states, quadratures, enter the
+    solution, both error sums and the Horner read.
 
     ``attempt(fun, t, h, y, k0, atol, rtol)`` takes one step of size h
     from (t, y), k0 the rate there, and returns the end state, the rate
@@ -414,10 +434,10 @@ def _source(n: int) -> str:
                 f"    raise _rate_count_error({row}, {n}) from None"]
 
     def stage(s, c, coefficients, couplings):
-        y = ", ".join(f"y_{i} + h * ("
-                      + " + ".join(f"{float(coefficients[j])!r} * k{j}_{i}" for j in couplings)
-                      + ")" for i in states)
-        return [f"k{s} = fun(t + {float(c)!r} * h, [{y}])", *unpack(f"k{s}")]
+        uv = ", ".join(f"y_{i} + h * ("
+                       + " + ".join(f"{float(coefficients[j])!r} * k{j}_{i}" for j in couplings)
+                       + ")" for i in (0, 1))
+        return [f"k{s} = fun(t + {float(c)!r} * h, {uv})", *unpack(f"k{s}")]
 
     def weighted(weights, i):
         return " + ".join(f"{float(weights[j])!r} * k{j}_{i}" for j in _SOLUTION)
@@ -428,7 +448,7 @@ def _source(n: int) -> str:
     for s, row in enumerate(_STAGES, 1):
         attempt += stage(s, DOP853.C[s], DOP853.A[s], row)
     attempt += [f"z_{i} = y_{i} + h * ({weighted(DOP853.B, i)})" for i in states]
-    attempt += [f"y_new = [{locals_of('z')}]", "k12 = fun(t + h, y_new)", *unpack("k12"),
+    attempt += [f"y_new = [{locals_of('z')}]", "k12 = fun(t + h, z_0, z_1)", *unpack("k12"),
                 "norm5 = norm3 = 0.0"]
     for i in states:
         attempt += [f"s = a_{i} + max(abs(y_{i}), abs(z_{i})) * rtol",
@@ -479,14 +499,14 @@ def _fit_start(fun: Callable, t0: float) -> np.ndarray:
     Each sweep evaluates the state function on the current series at the
     three fit radii and solves for the coefficients whose rates match it;
     the v row is tied to the u row by v = r u'.  The first sweep passes
-    the zero series as (u, v) = (0, 0) alone, and the number of rates that
-    the state function returns sets the number of states.
+    the zero series, (u, v) = (0, 0), and the number of rates that the
+    state function returns sets the number of states.
     """
     ts = t0 + 0.5 * np.log(_FIT_S)
     d = None
     for _ in range(FIT_SWEEPS):
-        cols = [[0.0, 0.0]] * 3 if d is None else _series_state(d, t0, ts).T.tolist()
-        rates = np.array([fun(t, col) for t, col in zip(ts.tolist(), cols)])
+        uv = [(0.0, 0.0)] * 3 if d is None else _series_state(d, t0, ts)[:2].T.tolist()
+        rates = np.array([fun(t, u, v) for t, (u, v) in zip(ts.tolist(), uv)])
         d = np.empty((rates.shape[1], 3))
         d[0] = _U_INV @ rates[:, 1]
         d[1] = 2.0 * _ORDERS * d[0]
@@ -507,20 +527,21 @@ def _start_holds(fun: Callable, d: np.ndarray, t0: float, atol,
     if level is not None and not np.all((y[0] - level) * -level > 0.0):
         return False
     fitted = _series_state(2.0 * _ORDERS * d, t0, ts)
-    return all(np.all(np.abs(fun(t, col) - fitted_col) <= atol)
-               for t, col, fitted_col in zip(ts.tolist(), y.T.tolist(), fitted.T))
+    return all(np.all(np.abs(fun(t, u, v) - fitted_col) <= atol)
+               for t, (u, v), fitted_col in zip(ts.tolist(), y[:2].T.tolist(), fitted.T))
 
 
 def solve(fun: Callable, t_end: float, rtol: float, atol,
           level: Optional[float] = None) -> RadialSolution:
     """Integrate from the fitted start to t_end, or to the first crossing u = level.
 
-    ``fun(t, y)`` returns dy/dt for the state y = (u, v, q...):
+    ``fun(t, u, v)`` returns dy/dt for the state y = (u, v, q...):
     (v, e^{2t} Delta u) and the rates of any quadrature states q, running
-    integrals whose rates depend on t, u and v alone; the number of rates
-    sets the number of states.  Every state vanishes at the origin, the
-    start is fitted to the core as the module docstring says, and ``fun``
-    gets the state as a list of floats, in the start fit as in the stepper.
+    integrals whose rates depend on t, u and v alone, which is why the
+    call passes nothing else; the number of rates sets the number of
+    states, 2 or more.  Every state vanishes at the origin, the start is
+    fitted to the core as the module docstring says, and ``fun`` gets t,
+    u and v as floats, in the start fit as in the stepper.
     The stepper is this module's DOP853 on floats, :func:`solve_ivp`; the
     name is looked up at each call, so a wrapper patched over it sees every
     solve (the benchmark's tracer counts solves that way until it reads the
@@ -542,10 +563,10 @@ def solve(fun: Callable, t_end: float, rtol: float, atol,
                          f"where the error estimate is rounding noise")
     fit_calls = 0
 
-    def counted(t, y):
+    def counted(t, u, v):
         nonlocal fit_calls
         fit_calls += 1
-        return fun(t, y)
+        return fun(t, u, v)
 
     rungs = [np.log(r) for r in START_LADDER if np.log(r) < t_end]
     for t0 in rungs:

@@ -22,13 +22,17 @@ against this state function; see :mod:`mtlab.radial_ode`) at r = 1e-2, or
 lower on its ladder when the check fails: at mu = 0.05 the series of the
 core converges only for r below about mu, and the start drops to 1e-3.
 A split radius below the start is read off that series.  The state
-function calls the family's scalar kernel ``point``, which gives h(u)
-alone (a shot never reads g), once per evaluation, the fit's included,
-in plain ``math`` on Python floats, returns its rates as a tuple of
-floats for radial_ode's float stepper, and raises IntegrationError when
-h is not finite: at once, naming mu, the family and u, where the stepper
-alone raises only after rejecting its step down to 10 ulp and names
-none of them.  The
+function ``state(t, eta, v)`` takes the two states that the rates read:
+the energy is a quadrature, so the stepper builds no stage input for it.
+It calls the family's scalar kernel ``point``, which gives h(u) alone
+(a shot never reads g), once per evaluation, the fit's included, in
+plain ``math`` on Python floats, with eta/mu^2 computed once and its
+three clamps written as comparisons rather than ``min``/``max`` calls
+(the same bits, NaN and signed zeros included), returns its rates as a
+tuple of floats for radial_ode's float stepper, and raises
+IntegrationError when h is not finite: at once, naming mu, the family
+and u, where the stepper alone raises only after rejecting its step
+down to 10 ulp and names none of them.  The
 functional needs no state of its own: :func:`functional_value` is the
 Pohozaev closed form on the boundary state.
 
@@ -127,9 +131,9 @@ def _state(mu: float, spec: PerturbationSpec) -> Callable:
     against it, so the equation is written once.
     """
     mu2 = mu * mu
-    point = spec.point
+    point, exp, isfinite = spec.point, math.exp, math.isfinite
 
-    def state(t, y):
+    def state(t, eta, v):
         """(eta, v, energy)' at t = log r.
 
         Both rates share e = e^{2t + eta (2 + eta/mu^2)}.  Along the solution
@@ -137,17 +141,26 @@ def _state(mu: float, spec: PerturbationSpec) -> Callable:
         non-positive; its clamp at 0 and the clamp of the whole exponent at
         50 only bite on wildly overshooting trial steps of the adaptive
         integrator (eta < -2 mu^2, or t far past the boundary event), and
-        keep ``math.exp`` below overflow.
+        keep ``exp`` below overflow.  Each clamp is a comparison that is
+        False on NaN and keeps a signed zero, so it gives the bits of
+        ``max(u, 1e-12)``, ``min(x, 0.0)`` and ``min(x, 50.0)``.
         """
-        eta, v = y[0], y[1]
-        u = max(mu + eta / mu, 1e-12)
+        s = eta / mu2
+        u = mu + eta / mu
+        if u < 1e-12:
+            u = 1e-12
         hu = point(u)
-        if not math.isfinite(hu):
+        if not isfinite(hu):
             raise IntegrationError(f"non-finite perturbation h = {hu} at u={u} "
                                    f"(mu={mu}, family {spec.name})")
-        q = 1.0 + eta / mu2
-        e = math.exp(min(2.0 * t + min(eta * (2.0 + eta / mu2), 0.0), 50.0))
-        f = 4.0 * (1.0 + hu) * q * e
+        q = 1.0 + s
+        x = eta * (2.0 + s)
+        if x > 0.0:
+            x = 0.0
+        x = 2.0 * t + x
+        if x > 50.0:
+            x = 50.0
+        f = 4.0 * (1.0 + hu) * q * exp(x)
         return v, -f, TWO_PI * f * q
 
     return state
@@ -238,7 +251,8 @@ def pde_residual(sol: ShotSolution) -> float:
     x, w = roots_legendre(8)
     ts = (nodes[:-1] + half)[:, None] + half[:, None] * x
     ys = sol.eta.eval_state_t(np.concatenate([nodes, ts.ravel()]))
-    rates = np.array([state(t, y) for t, y in zip(ts.ravel().tolist(), ys[:, n:].T.tolist())])
+    rates = np.array([state(t, eta, v)
+                      for t, (eta, v) in zip(ts.ravel().tolist(), ys[:2, n:].T.tolist())])
     rates = rates.reshape(*ts.shape, -1)  # (step, Gauss point, state)
     flux = np.einsum("k,j,kjs->ks", half, w, rates)
     scale = np.einsum("k,j,kjs->s", half, w, np.abs(rates))

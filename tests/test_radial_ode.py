@@ -26,16 +26,21 @@ from mtlab.radial_ode import (MIN_RTOL, R_START, START_LADDER, IntegrationError,
 from mtlab.shooting import SPLIT_EXPONENT, shoot
 
 
-def liouville_state(t, y):
+def liouville_state(t, u, v):
     # -Delta eta = 4 e^{2 eta}, solution eta0 = -log(1+r^2)
-    f = 4.0 * np.exp(2.0 * t + 2.0 * min(y[0], 0.0))
-    return np.array([y[1], -f])
+    f = 4.0 * np.exp(2.0 * t + 2.0 * min(u, 0.0))
+    return np.array([v, -f])
 
 
-def liouville_mass_state(t, y):
+def liouville_mass_state(t, u, v):
     # a third state accumulates the planar mass 2 pi int 4 e^{2 eta} r^2 dt
-    f = 4.0 * np.exp(2.0 * t + 2.0 * min(y[0], 0.0))
-    return np.array([y[1], -f, 2.0 * np.pi * f])
+    f = 4.0 * np.exp(2.0 * t + 2.0 * min(u, 0.0))
+    return np.array([v, -f, 2.0 * np.pi * f])
+
+
+def _scipy_fun(fun):
+    """A (t, u, v) state function as SciPy calls one: on the whole state y."""
+    return lambda t, y: fun(t, y[0], y[1])
 
 
 def liouville_solve(t_end, rtol=1e-12, atol=1e-12, mass=False, **kw):
@@ -61,9 +66,9 @@ def test_nfev_counts_every_state_call():
     # the start fit's calls and the stepper's; accepted steps are the grid's
     calls = []
 
-    def counted(t, y):
+    def counted(t, u, v):
         calls.append(t)
-        return liouville_state(t, y)
+        return liouville_state(t, u, v)
 
     sol = solve(counted, np.log(1e3), 1e-12, 1e-12)
     assert sol.nfev == len(calls)
@@ -285,8 +290,10 @@ def _solved_with_scipy(args, kwargs, marks=()):
     and which marks lie on the solution, those SciPy's events find.
     """
     own = radial_ode.solve_ivp(*args, **kwargs)
+    fun, *rest_args = args
     rest = {k: v for k, v in kwargs.items() if k != "level"}
-    ref = scipy.integrate.solve_ivp(*args, method="DOP853", dense_output=True, **rest,
+    ref = scipy.integrate.solve_ivp(_scipy_fun(fun), *rest_args, method="DOP853",
+                                    dense_output=True, **rest,
                                     events=_scipy_events(marks, kwargs.get("level")))
     assert (own.t_event is not None) == (ref.status == 1)
     reached = [m for m, te in zip(marks, ref.t_events or ()) if len(te)]
@@ -360,33 +367,33 @@ def test_each_step_is_scipys_dop853_step(monkeypatch, mu):
     for i in range(len(res.t) - 2):  # the last node is the boundary event
         t, y = float(res.t[i]), res.y[:, i]
         h = float(res.t[i + 1]) - t
-        f = np.array(fun(t, [float(v) for v in y]))
-        y_new, _ = rk_step(fun, t, y, f, h, DOP853.A, DOP853.B, DOP853.C, K)
+        f = np.array(fun(t, float(y[0]), float(y[1])))
+        y_new, _ = rk_step(_scipy_fun(fun), t, y, f, h, DOP853.A, DOP853.B, DOP853.C, K)
         terms = np.abs(y) + abs(h) * np.abs(DOP853.B) @ np.abs(K[:-1])
         assert np.all(np.abs(res.y[:, i + 1] - y_new) <= 4.0 * EPS * terms), (mu, i)
 
 
-def _coupled_rates(t, y):
-    # a state function of any width that couples each state to the next
-    n = len(y)
-    return tuple(math.sin(y[(i + 1) % n]) - 0.5 * y[i] + math.cos((i + 1) * t)
-                 for i in range(n))
+def _quadrature_rates(t, u, v, n):
+    # (u, v) coupled to each other and to t, and n - 2 quadratures of them
+    return (math.sin(v) - 0.5 * u + math.cos(t), math.sin(u) - 0.5 * v + math.cos(2.0 * t),
+            *(math.cos((i + 1) * t) * u + v * v for i in range(n - 2)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_every_width_steps_and_reads_as_scipy(monkeypatch, n):
-    # the code generated for n states, compiled once: every accepted step
-    # lands within 4 eps of SciPy's rk_step from the same (t, y, f, h), and
-    # so do the inputs of the step's 3 extra stages against SciPy's; its
-    # reads are the bits of a Dop853DenseOutput on the same stage rows
+    # the code generated for (u, v) and n - 2 quadrature states, compiled
+    # once: every accepted step lands within 4 eps of SciPy's rk_step from
+    # the same (t, y, f, h), and so do the u and v inputs of the step's 3
+    # extra stages, the only ones built, against SciPy's; its reads are the
+    # bits of a Dop853DenseOutput on the same stage rows
     built = []
     source = radial_ode._source
     monkeypatch.setattr(radial_ode, "_source", lambda m: built.append(m) or source(m))
     monkeypatch.delitem(radial_ode._COMPILED, n, raising=False)
     calls = []
 
-    def fun(t, y):
-        calls.append((t, y, _coupled_rates(t, y)))
+    def fun(t, u, v):
+        calls.append((t, (u, v), _quadrature_rates(t, u, v, n)))
         return calls[-1][2]
 
     res = radial_ode.solve_ivp(fun, (0.0, 6.0), 0.1 * np.arange(1.0, n + 1.0),
@@ -395,7 +402,7 @@ def test_every_width_steps_and_reads_as_scipy(monkeypatch, n):
     K = np.zeros((16, n))
     for i, (t_old, h, y_old, y, stages) in enumerate(res.sol._steps):
         y_old, y = np.array(y_old), np.array(y)
-        y_new, _ = rk_step(lambda t, z: np.array(_coupled_rates(t, z)), t_old, y_old,
+        y_new, _ = rk_step(lambda t, z: np.array(_quadrature_rates(t, z[0], z[1], n)), t_old, y_old,
                            np.array(stages[0]), h, DOP853.A, DOP853.B, DOP853.C, K[:13])
         terms = np.abs(y_old) + abs(h) * np.abs(DOP853.B) @ np.abs(K[:12])
         assert np.all(np.abs(y - y_new) <= 4.0 * EPS * terms), i
@@ -407,8 +414,8 @@ def test_every_width_steps_and_reads_as_scipy(monkeypatch, n):
         for s, (t, z, rates) in enumerate(calls, 13):
             assert t == t_old + DOP853.C_EXTRA[s - 13] * h
             a = DOP853.A_EXTRA[s - 13, :s]
-            terms = np.abs(y_old) + abs(h) * np.abs(a) @ np.abs(K[:s])
-            assert np.all(np.abs(z - (y_old + K[:s].T @ a * h)) <= 4.0 * EPS * terms), i
+            terms = np.abs(y_old[:2]) + abs(h) * np.abs(a) @ np.abs(K[:s, :2])
+            assert np.all(np.abs(z - (y_old[:2] + K[:s, :2].T @ a * h)) <= 4.0 * EPS * terms), i
             K[s] = rates
         dy = y - y_old
         F = np.empty((7, n))
@@ -472,7 +479,7 @@ def test_events_fire_and_end_the_solve_as_in_scipy():
     # t = 7: a read at t = 3 gives the state there, while t = 7 lies past
     # the crossing, where the solution ends and a read raises, as SciPy's
     # event there does not fire with the level a terminal event
-    args = (lambda t, y: (-1.0, 0.5), (0.0, 10.0), np.zeros(2))
+    args = (lambda t, u, v: (-1.0, 0.5), (0.0, 10.0), np.zeros(2))
     tols = {"rtol": 1e-3, "atol": 1e-6}
     free = radial_ode.solve_ivp(*args, **tols)
     assert free.t[-2] < 3.0 and free.t[-1] == 10.0  # one step holds all three
@@ -529,7 +536,7 @@ def test_dense_container_is_scipys_extension_of_the_same_steps():
     # pieces can be rebuilt from the nodes: a Dop853DenseOutput per step, its
     # F from that step's own product with D, in an OdeSolution over the
     # nodes, gives the extension's bits at every point, scalar or in an array
-    res = radial_ode.solve_ivp(lambda t, y: _peak_rate(t), (0.0, 2.0), np.zeros(2),
+    res = radial_ode.solve_ivp(lambda t, u, v: _peak_rate(t), (0.0, 2.0), np.zeros(2),
                                rtol=1e-6, atol=1e-12)
     ts, ext = res.t, res.sol
     assert len(ts) > 10
@@ -572,11 +579,10 @@ def _rates_checked_for_floats(monkeypatch, run, read=True):
     calls = []
 
     def checked_solve(fun, *args, **kwargs):
-        def checked(t, y):
-            rates = fun(t, y)
+        def checked(t, u, v):
+            rates = fun(t, u, v)
             calls.append(t)
-            assert type(t) is float and type(y) is list
-            assert all(type(p) is float for p in y), y
+            assert type(t) is float and type(u) is float and type(v) is float, (u, v)
             assert all(type(rate) is float for rate in rates), rates
             return rates
 
@@ -615,7 +621,7 @@ def test_step_sizes_follow_scipys_controller(rate):
     # rates of t alone make the stages independent of the state, so only
     # the rounding of the error norm tells the two apart: the same attempts,
     # rejections included, and nodes within a fraction of rtol
-    args = (lambda t, y: rate(t), (0.0, 2.0), np.zeros(2))
+    args = (lambda t, u, v: rate(t), (0.0, 2.0), np.zeros(2))
     own, ref = _solved_with_scipy(args, {"rtol": 1e-6, "atol": 1e-12})
     own.sol(own.t)
     assert own.nfev + own.sol.nfev == ref.nfev and own.t.shape == ref.t.shape
@@ -623,11 +629,15 @@ def test_step_sizes_follow_scipys_controller(rate):
     assert np.all(np.abs(own.y - ref.y) <= 1e-5 * np.max(np.abs(ref.y), axis=1)[:, None])
 
 
-@pytest.mark.parametrize("rates", [1, 3])
-def test_wrong_number_of_rates_rejected(rates):
-    # a first call that returns another number of rates than states fails
-    with pytest.raises(ValueError, match="rates"):
-        radial_ode.solve_ivp(lambda t, y: (1.0,) * rates, (0.0, 1.0), np.zeros(2),
+@pytest.mark.parametrize("states, rates, message", [
+    (2, 1, "returned 1 rates for 2 states"), (2, 3, "returned 3 rates for 2 states"),
+    (1, 1, "2 states or more, got 1$"), (0, 0, "2 states or more, got 0$"),
+], ids=["1", "3", "one-state", "no-state"])
+def test_wrong_number_of_rates_rejected(states, rates, message):
+    # a first call that returns another number of rates than states fails,
+    # and so does a state without both u and v, which the (t, u, v) call needs
+    with pytest.raises(ValueError, match=message):
+        radial_ode.solve_ivp(lambda t, u, v: (1.0,) * rates, (0.0, 1.0), np.zeros(states),
                              rtol=1e-6, atol=1e-9)
 
 
@@ -637,7 +647,7 @@ def test_rate_count_changing_later_is_rejected(rates):
     # 3 of the first attempt, fails there
     calls = 0
 
-    def fun(t, y):
+    def fun(t, u, v):
         nonlocal calls
         calls += 1
         return (math.cos(t),) * (2 if calls < 5 else rates)
@@ -651,7 +661,7 @@ def test_rate_count_changing_later_is_rejected(rates):
 def test_rate_count_changing_in_a_read_is_rejected(rates):
     # the extension's extra stages unpack their rates as the steps' do
     count = [2]
-    res = radial_ode.solve_ivp(lambda t, y: (math.cos(t),) * count[0], (0.0, 10.0),
+    res = radial_ode.solve_ivp(lambda t, u, v: (math.cos(t),) * count[0], (0.0, 10.0),
                                np.zeros(2), rtol=1e-6, atol=1e-9)
     count[0] = rates
     with pytest.raises(ValueError, match=f"returned {rates} rates for 2 states"):
@@ -661,13 +671,14 @@ def test_rate_count_changing_in_a_read_is_rejected(rates):
 @pytest.mark.parametrize("t_span", [(1.0, 1.0), (1.0, 0.0)])
 def test_t_span_must_increase(t_span):
     with pytest.raises(ValueError, match="t_span"):
-        radial_ode.solve_ivp(lambda t, y: (1.0,), t_span, np.zeros(1), rtol=1e-6, atol=1e-9)
+        radial_ode.solve_ivp(lambda t, u, v: (1.0, 1.0), t_span, np.zeros(2), rtol=1e-6,
+                             atol=1e-9)
 
 
 def test_nonfinite_state_fails_near_where_it_turns():
     # every step past t = 1 is rejected until the step size underflows
-    def state(t, y):
-        return liouville_state(t, y) if t < 1.0 else np.full(len(y), np.nan)
+    def state(t, u, v):
+        return liouville_state(t, u, v) if t < 1.0 else np.full(2, np.nan)
 
     with pytest.raises(IntegrationError, match="integration failed near t=") as info:
         solve(state, 3.0, 1e-10, 1e-10)
@@ -680,11 +691,12 @@ _NONFINITE_STARTS = textwrap.dedent("""
     from mtlab import radial_ode
     from mtlab.linearized import solve_linearized, source_wa
 
-    def nan_below(t, y):
-        return (math.nan, math.nan) if t < -10.0 else (y[1], -math.exp(2.0 * t))
+    def nan_below(t, u, v):
+        return (math.nan, math.nan) if t < -10.0 else (v, -math.exp(2.0 * t))
 
     for solve in (lambda: solve_linearized(source_wa(float("nan")), r_max=10.0),
-                  lambda: radial_ode.solve(lambda t, y: (math.nan, math.nan), 1.0, 1e-10, 1e-12),
+                  lambda: radial_ode.solve(lambda t, u, v: (math.nan, math.nan), 1.0, 1e-10,
+                                           1e-12),
                   lambda: radial_ode.solve(nan_below, 1.0, 1e-10, 1e-12)):
         try:
             solve()

@@ -3,13 +3,15 @@
 import copy
 import dataclasses
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
 from mtlab import profiles as pf
-from mtlab import radial_ode
+from mtlab import radial_ode, shooting
 from mtlab.perturbations import (PerturbationSpec, inverse_square_tail,
                                  log_power_family, oscillating_family, trivial)
 from mtlab.radial_ode import R_START, START_LADDER, IntegrationError
@@ -23,8 +25,9 @@ TWO_PI = 2.0 * np.pi
 
 
 def test_shot_bits_are_pinned():
-    """Every pinned number of the sweep lattice's shots and of the w0 and z0
-    solves is the one that tests/pin_shot_bits.py wrote, bit for bit.
+    """Every pinned number of the sweep lattice's shots and their residuals,
+    of the threshold and oscillating shots and of the w0 and z0 solves is
+    the one that tests/pin_shot_bits.py wrote, bit for bit.
 
     The values come from this platform's libm (``math.exp``, ``np.log``...)
     and its NumPy: on another platform a last bit may move, and rerunning
@@ -32,7 +35,7 @@ def test_shot_bits_are_pinned():
     """
     pinned = json.loads(PINNED.read_text())
     assert shot_bits(pinned["mus"], pinned["families"]) == {
-        key: pinned[key] for key in ("shots", "linearized")}
+        key: value for key, value in pinned.items() if key not in ("mus", "families")}
 
 
 def test_mu_range_guard():
@@ -225,6 +228,62 @@ def test_nan_g_fails_the_functional_alone():
     assert sol.energy_total == shoot(6.0, trivial()).energy_total
     with pytest.raises(IntegrationError, match="non-finite functional value nan"):
         functional_value(sol)
+
+
+def _min_max_state(mu, spec):
+    """The shot's state function as written with the min/max builtins."""
+    mu2 = mu * mu
+
+    def state(t, eta, v):
+        u = max(mu + eta / mu, 1e-12)
+        hu = spec.point(u)
+        if not math.isfinite(hu):
+            raise IntegrationError(f"non-finite perturbation h = {hu} at u={u} "
+                                   f"(mu={mu}, family {spec.name})")
+        q = 1.0 + eta / mu2
+        e = math.exp(min(2.0 * t + min(eta * (2.0 + eta / mu2), 0.0), 50.0))
+        f = 4.0 * (1.0 + hu) * q * e
+        return v, -f, TWO_PI * f * q
+
+    return state
+
+
+def _outcome(state, t, eta, v):
+    """The bits of the rates, or the message of the IntegrationError."""
+    try:
+        return struct.pack("3d", *state(t, eta, v))
+    except IntegrationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("family", [trivial, log_power_family, inverse_square_tail])
+@pytest.mark.parametrize("mu", [2.0, 6.0, 24.0])
+def test_state_clamps_give_the_bits_of_min_and_max(family, mu):
+    # the kernel's comparisons are the min/max calls they replaced, bit for
+    # bit: past each clamp, at its edge, on signed zeros and on NaN, where a
+    # family whose point is NaN there raises the same IntegrationError
+    spec = family()
+    mu2 = mu * mu
+    cases = [
+        (0.3, -0.5 * mu2, -1.2),  # no clamp bites
+        (1.0, -2.5 * mu2, -3.0),  # eta below -2 mu^2: u and the eta exponent clamp
+        (1.0, -2.0 * mu2, -3.0),  # the eta exponent is -0.0 at its clamp
+        (30.0, -0.1, 0.5),  # the whole exponent above 50
+        (25.0, 0.0, 0.5),  # the whole exponent at 50
+        (0.5, -mu2 * (1.0 + 1e-3), -2.0),  # u below 1e-12
+        (0.5, -mu2 + 0.5e-12 * mu, -2.0),  # u just below 1e-12
+        (0.0, -0.0, -0.0), (-3.0, 0.0, 0.0), (0.0, -0.0, 0.0),  # signed zeros
+        (math.nan, -1.0, 1.0), (0.5, -math.inf, 1.0), (math.inf, -1.0, 1.0),
+        (0.5, math.nan, 1.0),  # NaN eta, last
+    ]
+    new, old = shooting._state(mu, spec), _min_max_state(mu, spec)
+    outcomes = [_outcome(new, *case) for case in cases]
+    assert outcomes == [_outcome(old, *case) for case in cases]
+    nan_eta = outcomes[-1]
+    if math.isnan(spec.point(math.nan)):
+        assert nan_eta.startswith("non-finite perturbation h = nan at u=nan")
+    else:
+        assert all(map(math.isnan, struct.unpack("3d", nan_eta)[1:]))
 
 
 def test_energy_concentrates_like_the_bubble(shots):
