@@ -324,8 +324,7 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol,
     y = [float(p) for p in y0]
     n = len(y)
     if n < 2:
-        raise ValueError(f"the state function takes (t, u, v), so it needs 2 states or more, "
-                         f"got {n}")
+        raise _too_few_states_error(n)
     atol = [float(a) for a in np.broadcast_to(atol, n)]
     f = fun(t, y[0], y[1])
     if len(f) != n:
@@ -383,6 +382,12 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol,
 def _rate_count_error(rates, n: int) -> ValueError:
     """The error for a state function that returned ``rates`` for n states."""
     return ValueError(f"the state function returned {len(rates)} rates for {n} states")
+
+
+def _too_few_states_error(n: int) -> ValueError:
+    """The error for n < 2 states, which leave no (u, v) to call with."""
+    return ValueError(f"the state function takes (t, u, v), so it needs 2 states or more, "
+                      f"got {n}")
 
 
 def _coefficients(h: float, y_old: np.ndarray, y: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -500,13 +505,16 @@ def _fit_start(fun: Callable, t0: float) -> np.ndarray:
     three fit radii and solves for the coefficients whose rates match it;
     the v row is tied to the u row by v = r u'.  The first sweep passes
     the zero series, (u, v) = (0, 0), and the number of rates that the
-    state function returns sets the number of states.
+    state function returns sets the number of states; fewer than 2 raise
+    the ValueError of :func:`solve_ivp`.
     """
     ts = t0 + 0.5 * np.log(_FIT_S)
     d = None
     for _ in range(FIT_SWEEPS):
         uv = [(0.0, 0.0)] * 3 if d is None else _series_state(d, t0, ts)[:2].T.tolist()
         rates = np.array([fun(t, u, v) for t, (u, v) in zip(ts.tolist(), uv)])
+        if rates.shape[1] < 2:
+            raise _too_few_states_error(rates.shape[1])
         d = np.empty((rates.shape[1], 3))
         d[0] = _U_INV @ rates[:, 1]
         d[1] = 2.0 * _ORDERS * d[0]

@@ -341,7 +341,8 @@ def test_shoot_nan_perturbation_exit_code(monkeypatch, tmp_path, capsys):
 
 
 def test_unconverged_quadrature_exit_code(monkeypatch, tmp_path, capsys):
-    # every table entry given an inner-disc oscillation quad_vec cannot resolve
+    # every table entry given an inner-disc oscillation that the inner pass
+    # cannot resolve within its cap of 200 qk21 intervals
     def oscillating(r):
         return np.multiply.outer(np.ones(14), np.cos(3e3 * r) * (1.0 + r * r) ** -3.0)
 

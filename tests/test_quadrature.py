@@ -44,7 +44,8 @@ def test_integrate_plane_needs_a_finite_positive_tol(tol):
 
 
 def test_unconverged_half_raises():
-    # a fast oscillation on the inner disc exhausts quad_vec's subintervals
+    # a fast oscillation on the inner disc needs more than the inner pass's
+    # cap of 200 qk21 intervals
     with pytest.raises(IntegrationError, match="inner r < 1 half did not converge"):
         integrate_plane(lambda r: np.cos(3e3 * r) * (1.0 + r * r) ** -3.0)
 
@@ -65,19 +66,71 @@ def test_vector_integrand_matches_the_scalar_runs():
 
 
 def test_tables_evaluate_each_profile_once_per_node(monkeypatch):
-    # one call per quadrature node plus the majorant's one array call
-    calls = []
+    # one array call per round of each half-range's pass, on whole qk21
+    # intervals: a half's first round is its one starting interval, each
+    # later round the two halves of every bisected interval; then one call
+    # on the majorant's 32 samples
+    sizes = []
     w0 = pf.w0
 
     def counted(r):
-        calls.append(r)
+        assert isinstance(r, np.ndarray) and r.ndim == 1
+        sizes.append(r.size)
         return w0(r)
 
     monkeypatch.setattr(pf, "w0", counted)
     tables = quadrature.integral_tables()
     nodes = {res.nodes_used for _, res in tables.values()}
     assert len(nodes) == 1
-    assert len(calls) <= nodes.pop() + 1
+    assert sum(sizes) == nodes.pop() + 32
+    assert sizes[-1] == 32
+    intervals = [n // 21 for n in sizes[:-1]]
+    assert [21 * m for m in intervals] == sizes[:-1]
+    starts = [i for i, m in enumerate(intervals) if m == 1]
+    assert len(starts) == 2 and starts[0] == 0
+    assert all(m % 2 == 0 for m in intervals if m != 1)
+
+
+def test_qk21_weights_integrate_monomials_exactly():
+    # the 21-point Kronrod rule is exact to degree 31 and its embedded
+    # 10-point Gauss rule to degree 19, on [-1, 1], up to a few ulp
+    x = quadrature.GK_NODES
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        ulp = np.finfo(float).eps * 2.0 / (k + 1)  # of int |x|^k
+        assert abs(quadrature.KRONROD_WEIGHTS @ x ** k - exact) <= 4 * ulp, k
+        if k <= 19:
+            assert abs(quadrature.GAUSS_WEIGHTS @ x[1::2] ** k - exact) <= 4 * ulp, k
+    assert np.array_equal(x, -x[::-1]) and np.all(np.diff(x) > 0)
+
+
+@pytest.mark.parametrize("f", [
+    lambda r: (1.0 + r * r) ** -3.0,
+    lambda r: np.log1p(r * r) * (1.0 + r * r) ** -3.0,
+    quadrature._table_integrand,
+], ids=["gaussian-like", "log-weighted", "tables"])
+def test_integrate_plane_agrees_with_quad_vec(f):
+    # SciPy's adaptive Gauss-Kronrod pass, with the same halves, tolerances
+    # and caps, is the reference; the two differ by no more than their bounds
+    from scipy.integrate import quad_vec
+
+    res = integrate_plane(f)
+    kw = dict(epsabs=1e-10 / (8 * np.pi), epsrel=1e-13, norm="max")
+    inner, err_in = quad_vec(lambda r: f(r) * r, 0.0, 1.0, limit=200, **kw)
+    outer, err_out = quad_vec(lambda t: f(np.exp(t)) * np.exp(2.0 * t),
+                              0.0, np.log(quadrature.R_CUT), limit=400, **kw)
+    ref, ref_err = 2 * np.pi * (inner + outer), 2 * np.pi * (err_in + err_out)
+    assert np.shape(res.value) == np.shape(ref)
+    assert np.all(np.abs(res.value - ref) <= res.abs_error + ref_err)
+
+
+@pytest.mark.parametrize("cut, half", [(0.5, "inner r < 1"), (5.0, "outer r > 1")])
+def test_nan_integrand_raises_naming_the_half(cut, half):
+    def f(r):
+        return np.where(r > cut, np.nan, (1.0 + r * r) ** -3.0)
+
+    with pytest.raises(IntegrationError, match=f"{half} half did not converge: non-finite"):
+        integrate_plane(f)
 
 
 def test_slope_formula_against_ode_w0():

@@ -641,6 +641,14 @@ def test_wrong_number_of_rates_rejected(states, rates, message):
                              rtol=1e-6, atol=1e-9)
 
 
+@pytest.mark.parametrize("rates", [1, 0], ids=["one-rate", "no-rate"])
+def test_solve_rejects_fewer_than_two_rates(rates):
+    # the start fit's first call sets the number of states, so the fit
+    # raises the stepper's error before it ties a missing v to u
+    with pytest.raises(ValueError, match=f"2 states or more, got {rates}$"):
+        radial_ode.solve(lambda t, u, v: (1.0,) * rates, 1.0, 1e-8, 1e-10)
+
+
 @pytest.mark.parametrize("rates", [1, 3])
 def test_rate_count_changing_later_is_rejected(rates):
     # a state function whose number of rates changes on its 5th call, stage
