@@ -35,12 +35,28 @@ The start costs FIT_SWEEPS * 3 state-function calls plus the checks, and
 saves the 20-30 step attempts that DOP853 spends between 1e-6 and 1e-2.
 Below its first node a solution evaluates that series.
 
+The start runs on Python floats, as the steps do.  One evaluator,
+:func:`_series`, takes s = e^{2(t - t0)}, then s^2 and s^3, then each
+state's sum, for the fit's sweeps, the check, the start state and the
+reads below the first node.  The fit solves with the inverses as float
+rows and left-to-right sums, the check takes ``np.linspace``'s radii, and
+the initial step is SciPy's rule (``select_initial_step``) written on
+floats, :func:`_initial_step`.  On NumPy's 3-row arrays the fit and the
+check took 11-13% of the time of 18 sweep shots (both families, mu = 2
+to 24, 10 rounds, 2-vCPU host); on floats they take 5%, and the
+benchmark's sweep takes 13% less time.  Their sums round otherwise
+than NumPy's products, within a few eps of each state's largest
+coefficient.
+
 The steps are taken by :func:`solve_ivp`, this module's own DOP853 on
 Python floats.  A shot's state is 3 floats, and NumPy's per-call cost on
 arrays that small (the stage products, the state arrays, the norms) was
 about three quarters of each right-hand-side evaluation under SciPy's
 stepper.  So each attempt writes its 11 stages out as ``dop853.f`` does,
-and keeps SciPy's controller and continuous extension.  Even on floats,
+and keeps SciPy's controller and continuous extension.  Of SciPy the
+module takes three things: the ``DOP853`` class, for its tableau, the
+controller constants SAFETY, MIN_FACTOR and MAX_FACTOR of its private RK
+module, and ``brentq`` for the crossing.  Even on floats,
 a loop over the state per stage (one comprehension over ``zip(y, k0,
 ...)`` each) cost more than the equation: the state calls of a mu = 12
 shot, replayed alone, were about 30% of the shot (trivial family) and
@@ -67,8 +83,8 @@ tests bound the difference (one step within 4 eps of SciPy's, whole
 solves within a few rtol).  Of SciPy's event machinery the loop keeps
 only the one stop that :func:`solve` asks for, a level, whose first
 crossing ends the solve; a step that fails raises IntegrationError on
-the spot, and so does a step size that is not finite (SciPy's initial
-step is NaN when the state function is NaN at the start).
+the spot, and so does a step size that is not finite (the initial step
+is NaN when the state function is NaN at the start).
 It keeps SciPy's name, ``solve_ivp``, so that code wrapping
 ``radial_ode.solve_ivp`` (the benchmark's tracer, a test counting calls)
 still sees every solve; :func:`solve` looks the name up at call time for
@@ -110,7 +126,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import DOP853
-from scipy.integrate._ivp.common import select_initial_step
 from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.optimize import brentq
 
@@ -150,12 +165,17 @@ _D = DOP853.D[:, _DENSE]
 _ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 
 # the fit in s = (r/r0)^2: y = sum_m d_m s^m at the nodes s = j/3, whose
-# rates are dy/dt = sum_m 2m d_m s^m and, for u through v, sum_m 4m^2 d_m s^m
+# rates are dy/dt = sum_m 2m d_m s^m and, for u through v, sum_m 4m^2 d_m s^m;
+# the inverses are float rows, the nodes their offsets t - t0 = log(s) / 2
 _ORDERS = np.arange(1.0, 4.0)
 _FIT_S = _ORDERS / 3.0
 _FIT_POW = _FIT_S[:, None] ** _ORDERS
-_RATE_INV = np.linalg.inv(2.0 * _ORDERS * _FIT_POW)
-_U_INV = np.linalg.inv(4.0 * _ORDERS ** 2 * _FIT_POW)
+_RATE_INV = np.linalg.inv(2.0 * _ORDERS * _FIT_POW).tolist()
+_U_INV = np.linalg.inv(4.0 * _ORDERS ** 2 * _FIT_POW).tolist()
+_FIT_DT = [0.5 * math.log(s) for s in _FIT_S.tolist()]
+_LOG_R_START = math.log(R_START)
+_LOG_RUNGS = [math.log(r) for r in START_LADDER]
+_LOG_10 = math.log(10.0)
 
 
 class IntegrationError(RuntimeError):
@@ -191,7 +211,7 @@ class RadialSolution:
 
     def __init__(self, grid: LogRadialGrid, values, r_derivs,
                  extension: ContinuousExtension, t_event: Optional[float],
-                 end_state, series: np.ndarray, nfev: int, accepted_steps: int):
+                 end_state, series: list, nfev: int, accepted_steps: int):
         self.grid = grid
         self.values = values
         self.r_derivs = r_derivs
@@ -215,18 +235,22 @@ class RadialSolution:
         return float(self.grid.t_nodes[-1])
 
     def eval_state_t(self, t):
-        """Dense evaluation of the whole state (u, r*u', ...) at t = log r."""
-        t = np.asarray(t, dtype=float)
-        if not np.all(t <= self.t_max):
-            raise ValueError(f"t = {np.max(t)!r} lies past the end of the solution, "
-                             f"t_max = {self.t_max!r}")
-        below = t < self.t_min
-        if not below.any():
-            return self._extension(t)
-        y = _series_state(self._series, self.t_min, np.minimum(t, self.t_min))
-        if not below.all():
-            y[:, ~below] = self._extension(t[~below])
-        return y
+        """Dense evaluation of the whole state (u, r*u', ...) at t = log r.
+
+        Every point reads, on floats, the fitted series below the first node
+        and its step's extension above it; a float t builds no array but
+        the state it returns.
+        """
+        shape = () if isinstance(t, float) else np.shape(t)
+        points = [float(t)] if not shape else np.asarray(t, dtype=float).ravel().tolist()
+        t_min, t_max = self.t_min, self.t_max
+        for p in points:
+            if not p <= t_max:
+                raise ValueError(f"t = {p!r} lies past the end of the solution, "
+                                 f"t_max = {t_max!r}")
+        read = self._extension._read
+        y = [read(p) if p >= t_min else _series(self._series, t_min, p) for p in points]
+        return np.array(y).T.reshape((len(self._series),) + shape)
 
     def eval_t(self, t):
         """Dense evaluation at t = log r; returns (u, r*u')."""
@@ -300,15 +324,17 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol,
     a sequence of the rates of every state, as many as y0 holds, 2 or
     more: the rates depend on t, u and v alone, so the states after v are
     quadratures, whose stage inputs are never built.  A call that returns
-    another number of rates raises ValueError, as do fewer than 2 states
-    and a ``t_span`` that does not increase.  Each attempt
-    is SciPy's DOP853 step, run by the straight-line float code that
-    :func:`_compiled` makes for the state count: its 11 stages as in
-    ``dop853.f``, the solution, the rate at the step's end and both error
-    sums.  The controller is SciPy's: its initial step, its safety factor
-    and error exponent, growth between MIN_FACTOR and MAX_FACTOR, none
-    right after a rejection, and IntegrationError below a 10-ulp step or
-    on a step size that is not finite.  The solve stops at the first step
+    another number of rates (a lone number is one) raises ValueError, as
+    do fewer than 2 states, a ``t_span`` that does not increase and an
+    ``atol`` that is neither a scalar nor one value per state, or not
+    finite and positive.  Each attempt is SciPy's DOP853 step, run by the
+    straight-line float code that :func:`_compiled` makes for the state
+    count: its 11 stages as in ``dop853.f``, the solution, the rate at the
+    step's end and both error sums.  The controller is SciPy's: its initial
+    step (on floats, :func:`_initial_step`), its safety factor and error
+    exponent, growth between MIN_FACTOR and MAX_FACTOR, none right after a
+    rejection, and IntegrationError below a 10-ulp step or on a step size
+    that is not finite.  The solve stops at the first step
     on which y[0] - level changes sign (two-sided, so a zero at either
     node counts): ``brentq`` at EVENT_XTOL finds the crossing on that
     step's float reader (its 3 extra stages the only ones the loop
@@ -325,14 +351,9 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol,
     n = len(y)
     if n < 2:
         raise _too_few_states_error(n)
-    atol = [float(a) for a in np.broadcast_to(atol, n)]
-    f = fun(t, y[0], y[1])
-    if len(f) != n:
-        raise _rate_count_error(f, n)
-    # SciPy's rule calls fun once on NumPy values, so fun gets them as floats
-    h_abs = float(select_initial_step(lambda s, z: fun(float(s), float(z[0]), float(z[1])), t,
-                                      np.array(y), tf, np.inf, np.asarray(f, dtype=float), 1.0,
-                                      DOP853.error_estimator_order, rtol, np.array(atol)))
+    atol = _atol_per_state(atol, n)
+    f = _rates(fun, t, y[0], y[1], n)
+    h_abs = _initial_step(fun, t, y, f, tf, rtol, atol)
     nfev = 2  # f and the initial step's trial rate
     attempt, make_reader = _compiled(n)
     g = None if level is None else y[0] - level
@@ -345,7 +366,7 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol,
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if not h_abs >= min_step:  # a NaN fails it: SciPy's initial step on a NaN rate
+            if not h_abs >= min_step:  # a NaN fails it: the initial step on a NaN rate
                 raise IntegrationError(f"integration failed near t={t:.6g} (r={np.exp(t):.6g}): "
                                        f"the step fell below 10 ulp of t or is not finite")
             t_new = min(t + h_abs, tf)
@@ -379,9 +400,72 @@ def solve_ivp(fun: Callable, t_span, y0, rtol: float, atol,
     return IvpResult(np.array(ts), np.array(ys).T, sol, t_event, nfev)
 
 
+def _initial_step(fun: Callable, t0: float, y0: list, f0, t_bound: float, rtol: float,
+                  atol: list) -> float:
+    """SciPy's initial step (``select_initial_step``, Hairer, Norsett & Wanner,
+    Solving ODEs I, sec. II.4) from (t0, y0) towards t_bound, f0 the rate
+    there, on floats.
+
+    It takes SciPy's operations in its order, with no cap on the step, so
+    it differs only in the sums of the norms, within a few eps.  Its trial
+    rate is one more call of fun; a NaN rate gives a NaN step.
+    """
+    n = len(y0)
+    interval = t_bound - t0
+    scale = [a + abs(y) * rtol for a, y in zip(atol, y0)]
+    d0 = _rms([y / s for y, s in zip(y0, scale)])
+    d1 = _rms([f / s for f, s in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = _rates(fun, t0 + h0, y0[0] + h0 * f0[0], y0[1] + h0 * f0[1], n)
+    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+    return min(100 * h0, h1, interval)
+
+
+def _rms(x: list) -> float:
+    """SciPy's RMS norm of the floats x."""
+    return math.sqrt(sum(e * e for e in x)) / len(x) ** 0.5
+
+
+def _atol_per_state(atol, n: int) -> list:
+    """atol as n floats: a scalar is every state's, a sequence gives one per
+    state.  Another count of values, or a value that is not finite and
+    positive (NaN included), raises ValueError."""
+    try:
+        values = [float(a) for a in atol]
+    except TypeError:  # a scalar does not iterate
+        values = [float(atol)] * n
+    if len(values) != n:
+        raise ValueError(f"atol holds {len(values)} values for {n} states: give a scalar "
+                         f"or one value per state")
+    if not all(0.0 < a < math.inf for a in values):
+        raise ValueError(f"need a finite positive atol, got atol={atol}")
+    return values
+
+
+def _rates(fun: Callable, t: float, u: float, v: float, n: int):
+    """fun's rates at (t, u, v), which must number n."""
+    rates = fun(t, u, v)
+    if _rate_count(rates) != n:
+        raise _rate_count_error(rates, n)
+    return rates
+
+
+def _rate_count(rates) -> int:
+    """How many rates a state function returned: a lone number is one."""
+    try:
+        return len(rates)
+    except TypeError:
+        return 1
+
+
 def _rate_count_error(rates, n: int) -> ValueError:
     """The error for a state function that returned ``rates`` for n states."""
-    return ValueError(f"the state function returned {len(rates)} rates for {n} states")
+    return ValueError(f"the state function returned {_rate_count(rates)} rates for {n} states")
 
 
 def _too_few_states_error(n: int) -> ValueError:
@@ -492,51 +576,62 @@ def _compiled(n: int) -> tuple:
     return code
 
 
-def _series_state(series: np.ndarray, t0: float, t):
-    """The whole state sum_m d_m s^m, s = e^{2(t - t0)}, at t <= t0."""
-    s = np.exp(2.0 * (np.asarray(t, dtype=float) - t0))
-    return np.tensordot(series, s[..., None] ** _ORDERS, axes=([1], [-1]))
+def _series(d: list, t0: float, t: float) -> list:
+    """The state sum_m d_m s^m, s = e^{2(t - t0)}, of the coefficient rows d
+    (one (d_1, d_2, d_3) per state) at one t <= t0, on floats."""
+    s = math.exp(2.0 * (t - t0))
+    s2 = s * s
+    s3 = s2 * s
+    return [a * s + b * s2 + c * s3 for a, b, c in d]
 
 
-def _fit_start(fun: Callable, t0: float) -> np.ndarray:
-    """Scaled series coefficients d (state, m) of the core at t0 = log r0.
+def _fit_start(fun: Callable, t0: float) -> list:
+    """Scaled series coefficients d, one row (d_1, d_2, d_3) per state, of
+    the core at t0 = log r0.
 
     Each sweep evaluates the state function on the current series at the
-    three fit radii and solves for the coefficients whose rates match it;
-    the v row is tied to the u row by v = r u'.  The first sweep passes
-    the zero series, (u, v) = (0, 0), and the number of rates that the
-    state function returns sets the number of states; fewer than 2 raise
-    the ValueError of :func:`solve_ivp`.
+    three fit radii and solves for the coefficients whose rates match it,
+    by the float rows of the inverses; the v row is tied to the u row by
+    v = r u'.  The first sweep passes the zero series, (u, v) = (0, 0),
+    and the number of rates that the state function returns (a lone
+    number is one) sets the number of states: fewer than 2 raise the
+    ValueError of :func:`solve_ivp`, and so does another count later.
     """
-    ts = t0 + 0.5 * np.log(_FIT_S)
-    d = None
-    for _ in range(FIT_SWEEPS):
-        uv = [(0.0, 0.0)] * 3 if d is None else _series_state(d, t0, ts)[:2].T.tolist()
-        rates = np.array([fun(t, u, v) for t, (u, v) in zip(ts.tolist(), uv)])
-        if rates.shape[1] < 2:
-            raise _too_few_states_error(rates.shape[1])
-        d = np.empty((rates.shape[1], 3))
-        d[0] = _U_INV @ rates[:, 1]
-        d[1] = 2.0 * _ORDERS * d[0]
-        d[2:] = (_RATE_INV @ rates[:, 2:]).T
+    ts = [t0 + dt for dt in _FIT_DT]
+    first = fun(ts[0], 0.0, 0.0)
+    n = _rate_count(first)
+    if n < 2:
+        raise _too_few_states_error(n)
+    rates = [first, *(_rates(fun, t, 0.0, 0.0, n) for t in ts[1:])]
+    for sweep in range(FIT_SWEEPS):
+        if sweep:
+            rates = [_rates(fun, t, *_series(d[:2], t0, t), n) for t in ts]
+        a, b, c = rates
+        du = [p * a[1] + q * b[1] + w * c[1] for p, q, w in _U_INV]
+        d = [du, [2.0 * du[0], 4.0 * du[1], 6.0 * du[2]],
+             *([p * a[i] + q * b[i] + w * c[i] for p, q, w in _RATE_INV] for i in range(2, n))]
     return d
 
 
-def _start_holds(fun: Callable, d: np.ndarray, t0: float, atol,
+def _start_holds(fun: Callable, d: list, t0: float, atol: list,
                  level: Optional[float]) -> bool:
     """Whether the fitted rates match the state function from R_START to r0.
 
-    A start past the level crossing fails too: the stepper cannot see a
-    crossing at its first point.
+    The check radii are ``np.linspace``'s, from log R_START to t0, and
+    each state's rate must lie within its atol of the fitted one.  A start
+    past the level crossing fails too: the stepper cannot see a crossing
+    at its first point.
     """
-    decades = (t0 - np.log(R_START)) / np.log(10.0)
-    ts = np.linspace(np.log(R_START), t0, int(round(CHECKS_PER_DECADE * decades)) + 1)
-    y = _series_state(d, t0, ts)
-    if level is not None and not np.all((y[0] - level) * -level > 0.0):
+    gaps = int(round(CHECKS_PER_DECADE * ((t0 - _LOG_R_START) / _LOG_10)))
+    step = (t0 - _LOG_R_START) / gaps
+    ts = [i * step + _LOG_R_START for i in range(gaps)] + [t0]
+    uv = [_series(d[:2], t0, t) for t in ts]
+    if level is not None and not all((u - level) * -level > 0.0 for u, _ in uv):
         return False
-    fitted = _series_state(2.0 * _ORDERS * d, t0, ts)
-    return all(np.all(np.abs(fun(t, u, v) - fitted_col) <= atol)
-               for t, (u, v), fitted_col in zip(ts.tolist(), y[:2].T.tolist(), fitted.T))
+    fitted = [[2.0 * a, 4.0 * b, 6.0 * c] for a, b, c in d]
+    return all(all(abs(rate - fit) <= tol for rate, fit, tol
+                   in zip(_rates(fun, t, u, v, len(d)), _series(fitted, t0, t), atol))
+               for t, (u, v) in zip(ts, uv))
 
 
 def solve(fun: Callable, t_end: float, rtol: float, atol,
@@ -559,13 +654,14 @@ def solve(fun: Callable, t_end: float, rtol: float, atol,
     A read of the solution evaluates only the extensions of the steps that
     its points lie on.  An ``rtol`` below MIN_RTOL raises ValueError: there
     the error estimate is rounding noise.  So do an ``rtol`` of 1 or more
-    and an infinite ``atol``, which accept every step.
+    and an infinite ``atol``, which accept every step, and an ``atol``
+    that is neither a scalar nor one value per state, checked once the
+    fit at the top rung has counted the states.
     """
-    # written so that a NaN fails each test, before the stepper starts
-    if not (0 < rtol < 1 and 0 < np.min(atol) and np.max(atol) < np.inf
-            and np.log(R_START) < t_end < np.inf):
-        raise ValueError(f"need 0 < rtol < 1, finite positive atol and a finite t_end "
-                         f"above log R_START, got rtol={rtol}, atol={atol}, t_end={t_end}")
+    # written so that a NaN fails each test, before the fit starts
+    if not (0 < rtol < 1 and _LOG_R_START < t_end < math.inf):
+        raise ValueError(f"need 0 < rtol < 1 and a finite t_end above log R_START, "
+                         f"got rtol={rtol}, t_end={t_end}")
     if not rtol >= MIN_RTOL:
         raise ValueError(f"rtol={rtol:g} is below the floor 100 eps = {MIN_RTOL:.3g}, "
                          f"where the error estimate is rounding noise")
@@ -576,12 +672,16 @@ def solve(fun: Callable, t_end: float, rtol: float, atol,
         fit_calls += 1
         return fun(t, u, v)
 
-    rungs = [np.log(r) for r in START_LADDER if np.log(r) < t_end]
-    for t0 in rungs:
-        d = _fit_start(counted, t0)
-        if t0 == rungs[-1] or _start_holds(counted, d, t0, atol, level):
+    # the top rung's fit sets the state count, which atol must fit; the
+    # last rung, R_START, is taken unchecked
+    t0, *lower = [t for t in _LOG_RUNGS if t < t_end]
+    d = _fit_start(counted, t0)
+    atol = _atol_per_state(atol, len(d))
+    for t in lower:
+        if _start_holds(counted, d, t0, atol, level):
             break
-    res = solve_ivp(fun, (t0, t_end), d.sum(axis=1), rtol=rtol, atol=atol, level=level)
+        t0, d = t, _fit_start(counted, t)
+    res = solve_ivp(fun, (t0, t_end), _series(d, t0, t0), rtol=rtol, atol=atol, level=level)
     if level is not None and res.t_event is None:
         raise NoCrossingError(f"u never reached level {level} before t_end={t_end}")
     return RadialSolution(LogRadialGrid(res.t), res.y[0], res.y[1], res.sol, res.t_event,

@@ -42,9 +42,9 @@ Near the origin eta ~ -(1+h(mu)) r^2 decays like e^{2t}, and under pure
 relative control DOP853 would step that core at about 0.18 in t.  With the
 floor, a shot at mu = 6 takes 14 of its 64 steps below t = -2, and a shot
 (trivial and log-power family) has 40 nodes at mu = 2, 65-66 at mu = 6,
-75 at mu = 12, 74-76 at mu = 18 and 73-74 at mu = 24.  Against
+75 at mu = 12, 76-77 at mu = 18 and 73-75 at mu = 24.  Against
 tol = 1e-13 shots, the worst |E - E_ref| over the benchmark's sweep
-lattice is 8.6e-10, and 8.8e-10 against its stored references (both
+lattice is 8.58e-10, and 8.82e-10 against its stored references (both
 log-power, mu = 4), 1.2e-10 below the 1e-9 sweep check; that check is not
 a bound at every mu, though: on mu = 2, 2.05, ..., 12 the trivial family
 misses by at most 3.5e-11, while 3 of 201 log-power shots miss by more
@@ -180,8 +180,8 @@ def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11) -> ShotSolution
     # the floor on eta and v cuts the steps in the core, where eta ~ r^2 is
     # exponentially small in t = log r (see the module docstring)
     eta_atol = ETA_ATOL_FACTOR * tol
-    abs_tol = np.array([eta_atol, eta_atol, tol])
-    t_split = SPLIT_EXPONENT * np.log(mu)
+    abs_tol = (eta_atol, eta_atol, tol)
+    t_split = SPLIT_EXPONENT * math.log(mu)
     try:
         sol = solve(_state(mu, spec), 0.55 * mu2 + 10.0, tol, abs_tol, level=-mu2)
     except NoCrossingError as exc:
@@ -197,7 +197,7 @@ def shoot(mu: float, spec: PerturbationSpec, tol: float = 1e-11) -> ShotSolution
     return ShotSolution(
         mu=mu,
         log_R=log_R,
-        log_lambda=np.log(4.0) + 2.0 * log_R - mu2 - 2.0 * np.log(mu),
+        log_lambda=math.log(4.0) + 2.0 * log_R - mu2 - 2.0 * math.log(mu),
         energy_total=energy_total,
         energy_inner=energy_inner,
         energy_outer=energy_total - energy_inner,

@@ -1,6 +1,6 @@
 """Log-radius initial-value integration against closed-form solutions."""
 
-import inspect
+import json
 import math
 import os
 import re
@@ -20,10 +20,11 @@ import mtlab
 from mtlab import profiles as pf
 from mtlab import radial_ode
 from mtlab.linearized import solve_linearized, source_w0, source_wa, source_z0
-from mtlab.perturbations import log_power_family, trivial
+from mtlab.perturbations import family_by_name, log_power_family, trivial
 from mtlab.radial_ode import (MIN_RTOL, R_START, START_LADDER, IntegrationError,
                               NoCrossingError, solve)
-from mtlab.shooting import SPLIT_EXPONENT, shoot
+from mtlab.shooting import MU_MIN, SPLIT_EXPONENT, shoot
+from pin_shot_bits import PINNED
 
 
 def liouville_state(t, u, v):
@@ -102,6 +103,88 @@ def test_reads_below_the_start_give_the_series_state():
     assert state[0] == pytest.approx(pf.eta0(1e-4), rel=1e-12)
     # the planar mass 4 pi r^2 / (1+r^2) inside r
     assert state[2] == pytest.approx(4.0 * np.pi * 1e-8 / (1.0 + 1e-8), rel=1e-12)
+
+
+# the start as it ran on NumPy arrays, kept as the reference of the float start
+_ORDERS = np.arange(1.0, 4.0)
+_FIT_S = _ORDERS / 3.0
+_FIT_POW = _FIT_S[:, None] ** _ORDERS
+_RATE_INV = np.linalg.inv(2.0 * _ORDERS * _FIT_POW)
+_U_INV = np.linalg.inv(4.0 * _ORDERS ** 2 * _FIT_POW)
+
+
+def _series_state_reference(series, t0, t):
+    """The whole state sum_m d_m s^m, s = e^{2(t - t0)}, at t <= t0."""
+    s = np.exp(2.0 * (np.asarray(t, dtype=float) - t0))
+    return np.tensordot(series, s[..., None] ** _ORDERS, axes=([1], [-1]))
+
+
+def _fit_start_reference(fun, t0):
+    ts = t0 + 0.5 * np.log(_FIT_S)
+    d = None
+    for _ in range(radial_ode.FIT_SWEEPS):
+        uv = [(0.0, 0.0)] * 3 if d is None else _series_state_reference(d, t0, ts)[:2].T.tolist()
+        rates = np.array([fun(t, u, v) for t, (u, v) in zip(ts.tolist(), uv)])
+        d = np.empty((rates.shape[1], 3))
+        d[0] = _U_INV @ rates[:, 1]
+        d[1] = 2.0 * _ORDERS * d[0]
+        d[2:] = (_RATE_INV @ rates[:, 2:]).T
+    return d
+
+
+def _start_holds_reference(fun, d, t0, atol, level):
+    decades = (t0 - np.log(R_START)) / np.log(10.0)
+    ts = np.linspace(np.log(R_START), t0,
+                     int(round(radial_ode.CHECKS_PER_DECADE * decades)) + 1)
+    y = _series_state_reference(d, t0, ts)
+    if level is not None and not np.all((y[0] - level) * -level > 0.0):
+        return False
+    fitted = _series_state_reference(2.0 * _ORDERS * d, t0, ts)
+    return all(np.all(np.abs(fun(t, u, v) - fitted_col) <= atol)
+               for t, (u, v), fitted_col in zip(ts.tolist(), y[:2].T.tolist(), fitted.T))
+
+
+def _start_reference(fun, t_end, atol, level):
+    """The rung and the coefficients that the NumPy ladder picks."""
+    rungs = [np.log(r) for r in START_LADDER if np.log(r) < t_end]
+    for t0 in rungs:
+        d = _fit_start_reference(fun, t0)
+        if t0 == rungs[-1] or _start_holds_reference(fun, d, t0, atol, level):
+            return t0, d
+
+
+def test_float_start_is_the_numpy_start(monkeypatch):
+    # on every shot of the benchmark's sweep lattice, the w0, z0 and w_a
+    # solves, and two solves that start at 1e-3, a shot at MU_MIN and a level
+    # crossed above 1e-2: the same rung as the NumPy ladder, and coefficients,
+    # start state and reads below the first node within 8 eps of the
+    # reference in units of each state's largest coefficient (the sums round
+    # otherwise; the w0 and z0 cores start at r^4, so their r^2 coefficient
+    # is rounding noise and only such a scale bounds it)
+    pinned = json.loads(PINNED.read_text())
+    runs = [lambda mu=mu, spec=family_by_name(name, **params): shoot(mu, spec).eta
+            for name, params in pinned["families"].items() for mu in pinned["mus"]]
+    runs += [lambda source=source: solve_linearized(source)
+             for source in (source_w0, source_z0, source_wa(0.7))]
+    runs += [lambda: shoot(MU_MIN, trivial()).eta,
+             lambda: liouville_solve(1.0, atol=1e-18, level=-np.log(1.0 + 3e-3 ** 2))]
+    solutions = []
+    calls = _solve_ivp_arguments(monkeypatch, lambda: solutions.extend(run() for run in runs))
+    assert len(calls) == len(solutions) == 2 * len(pinned["mus"]) + 5
+    rungs = set()
+    for sol, ((fun, (t0, t_end), y0), kwargs) in zip(solutions, calls):
+        t_ref, d_ref = _start_reference(fun, t_end, np.array(kwargs["atol"]), kwargs["level"])
+        assert t0 == t_ref == sol.t_min
+        rungs.add(t0)
+        scale = np.max(np.abs(d_ref), axis=1)
+        d = np.array(radial_ode._fit_start(fun, t0))
+        assert np.all(np.abs(d - d_ref) <= 8.0 * EPS * scale[:, None])
+        assert np.all(np.abs(np.array(y0) - d_ref.sum(axis=1)) <= 8.0 * EPS * scale)
+        t = t0 - np.array([1e-9, 0.1, 1.0, 3.0, 8.0, 20.0])
+        s = np.exp(2.0 * (t - t0))
+        assert np.all(np.abs(sol.eval_state_t(t) - _series_state_reference(d_ref, t0, t))
+                      <= 8.0 * EPS * scale[:, None] * (s + s * s + s ** 3))
+    assert rungs == {np.log(1e-2), np.log(1e-3)}
 
 
 def test_liouville_bubble_reproduced():
@@ -208,14 +291,39 @@ def test_rtol_below_the_floor_rejected():
         liouville_solve(1.0, rtol=MIN_RTOL)
 
 
-def test_scipy_internals_have_the_shape_the_stepper_uses():
-    # solve_ivp calls SciPy's private initial-step rule with positional
-    # arguments and steps with the private controller constants of its RK
-    # module; a SciPy that changes either fails here by name (checked with
-    # SciPy 1.17.1, whose rule takes t_bound and max_step)
-    names = list(inspect.signature(radial_ode.select_initial_step).parameters)
-    assert names == ["fun", "t0", "y0", "t_bound", "max_step", "f0", "direction",
-                     "order", "rtol", "atol"], f"SciPy {scipy.__version__}: {names}"
+def _coupled(t, u, v):
+    return _quadrature_rates(t, u, v, 3)
+
+
+_Y0 = np.array([0.4, -0.7, 0.2])
+_ATOL = np.array([1e-10, 1e-11, 1e-9])
+
+
+@pytest.mark.parametrize("fun, y0, t_bound, expected", [
+    (_coupled, _Y0, 6.0, None),
+    # a zero start, as at the origin, gives d0 = 0: h0 = 1e-6, the step 100 h0
+    (_coupled, np.zeros(3), 6.0, 1e-4),
+    # zero rates give d1 = d2 = 0 as well: max(1e-6, 1e-3 h0)
+    (lambda t, u, v: (0.0, 0.0, 0.0), _Y0, 6.0, 1e-6),
+    # a short span caps the step
+    (_coupled, _Y0, 0.3 + 1e-9, 0.3 + 1e-9 - 0.3),
+], ids=["coupled", "zero-start", "zero-rates", "short-span"])
+def test_initial_step_is_scipys_rule_on_floats(fun, y0, t_bound, expected):
+    # the float initial step against SciPy's private select_initial_step,
+    # which the stepper no longer calls: the same branches, and sums of
+    # squares that may round otherwise, within 4 eps
+    from scipy.integrate._ivp.common import select_initial_step
+
+    f0 = fun(0.3, y0[0], y0[1])
+    own = radial_ode._initial_step(fun, 0.3, y0.tolist(), f0, t_bound, 1e-8, _ATOL.tolist())
+    ref = select_initial_step(lambda t, y: np.array(fun(t, y[0], y[1])), 0.3, y0, t_bound,
+                              np.inf, np.array(f0), 1.0, DOP853.error_estimator_order, 1e-8,
+                              _ATOL)
+    assert type(own) is float and abs(own - ref) <= 4.0 * EPS * ref, (own, ref)
+    if expected is not None:
+        assert own == pytest.approx(expected, rel=4.0 * EPS)
+    # the controller steps with the private constants of SciPy's RK module; a
+    # SciPy that changes them fails here by name (checked with SciPy 1.17.1)
     constants = (radial_ode.SAFETY, radial_ode.MIN_FACTOR, radial_ode.MAX_FACTOR)
     assert constants == (0.9, 0.2, 10), f"SciPy {scipy.__version__}: {constants}"
 
@@ -629,16 +737,42 @@ def test_step_sizes_follow_scipys_controller(rate):
     assert np.all(np.abs(own.y - ref.y) <= 1e-5 * np.max(np.abs(ref.y), axis=1)[:, None])
 
 
-@pytest.mark.parametrize("states, rates, message", [
-    (2, 1, "returned 1 rates for 2 states"), (2, 3, "returned 3 rates for 2 states"),
-    (1, 1, "2 states or more, got 1$"), (0, 0, "2 states or more, got 0$"),
-], ids=["1", "3", "one-state", "no-state"])
-def test_wrong_number_of_rates_rejected(states, rates, message):
+def _stepped(states):
+    return lambda fun: radial_ode.solve_ivp(fun, (0.0, 1.0), np.zeros(states), rtol=1e-6,
+                                            atol=1e-9)
+
+
+def _solved(fun):
+    return radial_ode.solve(fun, 1.0, 1e-8, 1e-10)
+
+
+@pytest.mark.parametrize("run, rates, message", [
+    (_stepped(2), (1.0,), "returned 1 rates for 2 states"),
+    (_stepped(2), (1.0,) * 3, "returned 3 rates for 2 states"),
+    (_stepped(1), (1.0,), "2 states or more, got 1$"),
+    (_stepped(0), (), "2 states or more, got 0$"),
+    (_stepped(2), 1.0, "returned 1 rates for 2 states"),
+    (_solved, 1.0, "2 states or more, got 1$"),
+], ids=["1", "3", "one-state", "no-state", "float", "solve-float"])
+def test_wrong_number_of_rates_rejected(run, rates, message):
     # a first call that returns another number of rates than states fails,
-    # and so does a state without both u and v, which the (t, u, v) call needs
+    # a lone float counting as one rate, and so does a state without both u
+    # and v, which the (t, u, v) call needs
     with pytest.raises(ValueError, match=message):
-        radial_ode.solve_ivp(lambda t, u, v: (1.0,) * rates, (0.0, 1.0), np.zeros(states),
-                             rtol=1e-6, atol=1e-9)
+        run(lambda t, u, v: rates)
+
+
+@pytest.mark.parametrize("atol", [[1e-9] * 3, [1e-9], np.full(4, 1e-9)], ids=["3", "1", "4"])
+def test_atol_of_another_length_rejected(atol):
+    # a scalar or one value per state: a float stepper that zipped atol with
+    # the state would check fewer states, or ignore values, without a word
+    def fun(t, u, v):
+        return v, -math.exp(2.0 * t)
+
+    for run in (lambda: radial_ode.solve_ivp(fun, (0.0, 1.0), np.zeros(2), 1e-6, atol),
+                lambda: solve(fun, 1.0, 1e-8, atol)):
+        with pytest.raises(ValueError, match=f"atol holds {len(atol)} values for 2 states"):
+            run()
 
 
 @pytest.mark.parametrize("rates", [1, 0], ids=["one-rate", "no-rate"])
