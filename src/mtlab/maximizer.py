@@ -61,6 +61,18 @@ nodes, the stiffnesses 2 pi / dt and the cap area) is a per-grid plan
 shared by copies of the field, and the Riesz solve in flux form is two
 cumulative sums: a step is loop-free.  The result is returned as data;
 :mod:`mtlab.cli` renders it as JSON.
+
+What depends on a field's values through exp, g or h is evaluated once
+per field.  F (of the start, a line-search or a Newton trial) evaluates
+u and e^{u^2} at the Gauss points and, as the public functional_value
+returns F alone, leaves them on the field; a field the ascent keeps is
+not changed before its gradient takes them off, forms
+f'(u) = 2 u (1 + h(u)) e^{u^2} from them and drops them (the re-measure
+after the last iteration does the same).  The Hessian bands take that
+f'(u) and evaluate only f'(u + eps), interpolating u again (two array
+operations) rather than holding F's array until then.  So g runs once
+per F evaluation and h once per gradient plus once per Newton trial,
+and a rejected trial's arrays go with the trial.
 """
 
 from __future__ import annotations
@@ -71,7 +83,6 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.special import roots_legendre
 
 from .perturbations import PerturbationSpec, trivial
 from .radial_ode import IntegrationError
@@ -96,6 +107,13 @@ NEWTON_FD_EPS = 1e-7  # relative forward-difference step of the Hessian bands
 MOSER_BOUND_EPS = 1e-8  # additive slack of the pointwise Moser bound
 COARSE_FACTOR = 8  # a coarse level has n_nodes // COARSE_FACTOR nodes
 COARSE_MIN_NODES = 256  # the fewest nodes a coarse level may have
+# the rule's nodes and weights on [-1, 1], SciPy's roots_legendre(GAUSS_ORDER)
+# written out: that call runs a LAPACK eigensolve, whose workspace would
+# stay in every process that imports the module
+GAUSS_X = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                    0.5384693101056831, 0.906179845938664])
+GAUSS_W = np.array([0.23692688505618897, 0.4786286704993665, 0.568888888888889,
+                    0.4786286704993665, 0.23692688505618897])
 
 
 class RadialField:
@@ -103,13 +121,15 @@ class RadialField:
 
     ``t_nodes`` runs from log(r_min) to 0 and ``values`` carries u at the
     nodes with u(1) = 0 enforced.  The inner disk [0, r_min] extends u
-    by the constant u(r_min) (zero energy there).
+    by the constant u(r_min) (zero energy there).  :func:`functional_value`
+    leaves u and e^{u^2} at the Gauss points on the field for its
+    gradient (see :func:`_take_gauss`).
     """
 
     def __init__(self, t_nodes: np.ndarray, values: np.ndarray):
         t_nodes = np.asarray(t_nodes, dtype=float)
         values = np.asarray(values, dtype=float).copy()
-        if t_nodes.ndim != 1 or len(t_nodes) < 2 or np.any(np.diff(t_nodes) <= 0):
+        if t_nodes.ndim != 1 or len(t_nodes) < 2 or np.any((dt := np.diff(t_nodes)) <= 0):
             raise ValueError("t_nodes must be two or more strictly increasing values")
         if abs(t_nodes[-1]) > 1e-14:
             raise ValueError("last node must sit at r = 1 (t = 0)")
@@ -118,23 +138,27 @@ class RadialField:
         values[-1] = 0.0
         self.t_nodes = t_nodes
         self.values = values
+        self._dt = dt
         self._plan: Optional["_GridPlan"] = None
+        self._gauss: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def energy(self) -> float:
         """Exact Dirichlet energy of the piecewise-linear-in-log field."""
         du = np.diff(self.values)
-        return float(2.0 * np.pi * np.sum(du * du / np.diff(self.t_nodes)))
+        return float(2.0 * np.pi * np.sum(du * du / self._dt))
 
     def plan(self) -> "_GridPlan":
         """The grid-constant quadrature and stiffness data, built on first use."""
         if self._plan is None:
-            self._plan = _grid_plan(self.t_nodes)
+            self._plan = _grid_plan(self.t_nodes, self._dt)
         return self._plan
 
     def copy(self) -> "RadialField":
-        """Copy of the values; the grid and its plan are shared, not re-checked."""
+        """Copy of the values; the grid, its steps and plan are shared, not
+        re-checked, and no Gauss-point arrays are carried over."""
         twin = copy.copy(self)
         twin.values = self.values.copy()
+        twin._gauss = None
         return twin
 
 
@@ -147,23 +171,34 @@ class _GridPlan(NamedTuple):
     w: np.ndarray         # segment stiffnesses 2 pi / dt
 
 
-def _grid_plan(t_nodes: np.ndarray) -> _GridPlan:
+def _grid_plan(t_nodes: np.ndarray, dt: np.ndarray) -> _GridPlan:
     """Gauss-Legendre points/weights of every segment plus the stiffnesses."""
-    x, w = roots_legendre(GAUSS_ORDER)
     t0, t1 = t_nodes[:-1], t_nodes[1:]
-    mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-    tq = mid[:, None] + half[:, None] * x[None, :]
-    frac = (t1[:, None] - tq) / (t1 - t0)[:, None]
-    wf = 2.0 * np.pi * (half[:, None] * w[None, :]) * np.exp(2.0 * tq)
+    mid, half = 0.5 * (t0 + t1), 0.5 * dt
+    tq = mid[:, None] + half[:, None] * GAUSS_X[None, :]
+    frac = (t1[:, None] - tq) / dt[:, None]
+    wf = 2.0 * np.pi * (half[:, None] * GAUSS_W[None, :]) * np.exp(2.0 * tq)
     return _GridPlan(frac=frac, wf=wf, wl=wf * frac, wr=wf * (1.0 - frac),
-                     cap=np.pi * np.exp(t_nodes[0]) ** 2,
-                     w=2.0 * np.pi / np.diff(t_nodes))
+                     cap=np.pi * np.exp(t_nodes[0]) ** 2, w=2.0 * np.pi / dt)
 
 
 def _gauss_values(field: RadialField) -> np.ndarray:
     """u at the Gauss points of every segment, one row per segment."""
     u = field.values
     return u[1:, None] + field.plan().frac * (u[:-1] - u[1:])[:, None]
+
+
+def _gauss_arrays(field: RadialField) -> Tuple[np.ndarray, np.ndarray]:
+    """u and e^{u^2} at the Gauss points of every segment, one row per segment."""
+    uq = _gauss_values(field)
+    return uq, np.exp(uq * uq)
+
+
+def _take_gauss(field: RadialField) -> Tuple[np.ndarray, np.ndarray]:
+    """The (u, e^{u^2}) that F of ``field`` left on it, taken off it; valid
+    only while ``field.values`` has not changed since that F."""
+    gauss, field._gauss = field._gauss, None
+    return gauss
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -176,26 +211,40 @@ def _fprime(u, h):
     return 2.0 * u * (1.0 + h(np.maximum(np.abs(u), 1e-12))) * np.exp(u * u)
 
 
+def _fprime_from(u, e, h):
+    """f'(u) from F's e = e^{u^2}; :func:`_fprime` takes the exp last instead
+    of as an argument, so no e^{u^2} array is held while h runs."""
+    return 2.0 * u * (1.0 + h(np.maximum(np.abs(u), 1e-12))) * e
+
+
 def functional_value(field: RadialField, spec: PerturbationSpec) -> float:
-    """F = int (1+g(u)) e^{u^2} dx, per-segment Gauss plus the inner cap."""
+    """F = int (1+g(u)) e^{u^2} dx, per-segment Gauss plus the inner cap.
+
+    The Gauss-point u and e^{u^2} are left on the field for the gradient
+    of the same values (see :func:`_take_gauss`).
+    """
     g = spec.g
     plan = field.plan()
-    uq = _gauss_values(field)
-    val = float(np.sum((1.0 + g(np.abs(uq))) * np.exp(uq * uq) * plan.wf))
+    uq, e = field._gauss = _gauss_arrays(field)
+    val = float(np.sum((1.0 + g(np.abs(uq))) * e * plan.wf))
     u0 = field.values[0]
     g0 = float(g(np.asarray(abs(u0))))
     return val + plan.cap * (1.0 + g0) * np.exp(u0 * u0)
 
 
-def _functional_gradient(field: RadialField, spec: PerturbationSpec) -> np.ndarray:
-    """Nodal gradient of F; dF/du = f'(u) = 2 u (1 + h(u)) e^{u^2} pointwise."""
+def _functional_gradient(field: RadialField, uq: np.ndarray, e: np.ndarray,
+                         h) -> Tuple[np.ndarray, Tuple[np.ndarray, float]]:
+    """Nodal gradient of F from u and e = e^{u^2} at the Gauss points, and the
+    pointwise dF/du = f'(u) = 2 u (1 + h(u)) e^{u^2} it weighted, at the
+    Gauss points and at the cap: (gradient, (f'(uq), f'(u0)))."""
     plan = field.plan()
-    fprime = _fprime(_gauss_values(field), spec.h)
+    u0 = field.values[0]
+    fprime = _fprime_from(uq, e, h), _fprime(u0, h)
     grad = np.zeros_like(field.values)
-    grad[:-1] += _row_dot(fprime, plan.wl)
-    grad[1:] += _row_dot(fprime, plan.wr)
-    grad[0] += plan.cap * _fprime(field.values[0], spec.h)
-    return grad
+    grad[:-1] += _row_dot(fprime[0], plan.wl)
+    grad[1:] += _row_dot(fprime[0], plan.wr)
+    grad[0] += plan.cap * fprime[1]
+    return grad, fprime
 
 
 def _h1_riesz(field: RadialField, rhs: np.ndarray) -> np.ndarray:
@@ -264,31 +313,32 @@ def _h1_inner(field: RadialField, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _hessian_bands(field: RadialField,
-                   spec: PerturbationSpec) -> Tuple[np.ndarray, np.ndarray]:
+                   fprime: Tuple[np.ndarray, float], h) -> Tuple[np.ndarray, np.ndarray]:
     """(diagonal, off-diagonal) of H = F'' on the free nodes (all but r = 1).
 
     F'' is the pointwise f'' at the Gauss points weighted by the products
     of the two nodes' shares, frac^2, frac (1 - frac) and (1 - frac)^2,
     plus the cap at node 0.  f'' is one forward difference of f' at every
-    point, so no family needs h'.
+    point, so no family needs h'; ``fprime`` is the gradient's
+    (f'(uq), f'(u0)), so only f'(uq + eps) and f'(u0 + eps) are evaluated.
     """
     plan = field.plan()
-    u0 = field.values[0]
-    uq = _gauss_values(field)
     eps = NEWTON_FD_EPS * max(1.0, float(np.max(np.abs(field.values))))
-    f2 = (_fprime(uq + eps, spec.h) - _fprime(uq, spec.h)) / eps
+    f2 = (_fprime(_gauss_values(field) + eps, h) - fprime[0]) / eps
     # f'' wf (1 - frac) on the segments whose right node is free
     right, frac = f2[:-1] * plan.wr[:-1], plan.frac[:-1]
     diag = _row_dot(f2 * plan.wl, plan.frac)
     diag[1:] += _row_dot(right, 1.0 - frac)
-    diag[0] += plan.cap * (_fprime(u0 + eps, spec.h) - _fprime(u0, spec.h)) / eps
+    diag[0] += plan.cap * (_fprime(field.values[0] + eps, h) - fprime[1]) / eps
     return diag, _row_dot(right, frac)
 
 
-def _newton_trial(field: RadialField, grad: np.ndarray, lam: float,
-                  alpha: float, spec: PerturbationSpec) -> RadialField:
+def _newton_trial(field: RadialField, grad: np.ndarray,
+                  hessian: Tuple[np.ndarray, np.ndarray], lam: float,
+                  alpha: float) -> RadialField:
     """One Newton step on the Lagrangian F - nu (E - alpha), retracted to E = alpha.
 
+    ``hessian`` holds the bands of H = F'' from :func:`_hessian_bands`.
     With nu = 1/lambda, b = 2 A u and M = H - 2 nu A on the free nodes the
     bordered KKT system is M du - b dnu = -(G - nu b), b.du = alpha - E;
     both solves M [x1 x2] = [-(G - nu b), b] share one banded LU, then
@@ -296,7 +346,7 @@ def _newton_trial(field: RadialField, grad: np.ndarray, lam: float,
     """
     u, w = field.values, field.plan().w
     nu = 1.0 / lam
-    diag, off = _hessian_bands(field, spec)
+    diag, off = hessian
     flux = w * (u[:-1] - u[1:])  # A u in flux form, as in _h1_riesz
     b = 2.0 * (flux - np.concatenate(([0.0], flux[:-1])))
     bands = np.zeros((3, len(b)))
@@ -331,15 +381,17 @@ def _ascend(field: RadialField, alpha: float, spec: PerturbationSpec,
     _require_finite(value, "functional value", 0)
     evaluations, step, it = 1, 1.0, 0
     for it in range(1, max_iter + 1):
-        grad = _functional_gradient(field, spec)
+        grad, fprime = _functional_gradient(field, *_take_gauss(field), spec.h)
         _require_finite(grad, "gradient", it)
         direction = _h1_riesz(field, grad)
         _require_finite(direction, "ascent direction", it)
         lam, sin_theta, tangent = _stationarity(field, grad, direction)
         if sin_theta < ASCENT_TOL:
             break
-        if sin_theta < NEWTON_SWITCH:
-            trial = _newton_trial(field, grad, lam, alpha, spec)
+        trial = (_newton_trial(field, grad, _hessian_bands(field, fprime, spec.h),
+                               lam, alpha) if sin_theta < NEWTON_SWITCH else None)
+        fprime = None  # f' is read only by the gradient and the bands
+        if trial is not None:
             trial_value = functional_value(trial, spec)
             evaluations += 1
             if trial_value >= value * (1.0 - 1e-14):
@@ -360,7 +412,7 @@ def _ascend(field: RadialField, alpha: float, spec: PerturbationSpec,
         field, value = trial, trial_value
         step *= STEP_GROWTH
     else:  # the last iteration moved the field: measure it again
-        lam, sin_theta = multiplier_estimate_field(field, spec)
+        lam, sin_theta = _measure(field, *_take_gauss(field), spec.h)
     return field, value, it, evaluations, lam, sin_theta
 
 
@@ -436,6 +488,12 @@ def multiplier_estimate_field(field: RadialField,
 
     sin theta is 0 exactly at a discrete critical point of F on the sphere.
     """
-    grad = _functional_gradient(field, spec)
+    return _measure(field, *_gauss_arrays(field), spec.h)
+
+
+def _measure(field: RadialField, uq: np.ndarray, e: np.ndarray,
+             h) -> Tuple[float, float]:
+    """(lambda, sin theta) of ``field`` from its Gauss-point u and e^{u^2}."""
+    grad, _ = _functional_gradient(field, uq, e, h)
     lam, sin_theta, _ = _stationarity(field, grad, _h1_riesz(field, grad))
     return lam, sin_theta

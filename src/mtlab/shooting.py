@@ -74,7 +74,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from . import profiles as pf
 from .perturbations import PerturbationSpec
@@ -98,6 +97,14 @@ ETA_ATOL_FACTOR = 1e-3  # absolute error floor on (eta, v), as a multiple of tol
 TWO_PI = 2.0 * np.pi
 ETA0_SAMPLES = 400  # log-spaced radii checked by comparison_eta0
 ETA0_SLACK = 1e-9  # excess of eta over eta0 that comparison_eta0 allows
+# pde_residual's Gauss-Legendre rule on [-1, 1], SciPy's roots_legendre(8)
+# written out, as maximizer.GAUSS_X and GAUSS_W are
+RESIDUAL_X = np.array([-0.9602898564975363, -0.7966664774136267, -0.525532409916329,
+                       -0.18343464249564984, 0.18343464249564984, 0.525532409916329,
+                       0.7966664774136267, 0.9602898564975363])
+RESIDUAL_W = np.array([0.10122853629037562, 0.22238103445337473, 0.3137066458778876,
+                       0.36268378337836205, 0.36268378337836205, 0.3137066458778876,
+                       0.22238103445337473, 0.10122853629037562])
 
 
 class EventNotReachedError(RuntimeError):
@@ -248,14 +255,13 @@ def pde_residual(sol: ShotSolution) -> float:
     nodes = sol.eta.grid.t_nodes
     n = len(nodes)
     half = 0.5 * np.diff(nodes)
-    x, w = roots_legendre(8)
-    ts = (nodes[:-1] + half)[:, None] + half[:, None] * x
+    ts = (nodes[:-1] + half)[:, None] + half[:, None] * RESIDUAL_X
     ys = sol.eta.eval_state_t(np.concatenate([nodes, ts.ravel()]))
     rates = np.array([state(t, eta, v)
                       for t, (eta, v) in zip(ts.ravel().tolist(), ys[:2, n:].T.tolist())])
     rates = rates.reshape(*ts.shape, -1)  # (step, Gauss point, state)
-    flux = np.einsum("k,j,kjs->ks", half, w, rates)
-    scale = np.einsum("k,j,kjs->s", half, w, np.abs(rates))
+    flux = np.einsum("k,j,kjs->ks", half, RESIDUAL_W, rates)
+    scale = np.einsum("k,j,kjs->s", half, RESIDUAL_W, np.abs(rates))
     miss = np.abs(np.diff(ys[:, :n], axis=1).T - flux)
     resid = float(np.max(np.max(miss, axis=0) / scale))
     if not np.isfinite(resid):

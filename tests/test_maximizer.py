@@ -1,7 +1,7 @@
 """Constrained maximization: energies, invariants and multiplier limits."""
 
+import json
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,21 +11,33 @@ from scipy.special import jn_zeros, roots_legendre
 
 from mtlab import maximizer, shooting
 from mtlab.analysis import branch_scan
-from mtlab.maximizer import (ASCENT_TOL, GAUSS_ORDER, NEWTON_FD_EPS,
-                             RadialField, _functional_gradient,
-                             _h1_inner, _h1_riesz, _hessian_bands,
+from mtlab.maximizer import (ASCENT_TOL, GAUSS_ORDER, GAUSS_W, GAUSS_X,
+                             NEWTON_FD_EPS, RadialField, _functional_gradient,
+                             _gauss_arrays, _h1_inner, _h1_riesz, _hessian_bands,
                              _newton_trial, _project, _stationarity,
                              maximize_subcritical, multiplier_estimate_field,
                              parabolic_start, pointwise_moser_bound,
                              functional_value)
 from mtlab.perturbations import PerturbationSpec, log_power_family, trivial
 from mtlab.radial_ode import IntegrationError
+from pin_maximizer_bits import PINNED, maximizer_bits
 
 # a NaN from a masked-out log or an overflowing exp fails the test
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 FOUR_PI = 4.0 * np.pi
 BRANCH_FRACS = (0.5, 0.9, 0.999)
+
+
+def _gradient(field, spec):
+    """dF at the nodes, from the field's own Gauss-point u and e^{u^2}."""
+    return _functional_gradient(field, *_gauss_arrays(field), spec.h)[0]
+
+
+def _bands(field, spec):
+    """The bands of H = F'' from the field's f' at the Gauss points and the cap."""
+    fprime = _functional_gradient(field, *_gauss_arrays(field), spec.h)[1]
+    return _hessian_bands(field, fprime, spec.h)
 
 
 def lambda1_disk() -> float:
@@ -227,7 +239,7 @@ def test_rejected_newton_trials_leave_the_steepest_ascent_path(monkeypatch):
         ascent_only = maximize_subcritical(alpha, n_nodes=1024)
     calls = []
 
-    def lower_trial(field, grad, lam, alpha, spec):
+    def lower_trial(field, grad, hessian, lam, alpha):
         calls.append(field)
         shrunk = field.copy()
         shrunk.values *= 0.5
@@ -240,6 +252,61 @@ def test_rejected_newton_trials_leave_the_steepest_ascent_path(monkeypatch):
     assert res.value == ascent_only.value
     assert res.iterations == ascent_only.iterations
     assert res.evaluations == ascent_only.evaluations + len(calls)
+
+
+def test_maximizer_bits_are_pinned():
+    """Every pinned output of tests/pin_maximizer_bits.py's runs (value,
+    lambda_hat, iterations, evaluations, stationarity and the field's
+    nodal values) is the one that script wrote, bit for bit.
+
+    The values come from this platform's libm and NumPy: on another
+    platform a last bit may move, and rerunning the script there pins
+    that platform's values.
+    """
+    assert maximizer_bits() == json.loads(PINNED.read_text())
+
+
+def test_gauss_rule_is_scipys():
+    # the written-out nodes and weights are roots_legendre's, bit for bit
+    # on the platform the pins were written on, as the pins are
+    x, w = roots_legendre(GAUSS_ORDER)
+    assert np.array_equal(GAUSS_X, x) and np.array_equal(GAUSS_W, w)
+
+
+@pytest.mark.parametrize("frac, n_nodes, max_iter", [
+    pytest.param(0.999, 4096, 600, id="0.999-4096"),
+    pytest.param(0.9, 1024, 7, id="0.9-1024-budget")])
+def test_each_field_is_evaluated_once(frac, n_nodes, max_iter, monkeypatch):
+    # g runs once per F evaluation (the start and every trial); h runs once
+    # per gradient, for f'(uq), and once more per Newton trial, for the
+    # bands' f'(uq + eps): each field's u, e^{u^2} and f'(u) at the Gauss
+    # points are evaluated once and shared, the budget's re-measure included
+    base = log_power_family(a=1.0, p=3.0)
+    calls = {"g": 0, "h": 0, "gradients": 0, "newton": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def on_gauss_points(name, fn):
+        def wrapper(t):
+            calls[name] += np.ndim(t) == 2 and np.shape(t)[1] == GAUSS_ORDER
+            return fn(t)
+        return wrapper
+
+    spec = PerturbationSpec(h=on_gauss_points("h", base.h), point=base.point,
+                            g=on_gauss_points("g", base.g))
+    monkeypatch.setattr(maximizer, "_h1_riesz", counted("gradients", _h1_riesz))
+    monkeypatch.setattr(maximizer, "_newton_trial",
+                        counted("newton", maximizer._newton_trial))
+    res = maximize_subcritical(frac * FOUR_PI, spec, n_nodes=n_nodes,
+                               max_iter=max_iter)
+    assert res.converged == (max_iter == 600)
+    assert calls["newton"] > 0
+    assert calls["g"] == res.evaluations
+    assert calls["h"] == calls["gradients"] + calls["newton"]
 
 
 def test_perturbed_maximization_increases_value():
@@ -313,7 +380,7 @@ def test_stationarity_is_the_h1_angle(data, n_seg):
     _, sin_theta = multiplier_estimate_field(field, trivial())
     A = _stiffness(field.t_nodes)
     uu = field.values[:-1]
-    d = np.linalg.solve(A, _functional_gradient(field, trivial())[:-1])
+    d = np.linalg.solve(A, _gradient(field, trivial())[:-1])
     cos2 = (uu @ A @ d) ** 2 / ((uu @ A @ uu) * (d @ A @ d))
     assert sin_theta == pytest.approx(np.sqrt(max(1.0 - cos2, 0.0)),
                                       rel=1e-9, abs=1e-7)
@@ -334,7 +401,7 @@ def test_h1_inner_product_identities(data, n_seg):
     # the tangent projection and the conjugacy rest on <u, u> = E and
     # <u, d> = u.G for d the Riesz representative of G = dF
     field = _draw_field(data, n_seg)
-    grad = _functional_gradient(field, trivial())
+    grad = _gradient(field, trivial())
     u = field.values
     assert _h1_inner(field, u, u) == pytest.approx(field.energy(), rel=1e-10)
     assert _h1_inner(field, u, _h1_riesz(field, grad)) == pytest.approx(
@@ -362,15 +429,14 @@ def test_newton_step_solves_the_kkt_system(data, n_seg):
     # the banded solve with two right-hand sides and the scalar border is
     # the dense KKT solve; H is drawn negative and diagonally dominant
     field = _draw_field(data, n_seg)
-    grad = _functional_gradient(field, trivial())
+    grad = _gradient(field, trivial())
     nu = data.draw(st.floats(0.01, 1.0))
     alpha = data.draw(st.floats(0.5, 2.0)) * field.energy()
     diag = np.array(data.draw(st.lists(st.floats(-2e3, -1e3), min_size=n_seg,
                                        max_size=n_seg)))
     off = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n_seg - 1,
                                       max_size=n_seg - 1)))
-    with mock.patch.object(maximizer, "_hessian_bands", lambda *args: (diag, off)):
-        trial = _newton_trial(field, grad, 1.0 / nu, alpha, trivial())
+    trial = _newton_trial(field, grad, (diag, off), 1.0 / nu, alpha)
     ref = _kkt_step(field, grad, nu, alpha, diag, off)
     assert trial.values[-1] == 0.0
     assert np.max(np.abs(trial.values - ref)) <= 1e-9 * np.max(np.abs(ref))
@@ -394,7 +460,7 @@ def test_hessian_bands_match_the_exact_second_derivative(data, n_seg):
     diag[1:] += np.sum(f2 * (1.0 - frac) ** 2, axis=1)
     diag[0] += np.pi * np.exp(2.0 * t[0]) * (2.0 + 4.0 * u[0] ** 2) * np.exp(u[0] ** 2)
     off = np.sum(f2 * frac * (1.0 - frac), axis=1)[:-1]
-    got_diag, got_off = _hessian_bands(field, trivial())
+    got_diag, got_off = _bands(field, trivial())
     scale = np.max(np.abs(diag))
     assert np.max(np.abs(got_diag - diag[:-1])) <= 1e-5 * scale
     assert np.max(np.abs(got_off - off), initial=0.0) <= 1e-5 * scale
@@ -407,13 +473,13 @@ def _coloured_bands(field, spec):
     u = field.values
     n = len(u) - 1
     eps = NEWTON_FD_EPS * max(1.0, float(np.max(np.abs(u))))
-    grad = _functional_gradient(field, spec)
+    grad = _gradient(field, spec)
     diag, off = np.empty(n), np.empty(n - 1)
     probe = field.copy()
     for c in range(3):
         probe.values[:] = u
         probe.values[c:n:3] += eps
-        quotient = (_functional_gradient(probe, spec) - grad) / eps
+        quotient = (_gradient(probe, spec) - grad) / eps
         diag[c::3] = quotient[c:n:3]
         off[c::3] = quotient[c + 1:n:3]
     return diag, off
@@ -432,7 +498,7 @@ def test_hessian_bands_match_the_coloured_differences_with_h(data, n_seg):
                                           max_size=n_seg)))
     field = RadialField(np.append(-np.cumsum(dt[::-1])[::-1], 0.0), u)
     diag, off = _coloured_bands(field, spec)
-    got_diag, got_off = _hessian_bands(field, spec)
+    got_diag, got_off = _bands(field, spec)
     scale = np.max(np.abs(diag))
     assert np.max(np.abs(got_diag - diag)) <= 1e-5 * scale
     assert np.max(np.abs(got_off - off), initial=0.0) <= 1e-5 * scale

@@ -15,9 +15,9 @@ from mtlab import radial_ode, shooting
 from mtlab.perturbations import (PerturbationSpec, inverse_square_tail,
                                  log_power_family, oscillating_family, trivial)
 from mtlab.radial_ode import R_START, START_LADDER, IntegrationError
-from mtlab.shooting import (SPLIT_EXPONENT, EventNotReachedError,
-                            comparison_eta0, functional_value, pde_residual,
-                            shoot)
+from mtlab.shooting import (RESIDUAL_W, RESIDUAL_X, SPLIT_EXPONENT,
+                            EventNotReachedError, comparison_eta0,
+                            functional_value, pde_residual, shoot)
 from pin_shot_bits import PINNED, shot_bits
 
 FOUR_PI = 4.0 * np.pi
@@ -36,6 +36,13 @@ def test_shot_bits_are_pinned():
     pinned = json.loads(PINNED.read_text())
     assert shot_bits(pinned["mus"], pinned["families"]) == {
         key: value for key, value in pinned.items() if key not in ("mus", "families")}
+
+
+def test_residual_gauss_rule_is_scipys():
+    # pde_residual's written-out rule is roots_legendre(8), bit for bit on
+    # the platform the pins were written on
+    x, w = roots_legendre(8)
+    assert np.array_equal(RESIDUAL_X, x) and np.array_equal(RESIDUAL_W, w)
 
 
 def test_mu_range_guard():
