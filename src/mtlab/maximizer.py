@@ -55,24 +55,39 @@ Dirichlet energy has the exact per-segment form 2 pi (du)^2 / dt and the
 functional is integrated by fixed-order Gauss quadrature per segment plus
 a closed inner cap on [0, r_min].
 
-What depends only on the grid (each Gauss point's interpolation weight
-and its quadrature weight 2 pi w e^{2t}, whole and split between the two
-nodes, the stiffnesses 2 pi / dt and the cap area) is a per-grid plan
-shared by copies of the field, and the Riesz solve in flux form is two
-cumulative sums: a step is loop-free.  The result is returned as data;
-:mod:`mtlab.cli` renders it as JSON.
+The quadrature weights sit in the exponent.  A Gauss point's weight is
+w = 2 pi (dt / 2) w_k e^{2t}, and the grid plan keeps one array, log w
+per point, with the scalar log(pi r_min^2) of the cap and the
+stiffnesses 2 pi / dt; it is shared by copies of the field.  F, its
+gradient, the Hessian bands and the cap each take exp(u^2 + log w) once,
+never e^{u^2} alone, which overflows once u > 26.6.  The combined
+exponent cannot overflow on the sphere: by Cauchy-Schwarz a field
+piecewise linear in t obeys the 1-D Moser bound
+u(t)^2 <= |t| int_t^0 u'^2 ds = (E / 2 pi) log(1/r), so every field with
+E < 4 pi has u^2 + 2t <= (2 - E / 2 pi) t < 0, and the exponent stays
+below log(pi dt) at every Gauss point and below log(pi) at the cap.
+F is taken only on the sphere E = alpha: the start, every line-search
+step and every Newton trial are rescaled to it first.  A Gauss point at
+x_k in [-1, 1] gives its segment's left node the share (1 - x_k) / 2 and
+the right node (1 + x_k) / 2 on every segment, so the node shares are
+the two 5-vectors LEFT_SHARE and RIGHT_SHARE, and the gradient's and the
+bands' per-segment sums are products of the n x 5 point arrays with
+them.  The Riesz solve in flux form is two cumulative sums: a step is
+loop-free.  The result is returned as data; :mod:`mtlab.cli` renders it
+as JSON.
 
 What depends on a field's values through exp, g or h is evaluated once
 per field.  F (of the start, a line-search or a Newton trial) evaluates
-u and e^{u^2} at the Gauss points and, as the public functional_value
+u and w e^{u^2} at the Gauss points and, as the public functional_value
 returns F alone, leaves them on the field; a field the ascent keeps is
-not changed before its gradient takes them off, forms
-f'(u) = 2 u (1 + h(u)) e^{u^2} from them and drops them (the re-measure
-after the last iteration does the same).  The Hessian bands take that
-f'(u) and evaluate only f'(u + eps), interpolating u again (two array
-operations) rather than holding F's array until then.  So g runs once
-per F evaluation and h once per gradient plus once per Newton trial,
-and a rejected trial's arrays go with the trial.
+not changed before its gradient takes them off, forms the weighted
+w f'(u) = 2 u (1 + h(u)) w e^{u^2} from them and drops them (the
+re-measure after the last iteration does the same).  The Hessian bands
+take that w f'(u) and evaluate only w f'(u + eps), interpolating u again
+(two array operations) rather than holding F's array until then.  So g
+runs once per F evaluation and h once per gradient plus once per Newton
+trial, and a rejected trial's arrays go with the trial.  A non-finite F
+raises IntegrationError, and so does a non-finite multiplier estimate.
 """
 
 from __future__ import annotations
@@ -114,6 +129,9 @@ GAUSS_X = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
                     0.5384693101056831, 0.906179845938664])
 GAUSS_W = np.array([0.23692688505618897, 0.4786286704993665, 0.568888888888889,
                     0.4786286704993665, 0.23692688505618897])
+# a Gauss point's shares of its segment's left and right node, on every segment
+LEFT_SHARE = 0.5 * (1.0 - GAUSS_X)
+RIGHT_SHARE = 0.5 * (1.0 + GAUSS_X)
 
 
 class RadialField:
@@ -122,7 +140,7 @@ class RadialField:
     ``t_nodes`` runs from log(r_min) to 0 and ``values`` carries u at the
     nodes with u(1) = 0 enforced.  The inner disk [0, r_min] extends u
     by the constant u(r_min) (zero energy there).  :func:`functional_value`
-    leaves u and e^{u^2} at the Gauss points on the field for its
+    leaves u and w e^{u^2} at the Gauss points on the field for its
     gradient (see :func:`_take_gauss`).
     """
 
@@ -163,87 +181,76 @@ class RadialField:
 
 
 class _GridPlan(NamedTuple):
-    frac: np.ndarray      # barycentric weight of the left node at each Gauss point
-    wf: np.ndarray        # 2 pi e^{2t} times the Gauss weight: F's weight per point
-    wl: np.ndarray        # wf * frac, the left node's share of a point
-    wr: np.ndarray        # wf * (1 - frac), the right node's share of a point
-    cap: float            # pi r_min^2, the area of the inner cap
+    log_w: np.ndarray     # log of F's weight 2 pi (dt / 2) w_k e^{2t} at each Gauss point
+    log_cap: float        # log(pi r_min^2), the log of the inner cap's area
     w: np.ndarray         # segment stiffnesses 2 pi / dt
 
 
 def _grid_plan(t_nodes: np.ndarray, dt: np.ndarray) -> _GridPlan:
-    """Gauss-Legendre points/weights of every segment plus the stiffnesses."""
-    t0, t1 = t_nodes[:-1], t_nodes[1:]
-    mid, half = 0.5 * (t0 + t1), 0.5 * dt
+    """Log quadrature weights of every segment's Gauss points, the cap's
+    log area and the stiffnesses."""
+    mid, half = 0.5 * (t_nodes[:-1] + t_nodes[1:]), 0.5 * dt
     tq = mid[:, None] + half[:, None] * GAUSS_X[None, :]
-    frac = (t1[:, None] - tq) / dt[:, None]
-    wf = 2.0 * np.pi * (half[:, None] * GAUSS_W[None, :]) * np.exp(2.0 * tq)
-    return _GridPlan(frac=frac, wf=wf, wl=wf * frac, wr=wf * (1.0 - frac),
-                     cap=np.pi * np.exp(t_nodes[0]) ** 2, w=2.0 * np.pi / dt)
+    log_w = np.log(2.0 * np.pi * (half[:, None] * GAUSS_W[None, :])) + 2.0 * tq
+    return _GridPlan(log_w=log_w, log_cap=np.log(np.pi) + 2.0 * t_nodes[0],
+                     w=2.0 * np.pi / dt)
 
 
 def _gauss_values(field: RadialField) -> np.ndarray:
     """u at the Gauss points of every segment, one row per segment."""
     u = field.values
-    return u[1:, None] + field.plan().frac * (u[:-1] - u[1:])[:, None]
+    return u[1:, None] + (u[:-1] - u[1:])[:, None] * LEFT_SHARE
 
 
 def _gauss_arrays(field: RadialField) -> Tuple[np.ndarray, np.ndarray]:
-    """u and e^{u^2} at the Gauss points of every segment, one row per segment."""
+    """u and w e^{u^2} = exp(u^2 + log w) at the Gauss points of every
+    segment, one row per segment."""
     uq = _gauss_values(field)
-    return uq, np.exp(uq * uq)
+    return uq, np.exp(uq * uq + field.plan().log_w)
 
 
 def _take_gauss(field: RadialField) -> Tuple[np.ndarray, np.ndarray]:
-    """The (u, e^{u^2}) that F of ``field`` left on it, taken off it; valid
+    """The (u, w e^{u^2}) that F of ``field`` left on it, taken off it; valid
     only while ``field.values`` has not changed since that F."""
     gauss, field._gauss = field._gauss, None
     return gauss
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-segment sums of a * b; einsum skips the product's temporary."""
-    return np.einsum("ij,ij->i", a, b)
-
-
-def _fprime(u, h):
-    """f'(u) = 2 u (1 + h(u)) e^{u^2}, the pointwise derivative of F's integrand."""
-    return 2.0 * u * (1.0 + h(np.maximum(np.abs(u), 1e-12))) * np.exp(u * u)
-
-
-def _fprime_from(u, e, h):
-    """f'(u) from F's e = e^{u^2}; :func:`_fprime` takes the exp last instead
-    of as an argument, so no e^{u^2} array is held while h runs."""
+def _fprime(u, e, h):
+    """w f'(u) = 2 u (1 + h(u)) w e^{u^2} from e = w e^{u^2}: the weighted
+    pointwise derivative of F's integrand."""
     return 2.0 * u * (1.0 + h(np.maximum(np.abs(u), 1e-12))) * e
 
 
 def functional_value(field: RadialField, spec: PerturbationSpec) -> float:
     """F = int (1+g(u)) e^{u^2} dx, per-segment Gauss plus the inner cap.
 
-    The Gauss-point u and e^{u^2} are left on the field for the gradient
-    of the same values (see :func:`_take_gauss`).
+    The Gauss-point u and w e^{u^2} are left on the field for the gradient
+    of the same values (see :func:`_take_gauss`).  A non-finite F raises
+    IntegrationError.
     """
     g = spec.g
-    plan = field.plan()
     uq, e = field._gauss = _gauss_arrays(field)
-    val = float(np.sum((1.0 + g(np.abs(uq))) * e * plan.wf))
     u0 = field.values[0]
     g0 = float(g(np.asarray(abs(u0))))
-    return val + plan.cap * (1.0 + g0) * np.exp(u0 * u0)
+    value = (float(np.sum((1.0 + g(np.abs(uq))) * e))
+             + (1.0 + g0) * np.exp(u0 * u0 + field.plan().log_cap))
+    if not np.isfinite(value):
+        raise IntegrationError(f"non-finite functional value {value}")
+    return value
 
 
 def _functional_gradient(field: RadialField, uq: np.ndarray, e: np.ndarray,
                          h) -> Tuple[np.ndarray, Tuple[np.ndarray, float]]:
-    """Nodal gradient of F from u and e = e^{u^2} at the Gauss points, and the
-    pointwise dF/du = f'(u) = 2 u (1 + h(u)) e^{u^2} it weighted, at the
-    Gauss points and at the cap: (gradient, (f'(uq), f'(u0)))."""
-    plan = field.plan()
+    """Nodal gradient of F from u and e = w e^{u^2} at the Gauss points, and
+    the weighted pointwise dF/du it summed, w f'(u) at the Gauss points and
+    the cap's area times f'(u0): (gradient, (w f'(uq), cap f'(u0)))."""
     u0 = field.values[0]
-    fprime = _fprime_from(uq, e, h), _fprime(u0, h)
+    fprime = _fprime(uq, e, h), _fprime(u0, np.exp(u0 * u0 + field.plan().log_cap), h)
     grad = np.zeros_like(field.values)
-    grad[:-1] += _row_dot(fprime[0], plan.wl)
-    grad[1:] += _row_dot(fprime[0], plan.wr)
-    grad[0] += plan.cap * fprime[1]
+    grad[:-1] += fprime[0] @ LEFT_SHARE
+    grad[1:] += fprime[0] @ RIGHT_SHARE
+    grad[0] += fprime[1]
     return grad, fprime
 
 
@@ -316,21 +323,22 @@ def _hessian_bands(field: RadialField,
                    fprime: Tuple[np.ndarray, float], h) -> Tuple[np.ndarray, np.ndarray]:
     """(diagonal, off-diagonal) of H = F'' on the free nodes (all but r = 1).
 
-    F'' is the pointwise f'' at the Gauss points weighted by the products
-    of the two nodes' shares, frac^2, frac (1 - frac) and (1 - frac)^2,
-    plus the cap at node 0.  f'' is one forward difference of f' at every
-    point, so no family needs h'; ``fprime`` is the gradient's
-    (f'(uq), f'(u0)), so only f'(uq + eps) and f'(u0 + eps) are evaluated.
+    F'' is the weighted pointwise w f'' at the Gauss points summed with
+    the products of the two nodes' shares, LEFT_SHARE^2 and RIGHT_SHARE^2
+    on the diagonal and LEFT_SHARE * RIGHT_SHARE off it, plus the cap at
+    node 0.  w f'' is one forward difference of w f' at every point, so no
+    family needs h'; ``fprime`` is the gradient's (w f'(uq), cap f'(u0)),
+    so only w f'(uq + eps) and cap f'(u0 + eps) are evaluated.
     """
     plan = field.plan()
     eps = NEWTON_FD_EPS * max(1.0, float(np.max(np.abs(field.values))))
-    f2 = (_fprime(_gauss_values(field) + eps, h) - fprime[0]) / eps
-    # f'' wf (1 - frac) on the segments whose right node is free
-    right, frac = f2[:-1] * plan.wr[:-1], plan.frac[:-1]
-    diag = _row_dot(f2 * plan.wl, plan.frac)
-    diag[1:] += _row_dot(right, 1.0 - frac)
-    diag[0] += plan.cap * (_fprime(field.values[0] + eps, h) - fprime[1]) / eps
-    return diag, _row_dot(right, frac)
+    uq, u0 = _gauss_values(field) + eps, field.values[0] + eps
+    f2 = (_fprime(uq, np.exp(uq * uq + plan.log_w), h) - fprime[0]) / eps
+    right = f2[:-1]  # the segments whose right node is free
+    diag = f2 @ LEFT_SHARE ** 2
+    diag[1:] += right @ RIGHT_SHARE ** 2
+    diag[0] += (_fprime(u0, np.exp(u0 * u0 + plan.log_cap), h) - fprime[1]) / eps
+    return diag, right @ (LEFT_SHARE * RIGHT_SHARE)
 
 
 def _newton_trial(field: RadialField, grad: np.ndarray,
@@ -342,7 +350,9 @@ def _newton_trial(field: RadialField, grad: np.ndarray,
     With nu = 1/lambda, b = 2 A u and M = H - 2 nu A on the free nodes the
     bordered KKT system is M du - b dnu = -(G - nu b), b.du = alpha - E;
     both solves M [x1 x2] = [-(G - nu b), b] share one banded LU, then
-    dnu = (alpha - E - b.x1) / (b.x2) and du = x1 + dnu x2.
+    dnu = (alpha - E - b.x1) / (b.x2) and du = x1 + dnu x2.  The trial is
+    rescaled to E = alpha < 4 pi before its F, so no exponent of F can
+    overflow on it (see the module docstring).
     """
     u, w = field.values, field.plan().w
     nu = 1.0 / lam
@@ -378,7 +388,6 @@ def _ascend(field: RadialField, alpha: float, spec: PerturbationSpec,
     """
     _project(field, alpha)
     value = functional_value(field, spec)
-    _require_finite(value, "functional value", 0)
     evaluations, step, it = 1, 1.0, 0
     for it in range(1, max_iter + 1):
         grad, fprime = _functional_gradient(field, *_take_gauss(field), spec.h)
@@ -403,7 +412,6 @@ def _ascend(field: RadialField, alpha: float, spec: PerturbationSpec,
             _project(trial, alpha)
             trial_value = functional_value(trial, spec)
             evaluations += 1
-            _require_finite(trial_value, "functional value", it)
             if trial_value > value:
                 break
             step *= 0.5
@@ -487,13 +495,17 @@ def multiplier_estimate_field(field: RadialField,
     """(lambda_hat, sin theta) for -Delta u = lambda (1+h(u)) u e^{u^2}.
 
     sin theta is 0 exactly at a discrete critical point of F on the sphere.
+    A non-finite lambda_hat or sin theta raises IntegrationError.
     """
     return _measure(field, *_gauss_arrays(field), spec.h)
 
 
 def _measure(field: RadialField, uq: np.ndarray, e: np.ndarray,
              h) -> Tuple[float, float]:
-    """(lambda, sin theta) of ``field`` from its Gauss-point u and e^{u^2}."""
+    """(lambda, sin theta) of ``field`` from its Gauss-point u and w e^{u^2}."""
     grad, _ = _functional_gradient(field, uq, e, h)
     lam, sin_theta, _ = _stationarity(field, grad, _h1_riesz(field, grad))
+    if not (np.isfinite(lam) and np.isfinite(sin_theta)):
+        raise IntegrationError(f"non-finite multiplier estimate lambda_hat = {lam}, "
+                               f"sin theta = {sin_theta}")
     return lam, sin_theta

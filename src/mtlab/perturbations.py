@@ -188,12 +188,16 @@ def inverse_square_tail(a: float = 1.0, R: Optional[float] = None) -> Perturbati
     """h(t) = -a t^{-2} for t >= R, frozen at -a/R^2 below.
 
     The default R = sqrt(2a) pins the range of h to [-1/2, 0); this is the
-    critical-decay family whose energy coefficient shifts by -4 pi a.
+    critical-decay family whose energy coefficient shifts by -4 pi a.  An
+    a or R outside (0, inf), NaN included, raises ValueError.
     """
-    if a <= 0:
-        raise ValueError("need a > 0")
+    # written so that a NaN fails the test
+    if not 0.0 < a < np.inf:
+        raise ValueError(f"need 0 < a < inf, got a={a}")
     if R is None:
         R = float(np.sqrt(2.0 * a))
+    elif not 0.0 < R < np.inf:
+        raise ValueError(f"need 0 < R < inf, got R={R}")
 
     def h(t):
         t = np.asarray(t, dtype=float)

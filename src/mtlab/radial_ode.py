@@ -54,9 +54,10 @@ arrays that small (the stage products, the state arrays, the norms) was
 about three quarters of each right-hand-side evaluation under SciPy's
 stepper.  So each attempt writes its 11 stages out as ``dop853.f`` does,
 and keeps SciPy's controller and continuous extension.  Of SciPy the
-module takes three things: the ``DOP853`` class, for its tableau, the
-controller constants SAFETY, MIN_FACTOR and MAX_FACTOR of its private RK
-module, and ``brentq`` for the crossing.  Even on floats,
+module takes two things: the ``DOP853`` class, for its tableau, and
+``brentq`` for the crossing.  The controller constants SAFETY = 0.9,
+MIN_FACTOR = 0.2 and MAX_FACTOR = 10 are SciPy's, written out as
+literals because the module that defines them is private.  Even on floats,
 a loop over the state per stage (one comprehension over ``zip(y, k0,
 ...)`` each) cost more than the equation: the state calls of a mu = 12
 shot, replayed alone, were about 30% of the shot (trivial family) and
@@ -126,7 +127,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import DOP853
-from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.optimize import brentq
 
 __all__ = [
@@ -149,6 +149,10 @@ CHECKS_PER_DECADE = 2  # log-spaced radii per decade at which a fit is checked
 # 1e-5 of its terms, is rounding noise (SciPy's DOP853 runs at it instead)
 MIN_RTOL = 100.0 * np.finfo(float).eps
 EVENT_XTOL = 4.0 * np.finfo(float).eps  # brentq's xtol and rtol on the crossing, SciPy's
+# the step-size controller's constants, SciPy's values for its RK solvers
+SAFETY = 0.9  # the factor on the error-optimal step
+MIN_FACTOR = 0.2  # a step shrinks to no less than this fraction of itself
+MAX_FACTOR = 10  # a step grows by no more than this factor
 
 # the couplings of DOP853's tableau (SciPy's class): stage s of a step reads
 # the earlier stages _STAGES[s - 1], the solution and both error estimates

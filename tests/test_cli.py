@@ -261,6 +261,14 @@ def test_cutoff_family_rejects_bad_R(capsys, family, R):
     assert f"R={R}" in capsys.readouterr().err
 
 
+def test_inverse_square_rejects_infinite_R(capsys):
+    # R = inf used to shoot the trivial family's c, bit for bit, with exit 0
+    assert run(["shoot", "--mu", "6", "--family", "inverse-square", "--R", "inf",
+                "--format", "csv"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "R=inf" in captured.err and not captured.out
+
+
 @pytest.mark.parametrize("tol", ["1e-15", "nan"])
 def test_scan_rejects_tol_below_the_floor(monkeypatch, capsys, tol):
     # a configuration error like `mtlab shoot --tol 1e-15`, found before any shot

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import jn_zeros, roots_legendre
+from scipy.special import dawsn, jn_zeros, roots_legendre
 
 from mtlab import maximizer, shooting
 from mtlab.analysis import branch_scan
@@ -316,6 +316,42 @@ def test_perturbed_maximization_increases_value():
                                 n_nodes=1024)
     # g >= 0 pointwise, so the perturbed supremum cannot be smaller
     assert pert.value >= plain.value - 1e-9
+
+
+def _linear_field(energy, depth, n_nodes):
+    """u = k |t| on n_nodes uniform nodes of [-depth, 0], at the given energy."""
+    t = np.linspace(-depth, 0.0, n_nodes)
+    return RadialField(t, -np.sqrt(energy / (2.0 * np.pi * depth)) * t)
+
+
+def test_functional_value_below_the_overflow_of_e_u2():
+    # u = k |t| at E = 0.9 (4 pi) on [-1300, 0] reaches u(r_min) = 48.4,
+    # where e^{u^2} alone overflows; u^2 + 2t < 0 keeps every exponent
+    # finite.  F = 2 pi int e^{k^2 t^2 + 2t} dt + pi e^{k^2 T^2 - 2T}, and
+    # the integral is (1/k) (D(1/k) + e^{k^2 T^2 - 2T} D(k T - 1/k)) with
+    # Dawson's D(x) = e^{-x^2} int_0^x e^{s^2} ds
+    depth = 1300.0
+    field = _linear_field(0.9 * FOUR_PI, depth, 4096)
+    assert field.values[0] == pytest.approx(48.37, abs=0.01)
+    k = field.values[0] / depth
+    deep = np.exp(k * k * depth * depth - 2.0 * depth)
+    exact = (2.0 * np.pi / k * (dawsn(1.0 / k) + deep * dawsn(k * depth - 1.0 / k))
+             + np.pi * deep)
+    assert functional_value(field, trivial()) == pytest.approx(exact, rel=1e-12, abs=0.0)
+    lam, sin_theta = multiplier_estimate_field(field, trivial())
+    assert np.isfinite(lam) and np.isfinite(sin_theta)
+
+
+def test_supercritical_overflow_raises():
+    # at E = 40 (4 pi) the Moser bound no longer holds: u = k |t| on
+    # [-30, 0] overflows its exponent, where F used to read inf and
+    # (lambda_hat, sin theta) (0.0, nan) without complaint
+    field = _linear_field(40.0 * FOUR_PI, 30.0, 256)
+    with np.errstate(all="ignore"):
+        with pytest.raises(IntegrationError, match="non-finite functional value inf"):
+            functional_value(field, trivial())
+        with pytest.raises(IntegrationError, match="non-finite multiplier estimate"):
+            multiplier_estimate_field(field, trivial())
 
 
 def test_ascent_fails_loudly_on_nan_g():

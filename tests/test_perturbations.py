@@ -183,6 +183,15 @@ def test_inverse_square_tail_range():
         inverse_square_tail(a=0.0)
 
 
+@pytest.mark.parametrize("param", ["a", "R"])
+@pytest.mark.parametrize("bad", [0.0, -2.0, np.nan, np.inf])
+def test_inverse_square_tail_rejects_bad_parameters(param, bad):
+    # a NaN passes a plain `<= 0` check, and R = inf froze h at 0, the
+    # trivial family; R = 0 and R = -2 used to fail only through inf_h
+    with pytest.raises(ValueError, match=f"{param}={bad}"):
+        inverse_square_tail(**{"a": 1.0, param: bad})
+
+
 def test_sup_inf_bounds_guard():
     with pytest.raises(ValueError):
         PerturbationSpec(h=lambda t: -1.5 * np.ones_like(np.asarray(t)),

@@ -322,10 +322,16 @@ def test_initial_step_is_scipys_rule_on_floats(fun, y0, t_bound, expected):
     assert type(own) is float and abs(own - ref) <= 4.0 * EPS * ref, (own, ref)
     if expected is not None:
         assert own == pytest.approx(expected, rel=4.0 * EPS)
-    # the controller steps with the private constants of SciPy's RK module; a
-    # SciPy that changes them fails here by name (checked with SciPy 1.17.1)
-    constants = (radial_ode.SAFETY, radial_ode.MIN_FACTOR, radial_ode.MAX_FACTOR)
-    assert constants == (0.9, 0.2, 10), f"SciPy {scipy.__version__}: {constants}"
+
+
+def test_controller_constants_are_scipys():
+    # radial_ode writes SciPy's controller constants out as literals; the
+    # private RK module that defines them is the reference here only, and
+    # a SciPy that changes them fails by name (checked with SciPy 1.17.1)
+    from scipy.integrate._ivp import rk
+    own = (radial_ode.SAFETY, radial_ode.MIN_FACTOR, radial_ode.MAX_FACTOR)
+    assert own == (0.9, 0.2, 10)
+    assert own == (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR), f"SciPy {scipy.__version__}"
 
 
 def test_solve_rejects_nonfinite_inputs():
